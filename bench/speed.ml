@@ -348,7 +348,10 @@ let smoke () =
 (* ------------------------------------------------------------------ *)
 (* Bechamel table: principles vs searched baselines, seq vs par        *)
 
-let tests =
+(* A function, not a value: it starts the global pool's domains, and
+   the fork-based drills ([--store-smoke] and friends) abort once any
+   domain exists. *)
+let tests () =
   let engine =
     List.concat_map
       (fun t ->
@@ -387,7 +390,7 @@ let run () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  let raw = Benchmark.all cfg instances tests in
+  let raw = Benchmark.all cfg instances (tests ()) in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = ref [] in
   Hashtbl.iter

@@ -493,23 +493,44 @@ let area_cmd =
   Cmd.v (Cmd.info "area" ~doc:"FuseCU 28 nm area breakdown.") Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
+(* Service pieces (shared by serve, route)                             *)
+
+(* The engine behind 'serve' and behind every shard 'route' forks. *)
+let engine_config ~no_cache ~cache_entries ?slow_ms () =
+  let default = Fusecu_service.Engine.default_config () in
+  let cache_entries =
+    match cache_entries with Some n -> max 0 n | None -> default.cache_entries
+  in
+  { default with
+    cache_enabled = (not no_cache) && cache_entries > 0;
+    cache_entries;
+    slow_log_ms = slow_ms }
+
+let max_line_arg ~doc =
+  let parse s =
+    match Fusecu_util.Units.parse_bytes s with
+    | Ok bytes when bytes >= 1 -> Ok bytes
+    | Ok _ -> Error (`Msg "max-line must be at least one byte")
+    | Error e -> Error (`Msg e)
+  in
+  let print fmt bytes =
+    Format.pp_print_string fmt (Fusecu_util.Units.pp_bytes bytes)
+  in
+  Arg.(
+    value
+    & opt
+        (conv ~docv:"SIZE" (parse, print))
+        Fusecu_service.Server.default_socket_config.max_line
+    & info [ "max-line" ] ~docv:"SIZE" ~doc)
+
+(* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
 let serve_cmd =
-  let run socket store_path batch no_cache cache_entries mapper metrics_file
+  let run socket store_path batch no_cache cache_entries metrics_file
       metrics_addr slow_ms max_conns timeout max_line trace log_level =
     with_observability ~trace ~log_level @@ fun () ->
-    let default = Fusecu_service.Engine.default_config () in
-    let cache_entries =
-      match cache_entries with Some n -> max 0 n | None -> default.cache_entries
-    in
-    let config =
-      { default with
-        cache_enabled = (not no_cache) && cache_entries > 0;
-        cache_entries;
-        slow_log_ms = slow_ms;
-        mapper = Option.value mapper ~default:default.mapper }
-    in
+    let config = engine_config ~no_cache ~cache_entries ?slow_ms () in
     let store =
       match store_path with
       | None -> None
@@ -610,29 +631,6 @@ let serve_cmd =
           ~doc:"Plan-cache capacity in entries (default: \
                 \\$FUSECU_CACHE_ENTRIES or 4096; 0 disables the cache).")
   in
-  let mapper =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                (List.map
-                   (fun m -> (Fusecu_service.Engine.mapper_name m, m))
-                   [ Fusecu_service.Engine.Mapper_bnb;
-                     Fusecu_service.Engine.Mapper_principles;
-                     Fusecu_service.Engine.Mapper_exhaustive;
-                     Fusecu_service.Engine.Mapper_anneal ])))
-          None
-      & info [ "mapper" ] ~docv:"MAPPER"
-          ~doc:"Search mapper behind uncached intra/fuse/chain computes: \
-                'bnb' (exact branch-and-bound, the default), 'principles' \
-                (closed-form plan only), 'exhaustive', or 'anneal'. Search \
-                mappers verify-and-refine the principle plan, adopting the \
-                searched schedule only on a strict traffic improvement, so \
-                responses are byte-identical across mappers unless the \
-                principles are beaten (counted in mapper_improved). Defaults \
-                to \\$FUSECU_MAPPER or bnb.")
-  in
   let metrics_file =
     Arg.(
       value
@@ -685,30 +683,16 @@ let serve_cmd =
                 write stalls). 0 disables the timeout.")
   in
   let max_line =
-    let parse s =
-      match Fusecu_util.Units.parse_bytes s with
-      | Ok bytes when bytes >= 1 -> Ok bytes
-      | Ok _ -> Error (`Msg "max-line must be at least one byte")
-      | Error e -> Error (`Msg e)
-    in
-    let print fmt bytes =
-      Format.pp_print_string fmt (Fusecu_util.Units.pp_bytes bytes)
-    in
-    Arg.(
-      value
-      & opt
-          (conv ~docv:"SIZE" (parse, print))
-          defaults.Fusecu_service.Server.max_line
-      & info [ "max-line" ] ~docv:"SIZE"
-          ~doc:"Socket mode: longest accepted request line (e.g. 64KB, 1MB); \
-                longer input gets a bad_request error and the connection is \
-                closed.")
+    max_line_arg
+      ~doc:"Socket mode: longest accepted request line (e.g. 64KB, 1MB); \
+            longer input gets a bad_request error and the connection is \
+            closed."
   in
   let term =
     Term.(
       const run $ socket $ store_path $ batch $ no_cache $ cache_entries
-      $ mapper $ metrics_file $ metrics_addr $ slow_ms $ max_conns $ timeout
-      $ max_line $ trace_file_arg $ log_level_arg)
+      $ metrics_file $ metrics_addr $ slow_ms $ max_conns $ timeout $ max_line
+      $ trace_file_arg $ log_level_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -728,7 +712,7 @@ let serve_cmd =
 
 let route_cmd =
   let run shards backends socket_dir store_dir batch no_cache cache_entries
-      mapper max_conns timeout max_line vnodes metrics_addr trace log_level =
+      max_conns timeout max_line vnodes metrics_addr trace log_level =
     with_observability ~trace:None ~log_level @@ fun () ->
     if shards < 1 then begin
       prerr_endline "route: --shards must be at least 1";
@@ -825,19 +809,7 @@ let route_cmd =
       front backends
     | [] ->
       (* own the fleet: fork one serve-socket child per shard *)
-      let default = Fusecu_service.Engine.default_config () in
-      let cache_entries =
-        match cache_entries with
-        | Some n -> max 0 n
-        | None -> default.cache_entries
-      in
-      let engine_config =
-        { default with
-          Fusecu_service.Engine.cache_enabled =
-            (not no_cache) && cache_entries > 0;
-          cache_entries;
-          mapper = Option.value mapper ~default:default.Fusecu_service.Engine.mapper }
-      in
+      let engine_config = engine_config ~no_cache ~cache_entries () in
       let dir =
         match socket_dir with
         | Some d ->
@@ -950,22 +922,6 @@ let route_cmd =
           ~doc:"Per-shard plan-cache capacity (default: \
                 \\$FUSECU_CACHE_ENTRIES or 4096).")
   in
-  let mapper =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                (List.map
-                   (fun m -> (Fusecu_service.Engine.mapper_name m, m))
-                   [ Fusecu_service.Engine.Mapper_bnb;
-                     Fusecu_service.Engine.Mapper_principles;
-                     Fusecu_service.Engine.Mapper_exhaustive;
-                     Fusecu_service.Engine.Mapper_anneal ])))
-          None
-      & info [ "mapper" ] ~docv:"MAPPER"
-          ~doc:"Search mapper for the forked shards (see 'serve --mapper').")
-  in
   let defaults = Fusecu_service.Server.default_socket_config in
   let max_conns =
     Arg.(
@@ -983,22 +939,8 @@ let route_cmd =
                 router and per connection by the shards. 0 disables it.")
   in
   let max_line =
-    let parse s =
-      match Fusecu_util.Units.parse_bytes s with
-      | Ok bytes when bytes >= 1 -> Ok bytes
-      | Ok _ -> Error (`Msg "max-line must be at least one byte")
-      | Error e -> Error (`Msg e)
-    in
-    let print fmt bytes =
-      Format.pp_print_string fmt (Fusecu_util.Units.pp_bytes bytes)
-    in
-    Arg.(
-      value
-      & opt
-          (conv ~docv:"SIZE" (parse, print))
-          defaults.Fusecu_service.Server.max_line
-      & info [ "max-line" ] ~docv:"SIZE"
-          ~doc:"Longest accepted request or response line (e.g. 64KB, 1MB).")
+    max_line_arg
+      ~doc:"Longest accepted request or response line (e.g. 64KB, 1MB)."
   in
   let vnodes =
     Arg.(
@@ -1035,7 +977,7 @@ let route_cmd =
   let term =
     Term.(
       const run $ shards $ backends $ socket_dir $ store_dir $ batch $ no_cache
-      $ cache_entries $ mapper $ max_conns $ timeout $ max_line $ vnodes
+      $ cache_entries $ max_conns $ timeout $ max_line $ vnodes
       $ metrics_addr $ trace_dir $ log_level_arg)
   in
   Cmd.v

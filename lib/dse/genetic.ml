@@ -107,6 +107,6 @@ let search_oriented ~params ~lattice (op : Matmul.t) buf =
     tally.Stochastic.best
 
 let search ?(params = default_params) ?(lattice = Space.Divisors) op buf =
-  (* As in {!Annealing}: evolve on the canonical M<->L orientation so
-     transposed problems get bit-identical results. *)
+  (* Evolve on the canonical M<->L orientation so transposed problems
+     get bit-identical results. *)
   Stochastic.canonical ~oriented:(search_oriented ~params ~lattice) op buf

@@ -1,13 +1,12 @@
-(** Scaffolding shared by the stochastic search baselines ({!Annealing},
-    {!Genetic}, {!Random_search} and the GA half of {!Fused_search}).
+(** Scaffolding shared by the stochastic search baselines ({!Genetic}
+    and the GA half of {!Fused_search}).
 
-    The three intra-operator baselines are structurally the same walk:
-    draw index tuples into the per-dimension candidate lattices, move by
-    a half-local / half-restart step, track the first strict minimum
-    seen. This module holds that scaffolding once so the baselines stay
-    small and cannot drift apart; they remain in the tree as oracle
-    cross-checks and benchmark lower bars only — the production mapper
-    is {!Bnb}.
+    Both draw index tuples into the per-dimension candidate lattices,
+    mutate by a half-local / half-restart step and track the first
+    strict minimum seen. This module holds those pieces once so the
+    baselines stay small and cannot drift apart; they remain in the
+    tree as the Fig. 9 DSE stand-ins and benchmark lower bars only — the
+    production mapper is {!Bnb}.
 
     Every helper is RNG-transparent: it makes exactly the [Random.State]
     draws its original inlined version made, in the same sequence, so

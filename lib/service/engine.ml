@@ -7,21 +7,7 @@ module Partition = Fusecu_planner.Partition
 module Pgroup = Fusecu_planner.Group
 module Wgraph = Fusecu_workloads.Graph
 
-type mapper = Mapper_principles | Mapper_bnb | Mapper_exhaustive | Mapper_anneal
-
-let mapper_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "principles" -> Some Mapper_principles
-  | "bnb" -> Some Mapper_bnb
-  | "exhaustive" -> Some Mapper_exhaustive
-  | "anneal" -> Some Mapper_anneal
-  | _ -> None
-
-let mapper_name = function
-  | Mapper_principles -> "principles"
-  | Mapper_bnb -> "bnb"
-  | Mapper_exhaustive -> "exhaustive"
-  | Mapper_anneal -> "anneal"
+type mapper = Mapper_principles | Mapper_bnb
 
 type config = {
   cache_enabled : bool;
@@ -34,25 +20,18 @@ type config = {
 
 let default_cache_entries = 4096
 
-let default_mapper = Mapper_bnb
-
 let default_config () =
   let entries =
     match Sys.getenv_opt "FUSECU_CACHE_ENTRIES" with
     | Some s -> ( match int_of_string_opt s with Some n -> max 0 n | None -> default_cache_entries)
     | None -> default_cache_entries
   in
-  let mapper =
-    match Sys.getenv_opt "FUSECU_MAPPER" with
-    | Some s -> ( match mapper_of_string s with Some m -> m | None -> default_mapper)
-    | None -> default_mapper
-  in
   { cache_enabled = entries > 0;
     cache_entries = entries;
     cache_shards = 8;
     pool = None;
     slow_log_ms = None;
-    mapper }
+    mapper = Mapper_bnb }
 
 type t = {
   config : config;
@@ -129,62 +108,49 @@ let note_mapper_stats t (stats : Bnb.stats) =
   Metrics.observe t.metrics "mapper_pruned"
     (float_of_int (stats.Bnb.pruned_bound + stats.Bnb.pruned_infeasible))
 
-(* Verify-and-refine: run the configured search mapper seeded from the
-   closed-form plan and adopt its schedule only on a strict traffic
-   improvement. The principles are conjectured (and oracle-soaked) to be
-   optimal, so the replacement — and the [mapper_improved] counter — is
-   expected to never fire; when it does, the counter is the tripwire. *)
+(* Verify-and-refine: under [Mapper_bnb], run branch-and-bound seeded
+   from the closed-form plan and adopt its schedule only on a strict
+   traffic improvement. The principles are conjectured (and
+   oracle-soaked) to be optimal, so the replacement — and the
+   [mapper_improved] counter — is expected to never fire; when it does,
+   the counter is the tripwire. *)
 let refine_intra t ~mode buffer (plan : Intra.plan) =
-  let searched =
-    match t.config.mapper with
-    | Mapper_principles -> None
-    | Mapper_bnb ->
-      let r, stats =
-        Bnb.search_with_stats ~lattice:(refine_lattice mode)
-          ~seed:plan.Intra.schedule plan.Intra.op buffer
-      in
-      note_mapper_stats t stats;
-      r
-    | Mapper_exhaustive ->
-      Exhaustive.search ~lattice:(refine_lattice mode) ~pool:Pool.sequential
-        plan.Intra.op buffer
-    | Mapper_anneal ->
-      Annealing.search ~lattice:(refine_lattice mode) plan.Intra.op buffer
-  in
-  match searched with
-  | Some r when r.Exhaustive.cost.Cost.total < plan.Intra.cost.Cost.total ->
-    Metrics.incr t.metrics "mapper_improved";
-    { plan with
-      schedule = r.Exhaustive.schedule;
-      cost = r.Exhaustive.cost;
-      dataflow = Nra.classify plan.Intra.op r.Exhaustive.schedule }
-  | _ -> plan
+  match t.config.mapper with
+  | Mapper_principles -> plan
+  | Mapper_bnb -> (
+    let searched, stats =
+      Bnb.search_with_stats ~lattice:(refine_lattice mode)
+        ~seed:plan.Intra.schedule plan.Intra.op buffer
+    in
+    note_mapper_stats t stats;
+    match searched with
+    | Some r when r.Exhaustive.cost.Cost.total < plan.Intra.cost.Cost.total ->
+      Metrics.incr t.metrics "mapper_improved";
+      { plan with
+        schedule = r.Exhaustive.schedule;
+        cost = r.Exhaustive.cost;
+        dataflow = Nra.classify plan.Intra.op r.Exhaustive.schedule }
+    | _ -> plan)
 
 let refine_fused t ~mode pair buffer ~fused ~traffic =
-  let searched =
-    match t.config.mapper with
-    | Mapper_principles | Mapper_anneal -> None
-    | Mapper_bnb ->
-      let r, stats =
-        Bnb.search_fused_with_stats ~lattice:(refine_lattice mode) ~seed:fused
-          pair buffer
-      in
-      note_mapper_stats t stats;
-      r
-    | Mapper_exhaustive ->
-      Fused_search.exhaustive ~lattice:(refine_lattice mode)
-        ~pool:Pool.sequential pair buffer
-  in
-  match searched with
-  | Some r when r.Fused_search.traffic < traffic ->
-    Metrics.incr t.metrics "mapper_improved";
-    (r.Fused_search.fused, r.Fused_search.traffic)
-  | _ -> (fused, traffic)
+  match t.config.mapper with
+  | Mapper_principles -> (fused, traffic)
+  | Mapper_bnb -> (
+    let searched, stats =
+      Bnb.search_fused_with_stats ~lattice:(refine_lattice mode) ~seed:fused
+        pair buffer
+    in
+    note_mapper_stats t stats;
+    match searched with
+    | Some r when r.Fused_search.traffic < traffic ->
+      Metrics.incr t.metrics "mapper_improved";
+      (r.Fused_search.fused, r.Fused_search.traffic)
+    | _ -> (fused, traffic))
 
 let refine_chain t ~mode buffer (plan : Planner.plan) =
   match t.config.mapper with
   | Mapper_principles -> plan
-  | _ ->
+  | Mapper_bnb ->
     let segments =
       List.map
         (function
@@ -198,6 +164,15 @@ let refine_chain t ~mode buffer (plan : Planner.plan) =
     in
     { Planner.segments;
       traffic = Arith.sum (List.map Planner.segment_traffic segments) }
+
+let unknown_model model =
+  Error
+    ( Protocol.Unknown_model,
+      Printf.sprintf "unknown model %S (try: %s)" model
+        (String.concat ", "
+           (List.map
+              (fun (m : Fusecu_workloads.Model.t) -> String.lowercase_ascii m.name)
+              Fusecu_workloads.Zoo.all)) )
 
 let rec compute t (call : Protocol.call) :
     (Protocol.outcome, Protocol.error_code * string) result =
@@ -240,15 +215,7 @@ let rec compute t (call : Protocol.call) :
            classes = Regime.expected_classes regime })
   | Eval { model; buffer; elt_bytes; mode } -> (
     match Fusecu_workloads.Zoo.find model with
-    | None ->
-      Error
-        ( Protocol.Unknown_model,
-          Printf.sprintf "unknown model %S (try: %s)" model
-            (String.concat ", "
-               (List.map
-                  (fun (m : Fusecu_workloads.Model.t) ->
-                    String.lowercase_ascii m.name)
-                  Fusecu_workloads.Zoo.all)) )
+    | None -> unknown_model model
     | Some model ->
       let w = Fusecu_workloads.Workload.of_model model in
       (* one row per platform; the nested per-layer parallelism of
@@ -359,15 +326,7 @@ and plan_model_impl t ~use_cache (call : Protocol.call) :
   match call with
   | Plan_model { model; layers; buffer; elt_bytes = _; mode } -> (
     match Fusecu_workloads.Zoo.find model with
-    | None ->
-      Error
-        ( Protocol.Unknown_model,
-          Printf.sprintf "unknown model %S (try: %s)" model
-            (String.concat ", "
-               (List.map
-                  (fun (m : Fusecu_workloads.Model.t) ->
-                    String.lowercase_ascii m.name)
-                  Fusecu_workloads.Zoo.all)) )
+    | None -> unknown_model model
     | Some m -> (
       let graph = Wgraph.stack (Wgraph.of_model m) ~layers in
       let evaluator chain =

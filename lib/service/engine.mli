@@ -29,29 +29,19 @@
 
 open Fusecu_util
 
-(** Which search mapper backs uncached [intra] / [fuse] / [chain]
-    computes. Every search mapper runs {e verify-and-refine}: the
-    closed-form principle plan is built first, the mapper is seeded from
-    it, and the searched schedule replaces the plan only on a strict
-    traffic improvement — so on principle-optimal problems (all of them,
-    per the conformance oracle) responses are byte-identical across
-    mappers and the [mapper_improved] counter stays zero. *)
+(** What backs uncached [intra] / [fuse] / [chain] computes.
+    [Mapper_bnb] runs {e verify-and-refine}: the closed-form principle
+    plan is built first, branch-and-bound is seeded from it, and the
+    searched schedule replaces the plan only on a strict traffic
+    improvement — so on principle-optimal problems (all of them, per the
+    conformance oracle) responses are byte-identical to
+    [Mapper_principles] and the [mapper_improved] counter stays zero. *)
 type mapper =
   | Mapper_principles  (** closed-form plan only, no search *)
   | Mapper_bnb
       (** exact branch-and-bound ({!Fusecu_dse.Bnb}) — the default;
           node/prune tallies land in the [mapper_nodes] /
           [mapper_pruned] histograms *)
-  | Mapper_exhaustive  (** full enumeration ({!Fusecu_dse.Exhaustive}) *)
-  | Mapper_anneal
-      (** simulated annealing ({!Fusecu_dse.Annealing}); intra only —
-          fused and chain sites fall back to the principle plan *)
-
-val mapper_of_string : string -> mapper option
-(** Parses ["principles" | "bnb" | "exhaustive" | "anneal"]
-    (case-insensitively); [None] otherwise. *)
-
-val mapper_name : mapper -> string
 
 type config = {
   cache_enabled : bool;
@@ -67,9 +57,8 @@ type config = {
 
 val default_config : unit -> config
 (** Cache on, capacity from [FUSECU_CACHE_ENTRIES] (default 4096,
-    clamped to [>= 0]), 8 shards, global pool, slow log off, mapper from
-    [FUSECU_MAPPER] (default [Mapper_bnb]; unrecognized values fall back
-    to the default). *)
+    clamped to [>= 0]), 8 shards, global pool, slow log off,
+    [Mapper_bnb]. *)
 
 type t
 

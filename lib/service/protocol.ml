@@ -89,6 +89,15 @@ let dim_field obj name =
     | Ok n -> fail "field %S must be >= 1, got %d" name n
     | Error e -> fail "field %S: %s" name e)
 
+(* Names (models, nest kinds) match case-insensitively. *)
+let lowercase_field obj name =
+  match Json.member name obj with
+  | None -> fail "missing required field %S" name
+  | Some v -> (
+    match Json.to_string_v v with
+    | Ok s -> String.lowercase_ascii s
+    | Error e -> fail "field %S: %s" name e)
+
 let default_buffer_bytes = 512 * 1024
 
 let buffer_field obj =
@@ -143,14 +152,7 @@ let parse_call obj op =
     let buffer, _ = buffer_field obj in
     Ok (Call (Regime { op = matmul_field obj; buffer }))
   | "eval" ->
-    let model =
-      match Json.member "model" obj with
-      | None -> fail "missing required field %S" "model"
-      | Some v -> (
-        match Json.to_string_v v with
-        | Ok s -> String.lowercase_ascii s
-        | Error e -> fail "field \"model\": %s" e)
-    in
+    let model = lowercase_field obj "model" in
     let buffer, elt_bytes = buffer_field obj in
     Ok (Call (Eval { model; buffer; elt_bytes; mode = mode_field obj }))
   | "chain" ->
@@ -178,14 +180,7 @@ let parse_call obj op =
     let buffer, _ = buffer_field obj in
     Ok (Call (Chain { m; ks; buffer; mode = mode_field obj }))
   | "plan_model" ->
-    let model =
-      match Json.member "model" obj with
-      | None -> fail "missing required field %S" "model"
-      | Some v -> (
-        match Json.to_string_v v with
-        | Ok s -> String.lowercase_ascii s
-        | Error e -> fail "field \"model\": %s" e)
-    in
+    let model = lowercase_field obj "model" in
     let layers =
       match Json.member "layers" obj with
       | None -> 1
@@ -198,14 +193,7 @@ let parse_call obj op =
     let buffer, elt_bytes = buffer_field obj in
     Ok (Call (Plan_model { model; layers; buffer; elt_bytes; mode = mode_field obj }))
   | "nest" ->
-    let kind_s =
-      match Json.member "kind" obj with
-      | None -> fail "missing required field %S" "kind"
-      | Some v -> (
-        match Json.to_string_v v with
-        | Ok s -> String.lowercase_ascii s
-        | Error e -> fail "field \"kind\": %s" e)
-    in
+    let kind_s = lowercase_field obj "kind" in
     let opt_dim name default =
       match Json.member name obj with
       | None -> default

@@ -476,8 +476,8 @@ let fleet_prometheus_render ?prefix ~metrics ~sockets () =
    subcommand when the caller wants the router to own its backends
    rather than connect to externally-managed ones. The child re-execs
    nothing: it runs [Server.serve_socket] directly on a fresh engine in
-   the forked image, so flags (mapper, cache size, store) are plain
-   OCaml values. *)
+   the forked image, so flags (cache size, store) are plain OCaml
+   values. *)
 type child = { pid : int; socket : string }
 
 let wait_for_socket ?(timeout = 10.) path =

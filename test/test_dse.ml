@@ -341,59 +341,6 @@ let test_principle_fusion_close_to_searched () =
 
 
 (* ------------------------------------------------------------------ *)
-(* Simulated annealing                                                 *)
-
-let test_annealing_deterministic () =
-  let op = Matmul.make ~m:48 ~k:36 ~l:60 () in
-  let buf = Buffer.make 800 in
-  match (Annealing.search op buf, Annealing.search op buf) with
-  | Some a, Some b ->
-    check_int "same traffic" a.cost.Cost.total b.cost.Cost.total
-  | _ -> Alcotest.fail "annealing found nothing"
-
-let test_annealing_near_optimal () =
-  List.iter
-    (fun (m, k, l, bytes) ->
-      let op = Matmul.make ~m ~k ~l () in
-      let buf = Buffer.make bytes in
-      match (Annealing.search op buf, Exhaustive.search op buf) with
-      | Some sa, Some ex ->
-        let ratio =
-          float_of_int sa.cost.Cost.total /. float_of_int ex.cost.Cost.total
-        in
-        check_bool
-          (Printf.sprintf "SA within 1.3x at %dx%dx%d/%d (got %.3f)" m k l bytes
-             ratio)
-          true (ratio <= 1.3)
-      | _ -> Alcotest.fail "search failed")
-    [ (48, 36, 60, 800); (64, 64, 64, 500); (96, 24, 48, 2000) ]
-
-let test_annealing_infeasible () =
-  check_bool "no feasible state" true
-    (Annealing.search (Matmul.make ~m:4 ~k:4 ~l:4 ()) (Buffer.make 2) = None)
-
-
-let test_random_search_bounded_quality () =
-  let op = Matmul.make ~m:64 ~k:64 ~l:64 () in
-  let buf = Buffer.make 2000 in
-  match (Random_search.search op buf, Exhaustive.search op buf) with
-  | Some rand, Some ex ->
-    check_bool "feasible" true (Schedule.fits rand.schedule buf);
-    check_bool "never better than exhaustive" true
-      (rand.cost.Cost.total >= ex.cost.Cost.total);
-    (* with 2000 samples on a small lattice it should land close *)
-    check_bool "within 2x" true
-      (float_of_int rand.cost.Cost.total /. float_of_int ex.cost.Cost.total <= 2.0)
-  | _ -> Alcotest.fail "search failed"
-
-let test_random_search_deterministic () =
-  let op = Matmul.make ~m:48 ~k:36 ~l:60 () in
-  let buf = Buffer.make 800 in
-  match (Random_search.search op buf, Random_search.search op buf) with
-  | Some a, Some b -> check_int "same" a.cost.Cost.total b.cost.Cost.total
-  | _ -> Alcotest.fail "none"
-
-(* ------------------------------------------------------------------ *)
 (* Branch and bound: must reproduce the exhaustive optimum bit-for-bit  *)
 
 let mode_of_lattice = function
@@ -662,15 +609,6 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_genetic_infeasible;
           Alcotest.test_case "bounded evaluations" `Quick
             test_genetic_explores_less_than_exhaustive_on_big_spaces ] );
-      ( "annealing",
-        [ Alcotest.test_case "deterministic" `Quick test_annealing_deterministic;
-          Alcotest.test_case "near optimal" `Quick test_annealing_near_optimal;
-          Alcotest.test_case "infeasible" `Quick test_annealing_infeasible ] );
-      ( "random",
-        [ Alcotest.test_case "bounded quality" `Quick
-            test_random_search_bounded_quality;
-          Alcotest.test_case "deterministic" `Quick
-            test_random_search_deterministic ] );
       ( "bnb",
         [ Alcotest.test_case "matches exhaustive" `Quick
             test_bnb_matches_exhaustive;

@@ -250,12 +250,6 @@ let transpose_invariant search (m, k, l, bs) =
     a.Exhaustive.cost.Cost.total = b.Exhaustive.cost.Cost.total
   | _ -> false
 
-let prop_annealing_transpose =
-  QCheck.Test.make ~count:60
-    ~name:"annealing finds the same traffic on the M<->L transpose"
-    (QCheck.make ~print:searcher_print searcher_gen)
-    (transpose_invariant (fun op buf -> Annealing.search op buf))
-
 let prop_genetic_transpose =
   QCheck.Test.make ~count:40
     ~name:"genetic finds the same traffic on the M<->L transpose"
@@ -367,5 +361,4 @@ let () =
             test_graph_minimize_converges ] );
       ( "properties",
         [ qtest prop_sim_equals_cost;
-          qtest prop_annealing_transpose;
           qtest prop_genetic_transpose ] ) ]
