@@ -171,9 +171,12 @@ let build_pattern mode pair buf p =
          through "minimal" vs "untiled" (the intermediate is pinned
          non-redundant on both sides, so their trip counts never enter
          a revisit factor), hence (t_k1, t_l2) in {1, K1} x {1, L2};
-       - every order pair, validated by [Fused.eval]; only the
-         traffic-best order pair per tiling is kept, so the candidate
-         list stays O(sqrt M). *)
+       - the traffic-best order pair per tiling, from
+         [Fused.best_orders]: validity and traffic separate into a
+         producer and a consumer side that meet only in C-order
+         agreement, so it scores each side's six orders once instead
+         of the 36 pairs and returns the same first minimum. The
+         candidate list stays O(sqrt M). *)
     let trip_align d t =
       if t >= d then d else Arith.ceil_div d (Arith.ceil_div d t)
     in
@@ -198,23 +201,10 @@ let build_pattern mode pair buf p =
               let tl =
                 Mode.quantize mode op1 L (trip_align op1.l (min op1.l tl))
               in
-              let best_over_orders =
-                List.concat_map
-                  (fun o1 ->
-                    List.filter_map
-                      (fun o2 ->
-                        build pair buf ~t1:(tm, tk1, tl) ~o1 ~t2:(tm, tl, tl2) ~o2)
-                      Order.all)
-                  Order.all
-              in
-              match best_over_orders with
-              | [] -> None
-              | first :: rest ->
-                Some
-                  (List.fold_left
-                     (fun ((_, bt) as acc) ((_, t) as c) ->
-                       if t < bt then c else acc)
-                     first rest)
+              Fused.best_orders pair
+                ~producer:(Tiling.make op1 ~m:tm ~k:tk1 ~l:tl)
+                ~consumer:(Tiling.make op2 ~m:tm ~k:tl ~l:tl2)
+                buf
             end)
           minor_pairs)
       tm_sweep

@@ -29,56 +29,115 @@ let pp_invalid fmt = function
   | Order_mismatch ->
     Format.pp_print_string fmt "intermediate production and consumption orders differ"
 
-(* C is fully resident on a side when both of its dims are untiled there. *)
-let c_resident_producer pair (s : Schedule.t) =
-  Tiling.untiled pair.op1 s.tiling Dim.M && Tiling.untiled pair.op1 s.tiling Dim.L
+type error =
+  | Invalid of invalid
+  | Over_capacity of { footprint : int; capacity : int }
 
-let c_resident_consumer pair (s : Schedule.t) =
-  Tiling.untiled pair.op2 s.tiling Dim.M && Tiling.untiled pair.op2 s.tiling Dim.K
+let pp_error fmt = function
+  | Invalid e -> pp_invalid fmt e
+  | Over_capacity { footprint; capacity } ->
+    Format.fprintf fmt "fused footprint %d exceeds buffer capacity %d" footprint
+      capacity
+
+(* The fusibility rule, split by what each condition reads. Tile
+   agreement, residency and the footprint read only the two tilings;
+   each side's non-redundancy and traffic read only that side's
+   schedule; the two loop orders meet only in the C-order agreement. *)
+
+let producer_nra pair (s : Schedule.t) = Cost.is_nra pair.op1 s Operand.C
+
+let consumer_nra pair (s : Schedule.t) = Cost.is_nra pair.op2 s Operand.A
+
+let tiles_agree (p : Tiling.t) (c : Tiling.t) =
+  Tiling.get p Dim.M = Tiling.get c Dim.M && Tiling.get p Dim.L = Tiling.get c Dim.K
+
+(* C is fully resident on a side when both of its dims are untiled there;
+   resident on both sides, its tile order does not matter. *)
+let c_resident pair (p : Tiling.t) (c : Tiling.t) =
+  Tiling.untiled pair.op1 p Dim.M
+  && Tiling.untiled pair.op1 p Dim.L
+  && Tiling.untiled pair.op2 c Dim.M
+  && Tiling.untiled pair.op2 c Dim.K
+
+(* The stream of C tiles leaves op1 in (M, L)-loop order and must enter
+   op2 in the identical (M, K)-loop order. *)
+let m_major_producer o = Order.position o Dim.M < Order.position o Dim.L
+
+let m_major_consumer o = Order.position o Dim.M < Order.position o Dim.K
 
 let validate pair t =
   let p = t.producer and c = t.consumer in
-  if not (Cost.is_nra pair.op1 p Operand.C) then
-    Error (Intermediate_redundant `Producer)
-  else if not (Cost.is_nra pair.op2 c Operand.A) then
-    Error (Intermediate_redundant `Consumer)
+  if not (producer_nra pair p) then Error (Intermediate_redundant `Producer)
+  else if not (consumer_nra pair c) then Error (Intermediate_redundant `Consumer)
+  else if not (tiles_agree p.tiling c.tiling) then Error Tile_mismatch
   else if
-    Tiling.get p.tiling Dim.M <> Tiling.get c.tiling Dim.M
-    || Tiling.get p.tiling Dim.L <> Tiling.get c.tiling Dim.K
-  then Error Tile_mismatch
-  else if c_resident_producer pair p && c_resident_consumer pair c then Ok ()
-  else begin
-    (* The stream of C tiles leaves op1 in (M, L)-loop order and must
-       enter op2 in the identical (M, K)-loop order. *)
-    let m_major_producer =
-      Order.position p.order Dim.M < Order.position p.order Dim.L
-    in
-    let m_major_consumer =
-      Order.position c.order Dim.M < Order.position c.order Dim.K
-    in
-    if m_major_producer = m_major_consumer then Ok () else Error Order_mismatch
-  end
+    c_resident pair p.tiling c.tiling
+    || m_major_producer p.order = m_major_consumer c.order
+  then Ok ()
+  else Error Order_mismatch
 
-let footprint t =
-  let shared_c_tile = Tiling.operand_tile t.producer.tiling Operand.C in
-  Schedule.footprint t.producer + Schedule.footprint t.consumer - shared_c_tile
+let tilings_footprint (p : Tiling.t) (c : Tiling.t) =
+  Tiling.footprint p + Tiling.footprint c - Tiling.operand_tile p Operand.C
 
-let fits t buf = footprint t <= Buffer.elements buf
+let footprint t = tilings_footprint t.producer.tiling t.consumer.tiling
 
-let traffic pair t =
-  let prod = Cost.eval pair.op1 t.producer in
-  let cons = Cost.eval pair.op2 t.consumer in
-  prod.a.traffic + prod.b.traffic + cons.b.traffic + cons.c.traffic
+let producer_traffic pair s =
+  let cost = Cost.eval pair.op1 s in
+  cost.a.traffic + cost.b.traffic
+
+let consumer_traffic pair s =
+  let cost = Cost.eval pair.op2 s in
+  cost.b.traffic + cost.c.traffic
+
+let traffic pair t = producer_traffic pair t.producer + consumer_traffic pair t.consumer
 
 let eval pair t buf =
   match validate pair t with
-  | Error e -> Error (Format.asprintf "%a" pp_invalid e)
+  | Error e -> Error (Invalid e)
   | Ok () ->
-    if not (fits t buf) then
-      Error
-        (Printf.sprintf "fused footprint %d exceeds buffer capacity %d"
-           (footprint t) (Buffer.elements buf))
+    let footprint = footprint t and capacity = Buffer.elements buf in
+    if footprint > capacity then Error (Over_capacity { footprint; capacity })
     else Ok (traffic pair t)
+
+(* Per side and per C-order class (one class when C is resident), keep
+   the first cheapest order. Within a class the cheapest pair is those
+   two; across the classes a tie goes to the earlier producer order.
+   That is the first minimum of the o1-major scan over all 36 pairs. *)
+let best_orders pair ~producer ~consumer buf =
+  if
+    (not (tiles_agree producer consumer))
+    || tilings_footprint producer consumer > Buffer.elements buf
+  then None
+  else begin
+    let resident = c_resident pair producer consumer in
+    let side nra side_traffic m_major tiling =
+      let best = [| None; None |] in
+      List.iteri
+        (fun i o ->
+          let s = Schedule.make tiling o in
+          if nra pair s then begin
+            let cls = if resident || m_major o then 0 else 1 in
+            let cost = side_traffic pair s in
+            match best.(cls) with
+            | Some (_, _, b) when b <= cost -> ()
+            | _ -> best.(cls) <- Some (i, s, cost)
+          end)
+        Order.all;
+      best
+    in
+    let ps = side producer_nra producer_traffic m_major_producer producer in
+    let cs = side consumer_nra consumer_traffic m_major_consumer consumer in
+    let joint cls =
+      match (ps.(cls), cs.(cls)) with
+      | Some (i, p, tp), Some (_, c, tc) -> Some (tp + tc, i, { producer = p; consumer = c })
+      | _ -> None
+    in
+    match (joint 0, joint 1) with
+    | Some (t0, i0, f0), Some (t1, i1, f1) ->
+      if (t1, i1) < (t0, i0) then Some (f1, t1) else Some (f0, t0)
+    | Some (t, _, f), None | None, Some (t, _, f) -> Some (f, t)
+    | None, None -> None
+  end
 
 let unfused_traffic pair s1 s2 =
   (Cost.eval pair.op1 s1).total + (Cost.eval pair.op2 s2).total

@@ -47,16 +47,35 @@ val footprint : t -> int
 (** Buffer elements needed by the fused execution: both nests' tiles
     with [C]'s tile counted once. *)
 
-val fits : t -> Buffer.t -> bool
-
 val traffic : pair -> t -> int
 (** Memory traffic of a valid fused execution (elements). The caller is
     expected to have validated first; traffic of an invalid combination
     is still computed (it is what the fused machine would move) but
     meaningless. *)
 
-val eval : pair -> t -> Buffer.t -> (int, string) result
+(** Why {!eval} rejects a fused dataflow. A constructor, not a string,
+    so that searches rejecting thousands of candidates allocate no text. *)
+type error =
+  | Invalid of invalid  (** a fusibility condition fails ({!validate}) *)
+  | Over_capacity of { footprint : int; capacity : int }
+      (** valid, but {!footprint} exceeds the buffer's elements *)
+
+val eval : pair -> t -> Buffer.t -> (int, error) result
 (** Validate (including buffer capacity) and return the traffic. *)
+
+val best_orders :
+  pair -> producer:Tiling.t -> consumer:Tiling.t -> Buffer.t -> (t * int) option
+(** The loop orders for a fixed pair of tilings: the first traffic
+    minimum of {!eval} over [Order.all x Order.all], producer order
+    major, as the fused dataflow and its traffic; [None] when no order
+    pair passes {!eval}. It evaluates each side's six orders once, not
+    the 36 pairs, because the conditions above separate: tile agreement,
+    residency and the footprint read only the tilings; [C]'s
+    non-redundancy and the traffic split into a producer term ([A], [B])
+    and a consumer term ([D], [E]); and the two orders meet only in the
+    [C]-order agreement, which is a match of one bit per side ([M]
+    before the shared dim or not) and is waived when [C] is resident on
+    both sides. It shares {!validate}'s predicates. *)
 
 val unfused_traffic : pair -> Schedule.t -> Schedule.t -> int
 (** Traffic when the two operators run separately with the given
@@ -65,3 +84,7 @@ val unfused_traffic : pair -> Schedule.t -> Schedule.t -> int
     traffic, its consumer-side cost op2's [A] traffic). *)
 
 val pp_invalid : Format.formatter -> invalid -> unit
+
+val pp_error : Format.formatter -> error -> unit
+(** [Invalid e] prints as {!pp_invalid}; [Over_capacity] as
+    ["fused footprint F exceeds buffer capacity C"]. *)

@@ -329,7 +329,7 @@ let test_candidates_all_valid () =
         (fun (_, fused, traffic) ->
           match Fused.eval pair fused buf with
           | Ok t -> check_int "traffic consistent" t traffic
-          | Error e -> Alcotest.failf "invalid candidate: %s" e)
+          | Error e -> Alcotest.failf "invalid candidate: %a" Fused.pp_error e)
         (Fusion.candidates pair buf))
     [ 64; 256; 1024; 8192 ]
 

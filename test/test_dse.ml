@@ -298,7 +298,7 @@ let test_fused_exhaustive_valid () =
   | Some r -> (
     match Fused.eval pair r.fused buf with
     | Ok t -> check_int "traffic consistent" t r.traffic
-    | Error e -> Alcotest.failf "searched fused dataflow invalid: %s" e)
+    | Error e -> Alcotest.failf "searched fused dataflow invalid: %a" Fused.pp_error e)
 
 let test_fused_beats_unfused_on_attention () =
   let pair = attention_pair ~m:24 ~dh:6 in

@@ -296,7 +296,34 @@ let test_fused_eval_buffer_limit () =
   let big = Buffer.make 4096 in
   match Fused.eval pair f big with
   | Ok traffic -> check_int "eval traffic" (Fused.traffic pair f) traffic
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.failf "%a" Fused.pp_error e
+
+(* The rejection texts are part of what callers print; pin them. *)
+let test_fused_error_messages () =
+  let pair = fused_pair () in
+  let f = os_is_fused pair in
+  let text e = Format.asprintf "%a" Fused.pp_error e in
+  (match Fused.eval pair f (Buffer.make 8) with
+  | Error e ->
+    Alcotest.(check string) "over capacity"
+      "fused footprint 32 exceeds buffer capacity 8" (text e)
+  | Ok _ -> Alcotest.fail "expected over capacity");
+  let consumer =
+    Schedule.make
+      (Tiling.make pair.op2 ~m:8 ~k:4 ~l:1)
+      (Order.make ~outer:Dim.M ~mid:Dim.K ~inner:Dim.L)
+  in
+  (match Fused.eval pair { f with Fused.consumer } (Buffer.make 4096) with
+  | Error e ->
+    Alcotest.(check string) "invalid"
+      "intermediate tile sizes differ between operators" (text e)
+  | Ok _ -> Alcotest.fail "expected tile mismatch");
+  List.iter
+    (fun (invalid, expected) ->
+      Alcotest.(check string) expected expected (text (Fused.Invalid invalid)))
+    [ (Fused.Intermediate_redundant `Producer, "intermediate tensor refetched by producer");
+      (Fused.Intermediate_redundant `Consumer, "intermediate tensor refetched by consumer");
+      (Fused.Order_mismatch, "intermediate production and consumption orders differ") ]
 
 let test_fused_beats_unfused_here () =
   let pair = fused_pair () in
@@ -305,6 +332,105 @@ let test_fused_beats_unfused_here () =
   check_bool "fusion saves the intermediate" true
     (Fused.traffic pair f < Fused.unfused_traffic pair s1 s2)
 
+
+(* ------------------------------------------------------------------ *)
+(* Fused loop-order choice                                             *)
+
+(* What [Fused.best_orders] must return: the first minimum of
+   [Fused.eval] over every order pair, producer order major. *)
+let brute_best_orders pair ~producer ~consumer buf =
+  List.fold_left
+    (fun acc o1 ->
+      List.fold_left
+        (fun acc o2 ->
+          let f =
+            { Fused.producer = Schedule.make producer o1;
+              consumer = Schedule.make consumer o2 }
+          in
+          match (Fused.eval pair f buf, acc) with
+          | Error _, _ -> acc
+          | Ok t, Some (_, bt) when bt <= t -> acc
+          | Ok t, _ -> Some (f, t))
+        acc Order.all)
+    None Order.all
+
+let same_choice a b =
+  match (a, b) with
+  | None, None -> true
+  | Some ((f : Fused.t), t), Some ((g : Fused.t), u) ->
+    t = u
+    && Schedule.equal f.producer g.producer
+    && Schedule.equal f.consumer g.consumer
+  | _ -> false
+
+type orders_case = {
+  pair : Fused.pair;
+  producer : Tiling.t;
+  consumer : Tiling.t;
+  bytes : int;
+}
+
+(* [kind] 0 shares C's tile between the sides, 1 holds C resident on
+   both, 2 gives the consumer a different C tile (a mismatch whenever
+   M or L1 exceeds 1). The buffer is drawn around the joint footprint,
+   so about a third of the cases are over capacity. *)
+let gen_orders_case =
+  QCheck.Gen.(
+    let dim = int_range 1 12 in
+    let* m = dim and* k = dim and* l = dim and* l2 = dim in
+    let op1 = Matmul.make ~m ~k ~l () and op2 = Matmul.make ~m ~k:l ~l:l2 () in
+    let minor n = oneof [ return 1; return n; int_range 1 n ] in
+    let* kind = int_range 0 2 in
+    let* tm = int_range 1 m and* tl = int_range 1 l in
+    let* tk1 = minor k and* tl2 = minor l2 in
+    let tm, tl = if kind = 1 then (m, l) else (tm, tl) in
+    let tm2, tl' = if kind = 2 then ((tm mod m) + 1, (tl mod l) + 1) else (tm, tl) in
+    let producer = Tiling.make op1 ~m:tm ~k:tk1 ~l:tl in
+    let consumer = Tiling.make op2 ~m:tm2 ~k:tl' ~l:tl2 in
+    let any o = Schedule.make o (List.hd Order.all) in
+    let fp = Fused.footprint { Fused.producer = any producer; consumer = any consumer } in
+    let* slack = int_range (-(fp / 2)) fp in
+    return
+      { pair = Fused.make_pair_exn op1 op2; producer; consumer; bytes = max 1 (fp + slack) })
+
+let print_orders_case c =
+  Printf.sprintf "%s ; %s under %s / %s, %d bytes" (Matmul.to_string c.pair.op1)
+    (Matmul.to_string c.pair.op2)
+    (Format.asprintf "%a" Tiling.pp c.producer)
+    (Format.asprintf "%a" Tiling.pp c.consumer)
+    c.bytes
+
+let prop_best_orders_matches_brute_force =
+  QCheck.Test.make ~count:1500
+    ~name:"best_orders == first minimum of eval over all 36 order pairs"
+    (QCheck.make ~print:print_orders_case gen_orders_case)
+    (fun c ->
+      let buf = Buffer.make c.bytes in
+      same_choice
+        (Fused.best_orders c.pair ~producer:c.producer ~consumer:c.consumer buf)
+        (brute_best_orders c.pair ~producer:c.producer ~consumer:c.consumer buf))
+
+(* The three cases the property's generator steers toward, pinned. *)
+let test_best_orders_cases () =
+  let pair = fused_pair () in
+  let { Fused.op1; op2 } = pair in
+  let agree name ~producer ~consumer bytes expect_some =
+    let buf = Buffer.make bytes in
+    let got = Fused.best_orders pair ~producer ~consumer buf in
+    check_bool (name ^ ": found") expect_some (Option.is_some got);
+    check_bool (name ^ ": = brute force") true
+      (same_choice got (brute_best_orders pair ~producer ~consumer buf))
+  in
+  (* C resident on both sides: every valid order pair counts, even
+     those whose C orders differ. *)
+  agree "resident C" ~producer:(Tiling.make op1 ~m:16 ~k:1 ~l:12)
+    ~consumer:(Tiling.make op2 ~m:16 ~k:12 ~l:1) 4096 true;
+  agree "tile mismatch" ~producer:(Tiling.make op1 ~m:4 ~k:1 ~l:4)
+    ~consumer:(Tiling.make op2 ~m:8 ~k:4 ~l:1) 4096 false;
+  agree "over capacity" ~producer:(Tiling.make op1 ~m:4 ~k:1 ~l:4)
+    ~consumer:(Tiling.make op2 ~m:4 ~k:4 ~l:1) 31 false;
+  agree "at capacity" ~producer:(Tiling.make op1 ~m:4 ~k:1 ~l:4)
+    ~consumer:(Tiling.make op2 ~m:4 ~k:4 ~l:1) 32 true
 
 (* ------------------------------------------------------------------ *)
 (* Movement description                                                *)
@@ -340,7 +466,8 @@ let qsuite =
   List.map
     (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250704 |]))
     [ prop_cost_matches_sim; prop_fetches_match_sim; prop_revisit_matches_sim;
-      prop_sim_macs_exact; prop_traffic_lower_bound ]
+      prop_sim_macs_exact; prop_traffic_lower_bound;
+      prop_best_orders_matches_brute_force ]
 
 let () =
   Alcotest.run "loopnest"
@@ -371,6 +498,9 @@ let () =
             test_fused_resident_ignores_order;
           Alcotest.test_case "buffer capacity enforced" `Quick
             test_fused_eval_buffer_limit;
+          Alcotest.test_case "error messages" `Quick test_fused_error_messages;
+          Alcotest.test_case "best_orders: resident, mismatch, capacity" `Quick
+            test_best_orders_cases;
           Alcotest.test_case "fusion saves intermediate traffic" `Quick
             test_fused_beats_unfused_here ] );
       ( "movement",
