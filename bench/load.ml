@@ -140,9 +140,9 @@ type pass = {
 }
 
 (* Full tail shape, not just two percentiles: the same log2 bucket
-   layout the service's own latency histograms use, serialized through
-   the fleet codec so BENCH rows and metrics dumps are comparable
-   bucket for bucket. *)
+   layout the service's own latency histograms use, serialized by the
+   same encoder so BENCH rows and metrics dumps are comparable bucket
+   for bucket. *)
 let latency_histogram latencies =
   let bins = Array.make Metrics.buckets 0 in
   Array.iter
@@ -150,10 +150,9 @@ let latency_histogram latencies =
       let b = Metrics.bucket_of_seconds l in
       bins.(b) <- bins.(b) + 1)
     latencies;
-  Fleet.histogram_to_json
-    { Fleet.count = Array.length latencies;
-      total_s = Array.fold_left ( +. ) 0. latencies;
-      bins }
+  Metrics.histogram_json ~count:(Array.length latencies)
+    ~total_s:(Array.fold_left ( +. ) 0. latencies)
+    bins
 
 let with_server ~store_path ~batch f =
   let config =

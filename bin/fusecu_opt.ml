@@ -697,12 +697,12 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the batched planning daemon: newline-delimited JSON requests \
-             (intra, fuse, regime, eval, chain, stats, metrics, shutdown) on \
-             stdin or a Unix socket, answered in request order through a \
-             canonicalizing plan cache. Socket mode serves clients \
-             concurrently (see --max-conns, --timeout, --max-line) and shuts \
-             down gracefully on SIGINT/SIGTERM or an in-band shutdown \
-             request. Observability: --metrics-addr serves live Prometheus \
+             (intra, fuse, regime, eval, chain, plan_model, nest, stats, \
+             metrics, shutdown) on stdin or a Unix socket, answered in \
+             request order through a canonicalizing plan cache. Socket mode \
+             serves clients concurrently (see --max-conns, --timeout, \
+             --max-line) and shuts down gracefully on SIGINT/SIGTERM or an \
+             in-band shutdown request. Observability: --metrics-addr serves live Prometheus \
              text, --trace writes a Chrome trace profile, --log-level / \
              --slow-ms emit NDJSON logs on stderr.")
     term

@@ -16,6 +16,14 @@ type dataflow =
   | Two_nra of { untiled : Dim.t; redundant : Operand.t }
   | Three_nra of { resident : Operand.t }
 
+let all_dataflows =
+  List.map (fun stationary -> Single_nra { stationary }) Operand.all
+  @ List.concat_map
+      (fun untiled ->
+        List.map (fun redundant -> Two_nra { untiled; redundant }) Operand.all)
+      Dim.all
+  @ List.map (fun resident -> Three_nra { resident }) Operand.all
+
 let class_of = function
   | Single_nra _ -> Single
   | Two_nra _ -> Two

@@ -26,6 +26,9 @@ type dataflow =
       (** Both dims of [resident] are untiled (the tensor is held
           entirely on-chip); every tensor is accessed once. *)
 
+val all_dataflows : dataflow list
+(** Every dataflow shape: 3 Single-, 9 Two- and 3 Three-NRA. *)
+
 val class_of : dataflow -> t
 
 val pp_dataflow : Format.formatter -> dataflow -> unit

@@ -37,6 +37,10 @@ let eval ?(partial_sum_penalty = false) op s =
   in
   { a; b; c; total = a.traffic + b.traffic + c.traffic }
 
+(* Each operand's size times its free dimension's extent is m * k * l. *)
+let max_total (op : Matmul.t) =
+  Fusecu_util.Arith.(mul_sat 3 (mul_sat op.m (mul_sat op.k op.l)))
+
 let operand t = function Operand.A -> t.a | Operand.B -> t.b | Operand.C -> t.c
 
 let is_nra op s operand = revisit op s operand = 1

@@ -41,6 +41,12 @@ val eval : ?partial_sum_penalty:bool -> Matmul.t -> Schedule.t -> t
     read {e and} a write per revisit: traffic
     [size_C * (2*revisit - 1)]. *)
 
+val max_total : Matmul.t -> int
+(** An upper bound on [(eval op s).total] over every schedule [s] (default
+    accounting): each operand moves its size times at most the extent of
+    its free dimension. Computed with saturating arithmetic, so [max_int]
+    means some schedule's total may not fit in an [int]. *)
+
 val operand : t -> Operand.t -> per_operand
 
 val revisit : Matmul.t -> Schedule.t -> Operand.t -> int

@@ -225,6 +225,34 @@ let eval t (s : schedule) =
   in
   { per; total = Array.fold_left (fun acc p -> acc + p.traffic) 0 per }
 
+(* Every tensor (internal ones too, for the footprint) is swept at most
+   once per trip of each axis it does not use, and one sweep of a
+   [Window] dimension moves at most (stride + dilation + 1) * eo * ek
+   elements ([access_sweep] at its largest trip counts). *)
+let max_total t =
+  let open Arith in
+  List.fold_left
+    (fun acc x ->
+      let used = used_axes x in
+      let free = ref 1 in
+      Array.iteri
+        (fun i e -> if not (List.mem i used) then free := mul_sat !free e)
+        t.extents;
+      let sweep =
+        List.fold_left
+          (fun acc a ->
+            mul_sat acc
+              (match a with
+              | Point i -> t.extents.(i)
+              | Window { outer; kernel; stride; dilation } ->
+                mul_sat
+                  (add_sat (add_sat stride dilation) 1)
+                  (mul_sat t.extents.(outer) t.extents.(kernel))))
+          1 x.dims
+      in
+      add_sat acc (mul_sat !free sweep))
+    0 t.tensors
+
 (* A schedule is valid iff every internal (fused-intermediate) tensor
    is revisit-free: its tile is fully produced and consumed within one
    residency. This is the generalization of Fused.validate's

@@ -99,6 +99,12 @@ val eval : t -> schedule -> cost
     (windows include halo overlap). Agrees with {!Nsim.eval}
     everywhere and with [Cost.eval] on the MM instance. *)
 
+val max_total : t -> int
+(** An upper bound on [(eval t s).total], [footprint t s] and [points t]
+    over every schedule [s], computed with saturating arithmetic:
+    [max_int] means some schedule's cost may not fit in an [int]. On the
+    MM instance it equals [Cost.max_total]. *)
+
 val valid : t -> schedule -> bool
 (** Every internal tensor is revisit-free. *)
 

@@ -264,18 +264,7 @@ let rec compute t (call : Protocol.call) :
         (Protocol.R_chain
            (Protocol.Pairwise { traffic = plan.Planner.traffic; segments })))
   | Nest { kind; buffer; mode } -> (
-    let nest =
-      let module Lower = Fusecu_nest.Lower in
-      match kind with
-      | Protocol.N_matmul { m; k; l } ->
-        Lower.of_matmul (Matmul.make ~name:"nest" ~m ~k ~l ())
-      | Protocol.N_conv2d cv -> Lower.of_conv cv
-      | Protocol.N_batched_mm { b; m; k; l } -> Lower.batched_mm ~b ~m ~k ~l ()
-      | Protocol.N_grouped_mm { groups; heads; m; k; l } ->
-        Lower.grouped_mm ~groups ~heads ~m ~k ~l ()
-      | Protocol.N_attention { seq_q; seq_k; d; dv } ->
-        Lower.attention_pair ~seq_q ~seq_k ~d ~dv ()
-    in
+    let nest = Protocol.nest_of_kind kind in
     let lattice =
       match mode with
       | Mode.Exact -> Fusecu_nest.Search.All

@@ -69,26 +69,6 @@ let merge_histograms a b =
     total_s = a.total_s +. b.total_s;
     bins = Array.init Metrics.buckets (fun i -> a.bins.(i) + b.bins.(i)) }
 
-(* Must stay byte-compatible with [Metrics.histogram_json] so a merged
-   fleet dump has the same shape as a single process's. *)
-let histogram_to_json h =
-  let bins =
-    Array.to_list h.bins
-    |> List.mapi (fun i n ->
-           if n = 0 then None
-           else
-             let le =
-               if i = Metrics.buckets - 1 then Json.Null
-               else Json.Int (1 lsl (i + 1))
-             in
-             Some (Json.Obj [ ("le_us", le); ("n", Json.Int n) ]))
-    |> List.filter_map Fun.id
-  in
-  Json.Obj
-    [ ("count", Json.Int h.count);
-      ("total_s", Json.Float h.total_s);
-      ("buckets", Json.List bins) ]
-
 (* ------------------------------------------------------------------ *)
 (* Keyed unions                                                        *)
 
@@ -299,7 +279,11 @@ let merge_metrics ~uptime_ticks dumps =
     (Json.Obj
        [ ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
          ("latency",
-          Json.Obj (List.map (fun (k, h) -> (k, histogram_to_json h)) hists));
+          Json.Obj
+            (List.map
+               (fun (k, h) ->
+                 (k, Metrics.histogram_json ~count:h.count ~total_s:h.total_s h.bins))
+               hists));
          ("gauges",
           Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) gauges));
          shards_breakdown dumps ])

@@ -20,16 +20,12 @@ type hist = { count : int; total_s : float; bins : int array }
 val empty_hist : unit -> hist
 
 val parse_histogram : Json.t -> (hist, string) result
-(** Inverse of the sparse [{"count";"total_s";"buckets":[{"le_us";"n"}]}]
-    encoding. [Error] on a bound that is not a bin bound of the shared
-    layout, a negative count, or a bucket sum disagreeing with [count]. *)
+(** Inverse of {!Metrics.histogram_json}. [Error] on a bound that is
+    not a bin bound of the shared layout, a negative count, or a bucket
+    sum disagreeing with [count]. *)
 
 val merge_histograms : hist -> hist -> hist
 (** Bucket-wise sum; [count] and [total_s] add. *)
-
-val histogram_to_json : hist -> Json.t
-(** Byte-compatible with [Metrics.histogram_json] (sparse, non-empty
-    bins only, final open bin as [null]). *)
 
 (** {1 In-band fan-out merges} *)
 

@@ -83,9 +83,9 @@ let counters t = with_lock t (fun () -> counters_locked t)
 let counters_json t =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t))
 
-let histogram_json h =
+let histogram_json ~count ~total_s bins =
   let bins =
-    Array.to_list h.bins
+    Array.to_list bins
     |> List.mapi (fun i n ->
            if n = 0 then None
            else
@@ -97,8 +97,8 @@ let histogram_json h =
     |> List.filter_map Fun.id
   in
   Json.Obj
-    [ ("count", Json.Int h.count);
-      ("total_s", Json.Float h.total_s);
+    [ ("count", Json.Int count);
+      ("total_s", Json.Float total_s);
       ("buckets", Json.List bins) ]
 
 (* One-lock snapshot of every metric family: taking the lock once per
@@ -117,7 +117,12 @@ let to_json t =
   let counters, hists, gauges = snapshot t in
   Json.Obj
     ([ ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
-       ("latency", Json.Obj (List.map (fun (k, h) -> (k, histogram_json h)) hists))
+       ("latency",
+        Json.Obj
+          (List.map
+             (fun (k, h) ->
+               (k, histogram_json ~count:h.count ~total_s:h.total_s h.bins))
+             hists))
      ]
     @
     if gauges = [] then []

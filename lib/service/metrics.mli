@@ -50,6 +50,13 @@ val counters : t -> (string * int) list
 val counters_json : t -> Fusecu_util.Json.t
 (** The deterministic counters as a JSON object (keys sorted). *)
 
+val histogram_json : count:int -> total_s:float -> int array -> Fusecu_util.Json.t
+(** The sparse encoding of one histogram ([bins] has {!buckets} slots):
+    [{"count";"total_s";"buckets":[{"le_us";"n"}]}] listing non-empty
+    bins only, [le_us] the bin's upper bound in µs ([2^(i+1)]) and
+    [null] for the final open bin. {!Fleet.parse_histogram} is its
+    inverse. *)
+
 val to_json : t -> Fusecu_util.Json.t
 (** Full dump: counters, latency histograms and (when any exist) gauges,
     snapshotted atomically (one lock acquisition covers every family, so

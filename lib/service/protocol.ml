@@ -3,6 +3,7 @@ open Fusecu_loopnest
 open Fusecu_core
 module Json = Fusecu_util.Json
 module Units = Fusecu_util.Units
+module Arith = Fusecu_util.Arith
 
 let version = 1
 
@@ -80,14 +81,21 @@ exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-let dim_field obj name =
+(* The one integer-field reader: at least [lo], at most [hi] when given;
+   [default] makes the field optional. *)
+let int_field ?default ?(lo = 1) ?hi obj name =
   match Json.member name obj with
-  | None -> fail "missing required field %S" name
+  | None -> (
+    match default with
+    | Some d -> d
+    | None -> fail "missing required field %S" name)
   | Some v -> (
-    match Json.to_int v with
-    | Ok n when n >= 1 -> n
-    | Ok n -> fail "field %S must be >= 1, got %d" name n
-    | Error e -> fail "field %S: %s" name e)
+    match (Json.to_int v, hi) with
+    | Error e, _ -> fail "field %S: %s" name e
+    | Ok n, Some hi when n < lo || n > hi ->
+      fail "field %S must be in [%d, %d], got %d" name lo hi n
+    | Ok n, None when n < lo -> fail "field %S must be >= %d, got %d" name lo n
+    | Ok n, _ -> n)
 
 (* Names (models, nest kinds) match case-insensitively. *)
 let lowercase_field obj name =
@@ -101,15 +109,7 @@ let lowercase_field obj name =
 let default_buffer_bytes = 512 * 1024
 
 let buffer_field obj =
-  let elt_bytes =
-    match Json.member "elt_bytes" obj with
-    | None -> 1
-    | Some v -> (
-      match Json.to_int v with
-      | Ok n when n >= 1 -> n
-      | Ok n -> fail "field \"elt_bytes\" must be >= 1, got %d" n
-      | Error e -> fail "field \"elt_bytes\": %s" e)
-  in
+  let elt_bytes = int_field ~default:1 obj "elt_bytes" in
   let bytes =
     match Json.member "buffer" obj with
     | None -> default_buffer_bytes
@@ -120,8 +120,7 @@ let buffer_field obj =
       | Ok n when n >= 1 -> n
       | Ok _ -> fail "field \"buffer\" must be at least one byte"
       | Error e -> fail "field \"buffer\": %s" e)
-    | Some v ->
-      ignore v;
+    | Some _ ->
       fail "field \"buffer\" must be an integer byte count or a size string"
   in
   (Buffer.make ~elt_bytes bytes, elt_bytes)
@@ -136,135 +135,175 @@ let mode_field obj =
       match mode_of_string s with Ok m -> m | Error e -> fail "%s" e))
 
 let matmul_field obj =
-  let m = dim_field obj "m" and k = dim_field obj "k" and l = dim_field obj "l" in
+  let m = int_field obj "m" in
+  let k = int_field obj "k" in
+  let l = int_field obj "l" in
   Matmul.make ~m ~k ~l ()
 
-let parse_call obj op =
-  match op with
-  | "intra" ->
-    let buffer, _ = buffer_field obj in
-    Ok (Call (Intra { op = matmul_field obj; buffer; mode = mode_field obj }))
-  | "fuse" ->
-    let buffer, _ = buffer_field obj in
-    let l2 = dim_field obj "l2" in
-    Ok (Call (Fuse { op = matmul_field obj; l2; buffer; mode = mode_field obj }))
-  | "regime" ->
-    let buffer, _ = buffer_field obj in
-    Ok (Call (Regime { op = matmul_field obj; buffer }))
-  | "eval" ->
-    let model = lowercase_field obj "model" in
-    let buffer, elt_bytes = buffer_field obj in
-    Ok (Call (Eval { model; buffer; elt_bytes; mode = mode_field obj }))
-  | "chain" ->
-    let m = dim_field obj "m" in
-    let ks =
-      match Json.member "ks" obj with
-      | None -> fail "missing required field %S" "ks"
-      | Some v -> (
-        match Json.to_list v with
-        | Error e -> fail "field \"ks\": %s" e
-        | Ok vs ->
-          let ks =
-            List.map
-              (fun v ->
-                match Json.to_int v with
-                | Ok n when n >= 1 -> n
-                | Ok n -> fail "field \"ks\": entries must be >= 1, got %d" n
-                | Error e -> fail "field \"ks\": %s" e)
-              vs
-          in
-          if List.length ks < 2 then
-            fail "field \"ks\" needs at least two entries (a chain of >= 2 ops)"
-          else ks)
-    in
-    let buffer, _ = buffer_field obj in
-    Ok (Call (Chain { m; ks; buffer; mode = mode_field obj }))
-  | "plan_model" ->
-    let model = lowercase_field obj "model" in
-    let layers =
-      match Json.member "layers" obj with
-      | None -> 1
-      | Some v -> (
-        match Json.to_int v with
-        | Ok n when n >= 1 && n <= 64 -> n
-        | Ok n -> fail "field \"layers\" must be in [1, 64], got %d" n
-        | Error e -> fail "field \"layers\": %s" e)
-    in
-    let buffer, elt_bytes = buffer_field obj in
-    Ok (Call (Plan_model { model; layers; buffer; elt_bytes; mode = mode_field obj }))
-  | "nest" ->
-    let kind_s = lowercase_field obj "kind" in
-    let opt_dim name default =
-      match Json.member name obj with
-      | None -> default
-      | Some _ -> dim_field obj name
-    in
-    let kind =
-      match kind_s with
-      | "matmul" ->
-        N_matmul
-          { m = dim_field obj "m"; k = dim_field obj "k"; l = dim_field obj "l" }
-      | "conv2d" -> (
-        let padding =
-          match Json.member "padding" obj with
-          | None -> 0
-          | Some v -> (
+let ks_field obj =
+  match Json.member "ks" obj with
+  | None -> fail "missing required field %S" "ks"
+  | Some v -> (
+    match Json.to_list v with
+    | Error e -> fail "field \"ks\": %s" e
+    | Ok vs ->
+      let ks =
+        List.map
+          (fun v ->
             match Json.to_int v with
-            | Ok n when n >= 0 -> n
-            | Ok n -> fail "field \"padding\" must be >= 0, got %d" n
-            | Error e -> fail "field \"padding\": %s" e)
-        in
-        match
-          Conv.validate
-            ~stride:(opt_dim "stride" 1)
-            ~dilation:(opt_dim "dilation" 1)
-            ~padding ~n:(dim_field obj "n") ~c:(dim_field obj "c")
-            ~h:(dim_field obj "h") ~w:(dim_field obj "w") ~k:(dim_field obj "k")
-            ~r:(dim_field obj "r") ~s:(dim_field obj "s") ()
-        with
+            | Ok n when n >= 1 -> n
+            | Ok n -> fail "field \"ks\": entries must be >= 1, got %d" n
+            | Error e -> fail "field \"ks\": %s" e)
+          vs
+      in
+      if List.length ks < 2 then
+        fail "field \"ks\" needs at least two entries (a chain of >= 2 ops)"
+      else ks)
+
+let names table = String.concat ", " (List.map fst table)
+
+(* Each kind reads its fields in a fixed order, which decides the field a
+   reject names when several are missing or out of range. *)
+let nest_kinds =
+  [ ( "matmul",
+      fun obj ->
+        let l = int_field obj "l" in
+        let k = int_field obj "k" in
+        let m = int_field obj "m" in
+        N_matmul { m; k; l } );
+    ( "conv2d",
+      fun obj ->
+        let padding = int_field ~default:0 ~lo:0 obj "padding" in
+        let s = int_field obj "s" in
+        let r = int_field obj "r" in
+        let k = int_field obj "k" in
+        let w = int_field obj "w" in
+        let h = int_field obj "h" in
+        let c = int_field obj "c" in
+        let n = int_field obj "n" in
+        let dilation = int_field ~default:1 obj "dilation" in
+        let stride = int_field ~default:1 obj "stride" in
+        match Conv.validate ~stride ~dilation ~padding ~n ~c ~h ~w ~k ~r ~s () with
         | Ok cv -> N_conv2d cv
-        | Error e -> fail "invalid conv2d: %s" e)
-      | "batched_mm" ->
-        N_batched_mm
-          { b = dim_field obj "b"; m = dim_field obj "m"; k = dim_field obj "k";
-            l = dim_field obj "l" }
-      | "grouped_mm" ->
-        let groups = dim_field obj "groups" and heads = dim_field obj "heads" in
-        N_grouped_mm
-          { groups; heads; m = dim_field obj "m"; k = dim_field obj "k";
-            l = dim_field obj "l" }
-      | "attention" ->
-        let d = dim_field obj "d" in
-        N_attention
-          { seq_q = dim_field obj "seq_q"; seq_k = dim_field obj "seq_k"; d;
-            dv = opt_dim "dv" d }
-      | other ->
-        fail
-          "unknown nest kind %S (matmul, conv2d, batched_mm, grouped_mm, \
-           attention)"
-          other
+        | Error e -> fail "invalid conv2d: %s" e );
+    ( "batched_mm",
+      fun obj ->
+        let l = int_field obj "l" in
+        let k = int_field obj "k" in
+        let m = int_field obj "m" in
+        let b = int_field obj "b" in
+        N_batched_mm { b; m; k; l } );
+    ( "grouped_mm",
+      fun obj ->
+        let groups = int_field obj "groups" in
+        let heads = int_field obj "heads" in
+        let l = int_field obj "l" in
+        let k = int_field obj "k" in
+        let m = int_field obj "m" in
+        N_grouped_mm { groups; heads; m; k; l } );
+    ( "attention",
+      fun obj ->
+        let d = int_field obj "d" in
+        let dv = int_field ~default:d obj "dv" in
+        let seq_k = int_field obj "seq_k" in
+        let seq_q = int_field obj "seq_q" in
+        N_attention { seq_q; seq_k; d; dv } ) ]
+
+let nest_kind_field obj =
+  let kind = lowercase_field obj "kind" in
+  match List.assoc_opt kind nest_kinds with
+  | Some parse -> parse obj
+  | None -> fail "unknown nest kind %S (%s)" kind (names nest_kinds)
+
+let nest_of_kind =
+  let open Fusecu_nest in
+  function
+  | N_matmul { m; k; l } -> Lower.of_matmul (Matmul.make ~name:"nest" ~m ~k ~l ())
+  | N_conv2d cv -> Lower.of_conv cv
+  | N_batched_mm { b; m; k; l } -> Lower.batched_mm ~b ~m ~k ~l ()
+  | N_grouped_mm { groups; heads; m; k; l } ->
+    Lower.grouped_mm ~groups ~heads ~m ~k ~l ()
+  | N_attention { seq_q; seq_k; d; dv } -> Lower.attention_pair ~seq_q ~seq_k ~d ~dv ()
+
+(* The largest traffic total any schedule of the call's operators can
+   reach (saturated at [max_int]); fuse and chain plans sum per-operator
+   totals. [regime] needs no bound: its classifier saturates. *)
+let max_traffic = function
+  | Intra { op; _ } -> Cost.max_total op
+  | Fuse { op; l2; _ } ->
+    Arith.add_sat (Cost.max_total op)
+      (Cost.max_total (Matmul.make ~m:op.Matmul.m ~k:op.Matmul.l ~l:l2 ()))
+  | Chain { m; ks; _ } ->
+    let rec sum acc = function
+      | k :: (l :: _ as rest) ->
+        sum (Arith.add_sat acc (Cost.max_total (Matmul.make ~m ~k ~l ()))) rest
+      | _ -> acc
     in
-    let buffer, _ = buffer_field obj in
-    Ok (Call (Nest { kind; buffer; mode = mode_field obj }))
-  | "stats" -> Ok Stats
-  | "metrics" ->
-    let quiet =
-      match Json.member "quiet" obj with
-      | None -> false
-      | Some (Json.Bool b) -> b
-      | Some v -> fail "field \"quiet\" must be a boolean, got %s" (Json.print v)
-    in
-    Ok (Metrics_req { quiet })
-  | "shutdown" -> Ok Shutdown
-  | other ->
+    sum 0 ks
+  | Nest { kind; _ } -> Fusecu_nest.Nest.max_total (nest_of_kind kind)
+  | Regime _ | Eval _ | Plan_model _ -> 0
+
+let call c =
+  if max_traffic c = max_int then
+    fail "problem too large: its traffic can exceed the 63-bit integer range"
+  else Call c
+
+let ops =
+  [ ( "intra",
+      fun obj ->
+        let buffer, _ = buffer_field obj in
+        let mode = mode_field obj in
+        call (Intra { op = matmul_field obj; buffer; mode }) );
+    ( "fuse",
+      fun obj ->
+        let buffer, _ = buffer_field obj in
+        let l2 = int_field obj "l2" in
+        let mode = mode_field obj in
+        call (Fuse { op = matmul_field obj; l2; buffer; mode }) );
+    ( "regime",
+      fun obj ->
+        let buffer, _ = buffer_field obj in
+        call (Regime { op = matmul_field obj; buffer }) );
+    ( "eval",
+      fun obj ->
+        let model = lowercase_field obj "model" in
+        let buffer, elt_bytes = buffer_field obj in
+        call (Eval { model; buffer; elt_bytes; mode = mode_field obj }) );
+    ( "chain",
+      fun obj ->
+        let m = int_field obj "m" in
+        let ks = ks_field obj in
+        let buffer, _ = buffer_field obj in
+        call (Chain { m; ks; buffer; mode = mode_field obj }) );
+    ( "plan_model",
+      fun obj ->
+        let model = lowercase_field obj "model" in
+        let layers = int_field ~default:1 ~hi:64 obj "layers" in
+        let buffer, elt_bytes = buffer_field obj in
+        call (Plan_model { model; layers; buffer; elt_bytes; mode = mode_field obj })
+    );
+    ( "nest",
+      fun obj ->
+        let kind = nest_kind_field obj in
+        let buffer, _ = buffer_field obj in
+        call (Nest { kind; buffer; mode = mode_field obj }) );
+    ("stats", fun _ -> Stats);
+    ( "metrics",
+      fun obj ->
+        match Json.member "quiet" obj with
+        | None -> Metrics_req { quiet = false }
+        | Some (Json.Bool quiet) -> Metrics_req { quiet }
+        | Some v -> fail "field \"quiet\" must be a boolean, got %s" (Json.print v) );
+    ("shutdown", fun _ -> Shutdown) ]
+
+let parse_call obj op =
+  match List.assoc_opt op ops with
+  | Some parse -> Ok (parse obj)
+  | None ->
     Error
       { id = Json.Null;
         code = Unknown_op;
-        message =
-          Printf.sprintf
-            "unknown op %S (intra, fuse, regime, eval, chain, plan_model, \
-             nest, stats, metrics, shutdown)"
-            other }
+        message = Printf.sprintf "unknown op %S (%s)" op (names ops) }
 
 let parse_line line =
   match Json.parse line with
@@ -499,6 +538,317 @@ let apply_transform tf outcome =
   | Transpose_ml, o -> o
 
 (* ------------------------------------------------------------------ *)
+(* Outcome codec                                                       *)
+
+(* The wire [result] fields of each outcome variant, each followed by
+   its inverse. Inside one op the variants are told apart by ["fuse"],
+   ["decision"] or an ["error"] member, so with the op known the wire
+   shape decodes exactly; the plan store keeps [{"op":..., fields}]. *)
+
+let ( let* ) = Result.bind
+
+let get name decode j =
+  match Json.member name j with
+  | Some v -> decode v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let list decode v =
+  let* vs = Json.to_list v in
+  List.fold_right
+    (fun x acc ->
+      let* acc = acc in
+      let* y = decode x in
+      Ok (y :: acc))
+    vs (Ok [])
+
+let ints l = Json.List (List.map (fun n -> Json.Int n) l)
+let strings l = Json.List (List.map (fun s -> Json.String s) l)
+
+(* Each table maps every label of a closed variant list back to its
+   value; built once, so decoding never re-prints the labels. *)
+let label ~what to_string all =
+  let table = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace table (to_string v) v) all;
+  fun v ->
+    let* s = Json.to_string_v v in
+    match Hashtbl.find_opt table s with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "unknown %s %S" what s)
+
+let dim_label = label ~what:"dim" Dim.to_string Dim.all
+let class_label = label ~what:"class" Nra.to_string Nra.all
+let dataflow_label = label ~what:"dataflow" Nra.dataflow_to_string Nra.all_dataflows
+
+let regime_label =
+  label ~what:"regime" Regime.to_string Regime.[ Tiny; Small; Medium; Large ]
+
+let pattern_label = label ~what:"pattern" Fusion.pattern_name Fusion.all_patterns
+
+let intra_fields r =
+  [ ("ma", Json.Int r.ma);
+    ("redundancy", Json.Float r.redundancy);
+    ("footprint", Json.Int r.footprint);
+    ("tiles",
+     Json.Obj
+       [ ("m", Json.Int r.tile_m); ("k", Json.Int r.tile_k);
+         ("l", Json.Int r.tile_l) ]);
+    ("order", strings (List.map Dim.to_string r.order));
+    ("class", Json.String (Nra.to_string r.nra));
+    ("dataflow", Json.String (Nra.dataflow_to_string r.dataflow));
+    ("regime", Json.String (Regime.to_string r.regime)) ]
+
+let intra_of_json j =
+  let* ma = get "ma" Json.to_int j in
+  let* redundancy = get "redundancy" Json.to_float j in
+  let* footprint = get "footprint" Json.to_int j in
+  let* tiles = get "tiles" Result.ok j in
+  let* tile_m = get "m" Json.to_int tiles in
+  let* tile_k = get "k" Json.to_int tiles in
+  let* tile_l = get "l" Json.to_int tiles in
+  let* order = get "order" (list dim_label) j in
+  let* nra = get "class" class_label j in
+  let* dataflow = get "dataflow" dataflow_label j in
+  let* regime = get "regime" regime_label j in
+  Ok
+    { ma; redundancy; footprint; tile_m; tile_k; tile_l; order; nra; dataflow;
+      regime }
+
+let fuse_fields = function
+  | Fused { pattern; nra; traffic } ->
+    [ ("fuse", Json.Bool true);
+      ("pattern", Json.String (Fusion.pattern_name pattern));
+      ("class", Json.String (Nra.to_string nra));
+      ("traffic", Json.Int traffic) ]
+  | Not_fused { why; traffic; producer; consumer } ->
+    [ ("fuse", Json.Bool false);
+      ("why", Json.String why);
+      ("producer_class", Json.String (Nra.to_string producer));
+      ("consumer_class", Json.String (Nra.to_string consumer));
+      ("traffic", Json.Int traffic) ]
+
+let fuse_of_json j =
+  let* fused = get "fuse" Json.to_bool j in
+  let* traffic = get "traffic" Json.to_int j in
+  if fused then
+    let* pattern = get "pattern" pattern_label j in
+    let* nra = get "class" class_label j in
+    Ok (Fused { pattern; nra; traffic })
+  else
+    let* why = get "why" Json.to_string_v j in
+    let* producer = get "producer_class" class_label j in
+    let* consumer = get "consumer_class" class_label j in
+    Ok (Not_fused { why; traffic; producer; consumer })
+
+let regime_fields r =
+  [ ("regime", Json.String (Regime.to_string r.regime));
+    ("thresholds",
+     Json.Obj
+       [ ("tiny_max", Json.Int r.thresholds.Regime.tiny_max);
+         ("small_max", Json.Int r.thresholds.Regime.small_max);
+         ("medium_max", Json.Int r.thresholds.Regime.medium_max) ]);
+    ("classes", strings (List.map Nra.to_string r.classes)) ]
+
+let regime_of_json j =
+  let* regime = get "regime" regime_label j in
+  let* th = get "thresholds" Result.ok j in
+  let* tiny_max = get "tiny_max" Json.to_int th in
+  let* small_max = get "small_max" Json.to_int th in
+  let* medium_max = get "medium_max" Json.to_int th in
+  let* classes = get "classes" (list class_label) j in
+  Ok { regime; thresholds = { Regime.tiny_max; small_max; medium_max }; classes }
+
+let eval_fields rows =
+  [ ("platforms",
+     Json.List
+       (List.map
+          (fun row ->
+            Json.Obj
+              (("name", Json.String row.platform)
+              ::
+              (match row.cells with
+              | Ok c ->
+                [ ("traffic", Json.Int c.traffic);
+                  ("traffic_bytes", Json.Int c.traffic_bytes);
+                  ("macs", Json.Int c.macs);
+                  ("cycles", Json.Int c.cycles);
+                  ("utilization", Json.Float c.utilization) ]
+              | Error e -> [ ("error", Json.String e) ])))
+          rows)) ]
+
+let eval_row_of_json row =
+  let* platform = get "name" Json.to_string_v row in
+  match Json.member "error" row with
+  | Some e ->
+    let* e = Json.to_string_v e in
+    Ok { platform; cells = Error e }
+  | None ->
+    let* traffic = get "traffic" Json.to_int row in
+    let* traffic_bytes = get "traffic_bytes" Json.to_int row in
+    let* macs = get "macs" Json.to_int row in
+    let* cycles = get "cycles" Json.to_int row in
+    let* utilization = get "utilization" Json.to_float row in
+    Ok { platform; cells = Ok { traffic; traffic_bytes; macs; cycles; utilization } }
+
+let chain_fields = function
+  | Full_fusion { traffic; fused_bound } ->
+    [ ("decision", Json.String "full_fusion");
+      ("traffic", Json.Int traffic);
+      ("fused_bound", Json.Int fused_bound) ]
+  | Pairwise { traffic; segments } ->
+    [ ("decision", Json.String "pairwise");
+      ("traffic", Json.Int traffic);
+      ("segments",
+       Json.List
+         (List.map
+            (function
+              | Solo_seg t ->
+                Json.Obj [ ("kind", Json.String "solo"); ("traffic", Json.Int t) ]
+              | Fused_seg (pattern, t) ->
+                Json.Obj
+                  [ ("kind", Json.String "fused");
+                    ("pattern", Json.String pattern);
+                    ("traffic", Json.Int t) ])
+            segments)) ]
+
+let segment_of_json seg =
+  let* traffic = get "traffic" Json.to_int seg in
+  let* kind = get "kind" Json.to_string_v seg in
+  match kind with
+  | "solo" -> Ok (Solo_seg traffic)
+  | "fused" ->
+    let* pattern = get "pattern" Json.to_string_v seg in
+    Ok (Fused_seg (pattern, traffic))
+  | k -> Error (Printf.sprintf "unknown segment kind %S" k)
+
+let chain_of_json j =
+  let* traffic = get "traffic" Json.to_int j in
+  let* decision = get "decision" Json.to_string_v j in
+  match decision with
+  | "full_fusion" ->
+    let* fused_bound = get "fused_bound" Json.to_int j in
+    Ok (Full_fusion { traffic; fused_bound })
+  | "pairwise" ->
+    let* segments = get "segments" (list segment_of_json) j in
+    Ok (Pairwise { traffic; segments })
+  | d -> Error (Printf.sprintf "unknown chain decision %S" d)
+
+(* ["group_count"] is derived from ["groups"], so decoding skips it. *)
+let plan_model_fields r =
+  [ ("nodes", Json.Int r.nodes);
+    ("group_count", Json.Int (List.length r.plan_groups));
+    ("groups",
+     Json.List
+       (List.map
+          (fun g ->
+            Json.Obj
+              [ ("members", strings g.members);
+                ("count", Json.Int g.count);
+                ("ops", Json.Int g.ops);
+                ("traffic", Json.Int g.group_traffic);
+                ("hidden", Json.Int g.group_hidden) ])
+          r.plan_groups));
+    ("fused_edges", strings r.fused_edges);
+    ("traffic", Json.Int r.traffic);
+    ("hidden", Json.Int r.hidden);
+    ("effective", Json.Int r.effective);
+    ("unfused_traffic", Json.Int r.unfused_traffic);
+    ("unfused_effective", Json.Int r.unfused_effective);
+    ("search",
+     Json.Obj
+       [ ("candidate_edges", Json.Int r.candidate_edges);
+         ("components", Json.Int r.components);
+         ("dp_states", Json.Int r.dp_states);
+         ("bnb_nodes", Json.Int r.bnb_nodes);
+         ("bnb_pruned", Json.Int r.bnb_pruned) ]) ]
+
+let plan_group_of_json g =
+  let* members = get "members" (list Json.to_string_v) g in
+  let* count = get "count" Json.to_int g in
+  let* ops = get "ops" Json.to_int g in
+  let* group_traffic = get "traffic" Json.to_int g in
+  let* group_hidden = get "hidden" Json.to_int g in
+  Ok { members; count; ops; group_traffic; group_hidden }
+
+let plan_model_of_json j =
+  let* nodes = get "nodes" Json.to_int j in
+  let* plan_groups = get "groups" (list plan_group_of_json) j in
+  let* fused_edges = get "fused_edges" (list Json.to_string_v) j in
+  let* traffic = get "traffic" Json.to_int j in
+  let* hidden = get "hidden" Json.to_int j in
+  let* effective = get "effective" Json.to_int j in
+  let* unfused_traffic = get "unfused_traffic" Json.to_int j in
+  let* unfused_effective = get "unfused_effective" Json.to_int j in
+  let* search = get "search" Result.ok j in
+  let* candidate_edges = get "candidate_edges" Json.to_int search in
+  let* components = get "components" Json.to_int search in
+  let* dp_states = get "dp_states" Json.to_int search in
+  let* bnb_nodes = get "bnb_nodes" Json.to_int search in
+  let* bnb_pruned = get "bnb_pruned" Json.to_int search in
+  Ok
+    { nodes; plan_groups; fused_edges; traffic; hidden; effective;
+      unfused_traffic; unfused_effective; candidate_edges; components;
+      dp_states; bnb_nodes; bnb_pruned }
+
+let nest_fields r =
+  [ ("axes", strings r.n_axes);
+    ("extents", ints r.n_extents);
+    ("tiles", ints r.n_tiles);
+    ("order", strings r.n_order);
+    ("traffic", Json.Int r.n_traffic);
+    ("ideal", Json.Int r.n_ideal);
+    ("footprint", Json.Int r.n_footprint);
+    ("points", Json.Int r.n_points);
+    ("evaluated", Json.Int r.n_evaluated) ]
+
+let nest_of_json j =
+  let* n_axes = get "axes" (list Json.to_string_v) j in
+  let* n_extents = get "extents" (list Json.to_int) j in
+  let* n_tiles = get "tiles" (list Json.to_int) j in
+  let* n_order = get "order" (list Json.to_string_v) j in
+  let* n_traffic = get "traffic" Json.to_int j in
+  let* n_ideal = get "ideal" Json.to_int j in
+  let* n_footprint = get "footprint" Json.to_int j in
+  let* n_points = get "points" Json.to_int j in
+  let* n_evaluated = get "evaluated" Json.to_int j in
+  Ok
+    { n_axes; n_extents; n_tiles; n_order; n_traffic; n_ideal; n_footprint;
+      n_points; n_evaluated }
+
+let outcome_op = function
+  | R_intra _ -> "intra"
+  | R_fuse _ -> "fuse"
+  | R_regime _ -> "regime"
+  | R_eval _ -> "eval"
+  | R_chain _ -> "chain"
+  | R_plan_model _ -> "plan_model"
+  | R_nest _ -> "nest"
+
+let outcome_fields = function
+  | R_intra r -> intra_fields r
+  | R_fuse r -> fuse_fields r
+  | R_regime r -> regime_fields r
+  | R_eval rows -> eval_fields rows
+  | R_chain r -> chain_fields r
+  | R_plan_model r -> plan_model_fields r
+  | R_nest r -> nest_fields r
+
+let outcome_to_json o =
+  Json.Obj (("op", Json.String (outcome_op o)) :: outcome_fields o)
+
+let outcome_of_json j =
+  let wrap f decode = Result.map f (decode j) in
+  let* op = get "op" Json.to_string_v j in
+  match op with
+  | "intra" -> wrap (fun r -> R_intra r) intra_of_json
+  | "fuse" -> wrap (fun r -> R_fuse r) fuse_of_json
+  | "regime" -> wrap (fun r -> R_regime r) regime_of_json
+  | "eval" -> wrap (fun rows -> R_eval rows) (get "platforms" (list eval_row_of_json))
+  | "chain" -> wrap (fun r -> R_chain r) chain_of_json
+  | "plan_model" -> wrap (fun r -> R_plan_model r) plan_model_of_json
+  | "nest" -> wrap (fun r -> R_nest r) nest_of_json
+  | op -> Error (Printf.sprintf "unknown op %S" op)
+
+(* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
 let problem_fields call =
@@ -538,122 +888,6 @@ let problem_fields call =
     :: List.map (fun (n, v) -> (n, Json.Int v)) (nest_kind_dims kind))
     @ buffer_fields buffer
     @ [ ("mode", Json.String (mode_to_string mode)) ]
-
-let nest_outcome_fields r =
-  [ ("axes", Json.List (List.map (fun a -> Json.String a) r.n_axes));
-    ("extents", Json.List (List.map (fun e -> Json.Int e) r.n_extents));
-    ("tiles", Json.List (List.map (fun t -> Json.Int t) r.n_tiles));
-    ("order", Json.List (List.map (fun a -> Json.String a) r.n_order));
-    ("traffic", Json.Int r.n_traffic);
-    ("ideal", Json.Int r.n_ideal);
-    ("footprint", Json.Int r.n_footprint);
-    ("points", Json.Int r.n_points);
-    ("evaluated", Json.Int r.n_evaluated) ]
-
-let outcome_fields = function
-  | R_intra r ->
-    [ ("ma", Json.Int r.ma);
-      ("redundancy", Json.Float r.redundancy);
-      ("footprint", Json.Int r.footprint);
-      ("tiles",
-       Json.Obj
-         [ ("m", Json.Int r.tile_m); ("k", Json.Int r.tile_k);
-           ("l", Json.Int r.tile_l) ]);
-      ("order",
-       Json.List (List.map (fun d -> Json.String (Dim.to_string d)) r.order));
-      ("class", Json.String (Nra.to_string r.nra));
-      ("dataflow", Json.String (Nra.dataflow_to_string r.dataflow));
-      ("regime", Json.String (Regime.to_string r.regime)) ]
-  | R_fuse (Fused { pattern; nra; traffic }) ->
-    [ ("fuse", Json.Bool true);
-      ("pattern", Json.String (Fusion.pattern_name pattern));
-      ("class", Json.String (Nra.to_string nra));
-      ("traffic", Json.Int traffic) ]
-  | R_fuse (Not_fused { why; traffic; producer; consumer }) ->
-    [ ("fuse", Json.Bool false);
-      ("why", Json.String why);
-      ("producer_class", Json.String (Nra.to_string producer));
-      ("consumer_class", Json.String (Nra.to_string consumer));
-      ("traffic", Json.Int traffic) ]
-  | R_regime r ->
-    [ ("regime", Json.String (Regime.to_string r.regime));
-      ("thresholds",
-       Json.Obj
-         [ ("tiny_max", Json.Int r.thresholds.Regime.tiny_max);
-           ("small_max", Json.Int r.thresholds.Regime.small_max);
-           ("medium_max", Json.Int r.thresholds.Regime.medium_max) ]);
-      ("classes",
-       Json.List
-         (List.map (fun c -> Json.String (Nra.to_string c)) r.classes)) ]
-  | R_eval rows ->
-    [ ("platforms",
-       Json.List
-         (List.map
-            (fun row ->
-              match row.cells with
-              | Ok c ->
-                Json.Obj
-                  [ ("name", Json.String row.platform);
-                    ("traffic", Json.Int c.traffic);
-                    ("traffic_bytes", Json.Int c.traffic_bytes);
-                    ("macs", Json.Int c.macs);
-                    ("cycles", Json.Int c.cycles);
-                    ("utilization", Json.Float c.utilization) ]
-              | Error e ->
-                Json.Obj
-                  [ ("name", Json.String row.platform);
-                    ("error", Json.String e) ])
-            rows)) ]
-  | R_chain (Full_fusion { traffic; fused_bound }) ->
-    [ ("decision", Json.String "full_fusion");
-      ("traffic", Json.Int traffic);
-      ("fused_bound", Json.Int fused_bound) ]
-  | R_chain (Pairwise { traffic; segments }) ->
-    [ ("decision", Json.String "pairwise");
-      ("traffic", Json.Int traffic);
-      ("segments",
-       Json.List
-         (List.map
-            (function
-              | Solo_seg t ->
-                Json.Obj [ ("kind", Json.String "solo"); ("traffic", Json.Int t) ]
-              | Fused_seg (pattern, t) ->
-                Json.Obj
-                  [ ("kind", Json.String "fused");
-                    ("pattern", Json.String pattern);
-                    ("traffic", Json.Int t) ])
-            segments)) ]
-
-  | R_plan_model r ->
-    [ ("nodes", Json.Int r.nodes);
-      ("group_count", Json.Int (List.length r.plan_groups));
-      ("groups",
-       Json.List
-         (List.map
-            (fun g ->
-              Json.Obj
-                [ ("members",
-                   Json.List (List.map (fun n -> Json.String n) g.members));
-                  ("count", Json.Int g.count);
-                  ("ops", Json.Int g.ops);
-                  ("traffic", Json.Int g.group_traffic);
-                  ("hidden", Json.Int g.group_hidden) ])
-            r.plan_groups));
-      ("fused_edges",
-       Json.List (List.map (fun e -> Json.String e) r.fused_edges));
-      ("traffic", Json.Int r.traffic);
-      ("hidden", Json.Int r.hidden);
-      ("effective", Json.Int r.effective);
-      ("unfused_traffic", Json.Int r.unfused_traffic);
-      ("unfused_effective", Json.Int r.unfused_effective);
-      ("search",
-       Json.Obj
-         [ ("candidate_edges", Json.Int r.candidate_edges);
-           ("components", Json.Int r.components);
-           ("dp_states", Json.Int r.dp_states);
-           ("bnb_nodes", Json.Int r.bnb_nodes);
-           ("bnb_pruned", Json.Int r.bnb_pruned) ]) ]
-  | R_nest r -> nest_outcome_fields r
 
 let response_ok ~id ~call outcome =
   Json.print
@@ -705,351 +939,3 @@ let strip_tc ~tc line =
   if n >= sn && String.sub line (n - sn) sn = suffix then
     String.sub line 0 (n - sn) ^ "}"
   else line
-
-(* ------------------------------------------------------------------ *)
-(* Store serialization                                                 *)
-
-(* A structural outcome codec for the persistent plan store. Distinct
-   from [outcome_fields]: that output is the human/wire shape and has no
-   inverse (several variants collapse onto the same field names), while
-   this one tags every variant and round-trips exactly. Enum decoding is
-   inverse-by-construction — each decoder searches the closed list of
-   variants for the one whose [to_string] matches — so it can never
-   drift from the encoders. *)
-
-let ( let* ) = Result.bind
-
-let enum_of_string ~what ~to_string all s =
-  match List.find_opt (fun v -> String.equal (to_string v) s) all with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "store: unknown %s %S" what s)
-
-let dim_of_string = enum_of_string ~what:"dim" ~to_string:Dim.to_string Dim.[ M; K; L ]
-
-let operand_of_string =
-  enum_of_string ~what:"operand" ~to_string:Operand.to_string Operand.[ A; B; C ]
-
-let nra_of_string = enum_of_string ~what:"class" ~to_string:Nra.to_string Nra.all
-
-let regime_of_string =
-  enum_of_string ~what:"regime" ~to_string:Regime.to_string
-    Regime.[ Tiny; Small; Medium; Large ]
-
-let pattern_of_string =
-  enum_of_string ~what:"pattern" ~to_string:Fusion.pattern_name
-    Fusion.all_patterns
-
-let dataflow_to_json = function
-  | Nra.Single_nra { stationary } ->
-    Json.Obj
-      [ ("t", Json.String "single");
-        ("stationary", Json.String (Operand.to_string stationary)) ]
-  | Nra.Two_nra { untiled; redundant } ->
-    Json.Obj
-      [ ("t", Json.String "two");
-        ("untiled", Json.String (Dim.to_string untiled));
-        ("redundant", Json.String (Operand.to_string redundant)) ]
-  | Nra.Three_nra { resident } ->
-    Json.Obj
-      [ ("t", Json.String "three");
-        ("resident", Json.String (Operand.to_string resident)) ]
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "store: missing field %S" name)
-
-let int_field name j = Result.bind (field name j) Json.to_int
-let float_field name j = Result.bind (field name j) Json.to_float
-let string_field name j = Result.bind (field name j) Json.to_string_v
-let bool_field name j = Result.bind (field name j) Json.to_bool
-let list_field name j = Result.bind (field name j) Json.to_list
-
-let map_result f l =
-  List.fold_right
-    (fun x acc ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    l (Ok [])
-
-let dataflow_of_json j =
-  let* tag = string_field "t" j in
-  match tag with
-  | "single" ->
-    let* s = Result.bind (string_field "stationary" j) operand_of_string in
-    Ok (Nra.Single_nra { stationary = s })
-  | "two" ->
-    let* u = Result.bind (string_field "untiled" j) dim_of_string in
-    let* r = Result.bind (string_field "redundant" j) operand_of_string in
-    Ok (Nra.Two_nra { untiled = u; redundant = r })
-  | "three" ->
-    let* r = Result.bind (string_field "resident" j) operand_of_string in
-    Ok (Nra.Three_nra { resident = r })
-  | t -> Error (Printf.sprintf "store: unknown dataflow tag %S" t)
-
-let outcome_to_json = function
-  | R_intra r ->
-    Json.Obj
-      [ ("t", Json.String "intra");
-        ("ma", Json.Int r.ma);
-        ("redundancy", Json.Float r.redundancy);
-        ("footprint", Json.Int r.footprint);
-        ("tile_m", Json.Int r.tile_m);
-        ("tile_k", Json.Int r.tile_k);
-        ("tile_l", Json.Int r.tile_l);
-        ("order",
-         Json.List (List.map (fun d -> Json.String (Dim.to_string d)) r.order));
-        ("class", Json.String (Nra.to_string r.nra));
-        ("dataflow", dataflow_to_json r.dataflow);
-        ("regime", Json.String (Regime.to_string r.regime)) ]
-  | R_fuse (Fused { pattern; nra; traffic }) ->
-    Json.Obj
-      [ ("t", Json.String "fused");
-        ("pattern", Json.String (Fusion.pattern_name pattern));
-        ("class", Json.String (Nra.to_string nra));
-        ("traffic", Json.Int traffic) ]
-  | R_fuse (Not_fused { why; traffic; producer; consumer }) ->
-    Json.Obj
-      [ ("t", Json.String "not_fused");
-        ("why", Json.String why);
-        ("traffic", Json.Int traffic);
-        ("producer", Json.String (Nra.to_string producer));
-        ("consumer", Json.String (Nra.to_string consumer)) ]
-  | R_regime r ->
-    Json.Obj
-      [ ("t", Json.String "regime");
-        ("regime", Json.String (Regime.to_string r.regime));
-        ("tiny_max", Json.Int r.thresholds.Regime.tiny_max);
-        ("small_max", Json.Int r.thresholds.Regime.small_max);
-        ("medium_max", Json.Int r.thresholds.Regime.medium_max);
-        ("classes",
-         Json.List
-           (List.map (fun c -> Json.String (Nra.to_string c)) r.classes)) ]
-  | R_eval rows ->
-    Json.Obj
-      [ ("t", Json.String "eval");
-        ("rows",
-         Json.List
-           (List.map
-              (fun row ->
-                match row.cells with
-                | Ok c ->
-                  Json.Obj
-                    [ ("platform", Json.String row.platform);
-                      ("ok", Json.Bool true);
-                      ("traffic", Json.Int c.traffic);
-                      ("traffic_bytes", Json.Int c.traffic_bytes);
-                      ("macs", Json.Int c.macs);
-                      ("cycles", Json.Int c.cycles);
-                      ("utilization", Json.Float c.utilization) ]
-                | Error e ->
-                  Json.Obj
-                    [ ("platform", Json.String row.platform);
-                      ("ok", Json.Bool false);
-                      ("error", Json.String e) ])
-              rows)) ]
-  | R_chain (Full_fusion { traffic; fused_bound }) ->
-    Json.Obj
-      [ ("t", Json.String "chain_full");
-        ("traffic", Json.Int traffic);
-        ("fused_bound", Json.Int fused_bound) ]
-  | R_chain (Pairwise { traffic; segments }) ->
-    Json.Obj
-      [ ("t", Json.String "chain_pairwise");
-        ("traffic", Json.Int traffic);
-        ("segments",
-         Json.List
-           (List.map
-              (function
-                | Solo_seg t ->
-                  Json.Obj
-                    [ ("kind", Json.String "solo"); ("traffic", Json.Int t) ]
-                | Fused_seg (pattern, t) ->
-                  Json.Obj
-                    [ ("kind", Json.String "fused");
-                      ("pattern", Json.String pattern);
-                      ("traffic", Json.Int t) ])
-              segments)) ]
-  | R_plan_model r ->
-    Json.Obj
-      [ ("t", Json.String "plan_model");
-        ("nodes", Json.Int r.nodes);
-        ("groups",
-         Json.List
-           (List.map
-              (fun g ->
-                Json.Obj
-                  [ ("members",
-                     Json.List (List.map (fun n -> Json.String n) g.members));
-                    ("count", Json.Int g.count);
-                    ("ops", Json.Int g.ops);
-                    ("traffic", Json.Int g.group_traffic);
-                    ("hidden", Json.Int g.group_hidden) ])
-              r.plan_groups));
-        ("fused_edges",
-         Json.List (List.map (fun e -> Json.String e) r.fused_edges));
-        ("traffic", Json.Int r.traffic);
-        ("hidden", Json.Int r.hidden);
-        ("effective", Json.Int r.effective);
-        ("unfused_traffic", Json.Int r.unfused_traffic);
-        ("unfused_effective", Json.Int r.unfused_effective);
-        ("candidate_edges", Json.Int r.candidate_edges);
-        ("components", Json.Int r.components);
-        ("dp_states", Json.Int r.dp_states);
-        ("bnb_nodes", Json.Int r.bnb_nodes);
-        ("bnb_pruned", Json.Int r.bnb_pruned) ]
-  | R_nest r ->
-    Json.Obj
-      [ ("t", Json.String "nest");
-        ("axes", Json.List (List.map (fun a -> Json.String a) r.n_axes));
-        ("extents", Json.List (List.map (fun e -> Json.Int e) r.n_extents));
-        ("tiles", Json.List (List.map (fun x -> Json.Int x) r.n_tiles));
-        ("order", Json.List (List.map (fun a -> Json.String a) r.n_order));
-        ("traffic", Json.Int r.n_traffic);
-        ("ideal", Json.Int r.n_ideal);
-        ("footprint", Json.Int r.n_footprint);
-        ("points", Json.Int r.n_points);
-        ("evaluated", Json.Int r.n_evaluated) ]
-
-let outcome_of_json j =
-  let* tag = string_field "t" j in
-  match tag with
-  | "intra" ->
-    let* ma = int_field "ma" j in
-    let* redundancy = float_field "redundancy" j in
-    let* footprint = int_field "footprint" j in
-    let* tile_m = int_field "tile_m" j in
-    let* tile_k = int_field "tile_k" j in
-    let* tile_l = int_field "tile_l" j in
-    let* order =
-      Result.bind (list_field "order" j)
-        (map_result (fun d -> Result.bind (Json.to_string_v d) dim_of_string))
-    in
-    let* nra = Result.bind (string_field "class" j) nra_of_string in
-    let* dataflow = Result.bind (field "dataflow" j) dataflow_of_json in
-    let* regime = Result.bind (string_field "regime" j) regime_of_string in
-    Ok
-      (R_intra
-         { ma; redundancy; footprint; tile_m; tile_k; tile_l; order; nra;
-           dataflow; regime })
-  | "fused" ->
-    let* pattern = Result.bind (string_field "pattern" j) pattern_of_string in
-    let* nra = Result.bind (string_field "class" j) nra_of_string in
-    let* traffic = int_field "traffic" j in
-    Ok (R_fuse (Fused { pattern; nra; traffic }))
-  | "not_fused" ->
-    let* why = string_field "why" j in
-    let* traffic = int_field "traffic" j in
-    let* producer = Result.bind (string_field "producer" j) nra_of_string in
-    let* consumer = Result.bind (string_field "consumer" j) nra_of_string in
-    Ok (R_fuse (Not_fused { why; traffic; producer; consumer }))
-  | "regime" ->
-    let* regime = Result.bind (string_field "regime" j) regime_of_string in
-    let* tiny_max = int_field "tiny_max" j in
-    let* small_max = int_field "small_max" j in
-    let* medium_max = int_field "medium_max" j in
-    let* classes =
-      Result.bind (list_field "classes" j)
-        (map_result (fun c -> Result.bind (Json.to_string_v c) nra_of_string))
-    in
-    Ok
-      (R_regime
-         { regime;
-           thresholds = { Regime.tiny_max; small_max; medium_max };
-           classes })
-  | "eval" ->
-    let* rows =
-      Result.bind (list_field "rows" j)
-        (map_result (fun row ->
-             let* platform = string_field "platform" row in
-             let* ok = bool_field "ok" row in
-             if ok then
-               let* traffic = int_field "traffic" row in
-               let* traffic_bytes = int_field "traffic_bytes" row in
-               let* macs = int_field "macs" row in
-               let* cycles = int_field "cycles" row in
-               let* utilization = float_field "utilization" row in
-               Ok
-                 { platform;
-                   cells =
-                     Ok { traffic; traffic_bytes; macs; cycles; utilization } }
-             else
-               let* e = string_field "error" row in
-               Ok { platform; cells = Error e }))
-    in
-    Ok (R_eval rows)
-  | "chain_full" ->
-    let* traffic = int_field "traffic" j in
-    let* fused_bound = int_field "fused_bound" j in
-    Ok (R_chain (Full_fusion { traffic; fused_bound }))
-  | "chain_pairwise" ->
-    let* traffic = int_field "traffic" j in
-    let* segments =
-      Result.bind (list_field "segments" j)
-        (map_result (fun seg ->
-             let* kind = string_field "kind" seg in
-             match kind with
-             | "solo" ->
-               let* t = int_field "traffic" seg in
-               Ok (Solo_seg t)
-             | "fused" ->
-               let* pattern = string_field "pattern" seg in
-               let* t = int_field "traffic" seg in
-               Ok (Fused_seg (pattern, t))
-             | k -> Error (Printf.sprintf "store: unknown segment kind %S" k)))
-    in
-    Ok (R_chain (Pairwise { traffic; segments }))
-  | "plan_model" ->
-    let* nodes = int_field "nodes" j in
-    let* plan_groups =
-      Result.bind (list_field "groups" j)
-        (map_result (fun g ->
-             let* members =
-               Result.bind (list_field "members" g) (map_result Json.to_string_v)
-             in
-             let* count = int_field "count" g in
-             let* ops = int_field "ops" g in
-             let* group_traffic = int_field "traffic" g in
-             let* group_hidden = int_field "hidden" g in
-             Ok { members; count; ops; group_traffic; group_hidden }))
-    in
-    let* fused_edges =
-      Result.bind (list_field "fused_edges" j) (map_result Json.to_string_v)
-    in
-    let* traffic = int_field "traffic" j in
-    let* hidden = int_field "hidden" j in
-    let* effective = int_field "effective" j in
-    let* unfused_traffic = int_field "unfused_traffic" j in
-    let* unfused_effective = int_field "unfused_effective" j in
-    let* candidate_edges = int_field "candidate_edges" j in
-    let* components = int_field "components" j in
-    let* dp_states = int_field "dp_states" j in
-    let* bnb_nodes = int_field "bnb_nodes" j in
-    let* bnb_pruned = int_field "bnb_pruned" j in
-    Ok
-      (R_plan_model
-         { nodes; plan_groups; fused_edges; traffic; hidden; effective;
-           unfused_traffic; unfused_effective; candidate_edges; components;
-           dp_states; bnb_nodes; bnb_pruned })
-  | "nest" ->
-    let* n_axes =
-      Result.bind (list_field "axes" j) (map_result Json.to_string_v)
-    in
-    let* n_extents =
-      Result.bind (list_field "extents" j) (map_result Json.to_int)
-    in
-    let* n_tiles = Result.bind (list_field "tiles" j) (map_result Json.to_int) in
-    let* n_order =
-      Result.bind (list_field "order" j) (map_result Json.to_string_v)
-    in
-    let* n_traffic = int_field "traffic" j in
-    let* n_ideal = int_field "ideal" j in
-    let* n_footprint = int_field "footprint" j in
-    let* n_points = int_field "points" j in
-    let* n_evaluated = int_field "evaluated" j in
-    Ok
-      (R_nest
-         { n_axes; n_extents; n_tiles; n_order; n_traffic; n_ideal;
-           n_footprint; n_points; n_evaluated })
-  | t -> Error (Printf.sprintf "store: unknown outcome tag %S" t)

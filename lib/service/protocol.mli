@@ -7,14 +7,17 @@
      "buffer":"512KB","mode":"divisors"}
     v}
     covering the planner entry points [intra], [fuse], [regime],
-    [eval], [chain] and [plan_model], plus the control operations
-    [stats], [metrics] and [shutdown].
+    [eval], [chain], [plan_model] and [nest], plus the control
+    operations [stats], [metrics] and [shutdown].
     Common fields: ["op"] (required), ["v"] (schema version, optional,
     must be 1 when present), ["id"] (any JSON value, echoed verbatim in
     the response, defaults to [null]), ["buffer"] (bytes as an integer
     or a {!Fusecu_util.Units.parse_bytes} string, default 512 KiB),
     ["elt_bytes"] (default 1) and ["mode"] (["exact"] / ["divisors"] /
     ["pow2"], default ["divisors"] — the CLI's default lattice).
+    [intra], [fuse], [chain] and [nest] calls whose worst-case traffic
+    ({!Fusecu_loopnest.Cost.max_total}, {!Fusecu_nest.Nest.max_total})
+    does not fit in an [int] are rejected as [bad_request].
 
     Responses are one JSON object per request, in request order:
     [{"id":...,"ok":true,"op":...,"result":{...}}] on success,
@@ -125,6 +128,9 @@ val nest_kind_name : nest_kind -> string
 val nest_kind_dims : nest_kind -> (string * int) list
 (** Wire/cache field order of a kind's dimensions (fixed). *)
 
+val nest_of_kind : nest_kind -> Fusecu_nest.Nest.t
+(** The kind's lowering into the projective loop-nest IR. *)
+
 (** {1 Canonicalization and cache keys} *)
 
 type transform = Identity | Transpose_ml
@@ -230,14 +236,18 @@ type outcome =
   | R_nest of nest_result
 
 val outcome_to_json : outcome -> Json.t
-(** Structural encoding for the persistent plan store ({!Store}): every
-    variant is tagged and every field round-trips exactly, unlike the
-    human-facing [result] payload (which has no inverse). *)
+(** [{"op":<op>,<outcome fields>}]: the op name followed by exactly the
+    outcome fields of the wire [result] ({!response_ok} puts the problem
+    echo in front of them). It is the record payload of the persistent
+    plan store ({!Store}). *)
 
 val outcome_of_json : Json.t -> (outcome, string) result
-(** Inverse of {!outcome_to_json}; [Error] on unknown tags or missing /
-    ill-typed fields (a store record from a future schema is treated as
-    damage and dropped, never guessed at). *)
+(** Exact inverse of {!outcome_to_json}: the op picks the variant family
+    and the ["fuse"] boolean, the ["decision"] string or an ["error"]
+    member the variant. Members it does not read are ignored, so it also
+    decodes a wire [result] with ["op"] added. [Error] on an unknown op
+    or label, or a missing or ill-typed field (a store record in another
+    format is treated as damage and dropped, never guessed at). *)
 
 val apply_transform : transform -> outcome -> outcome
 (** Map an outcome computed on the canonical call back to the request's

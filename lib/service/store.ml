@@ -4,18 +4,20 @@ module Log = Fusecu_util.Log
 
 (* On-disk format: one record per line,
 
-     CCCCCCCC {"k":<cache key>,"o":<outcome>}\n
+     CCCCCCCC {"k":<cache key>,"o":{"op":<op>,<result fields>}}\n
 
    where CCCCCCCC is the lowercase %08x CRC-32 of everything after the
-   single separating space. The payload is compact JSON from the
-   deterministic printer, so a record is byte-reproducible from its
-   (key, outcome) pair. Appends go through a write-behind queue drained
-   by a flusher thread — the engine's sequential drain phase never
-   blocks on disk. Recovery reads records in order until the first
-   damaged one (short frame, bad hex, CRC mismatch, unparseable payload,
-   or a final line without its newline — a torn append) and drops the
-   rest: bytes past the first damage have no trustworthy framing, and
-   the append-only discipline means everything before it is intact.
+   single separating space. The outcome is [Protocol.outcome_to_json],
+   the wire result's outcome fields under their op, and the payload is
+   compact JSON from the deterministic printer, so a record is
+   byte-reproducible from its (key, outcome) pair. Appends go through a
+   write-behind queue drained by a flusher thread — the engine's
+   sequential drain phase never blocks on disk. Recovery reads records
+   in order until the first damaged one (short frame, bad hex, CRC
+   mismatch, unparseable payload, or a final line without its newline —
+   a torn append) and drops the rest: bytes past the first damage have
+   no trustworthy framing, and the append-only discipline means
+   everything before it is intact.
    Later records win on duplicate keys, so re-computation after eviction
    simply supersedes the old record; compaction rewrites one record per
    live key into a temp file and atomically renames it over the log. *)

@@ -3,10 +3,21 @@
     restarts and warm instantly.
 
     {b Format.} One record per line:
-    [CCCCCCCC {"k":<cache key>,"o":<outcome>}\n] where [CCCCCCCC] is the
-    lowercase hex CRC-32 ({!Fusecu_util.Hash.crc32}) of the payload
-    after the single separating space, and the payload is compact JSON
-    from the deterministic printer ({!Protocol.outcome_to_json}).
+    [CCCCCCCC {"k":<cache key>,"o":{"op":<op>,<result fields>}}\n] where
+    [CCCCCCCC] is the lowercase hex CRC-32 ({!Fusecu_util.Hash.crc32})
+    of the payload after the single separating space, and the outcome
+    is {!Protocol.outcome_to_json}: the op name followed by the outcome
+    fields of the wire [result], printed by the deterministic compact
+    JSON printer. For example
+    [{"k":"r|8|8|8|524288","o":{"op":"regime","regime":"large",
+    "thresholds":{...},"classes":["Three-NRA"]}}].
+
+    {b Upgrade.} Stores written before the outcome payload became the
+    wire shape hold tagged [{"t":...}] outcomes. Their first record
+    fails to decode, so the whole file is dropped as a damaged tail on
+    the first open: truncated, counted in [dropped_records] and logged
+    at warn level. The store caches deterministic answers, so the only
+    cost is recomputing them; no decoder for the old format is kept.
 
     {b Recovery invariant.} Records are valid up to the first damaged
     one (short frame, bad hex, CRC mismatch, unparseable payload, or a

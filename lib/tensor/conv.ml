@@ -33,8 +33,13 @@ let validate ?(name = "conv") ?(stride = 1) ?(padding = 0) ?(dilation = 1) ~n
        kernel overflowing the padded input would silently yield
        output_height = (negative)/stride + 1 = 1 for small overflows
        instead of going non-positive — check the span, not the
-       quotient. *)
-    if effective_r t > h + (2 * padding) || effective_s t > w + (2 * padding)
+       quotient. Spans are compared saturated, so once both pass,
+       [output_height]/[output_width] cannot overflow. *)
+    let padded x = Fusecu_util.Arith.(add_sat x (mul_sat 2 padding)) in
+    let span taps = Fusecu_util.Arith.(add_sat (mul_sat (taps - 1) dilation) 1) in
+    if padded h = max_int || padded w = max_int then
+      Error "padded input exceeds the integer range"
+    else if span r > padded h || span s > padded w
     then Error "kernel larger than the padded input"
     else if output_height t < 1 || output_width t < 1 then
       Error "output has no positions"

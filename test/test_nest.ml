@@ -53,6 +53,9 @@ let check_cost_identity mm nest tiling order =
   check_int (ctx ^ " footprint") (Tiling.footprint tiling)
     (Nest.footprint nest s);
   check_bool (ctx ^ " valid") true (Nest.valid nest s);
+  check_int (ctx ^ " max_total") (Cost.max_total mm) (Nest.max_total nest);
+  check_bool (ctx ^ " total <= max_total") true
+    (legacy.Cost.total <= Cost.max_total mm);
   cost
 
 let test_mm_cost_identity () =
@@ -187,7 +190,19 @@ let test_window_extents () =
   (* halo-free ideal beats the im2col-inflated ideal for overlapping
      kernels *)
   check_bool "direct ideal < im2col ideal" true
-    (Bound.ideal nest < Bound.ideal (Lower.of_conv_im2col cv))
+    (Bound.ideal nest < Bound.ideal (Lower.of_conv_im2col cv));
+  (* the widest halo: strided output axes in one tile, kernel axes in
+     unit tiles, the input revisited per ko tile — 882 of its traffic
+     against 288 points *)
+  let wide =
+    Lower.of_conv (Conv.make ~n:1 ~c:1 ~h:9 ~w:9 ~k:2 ~r:3 ~s:3 ~stride:2 ())
+  in
+  let s =
+    Nest.schedule_make wide ~tiles:[| 1; 1; 4; 4; 1; 1; 1 |]
+      ~order:[| 1; 0; 2; 3; 4; 5; 6 |]
+  in
+  check_bool "max_total covers the widest halo" true
+    ((Nest.eval wide s).Nest.total <= Nest.max_total wide)
 
 (* deterministic schedule sampler for rank-n nests: cycle through each
    axis's divisor candidates with a little LCG, rotate the loop order *)
@@ -216,6 +231,8 @@ let check_sim_agrees name nest count =
       let cost = Nest.eval nest s in
       let sim = Nsim.eval nest s in
       check_int (name ^ " sim=analytic") cost.Nest.total sim.Nest.total;
+      check_bool (name ^ " total, footprint <= max_total") true
+        (max cost.Nest.total (Nest.footprint nest s) <= Nest.max_total nest);
       Array.iteri
         (fun i (pn : Nest.per_tensor) ->
           check_int (name ^ " per-tensor") pn.Nest.traffic

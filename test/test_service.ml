@@ -270,6 +270,18 @@ let test_protocol_parse () =
   | _, Protocol.Stats -> ()
   | _ -> Alcotest.fail "bad stats parse")
 
+(* Each worst-case traffic total (Cost.max_total, Nest.max_total) is
+   past max_int; the last is the largest accepted cube below plus one. *)
+let oversized_probes =
+  [ "{\"op\":\"intra\",\"m\":4611686018427387903,\"k\":1,\"l\":1}";
+    "{\"op\":\"intra\",\"m\":3000000,\"k\":3000000,\"l\":3000000}";
+    "{\"op\":\"intra\",\"m\":1000000007,\"k\":1000000009,\"l\":3}";
+    "{\"op\":\"fuse\",\"m\":4611686018427387903,\"k\":1,\"l\":1,\"l2\":2}";
+    "{\"op\":\"chain\",\"m\":4611686018427387903,\"ks\":[2,2,2]}";
+    "{\"op\":\"nest\",\"kind\":\"matmul\",\"m\":4611686018427387903,\"k\":1,\
+     \"l\":1}";
+    "{\"op\":\"intra\",\"m\":1154108,\"k\":1154107,\"l\":1154107}" ]
+
 let test_protocol_rejects () =
   let code line = (parse_reject line).Protocol.code in
   check_bool "not json" true (code "nope" = Protocol.Parse_error);
@@ -290,7 +302,13 @@ let test_protocol_rejects () =
   (* the reject still echoes the request id *)
   check_bool "id echoed" true
     ((parse_reject "{\"op\":\"warp\",\"id\":\"x\"}").Protocol.id
-    = Json.String "x")
+    = Json.String "x");
+  (* worst-case traffic past max_int: once a crash, a hang, or a
+     wrapped-around negative answer *)
+  List.iter
+    (fun line -> check_bool line true (code line = Protocol.Bad_request))
+    oversized_probes
+
 
 let test_protocol_canonicalization () =
   let call line =
@@ -356,6 +374,34 @@ let test_engine_symmetry () =
   (* and the symmetric repeat was a cache hit *)
   check_bool "symmetric hit" true ((Engine.cache_stats engine).Cache.hits >= 1)
 
+(* 3 * 1154107^3 <= max_int: the largest accepted cube is answered with
+   non-negative traffic, every oversized probe is a bad_request, and the
+   stream keeps going after each of them. *)
+let test_engine_oversized_problems () =
+  let next = "{\"op\":\"intra\",\"m\":8,\"k\":8,\"l\":8}" in
+  let largest = "{\"op\":\"intra\",\"m\":1154107,\"k\":1154107,\"l\":1154107}" in
+  let out =
+    Engine.handle_lines
+      (Engine.create (Engine.default_config ()))
+      (List.concat_map (fun p -> [ p; next ]) oversized_probes @ [ largest ])
+    |> List.map (fun l -> Result.get_ok (Json.parse l))
+  in
+  let code r = Option.bind (Json.member "error" r) (Json.member "code") in
+  let rec check = function
+    | [ last ] -> (
+      match Option.bind (Json.member "result" last) (Json.member "ma") with
+      | Some (Json.Int ma) -> check_bool "largest accepted: traffic >= 0" true (ma >= 0)
+      | _ -> Alcotest.fail "largest accepted problem not answered")
+    | reject :: answer :: rest ->
+      check_bool "oversized: bad_request" true
+        (code reject = Some (Json.String "bad_request"));
+      check_bool "next line answered" true
+        (Json.member "ok" answer = Some (Json.Bool true));
+      check rest
+    | [] -> Alcotest.fail "no responses"
+  in
+  check out
+
 (* ------------------------------------------------------------------ *)
 (* Engine over the checked-in fixture                                  *)
 
@@ -379,19 +425,14 @@ let is_stats_response line =
 let replay config ?batch () =
   Engine.handle_lines (Engine.create config) ?batch (Lazy.force fixture_lines)
 
+let golden_lines =
+  lazy
+    (In_channel.with_open_bin "fixtures/service_responses.golden"
+       In_channel.input_lines)
+
 let test_fixture_replay_matches_golden () =
   let out = replay (Engine.default_config ()) () in
-  let golden =
-    let ic = open_in "fixtures/service_responses.golden" in
-    let rec go acc =
-      match In_channel.input_line ic with
-      | Some l -> go (l :: acc)
-      | None ->
-        close_in ic;
-        List.rev acc
-    in
-    go []
-  in
+  let golden = Lazy.force golden_lines in
   check_int "response count" (List.length golden) (List.length out);
   List.iteri
     (fun i (g, o) ->
@@ -1276,6 +1317,92 @@ let test_nest_infeasible () =
   | _ -> Alcotest.fail "expected one response"
 
 (* ------------------------------------------------------------------ *)
+(* Outcome codec: the wire result and its inverse                      *)
+
+(* Every ok planning line of the golden decodes to an outcome that
+   encodes back to itself and re-serializes to the golden bytes. *)
+let test_outcome_codec_inverts_golden () =
+  let seen = Hashtbl.create 16 in
+  List.iter2
+    (fun request golden ->
+      match (Protocol.parse_line request, Json.parse golden) with
+      | Ok (id, _, Protocol.Call call), Ok g
+        when Json.member "ok" g = Some (Json.Bool true) -> (
+        let result =
+          match Json.member "result" g with
+          | Some (Json.Obj fields) -> fields
+          | _ -> Alcotest.failf "no result object in %s" golden
+        in
+        let op = Json.String (Protocol.op_name call) in
+        match Protocol.outcome_of_json (Json.Obj (("op", op) :: result)) with
+        | Error e -> Alcotest.failf "decoding %s: %s" golden e
+        | Ok o ->
+          Hashtbl.replace seen
+            (match o with
+            | Protocol.R_fuse (Protocol.Fused _) -> "fused"
+            | Protocol.R_fuse (Protocol.Not_fused _) -> "not_fused"
+            | Protocol.R_chain (Protocol.Full_fusion _) -> "full_fusion"
+            | Protocol.R_chain (Protocol.Pairwise { segments; _ })
+              when List.exists
+                     (function Protocol.Fused_seg _ -> true | _ -> false)
+                     segments ->
+              "pairwise_fused"
+            | _ -> Protocol.op_name call)
+            ();
+          check_bool ("decode (encode o) = o: " ^ golden) true
+            (Protocol.outcome_of_json (Protocol.outcome_to_json o) = Ok o);
+          check_str "response_ok reproduces the golden line" golden
+            (Protocol.response_ok ~id ~call o))
+      | _ -> ())
+    (Lazy.force fixture_lines) (Lazy.force golden_lines);
+  List.iter
+    (fun v -> check_bool ("golden covers " ^ v) true (Hashtbl.mem seen v))
+    [ "intra"; "fused"; "not_fused"; "regime"; "eval"; "full_fusion";
+      "pairwise_fused"; "plan_model"; "nest" ]
+
+let test_outcome_codec_eval_error_rows () =
+  let o =
+    Protocol.R_eval
+      [ { Protocol.platform = "tiny"; cells = Error "no feasible dataflow" };
+        { Protocol.platform = "big";
+          cells =
+            Ok
+              { Protocol.traffic = 10; traffic_bytes = 20; macs = 30; cycles = 40;
+                utilization = 0.25 } } ]
+  in
+  check_str "error row keeps only name and error"
+    "{\"op\":\"eval\",\"platforms\":[{\"name\":\"tiny\",\"error\":\"no feasible \
+     dataflow\"},{\"name\":\"big\",\"traffic\":10,\"traffic_bytes\":20,\"macs\":30,\
+     \"cycles\":40,\"utilization\":0.25}]}"
+    (Json.print (Protocol.outcome_to_json o));
+  check_bool "error rows round-trip" true
+    (Protocol.outcome_of_json (Protocol.outcome_to_json o) = Ok o)
+
+let test_outcome_codec_dataflow_labels () =
+  let open Fusecu_core in
+  let labels = List.map Nra.dataflow_to_string Nra.all_dataflows in
+  check_int "15 dataflows" 15 (List.length Nra.all_dataflows);
+  check_int "15 distinct labels" 15 (List.length (List.sort_uniq compare labels));
+  List.iter
+    (fun dataflow ->
+      let o =
+        Protocol.R_intra
+          { Protocol.ma = 1; redundancy = 1.; footprint = 3; tile_m = 1;
+            tile_k = 1; tile_l = 1; order = Fusecu_tensor.Dim.[ M; K; L ];
+            nra = Nra.class_of dataflow; dataflow; regime = Regime.Large }
+      in
+      check_bool (Nra.dataflow_to_string dataflow) true
+        (Protocol.outcome_of_json (Protocol.outcome_to_json o) = Ok o))
+    Nra.all_dataflows;
+  (* the tagged shape the store used to write is not guessed at *)
+  List.iter
+    (fun j ->
+      check_bool (Json.print j) true (Result.is_error (Protocol.outcome_of_json j)))
+    [ Json.Obj [ ("t", Json.String "regime") ];
+      Json.Obj [ ("op", Json.String "warp") ];
+      Json.Obj [ ("op", Json.String "fuse"); ("fuse", Json.Bool true) ] ]
+
+(* ------------------------------------------------------------------ *)
 (* Trace-context envelope: splice, strip, parse                        *)
 
 let test_tc_envelope () =
@@ -1395,7 +1522,10 @@ let test_router_single_shard_stats_identity () =
 let test_fleet_histogram_codec () =
   let open Fleet in
   (* empty histogram round-trips through the sparse encoding *)
-  (match parse_histogram (histogram_to_json (empty_hist ())) with
+  let encode h =
+    Metrics.histogram_json ~count:h.count ~total_s:h.total_s h.bins
+  in
+  (match parse_histogram (encode (empty_hist ())) with
   | Ok h ->
     check_int "empty count" 0 h.count;
     check_bool "empty bins" true (Array.for_all (( = ) 0) h.bins)
@@ -1404,7 +1534,7 @@ let test_fleet_histogram_codec () =
   let bins = Array.make Metrics.buckets 0 in
   bins.(Metrics.buckets - 1) <- 5;
   let sat = { count = 5; total_s = 5000.; bins } in
-  (match parse_histogram (histogram_to_json sat) with
+  (match parse_histogram (encode sat) with
   | Ok h ->
     check_int "open-bucket population survives" 5 h.bins.(Metrics.buckets - 1);
     check_int "count" 5 h.count
@@ -1656,10 +1786,17 @@ let () =
           Alcotest.test_case "rejects" `Quick test_protocol_rejects;
           Alcotest.test_case "canonicalization" `Quick
             test_protocol_canonicalization;
-          Alcotest.test_case "trace-context envelope" `Quick test_tc_envelope ]
-      );
+          Alcotest.test_case "trace-context envelope" `Quick test_tc_envelope;
+          Alcotest.test_case "outcome codec inverts the golden" `Quick
+            test_outcome_codec_inverts_golden;
+          Alcotest.test_case "outcome codec eval error rows" `Quick
+            test_outcome_codec_eval_error_rows;
+          Alcotest.test_case "outcome codec dataflow labels" `Quick
+            test_outcome_codec_dataflow_labels ] );
       ( "engine",
         [ Alcotest.test_case "transpose symmetry" `Quick test_engine_symmetry;
+          Alcotest.test_case "oversized problems rejected, stream continues"
+            `Quick test_engine_oversized_problems;
           Alcotest.test_case "fixture matches golden" `Quick
             test_fixture_replay_matches_golden;
           Alcotest.test_case "cache on/off identical" `Quick

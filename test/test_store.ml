@@ -175,6 +175,38 @@ let test_bad_hex_and_short_frames () =
       "deadbeef_{\"k\":\"x\"}\n" (* missing separator space *);
       "deadbeef {not json}\n" (* CRC won't match; unparseable payload *) ]
 
+(* A store written with the earlier tagged outcome payload: correctly
+   framed, but its first record does not decode, so the whole file is a
+   damaged tail — dropped and truncated on open, after which appends
+   recover cleanly. *)
+let test_old_format_dropped () =
+  let samples = Lazy.force sample_outcomes in
+  let frame payload = Printf.sprintf "%08x %s\n" (Hash.crc32 payload) payload in
+  let old_records =
+    [ "{\"k\":\"r|64|48|36|65536\",\"o\":{\"t\":\"regime\",\"regime\":\"large\",\
+       \"tiny_max\":576,\"small_max\":1152,\"medium_max\":1763,\"classes\":[\"Three-NRA\"]}}";
+      "{\"k\":\"c|divisors|32|16,24,16|65536\",\"o\":{\"t\":\"chain_full\",\"traffic\":1536,\
+       \"fused_bound\":1536}}" ]
+  in
+  with_tmp (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun r -> Out_channel.output_string oc (frame r)) old_records);
+      let s = open_exn path in
+      let r = Store.recovered s in
+      check_int "no entries" 0 (List.length r.Store.entries);
+      check_int "no records" 0 r.Store.records;
+      check_int "every old record dropped" (List.length old_records)
+        r.Store.dropped_records;
+      check_int "file truncated" 0 (String.length (file_contents path));
+      List.iter (fun (k, o) -> Store.append s k o) samples;
+      Store.close s;
+      let s = open_exn path in
+      let r = Store.recovered s in
+      Store.close s;
+      check_int "appends recovered" (List.length samples) r.Store.records;
+      check_int "no damage after the upgrade" 0 r.Store.dropped_bytes;
+      check_bool "same outcomes" true (r.Store.entries = samples))
+
 let test_compact_atomic_and_equivalent () =
   let samples = Lazy.force sample_outcomes in
   with_tmp (fun path ->
@@ -410,7 +442,9 @@ let () =
           Alcotest.test_case "corrupt CRC severs the tail" `Quick
             test_corrupt_crc_drops_tail;
           Alcotest.test_case "bad hex / short / junk frames" `Quick
-            test_bad_hex_and_short_frames ] );
+            test_bad_hex_and_short_frames;
+          Alcotest.test_case "old record format dropped, appends recover"
+            `Quick test_old_format_dropped ] );
       ( "compaction",
         [ Alcotest.test_case "atomic rename, appends continue" `Quick
             test_compact_atomic_and_equivalent;
