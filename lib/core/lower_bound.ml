@@ -6,8 +6,6 @@ let chain_unfused = Chain.ideal_ma_unfused
 
 let chain_fused = Chain.ideal_ma_fused
 
-let nest_ideal = Fusecu_nest.Bound.ideal
-
 let achieved op buf mode = Intra.ma (Intra.optimize_exn ~mode op buf)
 
 let redundancy op buf mode =

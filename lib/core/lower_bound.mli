@@ -14,11 +14,6 @@ val chain_unfused : Chain.t -> int
 val chain_fused : Chain.t -> int
 (** Lower bound when every intermediate stays on-chip. *)
 
-val nest_ideal : Fusecu_nest.Nest.t -> int
-(** Unbounded-buffer bound of a projective nest: external tensors
-    accessed once, internals free. Reduces to {!intra} on
-    [Lower.of_matmul] and to {!chain_fused} on [Lower.of_chain]. *)
-
 val achieved : Matmul.t -> Buffer.t -> Mode.t -> int
 (** Traffic of the principle-optimized intra dataflow — the paper's
     claimed buffer-constrained communication lower bound. Raises on an

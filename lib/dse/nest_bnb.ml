@@ -9,7 +9,8 @@ open Fusecu_nest
 
    - monotone-footprint cuts (candidates increasing, unassigned axes at
      tile 1, first overflow rules out the rest of the level);
-   - [Nest.Bound.penalized] at every partial assignment, fed per-axis
+   - [Bound.penalized_in] at every partial assignment, the bound
+     compiled once per search and fed one reused array of per-axis
      trip-count lower bounds (exact trips once an axis is assigned).
 
    Leaves replay [Search.eval_tiling], so the incumbent ordering is
@@ -42,23 +43,24 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
      minimal completion. *)
   let idx = Array.make n (-1) in
   let tiles = Array.make n 1 in
-  (* largest candidate index of [axis] whose footprint still fits with
-     every other open axis at tile 1, or -1 (binary search on the
-     monotone footprint) *)
+  (* Does candidate [j] of [axis] fit with every other open axis at
+     tile 1? *)
+  let fits axis j =
+    tiles.(axis) <- (Search.candidates sp axis).(j);
+    let fp = Nest.footprint_tiles nest tiles in
+    tiles.(axis) <- 1;
+    fp <= capacity
+  in
+  (* largest candidate index of [axis] that [fits], or -1 (binary
+     search on the monotone footprint) *)
   let max_feasible_cand axis =
-    let a = Search.candidates sp axis in
-    let fits j =
-      tiles.(axis) <- a.(j);
-      let fp = Nest.footprint_tiles nest tiles in
-      tiles.(axis) <- 1;
-      fp <= capacity
-    in
-    if Array.length a = 0 || not (fits 0) then -1
+    let len = Array.length (Search.candidates sp axis) in
+    if len = 0 || not (fits axis 0) then -1
     else begin
-      let lo = ref 0 and hi = ref (Array.length a) in
+      let lo = ref 0 and hi = ref len in
       while !hi - !lo > 1 do
         let mid = (!lo + !hi) / 2 in
-        if fits mid then lo := mid else hi := mid
+        if fits axis mid then lo := mid else hi := mid
       done;
       !lo
     end
@@ -73,8 +75,13 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
       else Arith.ceil_div e (Search.candidates sp axis).(j)
     end
   in
+  let bound = Bound.compile nest in
+  let lb_trips = Array.make n 1 in
   let lower_bound () =
-    Bound.penalized nest ~trips:(Array.init n trips_lb)
+    for axis = 0 to n - 1 do
+      lb_trips.(axis) <- trips_lb axis
+    done;
+    Bound.penalized_in bound ~trips:lb_trips
   in
   (* Incumbent in Search's (cost, tiling index, order rank, schedule)
      shape so leaves share [Search.eval_tiling]'s exact tie-break. *)
@@ -103,7 +110,7 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
     in
     if on_lattice && Buffer.fits buf (Nest.footprint nest s) && Nest.valid nest s
     then begin
-      let trips = Array.init n (fun i -> Nest.trips nest s i) in
+      let trips = Nest.trips_of nest s.Nest.tiles in
       let rec rank_of r = function
         | [] -> None
         | o :: tl -> if o = s.Nest.order then Some r else rank_of (r + 1) tl
@@ -115,18 +122,16 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
         c.c_evaluated <- c.c_evaluated + 1;
         best := Some (cost, Search.tiling_index sp cand_idx, rank, s)
     end);
-  (* Minimum tiling index of the subtree: unassigned axes at candidate
-     0. Any completion indexes at or beyond it, so at equal bound the
-     subtree cannot beat an incumbent with a smaller index. *)
-  let min_subtree_ti () =
-    let is = Array.map (fun j -> if j < 0 then 0 else j) idx in
-    Search.tiling_index sp is
-  in
+  (* Minimum tiling index of the subtree: [Search.tiling_index] counts
+     unassigned (-1) axes at candidate 0. Any completion indexes at or
+     beyond it, so at equal bound the subtree cannot beat an incumbent
+     with a smaller index. *)
   let prunable lb =
     match !best with
     | None -> false
     | Some ((bc : Nest.cost), bti, _, _) ->
-      lb > bc.Nest.total || (lb = bc.Nest.total && min_subtree_ti () > bti)
+      lb > bc.Nest.total
+      || (lb = bc.Nest.total && Search.tiling_index sp idx > bti)
   in
   (* impact = external bytes an axis touches; assigning high-impact
      axes first makes partial bounds tight early *)

@@ -2,8 +2,9 @@
     lattice — {!Bnb} generalized beyond the 3-dim matmul space.
 
     Admissible cuts: monotone-footprint block-skips per level, and
-    [Fusecu_nest.Bound.penalized] (the conflict-graph generalization of
-    the pairwise-exclusion bound) at every partial assignment. Leaves
+    [Fusecu_nest.Bound.penalized_in] (the conflict-graph generalization
+    of the pairwise-exclusion bound, compiled once per search) at every
+    partial assignment. Leaves
     replay [Fusecu_nest.Search.eval_tiling], so the result — schedule,
     cost, tiling index and order rank — is {e bit-for-bit} the one
     [Fusecu_nest.Search.exhaustive] returns on the same lattice and

@@ -30,91 +30,98 @@ let min_access_sweep t = function
   | Nest.Point i -> t.Nest.extents.(i)
   | Nest.Window { outer; kernel; stride; dilation } ->
     let eo = t.Nest.extents.(outer) and ek = t.Nest.extents.(kernel) in
-    let f no nk =
-      (stride * nk * (eo - no)) + (dilation * no * (ek - nk)) + (no * nk)
-    in
+    let f no nk = Nest.window_sweep ~eo ~ek ~stride ~dilation ~no ~nk in
     min (min (f 1 1) (f 1 ek)) (min (f eo 1) (f eo ek))
 
 let min_sweep t x =
   List.fold_left (fun acc a -> acc * min_access_sweep t a) 1 x.Nest.dims
 
-let ideal t =
-  List.fold_left (fun acc x -> acc + min_sweep t x) 0 (Nest.externals t)
+(* A nest's bound, compiled once: per external tensor (in [tensors]
+   order, internals skipped), its used and free axis masks and its
+   minimal sweep. *)
+type t = {
+  ideal : int;
+  used : int array;
+  free : int array;
+  min_sweeps : int array;
+}
+
+let compile nest =
+  let ext =
+    List.filter
+      (fun (_, x) -> not x.Nest.internal)
+      (List.mapi (fun i x -> (i, x)) nest.Nest.tensors)
+  in
+  let used = Array.of_list (List.map (fun (i, _) -> Nest.used_mask nest i) ext) in
+  let min_sweeps = Array.of_list (List.map (fun (_, x) -> min_sweep nest x) ext) in
+  let all = (1 lsl Nest.rank nest) - 1 in
+  { ideal = Array.fold_left ( + ) 0 min_sweeps;
+    used;
+    free = Array.map (fun u -> all land lnot u) used;
+    min_sweeps }
+
+let ideal t = (compile t).ideal
+
+(* Cheapest possible revisit of external [x] if it is not revisit-free:
+   the violating loop may be any free axis that ends up tiled, so take
+   the min over free axes of max(trips_lb, 2) - 1 sweeps, at one
+   minimal sweep each (actual sweep traffic >= min_sweep). *)
+let penalty b ~trips x =
+  let cheapest = ref max_int in
+  for i = 0 to Array.length trips - 1 do
+    if b.free.(x) land (1 lsl i) <> 0 then begin
+      let k = if trips.(i) > 2 then trips.(i) else 2 in
+      if k < !cheapest then cheapest := k
+    end
+  done;
+  (!cheapest - 1) * b.min_sweeps.(x)
+
+(* Crossed tiled indices: a free axis of each is a used axis of the
+   other, both tiled. *)
+let conflict b ~hot x y =
+  b.free.(x) land hot land b.used.(y) <> 0
+  && b.free.(y) land hot land b.used.(x) <> 0
+
+(* Largest total penalty an independent set of [cand] (a mask of
+   externals, none below [x]) can avoid: exact branching on [x] —
+   leave it out, or keep it and drop its neighbours. *)
+let rec saved b ~trips ~hot x cand =
+  if cand = 0 then 0
+  else if cand land (1 lsl x) = 0 then saved b ~trips ~hot (x + 1) cand
+  else begin
+    let rest = cand lxor (1 lsl x) in
+    let nbrs = ref 0 in
+    for y = x + 1 to Array.length b.used - 1 do
+      if rest land (1 lsl y) <> 0 && conflict b ~hot x y then
+        nbrs := !nbrs lor (1 lsl y)
+    done;
+    let skip = saved b ~trips ~hot (x + 1) rest in
+    let keep =
+      penalty b ~trips x + saved b ~trips ~hot (x + 1) (rest land lnot !nbrs)
+    in
+    if keep > skip then keep else skip
+  end
 
 (* [trips] holds per-axis lower bounds on the trip count (exact values
    make the bound exact at leaves). Admissible: every schedule whose
    actual trip counts dominate [trips] costs at least the result. *)
-let penalized t ~trips =
-  let n = Nest.rank t in
-  let externals = Array.of_list (Nest.externals t) in
-  let used = Array.map Nest.used_axes externals in
-  let free x =
-    let rec go i =
-      if i >= n then []
-      else if List.mem i used.(x) then go (i + 1)
-      else i :: go (i + 1)
-    in
-    go 0
-  in
-  let hot i = trips.(i) > 1 in
+let penalized_in b ~trips =
+  let hot = ref 0 in
+  for i = 0 to Array.length trips - 1 do
+    if trips.(i) > 1 then hot := !hot lor (1 lsl i)
+  done;
+  let hot = !hot in
   (* Tensors that certainly revisit-or-pay: some tiled free axis (the
      potential violator) and some tiled used axis (so a violator
      actually forces a refetch). *)
-  let members =
-    let keep = ref [] in
-    Array.iteri
-      (fun x _ ->
-        if List.exists hot (free x) && List.exists hot used.(x) then
-          keep := x :: !keep)
-      externals;
-    Array.of_list (List.rev !keep)
-  in
-  let m = Array.length members in
-  if m = 0 then ideal t
-  else begin
-    (* Cheapest possible revisit if this tensor is not revisit-free:
-       the violating loop may be any free axis that ends up tiled, so
-       take the min over free axes of max(trips_lb, 2) - 1 sweeps, at
-       one minimal sweep each (actual sweep traffic >= min_sweep). *)
-    let pen =
-      Array.map
-        (fun x ->
-          let cheapest =
-            List.fold_left
-              (fun acc f -> min acc (max trips.(f) 2))
-              max_int (free x)
-          in
-          (cheapest - 1) * min_sweep t externals.(x))
-        members
-    in
-    let conflict a b =
-      let xa = members.(a) and xb = members.(b) in
-      List.exists (fun f -> hot f && List.mem f used.(xb)) (free xa)
-      && List.exists (fun g -> hot g && List.mem g used.(xa)) (free xb)
-    in
-    let edges = Array.make_matrix m m false in
-    for a = 0 to m - 1 do
-      for b = a + 1 to m - 1 do
-        if conflict a b then begin
-          edges.(a).(b) <- true;
-          edges.(b).(a) <- true
-        end
-      done
-    done;
-    (* max-weight independent set, exact (m is tiny: # tensors) *)
-    let best_saved = ref 0 in
-    for mask = 0 to (1 lsl m) - 1 do
-      let ok = ref true and w = ref 0 in
-      for a = 0 to m - 1 do
-        if !ok && mask land (1 lsl a) <> 0 then begin
-          w := !w + pen.(a);
-          for b = a + 1 to m - 1 do
-            if mask land (1 lsl b) <> 0 && edges.(a).(b) then ok := false
-          done
-        end
-      done;
-      if !ok && !w > !best_saved then best_saved := !w
-    done;
-    let total_pen = Array.fold_left ( + ) 0 pen in
-    ideal t + (total_pen - !best_saved)
-  end
+  let members = ref 0 and total = ref 0 in
+  for x = 0 to Array.length b.used - 1 do
+    if b.free.(x) land hot <> 0 && b.used.(x) land hot <> 0 then begin
+      members := !members lor (1 lsl x);
+      total := !total + penalty b ~trips x
+    end
+  done;
+  if !members = 0 then b.ideal
+  else b.ideal + (!total - saved b ~trips ~hot 0 !members)
+
+let penalized t ~trips = penalized_in (compile t) ~trips

@@ -14,9 +14,20 @@ val ideal : Nest.t -> int
     [Fusecu_core.Lower_bound.intra] = [Matmul.ideal_ma] (locked by
     test_nest.ml). *)
 
-val penalized : Nest.t -> trips:int array -> int
+type t
+(** A nest's bound, compiled once: {!ideal}, each external tensor's
+    {!min_sweep}, and its used and free axis masks. *)
+
+val compile : Nest.t -> t
+
+val penalized_in : t -> trips:int array -> int
 (** Admissible branch-and-bound cut given per-axis lower bounds on the
     trip counts: [ideal] plus the conflict-graph revisit penalties
     that no loop order can avoid (crossed-free-index exclusion,
     adversary keeps the max-weight independent set free). Reduces to
-    [Dse.Bnb]'s pairwise-exclusion bound on matmul. *)
+    [Dse.Bnb]'s pairwise-exclusion bound on matmul. Allocates
+    nothing: two tensors conflict when each one's tiled free axes meet
+    the other's used axes, two mask intersections. *)
+
+val penalized : Nest.t -> trips:int array -> int
+(** [penalized_in (compile t) ~trips]. *)

@@ -28,11 +28,24 @@ type access =
 
 type tensor = { tname : string; dims : access list; internal : bool }
 
+(* The tensors compiled for the kernels below, indexed like [tensors]:
+   the bitmask of the axes each projection reads, and each tensor's
+   dims flattened to four ints — axis, -1, 0, 0 for a [Point]; outer,
+   kernel, stride, dilation for a [Window] — plus the indices of the
+   external and of the internal tensors. *)
+type code = {
+  used : int array;
+  flat : int array array;
+  ext : int array;
+  intern : int array;
+}
+
 type t = {
   name : string;
   axes : string array;
   extents : int array;
   tensors : tensor list;
+  code : code;
 }
 
 let rank t = Array.length t.extents
@@ -50,9 +63,46 @@ let externals t = List.filter (fun x -> not x.internal) t.tensors
 
 let internals t = List.filter (fun x -> x.internal) t.tensors
 
+(* The kernels keep sets of axes, and of external tensors, in one [int]
+   bitmask each. *)
+let max_rank = 62
+
+let flatten x =
+  let flat = Array.make (4 * List.length x.dims) 0 in
+  List.iteri
+    (fun j a ->
+      let d = 4 * j in
+      match a with
+      | Point i ->
+        flat.(d) <- i;
+        flat.(d + 1) <- -1
+      | Window { outer; kernel; stride; dilation } ->
+        flat.(d) <- outer;
+        flat.(d + 1) <- kernel;
+        flat.(d + 2) <- stride;
+        flat.(d + 3) <- dilation)
+    x.dims;
+  flat
+
+let compile tensors =
+  let ts = Array.of_list tensors in
+  let where p =
+    Array.of_list
+      (List.filter (fun x -> p ts.(x)) (List.init (Array.length ts) Fun.id))
+  in
+  { used =
+      Array.map
+        (fun x -> List.fold_left (fun m i -> m lor (1 lsl i)) 0 (used_axes x))
+        ts;
+    flat = Array.map flatten ts;
+    ext = where (fun x -> not x.internal);
+    intern = where (fun x -> x.internal) }
+
 let make ~name ~axes ~extents ~tensors =
   let n = Array.length extents in
   if n < 1 then invalid_arg "Nest.make: empty index set";
+  if n > max_rank then
+    invalid_arg (Printf.sprintf "Nest.make: rank %d above %d" n max_rank);
   if Array.length axes <> n then
     invalid_arg "Nest.make: axes and extents disagree";
   Array.iter
@@ -68,6 +118,9 @@ let make ~name ~axes ~extents ~tensors =
   if tensors = [] then invalid_arg "Nest.make: no tensors";
   if List.for_all (fun x -> x.internal) tensors then
     invalid_arg "Nest.make: all tensors are internal";
+  if List.length (List.filter (fun x -> not x.internal) tensors) > max_rank then
+    invalid_arg
+      (Printf.sprintf "Nest.make: more than %d external tensors" max_rank);
   List.iter
     (fun x ->
       if x.dims = [] then
@@ -92,7 +145,7 @@ let make ~name ~axes ~extents ~tensors =
             if dilation < 1 then invalid_arg "Nest.make: dilation must be >= 1")
         x.dims)
     tensors;
-  { name; axes; extents; tensors }
+  { name; axes; extents; tensors; code = compile tensors }
 
 let access_extent t = function
   | Point i -> t.extents.(i)
@@ -135,100 +188,156 @@ let schedule_make t ~tiles ~order =
 
 let trips t (s : schedule) i = Arith.ceil_div t.extents.(i) s.tiles.(i)
 
-let tile_access_extent tiles = function
-  | Point i -> tiles.(i)
-  | Window { outer; kernel; stride; dilation } ->
-    ((tiles.(outer) - 1) * stride) + ((tiles.(kernel) - 1) * dilation) + 1
+(* ------------------------------------------------------------------ *)
+(* Kernels over the compiled tensors, addressed by their index in
+   [tensors]. The ones a search calls per tiling or per order walk no
+   list and allocate nothing but the array they return; [eval], [valid]
+   and [revisit_of] first compute a schedule's trip counts.            *)
+
+let ntensors t = Array.length t.code.used
+
+let used_mask t x = t.code.used.(x)
+
+let trips_of t tiles =
+  let n = rank t in
+  let trips = Array.make n 1 in
+  for i = 0 to n - 1 do
+    trips.(i) <- Arith.ceil_div t.extents.(i) tiles.(i)
+  done;
+  trips
 
 (* Buffer residency of one tile per tensor (internal ones included:
    the fused intermediate lives in the buffer). On the matmul instance
    this is Tiling.footprint: tm*tk + tk*tl + tm*tl. *)
 let footprint_tiles t tiles =
-  List.fold_left
-    (fun acc x ->
-      acc + List.fold_left (fun p a -> p * tile_access_extent tiles a) 1 x.dims)
-    0 t.tensors
+  let fp = ref 0 in
+  for x = 0 to ntensors t - 1 do
+    let flat = t.code.flat.(x) in
+    let p = ref 1 in
+    for j = 0 to (Array.length flat / 4) - 1 do
+      let d = 4 * j in
+      let a = flat.(d) and b = flat.(d + 1) in
+      p :=
+        !p
+        *
+        if b < 0 then tiles.(a)
+        else ((tiles.(a) - 1) * flat.(d + 2)) + ((tiles.(b) - 1) * flat.(d + 3)) + 1
+    done;
+    fp := !fp + !p
+  done;
+  !fp
 
 let footprint t (s : schedule) = footprint_tiles t s.tiles
 
 (* ------------------------------------------------------------------ *)
-(* Analytic cost                                                       *)
+(* Analytic cost: traffic = revisit x per-sweep traffic. The sweep
+   depends on the trip counts alone, the revisit factor on the loop
+   order too, so a search computes [sweeps] once per tiling and only
+   [revisit] per order.                                                *)
 
 type per_tensor = { fetches : int; traffic : int; revisit : int }
 
 type cost = { per : per_tensor array; total : int }
 
-let positions t (s : schedule) =
-  let pos = Array.make (rank t) 0 in
-  Array.iteri (fun p i -> pos.(i) <- p) s.order;
-  pos
+(* One sweep over a window dimension's tile grid, edge-clipped: the sum
+   over (outer tile a, kernel tile b) of
+   (ext_o(a)-1)*stride + (ext_k(b)-1)*dilation + 1, in closed form. *)
+let window_sweep ~eo ~ek ~stride ~dilation ~no ~nk =
+  (stride * nk * (eo - no)) + (dilation * no * (ek - nk)) + (no * nk)
 
-let trips_all t (s : schedule) = Array.init (rank t) (fun i -> trips t s i)
-
-(* Number of sweeps over the tensor: the product of the trip counts of
-   every tiled free index ordered outside the innermost tiled used
-   index. Each time such a loop advances, the inner used loops have
-   cycled through the tensor's tile grid, so the next sweep refetches
-   it. This is exactly lib/loopnest's Cost.revisit on the MM instance
-   (where each operand has a single free index). *)
-let revisit_arrays t tensor ~trips ~pos =
-  let used = used_axes tensor in
-  let p_star =
-    List.fold_left
-      (fun acc u -> if trips.(u) > 1 then max acc pos.(u) else acc)
-      (-1) used
-  in
-  if p_star < 0 then 1
-  else begin
-    let r = ref 1 in
-    for i = 0 to rank t - 1 do
-      if trips.(i) > 1 && pos.(i) < p_star && not (List.mem i used) then
-        r := !r * trips.(i)
+(* Traffic of one full sweep over each tensor's tile grid. [Point]
+   dimensions partition exactly (ragged tiles sum to the extent);
+   [Window] dimensions overlap by the halo. *)
+let sweeps t ~trips =
+  let out = Array.make (ntensors t) 0 in
+  for x = 0 to ntensors t - 1 do
+    let flat = t.code.flat.(x) in
+    let s = ref 1 in
+    for j = 0 to (Array.length flat / 4) - 1 do
+      let d = 4 * j in
+      let a = flat.(d) and b = flat.(d + 1) in
+      s :=
+        !s
+        *
+        if b < 0 then t.extents.(a)
+        else
+          window_sweep ~eo:t.extents.(a) ~ek:t.extents.(b) ~stride:flat.(d + 2)
+            ~dilation:flat.(d + 3) ~no:trips.(a) ~nk:trips.(b)
     done;
-    !r
-  end
+    out.(x) <- !s
+  done;
+  out
 
-let revisit_of t (s : schedule) tensor =
-  revisit_arrays t tensor ~trips:(trips_all t s) ~pos:(positions t s)
+(* Number of sweeps over tensor [x]. Each time a tiled free loop
+   ordered outside the innermost tiled used loop advances, the inner
+   used loops have cycled through the tensor's tile grid, so the next
+   sweep refetches it. Walking the order from the innermost loop
+   outward, the first tiled used loop met is that innermost one, and
+   every tiled free loop met after it multiplies in its trip count.
+   This is exactly lib/loopnest's Cost.revisit on the MM instance
+   (where each operand has a single free index). *)
+let revisit t x ~trips ~order =
+  let used = t.code.used.(x) in
+  let r = ref 1 and inside = ref false in
+  for p = Array.length order - 1 downto 0 do
+    let i = order.(p) in
+    let k = trips.(i) in
+    if k > 1 then
+      if used land (1 lsl i) <> 0 then inside := true
+      else if !inside then r := !r * k
+  done;
+  !r
 
-(* Traffic of one full sweep over a tensor's tile grid, edge-clipped.
-   [Point] dimensions partition exactly (ragged tiles sum to the
-   extent); [Window] dimensions overlap by the halo, in closed form:
-   sum over (outer tile a, kernel tile b) of
-   (ext_o(a)-1)*stride + (ext_k(b)-1)*dilation + 1. *)
-let access_sweep t trips = function
-  | Point i -> t.extents.(i)
-  | Window { outer; kernel; stride; dilation } ->
-    let eo = t.extents.(outer) and ek = t.extents.(kernel) in
-    let no = trips.(outer) and nk = trips.(kernel) in
-    (stride * nk * (eo - no)) + (dilation * no * (ek - nk)) + (no * nk)
+(* A schedule is valid iff every internal (fused-intermediate) tensor
+   is revisit-free: its tile is fully produced and consumed within one
+   residency. This is the generalization of Fused.validate's
+   "producer C non-redundant" requirement. *)
+let revisit_free t ~trips ~order =
+  let intern = t.code.intern in
+  let j = ref 0 in
+  while !j < Array.length intern && revisit t intern.(!j) ~trips ~order = 1 do
+    incr j
+  done;
+  !j = Array.length intern
 
-let eval_tensor t ~trips ~pos tensor =
-  let r = revisit_arrays t tensor ~trips ~pos in
-  let sweep_fetches =
-    List.fold_left (fun acc u -> acc * trips.(u)) 1 (used_axes tensor)
-  in
-  let sweep_traffic =
-    List.fold_left (fun acc a -> acc * access_sweep t trips a) 1 tensor.dims
-  in
-  { fetches = r * sweep_fetches; traffic = r * sweep_traffic; revisit = r }
+let total t ~sweeps ~trips ~order =
+  let ext = t.code.ext in
+  let sum = ref 0 in
+  for j = 0 to Array.length ext - 1 do
+    let x = ext.(j) in
+    sum := !sum + (revisit t x ~trips ~order * sweeps.(x))
+  done;
+  !sum
+
+let no_traffic = { fetches = 0; traffic = 0; revisit = 0 }
 
 let eval t (s : schedule) =
-  let trips = trips_all t s and pos = positions t s in
-  let per =
-    Array.of_list
-      (List.map
-         (fun x ->
-           if x.internal then { fetches = 0; traffic = 0; revisit = 0 }
-           else eval_tensor t ~trips ~pos x)
-         t.tensors)
-  in
-  { per; total = Array.fold_left (fun acc p -> acc + p.traffic) 0 per }
+  let trips = trips_of t s.tiles in
+  let sweeps = sweeps t ~trips in
+  let per = Array.make (ntensors t) no_traffic in
+  let sum = ref 0 in
+  for j = 0 to Array.length t.code.ext - 1 do
+    let x = t.code.ext.(j) in
+    let r = revisit t x ~trips ~order:s.order in
+    let tiles = ref 1 in
+    for i = 0 to rank t - 1 do
+      if t.code.used.(x) land (1 lsl i) <> 0 then tiles := !tiles * trips.(i)
+    done;
+    per.(x) <- { fetches = r * !tiles; traffic = r * sweeps.(x); revisit = r };
+    sum := !sum + per.(x).traffic
+  done;
+  { per; total = !sum }
+
+let valid t (s : schedule) =
+  revisit_free t ~trips:(trips_of t s.tiles) ~order:s.order
+
+let revisit_of t (s : schedule) x =
+  revisit t x ~trips:(trips_of t s.tiles) ~order:s.order
 
 (* Every tensor (internal ones too, for the footprint) is swept at most
    once per trip of each axis it does not use, and one sweep of a
    [Window] dimension moves at most (stride + dilation + 1) * eo * ek
-   elements ([access_sweep] at its largest trip counts). *)
+   elements ([window_sweep] at its largest trip counts). *)
 let max_total t =
   let open Arith in
   List.fold_left
@@ -252,19 +361,6 @@ let max_total t =
       in
       add_sat acc (mul_sat !free sweep))
     0 t.tensors
-
-(* A schedule is valid iff every internal (fused-intermediate) tensor
-   is revisit-free: its tile is fully produced and consumed within one
-   residency. This is the generalization of Fused.validate's
-   "producer C non-redundant" requirement. *)
-let valid t (s : schedule) =
-  let trips = trips_all t s and pos = positions t s in
-  List.for_all
-    (fun x -> revisit_arrays t x ~trips ~pos = 1)
-    (internals t)
-
-let per_tensor_named t (c : cost) =
-  List.map2 (fun x p -> (x.tname, p)) t.tensors (Array.to_list c.per)
 
 let pp_schedule t fmt (s : schedule) =
   let tile fmt i = Format.fprintf fmt "%s=%d" t.axes.(i) s.tiles.(i) in

@@ -22,11 +22,17 @@ type access =
 
 type tensor = private { tname : string; dims : access list; internal : bool }
 
+type code
+(** The tensors as {!make} compiles them for the kernels: each one's
+    used-axis bitmask and dims as flat [Point]/[Window] parameters, and
+    which tensors are external. *)
+
 type t = private {
   name : string;
   axes : string array;  (** one name per index *)
   extents : int array;
   tensors : tensor list;
+  code : code;  (** [tensors], compiled *)
 }
 
 val tensor : ?internal:bool -> string -> access list -> tensor
@@ -38,10 +44,16 @@ val make :
   extents:int array ->
   tensors:tensor list ->
   t
-(** Validates: non-empty index set with distinct axis names and
-    extents [>= 1]; every tensor references in-range axes, no axis
-    twice; window stride/dilation [>= 1]; at least one non-internal
-    tensor. Raises [Invalid_argument] otherwise. *)
+(** Validates: non-empty index set of rank at most {!max_rank} with
+    distinct axis names and extents [>= 1]; every tensor references
+    in-range axes, no axis twice; window stride/dilation [>= 1]; at
+    least one and at most {!max_rank} non-internal tensors. Raises
+    [Invalid_argument] otherwise. Compiles every tensor once for the
+    kernels below. *)
+
+val max_rank : int
+(** 62: the kernels keep a set of axes (or of external tensors) in one
+    [int] bitmask, as [Search.orders]' memo key does. *)
 
 val rank : t -> int
 (** Number of iteration indices. *)
@@ -75,10 +87,6 @@ val schedule_make : t -> tiles:int array -> order:int array -> schedule
 
 val trips : t -> schedule -> int -> int
 
-val tile_access_extent : int array -> access -> int
-
-val footprint_tiles : t -> int array -> int
-
 val footprint : t -> schedule -> int
 (** Buffer residency of one tile per tensor, internal included. *)
 
@@ -90,14 +98,16 @@ type cost = { per : per_tensor array; total : int }
 (** [per] is aligned with [tensors]; internal tensors report zeros;
     [total] sums external traffic. *)
 
-val revisit_of : t -> schedule -> tensor -> int
-
 val eval : t -> schedule -> cost
 (** Traffic = revisit x per-sweep traffic, where revisit multiplies
     the trip counts of tiled free loops ordered outside the innermost
     tiled used loop, and a sweep pays the edge-clipped tile grid
     (windows include halo overlap). Agrees with {!Nsim.eval}
-    everywhere and with [Cost.eval] on the MM instance. *)
+    everywhere and with [Cost.eval] on the MM instance. Its [total] is
+    {!total} at [s]'s trip counts and {!sweeps}. *)
+
+val revisit_of : t -> schedule -> int -> int
+(** {!revisit} of tensor [x] (its index in [tensors]) under [s]. *)
 
 val max_total : t -> int
 (** An upper bound on [(eval t s).total], [footprint t s] and [points t]
@@ -106,9 +116,51 @@ val max_total : t -> int
     MM instance it equals [Cost.max_total]. *)
 
 val valid : t -> schedule -> bool
-(** Every internal tensor is revisit-free. *)
+(** Every internal tensor is revisit-free: {!revisit_free} at [s]'s
+    trip counts. *)
 
-val per_tensor_named : t -> cost -> (string * per_tensor) list
+(** {1 Compiled kernels}
+
+    The search-time forms of {!footprint}, {!eval} and {!valid}, over
+    the tensors {!make} compiled: a tensor is named by its index [x] in
+    [tensors], a tiling by its tiles or per-axis trip counts, a loop
+    order by its permutation of axis ids (outermost first). Cost splits
+    into a per-tiling part ({!sweeps}) and a per-order part
+    ({!revisit}). No kernel walks a list or allocates anything but the
+    array it returns. *)
+
+val used_mask : t -> int -> int
+(** Bit [i] set iff tensor [x]'s projection reads axis [i]. *)
+
+val trips_of : t -> int array -> int array
+(** Per-axis trip counts [ceil (extent / tile)] of a tiling. *)
+
+val footprint_tiles : t -> int array -> int
+(** {!footprint} of a tiling. *)
+
+val window_sweep :
+  eo:int -> ek:int -> stride:int -> dilation:int -> no:int -> nk:int -> int
+(** Traffic of one sweep over a [Window] dimension whose outer and
+    kernel axes (extents [eo], [ek]) make [no] and [nk] trips. *)
+
+val sweeps : t -> trips:int array -> int array
+(** Per tensor, the traffic of one full sweep over its edge-clipped
+    tile grid. Depends on the trip counts only. *)
+
+val revisit : t -> int -> trips:int array -> order:int array -> int
+(** Sweeps made over tensor [x]: walking [order] from the innermost
+    loop outward, every tiled ([trips > 1]) free axis met after the
+    first tiled used axis multiplies in its trip count. The same
+    factors as "tiled free loops ordered outside the innermost tiled
+    used loop", so the same [int]. *)
+
+val revisit_free : t -> trips:int array -> order:int array -> bool
+(** Every internal tensor has [revisit = 1]. *)
+
+val total : t -> sweeps:int array -> trips:int array -> order:int array -> int
+(** The summed external traffic of {!eval} without building its record:
+    [revisit × sweep] per external tensor; [sweeps] is
+    [sweeps t ~trips]. *)
 
 val pp : Format.formatter -> t -> unit
 

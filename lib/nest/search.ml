@@ -47,20 +47,43 @@ let candidates sp i = sp.cands.(i)
 
 let raw_tilings sp = sp.strides.(0) * Array.length sp.cands.(0)
 
-(* Candidate index per axis (0 for unassigned axes gives the subtree
-   minimum, as in Bnb.min_subtree_idx). *)
+(* Candidate index per axis; a negative (unassigned) entry counts as
+   candidate 0, which gives the subtree minimum, as in
+   Bnb.min_subtree_idx. *)
 let tiling_index sp idxs =
   let acc = ref 0 in
-  Array.iteri (fun i j -> acc := !acc + (j * sp.strides.(i))) idxs;
+  for i = 0 to Array.length idxs - 1 do
+    if idxs.(i) > 0 then acc := !acc + (idxs.(i) * sp.strides.(i))
+  done;
   !acc
 
-(* Lexicographic permutations of a sorted list. *)
-let rec perms = function
-  | [] -> [ [] ]
-  | xs ->
-    List.concat_map
-      (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) xs)))
-      xs
+let swap p a b =
+  let x = p.(a) in
+  p.(a) <- p.(b);
+  p.(b) <- x
+
+(* Steps [p] to its lexicographic successor in place; false when [p]
+   was the last (decreasing) permutation. *)
+let next_permutation p =
+  let i = ref (Array.length p - 2) in
+  while !i >= 0 && p.(!i) > p.(!i + 1) do
+    decr i
+  done;
+  if !i < 0 then false
+  else begin
+    let j = ref (Array.length p - 1) in
+    while p.(!j) < p.(!i) do
+      decr j
+    done;
+    swap p !i !j;
+    let lo = ref (!i + 1) and hi = ref (Array.length p - 1) in
+    while !lo < !hi do
+      swap p !lo !hi;
+      incr lo;
+      decr hi
+    done;
+    true
+  end
 
 let orders sp ~trips =
   let n = Nest.rank sp.nest in
@@ -71,13 +94,14 @@ let orders sp ~trips =
   match Hashtbl.find_opt sp.orders_cache !mask with
   | Some os -> os
   | None ->
-    let active = ref [] and inactive = ref [] in
-    for i = n - 1 downto 0 do
-      if trips.(i) > 1 then active := i :: !active else inactive := i :: !inactive
-    done;
-    let os =
-      List.map (fun p -> Array.of_list (p @ !inactive)) (perms !active)
+    let axes = List.init n Fun.id in
+    let active = Array.of_list (List.filter (fun i -> trips.(i) > 1) axes) in
+    let inactive = Array.of_list (List.filter (fun i -> trips.(i) <= 1) axes) in
+    let rec from_sorted acc =
+      let acc = Array.append active inactive :: acc in
+      if next_permutation active then from_sorted acc else List.rev acc
     in
+    let os = from_sorted [] in
     Hashtbl.replace sp.orders_cache !mask os;
     os
 
@@ -90,36 +114,39 @@ type result = {
   evaluated : int;  (** valid schedules cost-evaluated *)
 }
 
-(* First-seen minimum of (total, tiling index, order rank); shared by
-   the exhaustive scan and Nest_bnb's leaves so both return the same
+(* The first-seen minimum of (total, tiling index, order rank): a
+   candidate replaces the incumbent only when strictly smaller. Shared
+   by the exhaustive scan and Nest_bnb's leaves so both return the same
    schedule bit-for-bit. *)
-let consider best ~cost ~ti ~rank ~tiles ~order =
-  match !best with
-  | Some ((bc : Nest.cost), bti, brank, _)
-    when (bc.Nest.total, bti, brank) <= (cost.Nest.total, ti, rank) ->
-    ()
-  | _ ->
-    best :=
-      Some (cost, ti, rank, { Nest.tiles = Array.copy tiles; order })
+let beats best ~total ~ti ~rank =
+  match best with
+  | None -> true
+  | Some ((bc : Nest.cost), bti, brank, _) ->
+    let bt = bc.Nest.total in
+    total < bt || (total = bt && (ti < bti || (ti = bti && rank < brank)))
 
+(* Trips and sweeps once per tiling, only the revisit factors per
+   order; the cost record is built only for a new incumbent. *)
 let eval_tiling sp ~idxs ~tiles best =
   let nest = sp.nest in
-  let n = Nest.rank nest in
   let ti = tiling_index sp idxs in
-  let trips =
-    Array.init n (fun i -> Arith.ceil_div nest.Nest.extents.(i) tiles.(i))
+  let trips = Nest.trips_of nest tiles in
+  let sweeps = Nest.sweeps nest ~trips in
+  let rec go rank evaluated = function
+    | [] -> evaluated
+    | order :: rest ->
+      if not (Nest.revisit_free nest ~trips ~order) then
+        go (rank + 1) evaluated rest
+      else begin
+        let total = Nest.total nest ~sweeps ~trips ~order in
+        if beats !best ~total ~ti ~rank then begin
+          let s = { Nest.tiles = Array.copy tiles; order } in
+          best := Some (Nest.eval nest s, ti, rank, s)
+        end;
+        go (rank + 1) (evaluated + 1) rest
+      end
   in
-  let evaluated = ref 0 in
-  List.iteri
-    (fun rank order ->
-      let s = { Nest.tiles; order } in
-      if Nest.valid nest s then begin
-        incr evaluated;
-        let cost = Nest.eval nest s in
-        consider best ~cost ~ti ~rank ~tiles ~order
-      end)
-    (orders sp ~trips);
-  !evaluated
+  go 0 0 (orders sp ~trips)
 
 let exhaustive_in sp =
   let nest = sp.nest in

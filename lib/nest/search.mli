@@ -29,8 +29,9 @@ val candidates : space -> int -> int array
 val raw_tilings : space -> int
 
 val tiling_index : space -> int array -> int
-(** Raw index of a tiling from per-axis candidate indices (0 in an
-    entry gives the subtree minimum for partial assignments). *)
+(** Raw index of a tiling from per-axis candidate indices. A negative
+    entry (an unassigned axis) counts as 0, which gives the subtree
+    minimum for partial assignments. Allocates nothing. *)
 
 val orders : space -> trips:int array -> int array list
 (** Loop orders to evaluate for a tiling with the given trip counts,
@@ -54,7 +55,11 @@ val eval_tiling :
 (** Evaluate every valid order of one complete tiling against the
     running best (shared with [Dse.Nest_bnb]'s leaves so both searches
     apply the identical tie-break); returns the number of schedules
-    evaluated. *)
+    evaluated. Computes the trip counts and [Nest.sweeps] once for the
+    tiling and only [Nest.revisit_free] and [Nest.total] per order;
+    [Nest.eval] builds the cost record only for a candidate that beats
+    the incumbent, i.e. whose (total, tiling index, order rank) is
+    strictly smaller. *)
 
 val exhaustive_in : space -> result option
 

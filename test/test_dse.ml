@@ -581,6 +581,47 @@ let test_nest_bnb_seeds () =
   check_nest_bnb_matches "off-lattice seed" NSearch.Divisors nest buf ~seed:off
     ()
 
+(* The B&B tree on the beyond-matmul zoo at bench/nest_bench.ml's
+   capacities, pinned: nodes, evaluations and prunes, the winner's
+   (total, tiling index, order rank), and the enumeration's
+   evaluations. The values are BENCH_dse.json's "nest" rows. A change
+   to the cost, validity or bound kernels that keeps the answers but
+   moves any of these has changed the search, and with it the wire's
+   [evaluated] field. *)
+let nest_tree_pins =
+  [ (* name, capacity, nodes, evaluated, pruned by bound, pruned
+       infeasible, total, tiling index, order rank, enumerated *)
+    ("conv3x3", 1024, 4321, 418198, 105, 304, 13248, 3343, 0, 457798);
+    ("conv3x3-strided", 512, 368, 17916, 0, 47, 6808, 279, 1, 17916);
+    ("conv1x1", 1024, 59, 163, 20, 0, 4944, 133, 0, 1002);
+    ("bmm-heads", 1024, 55, 504, 159, 9, 344064, 33, 3, 19542);
+    ("gqa-scores", 1024, 1096, 68676, 755, 563, 1605632, 33, 16, 166584);
+    ("attn-pair", 2048, 1561, 4114, 408, 271, 69632, 1231, 2, 5998) ]
+
+let test_nest_bnb_tree_pinned () =
+  check_int "every zoo nest pinned"
+    (List.length Fusecu_workloads.Zoo.nest_cases)
+    (List.length nest_tree_pins);
+  List.iter
+    (fun (name, capacity, nodes, evaluated, pruned_bound, pruned_infeasible,
+          total, ti, rank, enumerated) ->
+      let nest = List.assoc name Fusecu_workloads.Zoo.nest_cases in
+      let r, stats = Nest_bnb.search_with_stats nest (Buffer.make capacity) in
+      let r = Option.get r in
+      check_int (name ^ " nodes") nodes stats.Bnb.nodes;
+      check_int (name ^ " explored") evaluated stats.Bnb.explored;
+      check_int (name ^ " pruned by bound") pruned_bound stats.Bnb.pruned_bound;
+      check_int (name ^ " pruned infeasible") pruned_infeasible
+        stats.Bnb.pruned_infeasible;
+      check_int (name ^ " total") total r.NSearch.cost.NNest.total;
+      check_int (name ^ " tiling index") ti r.NSearch.tiling_index;
+      check_int (name ^ " order rank") rank r.NSearch.order_rank;
+      check_int (name ^ " evaluated") evaluated r.NSearch.evaluated;
+      match NSearch.exhaustive nest ~capacity with
+      | None -> Alcotest.fail (name ^ ": exhaustive found nothing")
+      | Some e -> check_int (name ^ " enumerated") enumerated e.NSearch.evaluated)
+    nest_tree_pins
+
 let () =
   Alcotest.run "dse"
     [ ( "space",
@@ -624,7 +665,9 @@ let () =
       ( "nest-bnb",
         [ Alcotest.test_case "matches nest exhaustive" `Quick
             test_nest_bnb_matches_exhaustive;
-          Alcotest.test_case "seed handling" `Quick test_nest_bnb_seeds ] );
+          Alcotest.test_case "seed handling" `Quick test_nest_bnb_seeds;
+          Alcotest.test_case "zoo search tree pinned" `Quick
+            test_nest_bnb_tree_pinned ] );
       ( "fused",
         [ Alcotest.test_case "exhaustive valid" `Quick test_fused_exhaustive_valid;
           Alcotest.test_case "fusion wins on attention" `Quick

@@ -327,6 +327,330 @@ let test_schedule_validation () =
     (fun () ->
       ignore (Nest.schedule_make nest ~tiles:[| 1; 1; 1 |] ~order:[| 0; 0; 2 |]))
 
+(* ------------------------------------------------------------------ *)
+(* Reference: the list-based formulas the compiled kernels replaced.   *)
+(* Each kernel in lib/nest must equal its reference on every nest,     *)
+(* schedule and trip vector.                                           *)
+
+module Ref = struct
+  let trips nest tiles =
+    Array.mapi (fun i e -> Fusecu_util.Arith.ceil_div e tiles.(i)) nest.Nest.extents
+
+  let positions order =
+    let pos = Array.make (Array.length order) 0 in
+    Array.iteri (fun p i -> pos.(i) <- p) order;
+    pos
+
+  (* the p_star form: trip counts of the tiled free loops ordered
+     outside the innermost tiled used loop *)
+  let revisit nest tensor ~trips ~order =
+    let used = Nest.used_axes tensor and pos = positions order in
+    let p_star =
+      List.fold_left
+        (fun acc u -> if trips.(u) > 1 then max acc pos.(u) else acc)
+        (-1) used
+    in
+    let r = ref 1 in
+    for i = 0 to Nest.rank nest - 1 do
+      if trips.(i) > 1 && pos.(i) < p_star && not (List.mem i used) then
+        r := !r * trips.(i)
+    done;
+    !r
+
+  let access_sweep nest trips = function
+    | Nest.Point i -> nest.Nest.extents.(i)
+    | Nest.Window { outer; kernel; stride; dilation } ->
+      let eo = nest.Nest.extents.(outer) and ek = nest.Nest.extents.(kernel) in
+      let no = trips.(outer) and nk = trips.(kernel) in
+      (stride * nk * (eo - no)) + (dilation * no * (ek - nk)) + (no * nk)
+
+  let sweep nest trips tensor =
+    List.fold_left (fun acc a -> acc * access_sweep nest trips a) 1 tensor.Nest.dims
+
+  let eval nest (s : Nest.schedule) : Nest.cost =
+    let trips = trips nest s.Nest.tiles in
+    let per =
+      Array.of_list
+        (List.map
+           (fun x ->
+             if x.Nest.internal then { Nest.fetches = 0; traffic = 0; revisit = 0 }
+             else begin
+               let r = revisit nest x ~trips ~order:s.Nest.order in
+               let fetches =
+                 List.fold_left (fun acc u -> acc * trips.(u)) 1 (Nest.used_axes x)
+               in
+               { Nest.fetches = r * fetches; traffic = r * sweep nest trips x; revisit = r }
+             end)
+           nest.Nest.tensors)
+    in
+    { Nest.per; total = Array.fold_left (fun acc p -> acc + p.Nest.traffic) 0 per }
+
+  let valid nest (s : Nest.schedule) =
+    let trips = trips nest s.Nest.tiles in
+    List.for_all
+      (fun x -> revisit nest x ~trips ~order:s.Nest.order = 1)
+      (Nest.internals nest)
+
+  let footprint_tiles nest tiles =
+    let extent = function
+      | Nest.Point i -> tiles.(i)
+      | Nest.Window { outer; kernel; stride; dilation } ->
+        ((tiles.(outer) - 1) * stride) + ((tiles.(kernel) - 1) * dilation) + 1
+    in
+    List.fold_left
+      (fun acc x -> acc + List.fold_left (fun p a -> p * extent a) 1 x.Nest.dims)
+      0 nest.Nest.tensors
+
+  let min_sweep nest x =
+    let min_access = function
+      | Nest.Point i -> nest.Nest.extents.(i)
+      | Nest.Window { outer; kernel; stride; dilation } ->
+        let eo = nest.Nest.extents.(outer) and ek = nest.Nest.extents.(kernel) in
+        let f no nk =
+          (stride * nk * (eo - no)) + (dilation * no * (ek - nk)) + (no * nk)
+        in
+        min (min (f 1 1) (f 1 ek)) (min (f eo 1) (f eo ek))
+    in
+    List.fold_left (fun acc a -> acc * min_access a) 1 x.Nest.dims
+
+  let ideal nest =
+    List.fold_left (fun acc x -> acc + min_sweep nest x) 0 (Nest.externals nest)
+
+  (* conflict graph over the externals that must revisit-or-pay,
+     max-weight independent set by enumeration *)
+  let penalized nest ~trips =
+    let n = Nest.rank nest in
+    let externals = Array.of_list (Nest.externals nest) in
+    let used = Array.map Nest.used_axes externals in
+    let free x = List.filter (fun i -> not (List.mem i used.(x))) (List.init n Fun.id) in
+    let hot i = trips.(i) > 1 in
+    let members =
+      Array.of_list
+        (List.filter
+           (fun x -> List.exists hot (free x) && List.exists hot used.(x))
+           (List.init (Array.length externals) Fun.id))
+    in
+    let m = Array.length members in
+    let pen =
+      Array.map
+        (fun x ->
+          let cheapest =
+            List.fold_left (fun acc f -> min acc (max trips.(f) 2)) max_int (free x)
+          in
+          (cheapest - 1) * min_sweep nest externals.(x))
+        members
+    in
+    let conflict a b =
+      let xa = members.(a) and xb = members.(b) in
+      List.exists (fun f -> hot f && List.mem f used.(xb)) (free xa)
+      && List.exists (fun g -> hot g && List.mem g used.(xa)) (free xb)
+    in
+    let best_saved = ref 0 in
+    for mask = 0 to (1 lsl m) - 1 do
+      let ok = ref true and w = ref 0 in
+      for a = 0 to m - 1 do
+        if mask land (1 lsl a) <> 0 then begin
+          w := !w + pen.(a);
+          for b = a + 1 to m - 1 do
+            if mask land (1 lsl b) <> 0 && conflict a b then ok := false
+          done
+        end
+      done;
+      if !ok && !w > !best_saved then best_saved := !w
+    done;
+    ideal nest + (Array.fold_left ( + ) 0 pen - !best_saved)
+end
+
+(* ---- random nests, schedules and trip vectors ---- *)
+
+(* A conv with [oh] x [ow] outputs: stride up to 3 with a 1x1 kernel
+   gives a skipping window. *)
+let gen_conv =
+  let open QCheck.Gen in
+  let* n = int_range 1 2 and* c = int_range 1 3 and* k = int_range 1 3 in
+  let* r = int_range 1 3 and* s = int_range 1 3 in
+  let* stride = int_range 1 3 and* dilation = int_range 1 2 in
+  let* padding = int_range 0 1 and* oh = int_range 1 4 and* ow = int_range 1 4 in
+  let side o kern = max 1 (((o - 1) * stride) + ((kern - 1) * dilation) + 1 - (2 * padding)) in
+  return
+    (match
+       Conv.validate ~stride ~dilation ~padding ~n ~c ~h:(side oh r) ~w:(side ow s) ~k ~r ~s ()
+     with
+    | Ok cv -> Lower.of_conv cv
+    | Error _ -> Lower.of_conv (Conv.make ~n ~c ~h:(side oh r) ~w:(side ow s) ~k ~r:1 ~s:1 ()))
+
+(* Any projective nest: each tensor reads a random subset of the axes,
+   consecutive pairs of them possibly fused into a [Window] (stride up
+   to 4, dilation up to 3); the first tensor may be internal. *)
+let gen_projective =
+  let open QCheck.Gen in
+  let* n = int_range 2 5 in
+  let* extents = array_repeat n (int_range 1 6) in
+  let rec dims = function
+    | a :: b :: rest ->
+      let* window = bool in
+      if window then
+        let* stride = int_range 1 4 and* dilation = int_range 1 3 in
+        let+ tl = dims rest in
+        Nest.Window { outer = a; kernel = b; stride; dilation } :: tl
+      else
+        let+ tl = dims (b :: rest) in
+        Nest.Point a :: tl
+    | [ a ] -> return [ Nest.Point a ]
+    | [] -> return []
+  in
+  let tensor j =
+    let* axes = shuffle_l (List.init n Fun.id) in
+    let* keep = int_range 1 n in
+    let* d = dims (List.filteri (fun i _ -> i < keep) axes) in
+    let+ internal = if j = 0 then map (fun k -> k = 0) (int_range 0 2) else return false in
+    Nest.tensor ~internal (Printf.sprintf "T%d" j) d
+  in
+  let* nt = int_range 2 4 in
+  let+ tensors = flatten_l (List.init nt tensor) in
+  Nest.make ~name:"rand" ~axes:(Array.init n (Printf.sprintf "x%d")) ~extents ~tensors
+
+let gen_nest =
+  let open QCheck.Gen in
+  let d = int_range 1 8 in
+  frequency
+    [ (1, map3 (fun m k l -> Lower.of_matmul (mm_make ~m ~k ~l)) d d d);
+      (2, gen_conv);
+      (1, map3 (fun b (m, k) l -> Lower.batched_mm ~b ~m ~k ~l ()) (int_range 1 3) (pair d d) d);
+      ( 1,
+        map3
+          (fun (groups, heads) (m, k) l -> Lower.grouped_mm ~groups ~heads ~m ~k ~l ())
+          (pair (int_range 1 3) (int_range 1 3)) (pair d d) d );
+      ( 1,
+        map3
+          (fun (seq_q, seq_k) d dv -> Lower.attention_pair ~seq_q ~seq_k ~d ~dv ())
+          (pair d d) (int_range 1 6) (int_range 1 6) );
+      (4, gen_projective) ]
+
+let gen_schedule nest =
+  let open QCheck.Gen in
+  let n = Nest.rank nest in
+  let* tiles = flatten_a (Array.map (int_range 1) nest.Nest.extents) in
+  let+ order = shuffle_l (List.init n Fun.id) in
+  Nest.schedule_make nest ~tiles ~order:(Array.of_list order)
+
+let print_case (nest, schedules, trips) =
+  Format.asprintf "%a@.%s@.trips %s" Nest.pp nest
+    (String.concat "; " (List.map (Nest.schedule_to_string nest) schedules))
+    (String.concat "; "
+       (List.map
+          (fun t -> String.concat "," (Array.to_list (Array.map string_of_int t)))
+          trips))
+
+let arb_case =
+  QCheck.make ~print:print_case
+    QCheck.Gen.(
+      let* nest = gen_nest in
+      let* schedules = list_repeat 8 (gen_schedule nest) in
+      let+ trips =
+        list_repeat 8 (flatten_a (Array.map (int_range 1) nest.Nest.extents))
+      in
+      (nest, schedules, trips))
+
+let kernels_match_reference =
+  QCheck.Test.make ~count:400 ~name:"kernels = list-based reference" arb_case
+    (fun (nest, schedules, trip_vectors) ->
+      Bound.ideal nest = Ref.ideal nest
+      && List.for_all
+           (fun (s : Nest.schedule) ->
+             let trips = Ref.trips nest s.Nest.tiles in
+             Nest.footprint_tiles nest s.Nest.tiles = Ref.footprint_tiles nest s.Nest.tiles
+             && Nest.eval nest s = Ref.eval nest s
+             && Nest.valid nest s = Ref.valid nest s
+             && Nest.sweeps nest ~trips
+                = Array.of_list (List.map (Ref.sweep nest trips) nest.Nest.tensors)
+             && List.for_all Fun.id
+                  (List.mapi
+                     (fun x tensor ->
+                       Nest.revisit_of nest s x
+                       = Ref.revisit nest tensor ~trips ~order:s.Nest.order)
+                     nest.Nest.tensors))
+           schedules
+      && List.for_all
+           (fun trips -> Bound.penalized nest ~trips = Ref.penalized nest ~trips)
+           trip_vectors)
+
+(* [Search.eval_tiling] over a run of tilings sharing one incumbent,
+   against a brute-force scan of [Search.orders] with the reference:
+   the same count per tiling and the same incumbent after each. *)
+let arb_tilings =
+  let gen =
+    QCheck.Gen.(
+      let* nest = gen_nest in
+      let* lattice = oneofl [ Search.All; Search.Divisors; Search.Pow2 ] in
+      let sp = Search.compile ~lattice nest ~capacity:max_int in
+      let+ runs =
+        list_repeat 6
+          (flatten_a
+             (Array.init (Nest.rank nest) (fun i ->
+                  int_range 0 (Array.length (Search.candidates sp i) - 1))))
+      in
+      (sp, runs))
+  in
+  QCheck.make
+    ~print:(fun (sp, runs) ->
+      Format.asprintf "%a@.candidate indices %s" Nest.pp (Search.nest_of sp)
+        (String.concat "; "
+           (List.map
+              (fun r -> String.concat "," (Array.to_list (Array.map string_of_int r)))
+              runs)))
+    gen
+
+let eval_tiling_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"eval_tiling = brute-force scan" arb_tilings
+    (fun (sp, runs) ->
+      let nest = Search.nest_of sp in
+      let best = ref None and expected = ref None in
+      List.for_all
+        (fun idxs ->
+          let tiles = Array.mapi (fun i j -> (Search.candidates sp i).(j)) idxs in
+          let ti = Search.tiling_index sp idxs in
+          let trips = Ref.trips nest tiles in
+          let count = ref 0 in
+          List.iteri
+            (fun rank order ->
+              let s = { Nest.tiles = Array.copy tiles; order } in
+              if Ref.valid nest s then begin
+                incr count;
+                let cost = Ref.eval nest s in
+                match !expected with
+                | Some ((c : Nest.cost), bti, brank, _)
+                  when compare (c.Nest.total, bti, brank) (cost.Nest.total, ti, rank) <= 0 ->
+                  ()
+                | _ -> expected := Some (cost, ti, rank, s)
+              end)
+            (Search.orders sp ~trips);
+          Search.eval_tiling sp ~idxs ~tiles best = !count && !best = !expected)
+        runs)
+
+let test_rank_limit () =
+  let axes n = Array.init n (Printf.sprintf "x%d") in
+  let nest n =
+    Nest.make ~name:"wide" ~axes:(axes n) ~extents:(Array.make n 2)
+      ~tensors:[ Nest.tensor "A" (List.init n (fun i -> Nest.Point i)) ]
+  in
+  check_int "rank 62 accepted" 62 (Nest.rank (nest Nest.max_rank));
+  Alcotest.check_raises "rank 63 rejected"
+    (Invalid_argument "Nest.make: rank 63 above 62")
+    (fun () -> ignore (nest (Nest.max_rank + 1)));
+  (* the bound keeps its external tensors in a mask too *)
+  let externals k =
+    Nest.make ~name:"many" ~axes:[| "x" |] ~extents:[| 2 |]
+      ~tensors:
+        (Nest.tensor ~internal:true "S" [ Nest.Point 0 ]
+        :: List.init k (fun j -> Nest.tensor (Printf.sprintf "T%d" j) [ Nest.Point 0 ]))
+  in
+  check_int "62 externals accepted" 62
+    (List.length (Nest.externals (externals Nest.max_rank)));
+  Alcotest.check_raises "63 externals rejected"
+    (Invalid_argument "Nest.make: more than 62 external tensors")
+    (fun () -> ignore (externals (Nest.max_rank + 1)))
+
 let () =
   Alcotest.run "nest"
     [
@@ -350,5 +674,10 @@ let () =
         [
           Alcotest.test_case "conv boundaries" `Quick test_conv_validation;
           Alcotest.test_case "schedule guards" `Quick test_schedule_validation;
+          Alcotest.test_case "rank limit" `Quick test_rank_limit;
         ] );
+      ( "kernels",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]))
+          [ kernels_match_reference; eval_tiling_matches_scan ] );
     ]
