@@ -1278,7 +1278,8 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Differential conformance oracle: cross-check the principles \
-             against exhaustive search, the analytic cost model against the \
+             against exhaustive search (on the exact, divisors and pow2 \
+             lattices), the analytic cost model against the \
              loop-nest simulator, and both against the communication lower \
              bounds, on seeded random problems spanning all buffer regimes. \
              Failures are shrunk to minimal counterexamples and printed as \

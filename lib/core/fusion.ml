@@ -165,7 +165,8 @@ let build_pattern mode pair buf p =
        fused-pair space (DESIGN.md Sec. 7c), which is what makes
        [Best_of_both] agree with exhaustive search:
        - a shared C tile (t_m, t_l) with t_m swept over the O(sqrt M)
-         trip-aligned tile sizes and t_l maximized under the joint
+         trip-aligned tile sizes (the O(log M) lattice points
+         themselves on Pow2) and t_l maximized under the joint
          footprint (fused traffic is non-increasing in t_l);
        - the producer K tile and consumer L tile influence traffic only
          through "minimal" vs "untiled" (the intermediate is pinned
@@ -177,13 +178,13 @@ let build_pattern mode pair buf p =
          agreement, so it scores each side's six orders once instead
          of the 36 pairs and returns the same first minimum. The
          candidate list stays O(sqrt M). *)
-    let trip_align d t =
-      if t >= d then d else Arith.ceil_div d (Arith.ceil_div d t)
-    in
     let tm_sweep =
-      let r = Arith.isqrt op1.m in
-      Arith.dedup_sorted
-        (List.concat (List.init r (fun i -> [ i + 1; Arith.ceil_div op1.m (i + 1) ])))
+      match mode with
+      | Mode.Pow2 -> op1.m :: Arith.pow2s_upto op1.m
+      | Mode.Exact | Mode.Divisors ->
+        let r = Arith.isqrt op1.m in
+        Arith.dedup_sorted
+          (List.concat (List.init r (fun i -> [ i + 1; Arith.ceil_div op1.m (i + 1) ])))
     in
     let minor_pairs =
       List.concat_map
@@ -198,9 +199,7 @@ let build_pattern mode pair buf p =
             let tl = (bs - (tm * (tk1 + tl2))) / (tk1 + tm + tl2) in
             if tl < 1 then None
             else begin
-              let tl =
-                Mode.quantize mode op1 L (trip_align op1.l (min op1.l tl))
-              in
+              let tl = Mode.snap mode op1 L tl in
               Fused.best_orders pair
                 ~producer:(Tiling.make op1 ~m:tm ~k:tk1 ~l:tl)
                 ~consumer:(Tiling.make op2 ~m:tm ~k:tl ~l:tl2)

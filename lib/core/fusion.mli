@@ -30,9 +30,10 @@ type pattern =
       (** (e): both Three-NRA; the whole of [C] stays on-chip. *)
   | P_block
       (** Generalized C-stationary block family: shared [C] tile
-          [(t_m, t_l)] with [t_m] swept trip-aligned and [t_l]
-          maximized, producer [K] / consumer [L] tiles in
-          [{minimal, untiled}], all order pairs. Subsumes the six named
+          [(t_m, t_l)] with [t_m] swept over [i] and [ceil(M/i)] for
+          [i <= isqrt M] (over the lattice's own points on [Pow2]) and
+          [t_l] maximized ({!Mode.snap}), producer [K] / consumer [L]
+          tiles in [{minimal, untiled}], all order pairs. Subsumes the six named
           patterns and is complete over the valid fused-pair space, so
           [Best_of_both] matches exhaustive search exactly (the named
           builders alone miss mixed-class optima on ragged sizes —

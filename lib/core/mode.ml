@@ -17,6 +17,14 @@ let quantize mode op d target =
       List.fold_left (fun acc v -> if v <= target then max acc v else acc) 1
         (Arith.pow2s_upto target)
 
+let snap mode op d target =
+  let q = quantize mode op d target in
+  match mode with
+  | Exact ->
+    let size = Matmul.dim op d in
+    Arith.ceil_div size (Arith.ceil_div size q)
+  | Divisors | Pow2 -> q
+
 let pp fmt = function
   | Exact -> Format.pp_print_string fmt "exact"
   | Divisors -> Format.pp_print_string fmt "divisors"

@@ -92,14 +92,7 @@ let row_pipeline ?(mode = Mode.Exact) chain buf =
     let candidates =
       Arith.dedup_sorted
         (List.filter_map
-           (fun tm ->
-             if tm < 1 then None
-             else begin
-               let tm = min tm m in
-               (* minimal tile for the same trip count, then the lattice *)
-               let aligned = Arith.ceil_div m (Arith.ceil_div m tm) in
-               Some (Mode.quantize mode first Dim.M aligned)
-             end)
+           (fun tm -> if tm < 1 then None else Some (Mode.snap mode first Dim.M tm))
            [ base; base - 1; base + 1; m ])
     in
     List.filter_map

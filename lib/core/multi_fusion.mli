@@ -44,9 +44,9 @@ val eval : Chain.t -> t -> Buffer.t -> (int, string) result
 val row_pipeline : ?mode:Mode.t -> Chain.t -> Buffer.t -> t list
 (** One-shot candidates for the row-pipeline family: all reduction
     dims untiled, all weight tensors resident, a shared row-block
-    [T_M] maximized under the joint footprint (with the usual
-    trip-aligned integer neighbourhood). Empty when the weights cannot
-    all fit. *)
+    [T_M] maximized under the joint footprint (its integer
+    neighbourhood, each rounded by {!Mode.snap}). Empty when the
+    weights cannot all fit. *)
 
 (** Whole-chain planning outcome. *)
 type decision =

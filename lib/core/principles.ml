@@ -8,13 +8,6 @@ type candidate = { intent : Nra.dataflow; schedule : Schedule.t }
    the real-valued optimum can straddle a lattice point. *)
 let wiggle = [ -2; -1; 0; 1; 2 ]
 
-(* Memory traffic depends on a tile size only through its (integer) trip
-   count ceil(D/T), so the canonical useful tile sizes are the minimal
-   ones per trip count: T = ceil(D/j). [trip_align] snaps a tile to that
-   form (same trips, no larger), freeing buffer for the partner tile. *)
-let trip_align d t =
-  if t >= d then d else Arith.ceil_div d (Arith.ceil_div d t)
-
 let dedup_candidates cands =
   let rec uniq seen = function
     | [] -> []
@@ -35,24 +28,31 @@ let single mode op buf ~stationary =
   let size1 = Matmul.dim op d1 and size2 = Matmul.dim op d2 in
   let base = Arith.isqrt (bs + 1) - 1 in
   let seeds =
-    (* symmetric point, each dim clamped to full size, the tile implied
-       when the partner clamps, and the trip-aligned versions of each *)
-    let raw =
-      base :: size1 :: partner_tile ~bs size2 :: List.map (fun w -> base + w) wiggle
-    in
     (* Traffic depends on tile sizes only through integer trip counts,
        so the complete candidate set along this dimension is the
-       minimal tile per distinct trip count, ceil(D/j) — only O(sqrt D)
-       values: large tiles come from j <= sqrt D, small tiles are
-       themselves <= sqrt D. The partner dimension then maximizes under
-       the buffer constraint, making the builder a one-dimensional
-       refinement of the principle's structure, not a search. *)
-    let root = Arith.isqrt size1 + 1 in
-    let by_trips =
-      List.map (fun j -> Arith.ceil_div size1 j) (Arith.range 1 root)
-      @ Arith.range 1 root
-    in
-    raw @ by_trips @ List.map (fun t -> if t >= 1 then trip_align size1 t else t) raw
+       minimal tile per distinct trip count. The partner dimension then
+       maximizes under the buffer constraint, making the builder a
+       one-dimensional refinement of the principle's structure, not a
+       search. *)
+    match mode with
+    | Mode.Pow2 ->
+      (* the lattice itself: O(log D) points, each its own trip count *)
+      size1 :: Arith.pow2s_upto size1
+    | Mode.Exact | Mode.Divisors ->
+      (* symmetric point, each dim clamped to full size, the tile
+         implied when the partner clamps, and the snapped versions of
+         each; then ceil(D/j) — only O(sqrt D) values: large tiles come
+         from j <= sqrt D, small tiles are themselves <= sqrt D *)
+      let raw =
+        base :: size1 :: partner_tile ~bs size2 :: List.map (fun w -> base + w) wiggle
+      in
+      let root = Arith.isqrt size1 + 1 in
+      let by_trips =
+        List.map (fun j -> Arith.ceil_div size1 j) (Arith.range 1 root)
+        @ Arith.range 1 root
+      in
+      raw @ by_trips
+      @ List.map (fun t -> if t >= 1 then Mode.snap mode op d1 t else t) raw
   in
   let order = Order.make ~outer:d1 ~mid:d2 ~inner:free in
   let mk t1 =
@@ -62,7 +62,7 @@ let single mode op buf ~stationary =
       let t2 = partner_tile ~bs t1 in
       if t2 < 1 then None
       else begin
-        let t2 = Mode.quantize mode op d2 (trip_align size2 t2) in
+        let t2 = Mode.snap mode op d2 t2 in
         let tiling =
           Tiling.make op ~m:1 ~k:1 ~l:1
           |> fun t -> Tiling.with_dim op t d1 t1
@@ -87,12 +87,11 @@ let two mode op buf ~untiled ~redundant =
   let base = (bs - d) / (d + 1) in
   if base < 1 then []
   else begin
-    let grow_size = Matmul.dim op grow in
     let order = Order.make ~outer:grow ~mid:shrink ~inner:untiled in
     let mk t =
       if t < 1 then None
       else begin
-        let t = Mode.quantize mode op grow (trip_align grow_size t) in
+        let t = Mode.snap mode op grow t in
         let tiling =
           Tiling.full op
           |> fun x -> Tiling.with_dim op x grow t

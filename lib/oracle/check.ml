@@ -9,9 +9,18 @@ type outcome = { checks : int; failures : failure list }
 
 type mapper = Principles | Bnb
 
-let mode = Mode.Exact
+(* A lattice leg: principle plans built in [mode], held to the optimum
+   over [lattice]. [infix] goes into every check name, so shrinking a
+   failure stays on its leg. The Exact leg also runs the simulator,
+   bound, regime, Principle-4 and B&B checks. *)
+type leg = { mode : Mode.t; lattice : Space.lattice; infix : string }
 
-let lattice = Space.All
+let legs =
+  [ { mode = Mode.Exact; lattice = Space.All; infix = "" };
+    { mode = Mode.Divisors; lattice = Space.Divisors; infix = "/divisors" };
+    { mode = Mode.Pow2; lattice = Space.Pow2; infix = "/pow2" } ]
+
+let full leg = leg.mode = Mode.Exact
 
 (* Deterministic per-problem stream for the ragged-schedule samples:
    FNV-1a over the spec string, so a problem's verdict is a pure
@@ -65,9 +74,8 @@ let sim_vs_cost ctx ~name op schedule =
               Operand.all)))
 
 (* B&B must reproduce the exhaustive optimum bit-for-bit — feasibility,
-   traffic AND schedule — when seeded with the principle plan exactly as
-   the service hot path seeds it. *)
-let bnb_intra_checks ctx tag op buf planned searched =
+   traffic AND schedule — when seeded with the principle plan. *)
+let bnb_intra_checks ctx ~lattice tag op buf planned searched =
   let seed =
     match planned with
     | Ok (p : Intra.plan) -> Some p.Intra.schedule
@@ -94,11 +102,13 @@ let bnb_intra_checks ctx tag op buf planned searched =
         Printf.sprintf "bnb found %d but exhaustive infeasible"
           b.Exhaustive.cost.Cost.total)
 
-let intra_checks ctx ~mapper tag op buf =
+let intra_checks ctx ~mapper leg tag op buf =
+  let { mode; lattice; _ } = leg in
   let planned = Intra.optimize ~mode op buf in
   let searched = Exhaustive.search ~lattice op buf in
-  if mapper = Bnb then bnb_intra_checks ctx tag op buf planned searched;
-  (match (planned, searched) with
+  if full leg && mapper = Bnb then
+    bnb_intra_checks ctx ~lattice tag op buf planned searched;
+  match (planned, searched) with
   | Error _, None -> ()
   | Error e, Some ex ->
     check ctx (tag ^ "/feasibility") false (fun () ->
@@ -118,27 +128,29 @@ let intra_checks ctx ~mapper tag op buf =
           (Schedule.to_string plan.Intra.schedule)
           ex.Exhaustive.cost.Cost.total
           (Schedule.to_string ex.Exhaustive.schedule));
-    sim_vs_cost ctx ~name:(tag ^ "/sim") op plan.Intra.schedule;
-    check ctx
-      (tag ^ "/lower-bound")
-      (Intra.ma plan >= Lower_bound.intra op)
-      (fun () ->
-        Printf.sprintf "traffic %d below unbounded lower bound %d" (Intra.ma plan)
-          (Lower_bound.intra op));
-    let regime = Regime.classify op buf in
-    let cls = Nra.class_of plan.Intra.dataflow in
-    let ok =
-      match regime with
-      | Regime.Large ->
-        (* with the exact feasibility threshold, Large means the
-           unbounded bound is reachable — and therefore reached *)
-        Intra.ma plan = Lower_bound.intra op
-      | _ -> List.exists (Nra.equal cls) (Regime.expected_classes regime)
-    in
-    check ctx (tag ^ "/regime") ok (fun () ->
-        Printf.sprintf "%s regime but %s dataflow with traffic %d (ideal %d)"
-          (Regime.to_string regime) (Nra.to_string cls) (Intra.ma plan)
-          (Lower_bound.intra op)))
+    if full leg then begin
+      sim_vs_cost ctx ~name:(tag ^ "/sim") op plan.Intra.schedule;
+      check ctx
+        (tag ^ "/lower-bound")
+        (Intra.ma plan >= Lower_bound.intra op)
+        (fun () ->
+          Printf.sprintf "traffic %d below unbounded lower bound %d" (Intra.ma plan)
+            (Lower_bound.intra op));
+      let regime = Regime.classify op buf in
+      let cls = Nra.class_of plan.Intra.dataflow in
+      let ok =
+        match regime with
+        | Regime.Large ->
+          (* with the exact feasibility threshold, Large means the
+             unbounded bound is reachable — and therefore reached *)
+          Intra.ma plan = Lower_bound.intra op
+        | _ -> List.exists (Nra.equal cls) (Regime.expected_classes regime)
+      in
+      check ctx (tag ^ "/regime") ok (fun () ->
+          Printf.sprintf "%s regime but %s dataflow with traffic %d (ideal %d)"
+            (Regime.to_string regime) (Nra.to_string cls) (Intra.ma plan)
+            (Lower_bound.intra op))
+    end
 
 (* Random (mostly ragged) schedules, unconstrained by the buffer: the
    simulator and the analytic model must agree everywhere, not just on
@@ -160,10 +172,10 @@ let fused_sim_traffic pair (f : Fused.t) =
   + c.Cost.c.Cost.traffic
 
 (* Same bit-for-bit contract on the fused side: the fused B&B (seeded
-   the way the service seeds it, from the principle fusion decision)
-   must agree with Fused_search.exhaustive on feasibility, traffic and
-   the winning producer/consumer schedules. *)
-let bnb_fused_checks ctx pair buf planned_pair verdict =
+   from the principle fusion decision) must agree with
+   Fused_search.exhaustive on feasibility, traffic and the winning
+   producer/consumer schedules. *)
+let bnb_fused_checks ctx ~lattice pair buf planned_pair verdict =
   let seed =
     match planned_pair with
     | Ok (Fusion.Fuse { fused; _ }) -> Some fused
@@ -189,24 +201,27 @@ let bnb_fused_checks ctx pair buf planned_pair verdict =
         Printf.sprintf "bnb found fused %d but exhaustive found none"
           b.Fused_search.traffic)
 
-let pair_checks ctx ~mapper pair buf =
+let pair_checks ctx ~mapper leg pair buf =
+  let { mode; lattice; infix } = leg in
+  let name check = "fuse" ^ infix ^ "/" ^ check in
   let chain = Chain.make_exn [ pair.Fused.op1; pair.Fused.op2 ] in
   let verdict = Fused_search.decide ~lattice pair buf in
   let planned_pair = Fusion.plan_pair ~mode ~strategy:Fusion.Best_of_both pair buf in
-  if mapper = Bnb then bnb_fused_checks ctx pair buf planned_pair verdict;
+  if full leg && mapper = Bnb then
+    bnb_fused_checks ctx ~lattice pair buf planned_pair verdict;
   match planned_pair with
   | Error _ ->
-    check ctx "fuse/feasibility"
+    check ctx (name "feasibility")
       (verdict.Fused_search.best_traffic = None)
       (fun () -> "planner infeasible but exhaustive search found a dataflow")
   | Ok decision ->
     let traffic = Fusion.traffic_of_decision decision in
     (match verdict.Fused_search.best_traffic with
     | None ->
-      check ctx "fuse/feasibility" false (fun () ->
+      check ctx (name "feasibility") false (fun () ->
           "planner produced a plan but exhaustive search found none")
     | Some best ->
-      check ctx "fuse/optimal" (traffic = best) (fun () ->
+      check ctx (name "optimal") (traffic = best) (fun () ->
           Printf.sprintf "best-of-both=%d vs exhaustive best=%d (fused=%s unfused=%s)"
             traffic best
             (match verdict.Fused_search.fused_best with
@@ -215,79 +230,82 @@ let pair_checks ctx ~mapper pair buf =
             (match verdict.Fused_search.unfused_traffic with
             | Some u -> string_of_int u
             | None -> "-")));
-    (match decision with
-    | Fusion.No_fuse _ -> ()
-    | Fusion.Fuse { fused; traffic; _ } ->
-      check ctx "fuse/sim"
-        (fused_sim_traffic pair fused = traffic)
-        (fun () ->
-          Printf.sprintf "analytic fused traffic %d but simulated %d" traffic
-            (fused_sim_traffic pair fused));
-      check ctx "fuse/lower-bound"
-        (traffic >= Chain.ideal_ma_fused chain)
-        (fun () ->
-          Printf.sprintf "fused traffic %d below fused lower bound %d" traffic
-            (Chain.ideal_ma_fused chain)));
-    (* Principle-4 soundness: a Fuse decision never moves more data
-       than its own unfused baseline, and the By_principle gate only
-       changes the outcome when the classes differ. *)
-    (match
-       (Intra.optimize ~mode pair.Fused.op1 buf,
-        Intra.optimize ~mode pair.Fused.op2 buf)
-     with
-    | Ok p1, Ok p2 -> (
-      let unfused = Intra.ma p1 + Intra.ma p2 in
-      check ctx "fuse/profitable" (traffic <= unfused) (fun () ->
-          Printf.sprintf "decision traffic %d exceeds unfused baseline %d" traffic
-            unfused);
-      let classes_equal =
-        Fusion.profitable
-          (Nra.class_of p1.Intra.dataflow)
-          (Nra.class_of p2.Intra.dataflow)
-      in
-      match Fusion.plan_pair ~mode ~strategy:Fusion.By_principle pair buf with
-      | Error e ->
-        check ctx "fuse/principle" false (fun () ->
-            "By_principle infeasible where Best_of_both was not: " ^ e)
-      | Ok by_principle ->
-        let pt = Fusion.traffic_of_decision by_principle in
-        if classes_equal then
-          check ctx "fuse/principle" (pt = traffic) (fun () ->
-              Printf.sprintf
-                "classes equal but By_principle=%d differs from Best_of_both=%d"
-                pt traffic)
-        else
-          check ctx "fuse/principle"
-            (match by_principle with
-            | Fusion.No_fuse _ -> pt = unfused
-            | Fusion.Fuse _ -> false)
-            (fun () ->
-              Printf.sprintf
-                "classes differ but By_principle fused (traffic %d, unfused %d)"
-                pt unfused))
-    | _ -> ())
+    if full leg then begin
+      (match decision with
+      | Fusion.No_fuse _ -> ()
+      | Fusion.Fuse { fused; traffic; _ } ->
+        check ctx "fuse/sim"
+          (fused_sim_traffic pair fused = traffic)
+          (fun () ->
+            Printf.sprintf "analytic fused traffic %d but simulated %d" traffic
+              (fused_sim_traffic pair fused));
+        check ctx "fuse/lower-bound"
+          (traffic >= Chain.ideal_ma_fused chain)
+          (fun () ->
+            Printf.sprintf "fused traffic %d below fused lower bound %d" traffic
+              (Chain.ideal_ma_fused chain)));
+      (* Principle-4 soundness: a Fuse decision never moves more data
+         than its own unfused baseline, and the By_principle gate only
+         changes the outcome when the classes differ. *)
+      (match
+         (Intra.optimize ~mode pair.Fused.op1 buf,
+          Intra.optimize ~mode pair.Fused.op2 buf)
+       with
+      | Ok p1, Ok p2 -> (
+        let unfused = Intra.ma p1 + Intra.ma p2 in
+        check ctx "fuse/profitable" (traffic <= unfused) (fun () ->
+            Printf.sprintf "decision traffic %d exceeds unfused baseline %d" traffic
+              unfused);
+        let classes_equal =
+          Fusion.profitable
+            (Nra.class_of p1.Intra.dataflow)
+            (Nra.class_of p2.Intra.dataflow)
+        in
+        match Fusion.plan_pair ~mode ~strategy:Fusion.By_principle pair buf with
+        | Error e ->
+          check ctx "fuse/principle" false (fun () ->
+              "By_principle infeasible where Best_of_both was not: " ^ e)
+        | Ok by_principle ->
+          let pt = Fusion.traffic_of_decision by_principle in
+          if classes_equal then
+            check ctx "fuse/principle" (pt = traffic) (fun () ->
+                Printf.sprintf
+                  "classes equal but By_principle=%d differs from Best_of_both=%d"
+                  pt traffic)
+          else
+            check ctx "fuse/principle"
+              (match by_principle with
+              | Fusion.No_fuse _ -> pt = unfused
+              | Fusion.Fuse _ -> false)
+              (fun () ->
+                Printf.sprintf
+                  "classes differ but By_principle fused (traffic %d, unfused %d)"
+                  pt unfused))
+      | _ -> ())
+    end
 
-let chain_checks ctx chain buf =
+let chain_checks ctx { mode; infix; _ } chain buf =
+  let name check = "chain" ^ infix ^ "/" ^ check in
   match Multi_fusion.plan ~mode chain buf with
   | Error _ -> ()
   | Ok decision ->
     let traffic = Multi_fusion.traffic_of_decision decision in
-    check ctx "chain/lower-bound"
+    check ctx (name "lower-bound")
       (traffic >= Chain.ideal_ma_fused chain)
       (fun () ->
         Printf.sprintf "chain traffic %d below fused lower bound %d" traffic
           (Chain.ideal_ma_fused chain));
     (match Planner.plan_chain ~mode chain buf with
     | Error e ->
-      check ctx "chain/pairwise" false (fun () ->
+      check ctx (name "pairwise") false (fun () ->
           "whole-chain plan exists but pairwise planning failed: " ^ e)
     | Ok pairwise ->
-      check ctx "chain/not-worse"
+      check ctx (name "not-worse")
         (traffic <= pairwise.Planner.traffic)
         (fun () ->
           Printf.sprintf "chain decision %d worse than pairwise %d" traffic
             pairwise.Planner.traffic);
-      check ctx "chain/pairwise"
+      check ctx (name "pairwise")
         (pairwise.Planner.traffic
         = Fusecu_util.Arith.sum
             (List.map Planner.segment_traffic pairwise.Planner.segments))
@@ -297,10 +315,10 @@ let chain_checks ctx chain buf =
     | Multi_fusion.Full_fusion { fused; traffic } ->
       (match Multi_fusion.eval chain fused buf with
       | Error e ->
-        check ctx "chain/valid" false (fun () ->
+        check ctx (name "valid") false (fun () ->
             "Full_fusion decision fails validation: " ^ e)
       | Ok t ->
-        check ctx "chain/valid" (t = traffic) (fun () ->
+        check ctx (name "valid") (t = traffic) (fun () ->
             Printf.sprintf "decision traffic %d but eval says %d" traffic t));
       (* three-way closure: the analytic whole-chain traffic equals the
          simulated traffic of every external (non-intermediate) operand *)
@@ -317,7 +335,7 @@ let chain_checks ctx chain buf =
                else b)
              (List.combine ops fused.Multi_fusion.schedules))
       in
-      check ctx "chain/sim" (sim_external = traffic) (fun () ->
+      check ctx (name "sim") (sim_external = traffic) (fun () ->
           Printf.sprintf "analytic chain traffic %d but simulated %d" traffic
             sim_external))
 
@@ -325,18 +343,21 @@ let run ?(mapper = Principles) p : outcome =
   let ctx = { checks = 0; failures = [] } in
   let buf = Problem.buffer p in
   let rng = Rng.make (seed_of p) in
-  List.iteri
-    (fun i op ->
-      let tag = Printf.sprintf "op%d" (i + 1) in
-      intra_checks ctx ~mapper tag op buf;
-      ragged_checks ctx rng tag op)
-    (Problem.ops p);
-  (match Problem.pair p with
-  | Some pair -> pair_checks ctx ~mapper pair buf
-  | None -> ());
-  (match Problem.chain p with
-  | Some chain -> chain_checks ctx chain buf
-  | None -> ());
+  List.iter
+    (fun leg ->
+      List.iteri
+        (fun i op ->
+          let tag = Printf.sprintf "op%d%s" (i + 1) leg.infix in
+          intra_checks ctx ~mapper leg tag op buf;
+          if full leg then ragged_checks ctx rng tag op)
+        (Problem.ops p);
+      (match Problem.pair p with
+      | Some pair -> pair_checks ctx ~mapper leg pair buf
+      | None -> ());
+      match Problem.chain p with
+      | Some chain -> chain_checks ctx leg chain buf
+      | None -> ())
+    legs;
   { checks = ctx.checks; failures = List.rev ctx.failures }
 
 let failure_names (o : outcome) =

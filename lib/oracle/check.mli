@@ -17,8 +17,15 @@
       lower bound, and the analytic chain traffic equals the simulated
       traffic of the external operands.
 
-    All ground truths use [Mode.Exact] and the full [Space.All]
-    lattice. *)
+    All of the above builds plans with [Mode.Exact] and takes its
+    ground truth from the full [Space.All] lattice. Two more legs hold
+    the principles to the optimum on the other lattices the server
+    offers: [Mode.Divisors] plans against [Space.Divisors], and
+    [Mode.Pow2] plans against [Space.Pow2]. Each leg checks intra
+    feasibility and optimality against {!Fusecu_dse.Exhaustive.search},
+    [Best_of_both] against {!Fusecu_dse.Fused_search.decide}, and runs
+    the chain checks in its mode; its check names carry the mode
+    ([op1/pow2/optimal], [fuse/divisors/optimal], [chain/pow2/valid]). *)
 
 type failure = { check : string; detail : string }
 
@@ -27,10 +34,11 @@ type outcome = { checks : int; failures : failure list }
 type mapper =
   | Principles  (** the default check set *)
   | Bnb
-      (** additionally assert that {!Fusecu_dse.Bnb} — seeded exactly as
-          the service hot path seeds it — reproduces the exhaustive
-          optimum bit-for-bit (feasibility, traffic and schedule), both
-          intra-operator ([opN/bnb-exact]) and fused ([fuse/bnb-exact]) *)
+      (** additionally assert, on the Exact leg, that
+          {!Fusecu_dse.Bnb} seeded from the principle plan reproduces the
+          exhaustive optimum bit-for-bit (feasibility, traffic and
+          schedule), both intra-operator ([opN/bnb-exact]) and fused
+          ([fuse/bnb-exact]) *)
 
 val run : ?mapper:mapper -> Problem.t -> outcome
 (** [mapper] defaults to [Principles]. *)

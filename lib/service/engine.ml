@@ -1,13 +1,12 @@
 open Fusecu_tensor
 open Fusecu_loopnest
 open Fusecu_core
-open Fusecu_dse
 open Fusecu_util
 module Partition = Fusecu_planner.Partition
 module Pgroup = Fusecu_planner.Group
 module Wgraph = Fusecu_workloads.Graph
 
-type mapper = Mapper_principles | Mapper_bnb
+type mapper = Mapper_principles
 
 type config = {
   cache_enabled : bool;
@@ -31,7 +30,7 @@ let default_config () =
     cache_shards = 8;
     pool = None;
     slow_log_ms = None;
-    mapper = Mapper_bnb }
+    mapper = Mapper_principles }
 
 type t = {
   config : config;
@@ -88,83 +87,6 @@ let tick t = ignore (Atomic.fetch_and_add t.ticks 1)
 (* ------------------------------------------------------------------ *)
 (* Planner dispatch                                                    *)
 
-(* The refinement search space per quantization mode. [Exact] requests
-   refine over the divisor lattice, not the full integer lattice: the
-   hot path verifies the closed-form plan against the divisor-lattice
-   optimum (the space the paper's DSE baselines search), because
-   All-lattice search at paper-sized operators costs orders of
-   magnitude more per cache miss. Full-integer-lattice agreement is
-   enforced separately, on tractable sizes, by the oracle's
-   [--mapper bnb] checks. *)
-let refine_lattice = function
-  | Mode.Exact | Mode.Divisors -> Space.Divisors
-  | Mode.Pow2 -> Space.Pow2
-
-let note_mapper_stats t (stats : Bnb.stats) =
-  (* Histograms only: they surface in the [metrics] op and the
-     Prometheus exporter but never in the golden-compared [stats]
-     counters, so turning the mapper on cannot perturb fixture bytes. *)
-  Metrics.observe t.metrics "mapper_nodes" (float_of_int stats.Bnb.nodes);
-  Metrics.observe t.metrics "mapper_pruned"
-    (float_of_int (stats.Bnb.pruned_bound + stats.Bnb.pruned_infeasible))
-
-(* Verify-and-refine: under [Mapper_bnb], run branch-and-bound seeded
-   from the closed-form plan and adopt its schedule only on a strict
-   traffic improvement. The principles are conjectured (and
-   oracle-soaked) to be optimal, so the replacement — and the
-   [mapper_improved] counter — is expected to never fire; when it does,
-   the counter is the tripwire. *)
-let refine_intra t ~mode buffer (plan : Intra.plan) =
-  match t.config.mapper with
-  | Mapper_principles -> plan
-  | Mapper_bnb -> (
-    let searched, stats =
-      Bnb.search_with_stats ~lattice:(refine_lattice mode)
-        ~seed:plan.Intra.schedule plan.Intra.op buffer
-    in
-    note_mapper_stats t stats;
-    match searched with
-    | Some r when r.Exhaustive.cost.Cost.total < plan.Intra.cost.Cost.total ->
-      Metrics.incr t.metrics "mapper_improved";
-      { plan with
-        schedule = r.Exhaustive.schedule;
-        cost = r.Exhaustive.cost;
-        dataflow = Nra.classify plan.Intra.op r.Exhaustive.schedule }
-    | _ -> plan)
-
-let refine_fused t ~mode pair buffer ~fused ~traffic =
-  match t.config.mapper with
-  | Mapper_principles -> (fused, traffic)
-  | Mapper_bnb -> (
-    let searched, stats =
-      Bnb.search_fused_with_stats ~lattice:(refine_lattice mode) ~seed:fused
-        pair buffer
-    in
-    note_mapper_stats t stats;
-    match searched with
-    | Some r when r.Fused_search.traffic < traffic ->
-      Metrics.incr t.metrics "mapper_improved";
-      (r.Fused_search.fused, r.Fused_search.traffic)
-    | _ -> (fused, traffic))
-
-let refine_chain t ~mode buffer (plan : Planner.plan) =
-  match t.config.mapper with
-  | Mapper_principles -> plan
-  | Mapper_bnb ->
-    let segments =
-      List.map
-        (function
-          | Planner.Solo p -> Planner.Solo (refine_intra t ~mode buffer p)
-          | Planner.Fused_pair { pair; pattern; fused; traffic } ->
-            let fused, traffic =
-              refine_fused t ~mode pair buffer ~fused ~traffic
-            in
-            Planner.Fused_pair { pair; pattern; fused; traffic })
-        plan.Planner.segments
-    in
-    { Planner.segments;
-      traffic = Arith.sum (List.map Planner.segment_traffic segments) }
-
 let unknown_model model =
   Error
     ( Protocol.Unknown_model,
@@ -179,9 +101,7 @@ let rec compute t (call : Protocol.call) :
   match call with
   | Intra { op; buffer; mode } -> (
     match Intra.optimize ~mode op buffer with
-    | Ok plan ->
-      let plan = refine_intra t ~mode buffer plan in
-      Ok (Protocol.R_intra (Protocol.intra_result_of_plan plan))
+    | Ok plan -> Ok (Protocol.R_intra (Protocol.intra_result_of_plan plan))
     | Error e -> Error (Protocol.Infeasible, e))
   | Fuse { op; l2; buffer; mode } -> (
     let op2 =
@@ -191,14 +111,10 @@ let rec compute t (call : Protocol.call) :
     match Fusion.plan_pair ~mode pair buffer with
     | Error e -> Error (Protocol.Infeasible, e)
     | Ok (Fusion.Fuse { pattern; fused; traffic }) ->
-      let fused, traffic = refine_fused t ~mode pair buffer ~fused ~traffic in
       Ok
         (Protocol.R_fuse
            (Protocol.Fused { pattern; nra = Fusion.fused_nra pair fused; traffic }))
     | Ok (Fusion.No_fuse { plan1; plan2; traffic; why }) ->
-      let plan1 = refine_intra t ~mode buffer plan1 in
-      let plan2 = refine_intra t ~mode buffer plan2 in
-      let traffic = min traffic (Intra.ma plan1 + Intra.ma plan2) in
       Ok
         (Protocol.R_fuse
            (Protocol.Not_fused
@@ -251,7 +167,6 @@ let rec compute t (call : Protocol.call) :
            (Protocol.Full_fusion
               { traffic; fused_bound = Chain.ideal_ma_fused chain }))
     | Ok (Multi_fusion.Fallback plan) ->
-      let plan = refine_chain t ~mode buffer plan in
       let segments =
         List.map
           (function
@@ -309,7 +224,8 @@ let rec compute t (call : Protocol.call) :
    entries behind for later ones. Cache access stays on the caller's
    (sequential) thread, which keeps the stats counters deterministic.
    The response bytes are cache-independent: a hit returns exactly what
-   [compute] would have produced, by verify-and-refine. *)
+   [compute] would have produced, because a compute is a pure function
+   of the canonical call. *)
 and plan_model_impl t ~use_cache (call : Protocol.call) :
     (Protocol.outcome, Protocol.error_code * string) result =
   match call with

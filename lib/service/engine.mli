@@ -16,7 +16,10 @@
       cache; misses are deduplicated into a unique work list (a repeat
       of an in-flight key {e coalesces} onto the first occurrence);
     + {b compute} (parallel): the unique work list runs on the pool via
-      [parallel_map], which preserves ordering;
+      [parallel_map], which preserves ordering. An [intra] / [fuse] /
+      [chain] miss is the closed-form principle plan alone, with no
+      search after it; a [nest] miss is a {!Fusecu_dse.Nest_bnb}
+      search;
     + {b drain} (sequential, request order): successful outcomes are
       inserted into the cache, every outcome is mapped back through
       {!Protocol.apply_transform} and serialized.
@@ -29,19 +32,14 @@
 
 open Fusecu_util
 
-(** What backs uncached [intra] / [fuse] / [chain] computes.
-    [Mapper_bnb] runs {e verify-and-refine}: the closed-form principle
-    plan is built first, branch-and-bound is seeded from it, and the
-    searched schedule replaces the plan only on a strict traffic
-    improvement — so on principle-optimal problems (all of them, per the
-    conformance oracle) responses are byte-identical to
-    [Mapper_principles] and the [mapper_improved] counter stays zero. *)
-type mapper =
-  | Mapper_principles  (** closed-form plan only, no search *)
-  | Mapper_bnb
-      (** exact branch-and-bound ({!Fusecu_dse.Bnb}) — the default;
-          node/prune tallies land in the [mapper_nodes] /
-          [mapper_pruned] histograms *)
+(** Uncached [intra] / [fuse] / [chain] computes always serve the
+    closed-form principle plan, with no search after it; the plan is
+    exact on every lattice the protocol offers (DESIGN.md §4d says
+    where that is checked). The type and the [mapper] field have no
+    effect and nothing reads them: they remain only because the
+    benchmark harness still names [Mapper_principles], and go when it
+    stops doing so. *)
+type mapper = Mapper_principles
 
 type config = {
   cache_enabled : bool;
@@ -52,13 +50,12 @@ type config = {
       (** when set, any single compute taking at least this many
           milliseconds emits a [Log.warn] record (op, cache key,
           duration, trace id). [None] disables the slow log. *)
-  mapper : mapper;
+  mapper : mapper;  (** no effect, see {!type-mapper} *)
 }
 
 val default_config : unit -> config
 (** Cache on, capacity from [FUSECU_CACHE_ENTRIES] (default 4096,
-    clamped to [>= 0]), 8 shards, global pool, slow log off,
-    [Mapper_bnb]. *)
+    clamped to [>= 0]), 8 shards, global pool, slow log off. *)
 
 type t
 

@@ -198,6 +198,64 @@ let test_divisor_mode_quantizes () =
         Dim.all)
     (Intra.candidates ~mode:Mode.Divisors op buf)
 
+(* Pow2 plans must reach the Pow2-lattice optimum. These oracle
+   counterexamples fail when a builder trip-aligns a tile before
+   rounding it onto the lattice, which loses a trip on Pow2 (a 23-long
+   dimension with a budget of 18 goes 18 -> 12 -> 8, never 16): the
+   principles then return 516, 987 and 856 here, and 369 on the pair. *)
+let test_pow2_intra_optimal () =
+  List.iter
+    (fun (m, k, l, bs, optimum) ->
+      let op = Matmul.make ~m ~k ~l () and buf = Buffer.make bs in
+      let name = Printf.sprintf "%s bs=%d" (Matmul.to_string op) bs in
+      match
+        ( Intra.optimize ~mode:Mode.Pow2 op buf,
+          Exhaustive.search ~lattice:Space.Pow2 op buf )
+      with
+      | Ok plan, Some best ->
+        check_int (name ^ " exhaustive") optimum best.Exhaustive.cost.Cost.total;
+        check_int (name ^ " principles") optimum (Intra.ma plan)
+      | _ -> Alcotest.failf "%s: expected a feasible plan and optimum" name)
+    [ (12, 6, 10, 29, 492); (9, 17, 12, 47, 975); (20, 6, 23, 137, 838) ]
+
+let test_pow2_fuse_optimal () =
+  let op1 = Matmul.make ~m:3 ~k:4 ~l:6 () in
+  let pair = Fused.make_pair_exn op1 (Matmul.make ~m:3 ~k:6 ~l:23 ()) in
+  let buf = Buffer.make 20 in
+  let verdict = Fused_search.decide ~lattice:Space.Pow2 pair buf in
+  Alcotest.(check (option int)) "exhaustive" (Some 348) verdict.Fused_search.best_traffic;
+  match Fusion.plan_pair ~mode:Mode.Pow2 ~strategy:Fusion.Best_of_both pair buf with
+  | Ok decision ->
+    check_int "best-of-both" 348 (Fusion.traffic_of_decision decision)
+  | Error e -> Alcotest.fail e
+
+let prop_snap_smallest_of_its_trips =
+  QCheck.Test.make ~count:1000
+    ~name:"snap: smallest lattice tile of quantize's trip count"
+    (QCheck.make
+       ~print:(fun (mode, d, t) -> Format.asprintf "%a D=%d t=%d" Mode.pp mode d t)
+       QCheck.Gen.(
+         let* mode = oneofl [ Mode.Exact; Mode.Divisors; Mode.Pow2 ] in
+         let* d = oneof [ int_range 1 64; int_range 1 4096 ] in
+         let* t = int_range (-2) (d + 8) in
+         return (mode, d, t)))
+    (fun (mode, d, t) ->
+      let op = Matmul.make ~m:d ~k:1 ~l:1 () in
+      let q = Mode.quantize mode op Dim.M t and s = Mode.snap mode op Dim.M t in
+      let lattice =
+        Space.tile_candidates
+          (match mode with
+          | Mode.Exact -> Space.All
+          | Mode.Divisors -> Space.Divisors
+          | Mode.Pow2 -> Space.Pow2)
+          d
+      in
+      let trips x = Fusecu_util.Arith.ceil_div d x in
+      List.mem s lattice
+      && trips s = trips q
+      && List.for_all (fun x -> trips x <> trips s || x >= s) lattice
+      && (mode = Mode.Exact || s = q))
+
 (* ------------------------------------------------------------------ *)
 (* Optimality: principles == exhaustive search                         *)
 
@@ -746,7 +804,8 @@ let qsuite =
     (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250704 |]))
     [ prop_principles_match_exhaustive; prop_principles_match_exhaustive_medium;
       prop_optimizer_monotone_in_buffer; prop_redundancy_at_least_one;
-      prop_fusecu_covers_all_useful_untiling; prop_sweep_bands_hold ]
+      prop_fusecu_covers_all_useful_untiling; prop_sweep_bands_hold;
+      prop_snap_smallest_of_its_trips ]
 
 let () =
   Alcotest.run "core"
@@ -767,7 +826,11 @@ let () =
           Alcotest.test_case "two" `Quick test_two_builder_shape;
           Alcotest.test_case "three" `Quick test_three_builder_shape;
           Alcotest.test_case "divisor quantization" `Quick
-            test_divisor_mode_quantizes ] );
+            test_divisor_mode_quantizes;
+          Alcotest.test_case "pow2 plans are pow2-optimal" `Quick
+            test_pow2_intra_optimal;
+          Alcotest.test_case "pow2 best-of-both is pow2-optimal" `Quick
+            test_pow2_fuse_optimal ] );
       ( "optimizer",
         [ Alcotest.test_case "large buffer hits bound" `Quick
             test_large_buffer_hits_lower_bound;

@@ -508,34 +508,95 @@ let test_cache_shard_balance () =
   check_bool "fixture leaves no shard empty" true
     (List.for_all (fun k -> k > 0) occ)
 
-(* Observations recorded in a histogram (0 when it was never touched). *)
-let histogram_count m name =
-  let latency = Json.member "latency" (Metrics.to_json m) in
-  match Option.bind latency (Json.member name) with
-  | Some h -> ( match Json.member "count" h with Some (Json.Int n) -> n | _ -> 0)
-  | None -> 0
-
-(* Verify-and-refine: B&B only ever replaces a principle plan on a
-   strict traffic improvement, and the principles are oracle-verified
-   optimal — so both mappers must produce the same response bytes on
-   the whole fixture, and no refinement may fire. Byte identity would
-   also hold if [Mapper_bnb] skipped the search, so the [mapper_nodes]
-   histogram must show that B&B ran under it and only under it. *)
-let test_fixture_mapper_invariant () =
-  let base = Engine.default_config () in
-  check_bool "bnb is the default" true (base.Engine.mapper = Engine.Mapper_bnb);
-  let with_mapper mapper =
-    let engine = Engine.create { base with mapper } in
-    let out = Engine.handle_lines engine (Lazy.force fixture_lines) in
-    let m = Engine.metrics engine in
-    (out, Metrics.get m "mapper_improved", histogram_count m "mapper_nodes")
+(* No search beats a served answer: for every intra/fuse/chain line of
+   the fixture, a seeded exact search over each operator and each fused
+   pair of the served plan must not find lower traffic than that plan.
+   This reaches the fixture's paper-sized shapes, which the oracle's
+   small dimensions do not. Exact and Divisors requests are searched on
+   the divisor lattice (the full integer lattice is intractable at these
+   sizes), Pow2 requests on their own lattice. A whole-chain
+   [Full_fusion] plan has no per-operator search to run. *)
+let test_no_search_beats_served () =
+  let open Fusecu_core in
+  let module Bnb = Fusecu_dse.Bnb in
+  let engine = Engine.create (Engine.default_config ()) in
+  let lattice = function
+    | Mode.Exact | Mode.Divisors -> Fusecu_dse.Space.Divisors
+    | Mode.Pow2 -> Fusecu_dse.Space.Pow2
   in
-  let principles, _, principles_searches = with_mapper Engine.Mapper_principles in
-  let bnb, improved, bnb_searches = with_mapper Engine.Mapper_bnb in
-  check_bool "principles vs bnb identical" true (principles = bnb);
-  check_int "bnb never beats the principles" 0 improved;
-  check_bool "bnb searched" true (bnb_searches > 0);
-  check_int "principles never searched" 0 principles_searches
+  let searched_ops = ref [] in
+  let no_better line op served searched =
+    searched_ops := op :: !searched_ops;
+    match searched with
+    | Some s when s < served ->
+      Alcotest.failf "%s: search found %d below served %d" line s served
+    | _ -> ()
+  in
+  let solo line op mode buffer (p : Intra.plan) =
+    no_better line op (Intra.ma p)
+      (Option.map
+         (fun (r : Fusecu_dse.Exhaustive.result) ->
+           r.Fusecu_dse.Exhaustive.cost.Fusecu_loopnest.Cost.total)
+         (Bnb.search ~lattice:(lattice mode) ~seed:p.Intra.schedule p.Intra.op
+            buffer))
+  in
+  let fused line op mode buffer pair f traffic =
+    no_better line op traffic
+      (Option.map
+         (fun (r : Fusecu_dse.Fused_search.result) -> r.Fusecu_dse.Fused_search.traffic)
+         (Bnb.search_fused ~lattice:(lattice mode) ~seed:f pair buffer))
+  in
+  let served_is_plan line served traffic =
+    check_int (line ^ " served = plan") served traffic
+  in
+  List.iter
+    (fun line ->
+      match Protocol.parse_line line with
+      | Ok (_, _, Protocol.Call call) -> (
+        let call, _ = Protocol.canonicalize call in
+        match (call, Engine.compute engine call) with
+        | Protocol.Intra { op; buffer; mode }, Ok (Protocol.R_intra r) ->
+          let p = Intra.optimize_exn ~mode op buffer in
+          served_is_plan line r.Protocol.ma (Intra.ma p);
+          solo line "intra" mode buffer p
+        | Protocol.Fuse { op; l2; buffer; mode }, Ok (Protocol.R_fuse r) -> (
+          let op2 =
+            Fusecu_tensor.Matmul.make ~name:"consumer" ~m:op.Fusecu_tensor.Matmul.m
+              ~k:op.Fusecu_tensor.Matmul.l ~l:l2 ()
+          in
+          let pair = Fusecu_loopnest.Fused.make_pair_exn op op2 in
+          match (Fusion.plan_pair ~mode pair buffer, r) with
+          | ( Ok (Fusion.Fuse { fused = f; traffic; _ }),
+              Protocol.Fused { traffic = served; _ } ) ->
+            served_is_plan line served traffic;
+            fused line "fuse" mode buffer pair f traffic
+          | ( Ok (Fusion.No_fuse { plan1; plan2; traffic; _ }),
+              Protocol.Not_fused { traffic = served; _ } ) ->
+            served_is_plan line served traffic;
+            solo line "fuse" mode buffer plan1;
+            solo line "fuse" mode buffer plan2
+          | _ -> Alcotest.failf "%s: served decision is not the plan's" line)
+        | Protocol.Chain { m; ks; buffer; mode }, Ok (Protocol.R_chain r) -> (
+          let chain = Fusecu_tensor.Chain.of_dims ~name:"chain" ~m ks in
+          match (Multi_fusion.plan ~mode chain buffer, r) with
+          | ( Ok (Multi_fusion.Full_fusion { traffic; _ }),
+              Protocol.Full_fusion { traffic = served; _ } ) ->
+            served_is_plan line served traffic
+          | Ok (Multi_fusion.Fallback plan), Protocol.Pairwise { traffic = served; _ } ->
+            served_is_plan line served plan.Planner.traffic;
+            List.iter
+              (function
+                | Planner.Solo p -> solo line "chain" mode buffer p
+                | Planner.Fused_pair { pair; fused = f; traffic; _ } ->
+                  fused line "chain" mode buffer pair f traffic)
+              plan.Planner.segments
+          | _ -> Alcotest.failf "%s: served decision is not the plan's" line)
+        | _ -> ())
+      | _ -> ())
+    (Lazy.force fixture_lines);
+  List.iter
+    (fun op -> check_bool (op ^ " lines searched") true (List.mem op !searched_ops))
+    [ "intra"; "fuse"; "chain" ]
 
 let test_shutdown_stops_processing () =
   let engine = Engine.create (Engine.default_config ()) in
@@ -1805,8 +1866,8 @@ let () =
             test_fixture_domains_and_batch_invariant;
           Alcotest.test_case "hit rate positive" `Quick
             test_fixture_hit_rate_positive;
-          Alcotest.test_case "mapper invariant (bytes + no refinement)" `Quick
-            test_fixture_mapper_invariant;
+          Alcotest.test_case "no search beats a served answer" `Quick
+            test_no_search_beats_served;
           Alcotest.test_case "plan_model parse" `Quick test_plan_model_parse;
           Alcotest.test_case "plan_model cache reuse" `Quick
             test_plan_model_cache_reuse;
