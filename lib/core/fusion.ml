@@ -61,46 +61,34 @@ let build pair buf ~t1:(m1, k1, l1) ~o1 ~t2:(m2, k2, l2) ~o2 =
   | Ok traffic -> Some (fused, traffic)
   | Error _ -> None
 
-let dedup_fused cands =
-  let equal_f (a : Fused.t) (b : Fused.t) =
-    Schedule.equal a.producer b.producer && Schedule.equal a.consumer b.consumer
-  in
-  let rec uniq seen = function
-    | [] -> []
-    | ((_, f, _) as c) :: rest ->
-      if List.exists (equal_f f) seen then uniq seen rest
-      else c :: uniq (f :: seen) rest
-  in
-  uniq [] cands
-
-(* Candidate tile values around a closed-form seed, quantized on a
-   dimension of op1. *)
-let seeds mode op1 dim base extra =
+(* Candidate tile values around a closed-form seed, rounded on one
+   dimension's lattice. *)
+let seeds lat base extra =
   let raw = base :: (extra @ List.map (fun w -> base + w) wiggle) in
-  let q = List.map (fun t -> Mode.quantize mode op1 dim (max t 1)) raw in
-  Arith.dedup_sorted q
+  Arith.dedup_sorted (List.map (fun t -> Mode.quantize lat (max t 1)) raw)
 
-let build_pattern mode pair buf p =
+(* [lm] and [ll] are the lattices of op1's [M] and [L]. *)
+let build_pattern ~lm ~ll pair buf p =
   let { Fused.op1; op2 } = pair in
   let bs = Buffer.elements buf in
   let open Dim in
   match p with
   | P_single_os_is ->
     (* Stationary C tile (t_m, t_l); joint footprint t_m*t_l + 2t_m + 2t_l. *)
-    let sym = Arith.isqrt (bs + 4) - 2 in
+    let sym = Arith.isqrt_add bs 4 - 2 in
     let partner t = (bs - (2 * t)) / (t + 2) in
     List.filter_map
       (fun tm ->
         let tl = partner tm in
         if tm < 1 || tl < 1 then None
         else begin
-          let tl = Mode.quantize mode op1 L tl in
+          let tl = Mode.quantize ll tl in
           build pair buf ~t1:(tm, 1, tl)
             ~o1:(order ~outer:M ~mid:L ~inner:K)
             ~t2:(tm, tl, 1)
             ~o2:(order ~outer:M ~mid:K ~inner:L)
         end)
-      (seeds mode op1 M sym [ op1.m; partner op1.l ])
+      (seeds lm sym [ op1.m; partner op1.l ])
   | P_two_os_is ->
     (* Column-like C: one maximized dim t, the other 1; producer untiles
        K1, consumer untiles L2. Two mirrored variants: maximize M, or
@@ -113,7 +101,7 @@ let build_pattern mode pair buf p =
             ~o1:(order ~outer:M ~mid:L ~inner:K)
             ~t2:(t, 1, op2.l)
             ~o2:(order ~outer:M ~mid:K ~inner:L))
-        (seeds mode op1 M budget [])
+        (seeds lm budget [])
     in
     let via_shared =
       List.filter_map
@@ -122,7 +110,7 @@ let build_pattern mode pair buf p =
             ~o1:(order ~outer:L ~mid:M ~inner:K)
             ~t2:(1, t, op2.l)
             ~o2:(order ~outer:K ~mid:M ~inner:L))
-        (seeds mode op1 L budget [])
+        (seeds ll budget [])
     in
     via_m @ via_shared
   | P_two_untile_shared ->
@@ -134,7 +122,7 @@ let build_pattern mode pair buf p =
           ~o1:(order ~outer:M ~mid:K ~inner:L)
           ~t2:(t, op2.k, 1)
           ~o2:(order ~outer:M ~mid:L ~inner:K))
-      (seeds mode op1 M budget [])
+      (seeds lm budget [])
   | P_three_untile_m ->
     List.filter_map
       (fun () ->
@@ -165,9 +153,10 @@ let build_pattern mode pair buf p =
        fused-pair space (DESIGN.md Sec. 7c), which is what makes
        [Best_of_both] agree with exhaustive search:
        - a shared C tile (t_m, t_l) with t_m swept over the O(sqrt M)
-         trip-aligned tile sizes (the O(log M) lattice points
-         themselves on Pow2) and t_l maximized under the joint
-         footprint (fused traffic is non-increasing in t_l);
+         trip-aligned tile sizes on Exact and over the lattice's own
+         points on Divisors (every divisor, O(number of divisors)) and
+         Pow2 (O(log M)), and t_l maximized under the joint footprint
+         (fused traffic is non-increasing in t_l);
        - the producer K tile and consumer L tile influence traffic only
          through "minimal" vs "untiled" (the intermediate is pinned
          non-redundant on both sides, so their trip counts never enter
@@ -176,12 +165,16 @@ let build_pattern mode pair buf p =
          [Fused.best_orders]: validity and traffic separate into a
          producer and a consumer side that meet only in C-order
          agreement, so it scores each side's six orders once instead
-         of the 36 pairs and returns the same first minimum. The
-         candidate list stays O(sqrt M). *)
+         of the 36 pairs and returns the same first minimum.
+       On Divisors the Exact sweep's i and ceil(M/i) (i <= isqrt M)
+       round onto every divisor, ascending; visiting the divisors
+       themselves gives the same candidates in the same order. On Pow2,
+       M comes first, then the powers of two ascending. *)
     let tm_sweep =
-      match mode with
-      | Mode.Pow2 -> op1.m :: Arith.pow2s_upto op1.m
-      | Mode.Exact | Mode.Divisors ->
+      match lm.Mode.mode with
+      | Mode.Divisors -> Array.to_list lm.Mode.points
+      | Mode.Pow2 -> op1.m :: List.filter (fun t -> t < op1.m) (Array.to_list lm.Mode.points)
+      | Mode.Exact ->
         let r = Arith.isqrt op1.m in
         Arith.dedup_sorted
           (List.concat (List.init r (fun i -> [ i + 1; Arith.ceil_div op1.m (i + 1) ])))
@@ -193,13 +186,12 @@ let build_pattern mode pair buf p =
     in
     List.concat_map
       (fun tm ->
-        let tm = Mode.quantize mode op1 M tm in
         List.filter_map
           (fun (tk1, tl2) ->
             let tl = (bs - (tm * (tk1 + tl2))) / (tk1 + tm + tl2) in
             if tl < 1 then None
             else begin
-              let tl = Mode.snap mode op1 L tl in
+              let tl = Mode.snap ll tl in
               Fused.best_orders pair
                 ~producer:(Tiling.make op1 ~m:tm ~k:tk1 ~l:tl)
                 ~consumer:(Tiling.make op2 ~m:tm ~k:tl ~l:tl2)
@@ -209,13 +201,13 @@ let build_pattern mode pair buf p =
       tm_sweep
 
 let candidates ?(mode = Mode.Exact) ?(patterns = all_patterns) pair buf =
-  let all =
-    List.concat_map
-      (fun p ->
-        List.map (fun (f, traffic) -> (p, f, traffic)) (build_pattern mode pair buf p))
-      patterns
-  in
-  dedup_fused all
+  let lm = Mode.lattice mode pair.Fused.op1.m and ll = Mode.lattice mode pair.Fused.op1.l in
+  Arith.dedup_stable
+    (fun (_, f, _) -> f)
+    (List.concat_map
+       (fun p ->
+         List.map (fun (f, traffic) -> (p, f, traffic)) (build_pattern ~lm ~ll pair buf p))
+       patterns)
 
 type decision =
   | Fuse of { pattern : pattern; fused : Fused.t; traffic : int }

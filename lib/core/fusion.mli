@@ -31,9 +31,12 @@ type pattern =
   | P_block
       (** Generalized C-stationary block family: shared [C] tile
           [(t_m, t_l)] with [t_m] swept over [i] and [ceil(M/i)] for
-          [i <= isqrt M] (over the lattice's own points on [Pow2]) and
-          [t_l] maximized ({!Mode.snap}), producer [K] / consumer [L]
-          tiles in [{minimal, untiled}], all order pairs. Subsumes the six named
+          [i <= isqrt M] on [Exact] (O(sqrt M)), over the lattice's own
+          points on [Divisors] (every divisor, ascending, which is what
+          the [Exact] sweep rounds to) and [Pow2] ([M], then the powers
+          of two), and [t_l] maximized ({!Mode.snap}), producer [K] /
+          consumer [L] tiles in [{minimal, untiled}], all order pairs
+          ({!Fused.best_orders}). Subsumes the six named
           patterns and is complete over the valid fused-pair space, so
           [Best_of_both] matches exhaustive search exactly (the named
           builders alone miss mixed-class optima on ragged sizes —
@@ -61,7 +64,10 @@ val candidates : ?mode:Mode.t -> ?patterns:pattern list -> Fused.pair -> Buffer.
   -> (pattern * Fused.t * int) list
 (** Build, validate and cost every feasible fused dataflow from the
     requested patterns (default: all); each entry carries its memory
-    traffic. Candidates that fail {!Fused.eval} are dropped. *)
+    traffic. Candidates that fail {!Fused.eval} are dropped, and so is
+    every repeat of a fused dataflow an earlier pattern or tile already
+    produced (a hashed first-occurrence filter). The lattices of
+    [op1]'s [M] and [L] are built once per call. *)
 
 (** The outcome of planning a candidate fusion site. *)
 type decision =

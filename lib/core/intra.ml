@@ -12,28 +12,35 @@ type plan = {
 let candidates ?(mode = Mode.Exact) op buf = Principles.all mode op buf
 
 let optimize ?(mode = Mode.Exact) ?(filter = fun _ -> true) op buf =
-  let cands = List.filter filter (candidates ~mode op buf) in
-  let scored =
-    List.map
-      (fun (c : Principles.candidate) -> (Cost.eval op c.schedule, c.schedule))
-      cands
+  (* Rank by (total, footprint), first minimum; price on the trip
+     kernel and build the [Cost.t] for the winner alone. *)
+  let total (c : Principles.candidate) =
+    Cost.total_at op (Cost.trips op c.schedule.tiling) c.schedule.order
   in
-  let better (ca, sa) (cb, sb) =
-    let open Cost in
-    if ca.total <> cb.total then ca.total < cb.total
-    else Schedule.footprint sa < Schedule.footprint sb
+  let best =
+    List.fold_left
+      (fun best (c : Principles.candidate) ->
+        if not (filter c) then best
+        else
+          let t = total c in
+          match best with
+          | Some (bt, (b : Principles.candidate))
+            when bt < t
+                 || (bt = t
+                    && Schedule.footprint b.schedule <= Schedule.footprint c.schedule) ->
+            best
+          | _ -> Some (t, c))
+      None (candidates ~mode op buf)
   in
-  match scored with
-  | [] ->
+  match best with
+  | None ->
     Error
       (Format.asprintf "no feasible dataflow for %a within %a" Matmul.pp op
          Buffer.pp buf)
-  | first :: rest ->
-    let cost, schedule =
-      List.fold_left (fun best x -> if better x best then x else best) first rest
-    in
+  | Some (_, c) ->
+    let schedule = c.schedule in
     Ok
-      { op; schedule; cost;
+      { op; schedule; cost = Cost.eval op schedule;
         dataflow = Nra.classify op schedule;
         regime = Regime.classify op buf }
 

@@ -1,8 +1,10 @@
 (** One-shot intra-operator dataflow optimization (Principles 1–3 plus
     the regime-based dataflow choice of Sec. III-A4).
 
-    [optimize] evaluates the constant-size principle candidate set and
-    returns the best schedule — no design-space search. *)
+    [optimize] prices the principle candidate set and returns the best
+    schedule — no design-space search. The set is bounded by the tile
+    lattice ({!Principles}): O(sqrt D) candidates on [Exact],
+    O(number of divisors) on [Divisors], O(log D) on [Pow2]. *)
 
 open Fusecu_tensor
 open Fusecu_loopnest
@@ -22,7 +24,9 @@ val candidates : ?mode:Mode.t -> Matmul.t -> Buffer.t -> Principles.candidate li
 val optimize : ?mode:Mode.t -> ?filter:(Principles.candidate -> bool) ->
   Matmul.t -> Buffer.t -> (plan, string) result
 (** Pick the candidate with the least memory traffic (ties broken by
-    smaller buffer footprint). [filter] restricts the candidate set —
+    smaller buffer footprint, then by candidate order). Candidates are
+    ranked on {!Cost.total_at}; only the winner's {!Cost.t} is built.
+    [filter] restricts the candidate set —
     platform models use it to express hardware limitations. [Error] when
     no candidate fits the buffer (capacity below 3 elements). *)
 

@@ -1,28 +1,42 @@
-open Fusecu_tensor
 open Fusecu_util
 
 type t = Exact | Divisors | Pow2
 
-let quantize mode op d target =
-  let size = Matmul.dim op d in
-  let target = Arith.clamp ~lo:1 ~hi:size target in
-  if target = size then size
-  else
-    match mode with
-    | Exact -> target
-    | Divisors ->
-      List.fold_left (fun acc v -> if v <= target then max acc v else acc) 1
-        (Arith.divisors size)
-    | Pow2 ->
-      List.fold_left (fun acc v -> if v <= target then max acc v else acc) 1
-        (Arith.pow2s_upto target)
+type lattice = { mode : t; size : int; points : int array }
 
-let snap mode op d target =
-  let q = quantize mode op d target in
-  match mode with
-  | Exact ->
-    let size = Matmul.dim op d in
-    Arith.ceil_div size (Arith.ceil_div size q)
+let lattice mode size =
+  if size < 1 then invalid_arg "Mode.lattice: size must be >= 1";
+  let points =
+    match mode with
+    | Exact -> [||]
+    | Divisors -> Array.of_list (Arith.divisors size)
+    | Pow2 ->
+      let pow2s = Arith.pow2s_upto size in
+      Array.of_list (if Arith.is_pow2 size then pow2s else pow2s @ [ size ])
+  in
+  { mode; size; points }
+
+(* The largest point <= target; points.(0) = 1 <= target. *)
+let floor_point points target =
+  let lo = ref 0 and hi = ref (Array.length points) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if points.(mid) <= target then lo := mid else hi := mid
+  done;
+  points.(!lo)
+
+let quantize lat target =
+  let target = Arith.clamp ~lo:1 ~hi:lat.size target in
+  if target = lat.size then lat.size
+  else
+    match lat.mode with
+    | Exact -> target
+    | Divisors | Pow2 -> floor_point lat.points target
+
+let snap lat target =
+  let q = quantize lat target in
+  match lat.mode with
+  | Exact -> Arith.ceil_div lat.size (Arith.ceil_div lat.size q)
   | Divisors | Pow2 -> q
 
 let pp fmt = function

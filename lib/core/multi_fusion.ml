@@ -89,10 +89,11 @@ let row_pipeline ?(mode = Mode.Exact) chain buf =
     let m = first.m in
     let base = budget / per_row in
     let order = Order.make ~outer:Dim.M ~mid:Dim.L ~inner:Dim.K in
+    let lm = Mode.lattice mode m in
     let candidates =
       Arith.dedup_sorted
         (List.filter_map
-           (fun tm -> if tm < 1 then None else Some (Mode.snap mode first Dim.M tm))
+           (fun tm -> if tm < 1 then None else Some (Mode.snap lm tm))
            [ base; base - 1; base + 1; m ])
     in
     List.filter_map

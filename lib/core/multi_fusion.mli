@@ -45,7 +45,8 @@ val row_pipeline : ?mode:Mode.t -> Chain.t -> Buffer.t -> t list
 (** One-shot candidates for the row-pipeline family: all reduction
     dims untiled, all weight tensors resident, a shared row-block
     [T_M] maximized under the joint footprint (its integer
-    neighbourhood, each rounded by {!Mode.snap}). Empty when the
+    neighbourhood, each rounded by {!Mode.snap} on [M]'s lattice,
+    built once per call). Empty when the
     weights cannot all fit. *)
 
 (** Whole-chain planning outcome. *)

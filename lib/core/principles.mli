@@ -3,7 +3,14 @@
     Each builder turns a closed-form tile-size solution (plus a small
     integer-lattice neighbourhood, since the closed forms are derived
     over the reals) into concrete candidate schedules. The builders do
-    {e not} search: the candidate count is a small constant.
+    {e not} search: they list the minimal tile of each distinct trip
+    count along one dimension and fill the rest in closed form. The
+    candidate count is therefore bounded by the lattice, per swept
+    dimension of extent [D]: O(sqrt D) on [Exact] (every trip count is
+    its own tile), O(number of divisors of D) on [Divisors], O(log D)
+    on [Pow2]. {!all} builds each dimension's {!Mode.lattice} once and
+    rounds every seed on it by binary search; the repeated tiles are
+    dropped by a hashed first-occurrence filter.
 
     - {!single} — Principle 1: tile of the stationary tensor's dims
       maximized ([T^2 + 2T <= BS] at the symmetric point), free dim
@@ -23,7 +30,13 @@ type candidate = { intent : Nra.dataflow; schedule : Schedule.t }
 
 val single : Mode.t -> Matmul.t -> Buffer.t -> stationary:Operand.t -> candidate list
 (** Single-NRA candidates for a choice of stationary tensor. Empty when
-    even the unit tiling does not fit. *)
+    even the unit tiling does not fit. The stationary tensor's first
+    dimension is swept: on [Exact], [ceil(D/j)] and [j] for
+    [j <= isqrt D + 1]; on [Divisors], the divisors those round to, in
+    the same first-occurrence order (every divisor from [D] down to the
+    rounding of [ceil(D/(isqrt D + 1))], then every divisor
+    [<= isqrt D + 1] upwards); on [Pow2], [D] and then the powers of
+    two upwards. Each sweep follows the rounded closed-form seeds. *)
 
 val two : Mode.t -> Matmul.t -> Buffer.t -> untiled:Dim.t -> redundant:Operand.t
   -> candidate list
@@ -36,4 +49,5 @@ val three : Mode.t -> Matmul.t -> Buffer.t -> resident:Operand.t -> candidate li
 
 val all : Mode.t -> Matmul.t -> Buffer.t -> candidate list
 (** Every candidate from every builder variant: 3 stationary choices,
-    6 (untiled, redundant) choices, 3 resident choices. *)
+    6 (untiled, redundant) choices, 3 resident choices, on lattices
+    built once for the call. *)

@@ -4,32 +4,45 @@ type per_operand = { fetches : int; traffic : int; revisit : int }
 
 type t = { a : per_operand; b : per_operand; c : per_operand; total : int }
 
-let revisit op (s : Schedule.t) operand =
-  let trips d = Schedule.trips op s d in
+type trips = { nm : int; nk : int; nl : int }
+
+let trips (op : Matmul.t) (t : Tiling.t) =
+  let open Fusecu_util.Arith in
+  { nm = ceil_div op.m t.m; nk = ceil_div op.k t.k; nl = ceil_div op.l t.l }
+
+let trip n = function Dim.M -> n.nm | Dim.K -> n.nk | Dim.L -> n.nl
+
+(* The one revisit rule; allocation-free (no closures, int compares). *)
+let revisit_at n (o : Order.t) operand =
   let free = Operand.free_dim operand in
-  if trips free = 1 then 1
+  let nf = trip n free in
+  if nf = 1 then 1
   else begin
     let d1, d2 = Operand.dims operand in
-    let effective_pos d = if trips d > 1 then Some (Order.position s.order d) else None in
-    match (effective_pos d1, effective_pos d2) with
-    | None, None -> 1
-    | Some p, None | None, Some p ->
-      if Order.position s.order free < p then trips free else 1
-    | Some p1, Some p2 ->
-      if Order.position s.order free < max p1 p2 then trips free else 1
+    let p1 = if trip n d1 > 1 then Order.position o d1 else 0 in
+    let p2 = if trip n d2 > 1 then Order.position o d2 else 0 in
+    if Order.position o free < (if p1 > p2 then p1 else p2) then nf else 1
   end
 
-let eval_operand op s operand =
-  let r = revisit op s operand in
-  let d1, d2 = Operand.dims operand in
-  let size = Matmul.dim op d1 * Matmul.dim op d2 in
-  let fetches = r * Schedule.trips op s d1 * Schedule.trips op s d2 in
-  { fetches; traffic = r * size; revisit = r }
+let traffic_at op n o operand = revisit_at n o operand * Matmul.operand_size op operand
 
-let eval ?(partial_sum_penalty = false) op s =
-  let a = eval_operand op s Operand.A in
-  let b = eval_operand op s Operand.B in
-  let c = eval_operand op s Operand.C in
+let total_at op n o =
+  traffic_at op n o Operand.A + traffic_at op n o Operand.B + traffic_at op n o Operand.C
+
+let revisit op (s : Schedule.t) operand = revisit_at (trips op s.tiling) s.order operand
+
+let eval_operand op n (s : Schedule.t) operand =
+  let r = revisit_at n s.order operand in
+  let d1, d2 = Operand.dims operand in
+  { fetches = r * trip n d1 * trip n d2;
+    traffic = r * Matmul.operand_size op operand;
+    revisit = r }
+
+let eval ?(partial_sum_penalty = false) op (s : Schedule.t) =
+  let n = trips op s.tiling in
+  let a = eval_operand op n s Operand.A in
+  let b = eval_operand op n s Operand.B in
+  let c = eval_operand op n s Operand.C in
   let c =
     if partial_sum_penalty && c.revisit > 1 then
       { c with traffic = Matmul.operand_size op Operand.C * ((2 * c.revisit) - 1) }

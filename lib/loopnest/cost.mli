@@ -35,6 +35,30 @@ type t = {
   total : int;  (** total element traffic *)
 }
 
+(** {2 Trip-vector kernel}
+
+    The revisit rule above reads a tiling only through its trip counts
+    and an order only through its loop positions. A planner that prices
+    many orders of one tiling, or many tilings without keeping their
+    costs, computes the trip vector once with {!trips} and reads each
+    order from it; {!eval} and {!revisit} are built on the same kernel,
+    so there is one revisit rule. The [_at] functions allocate nothing. *)
+
+type trips = private { nm : int; nk : int; nl : int }
+(** Trip counts [ceil(D/T)] of [M], [K] and [L]. *)
+
+val trips : Matmul.t -> Tiling.t -> trips
+
+val revisit_at : trips -> Order.t -> Operand.t -> int
+(** {!revisit} of an operand under the tiling of these trips and the
+    order. *)
+
+val traffic_at : Matmul.t -> trips -> Order.t -> Operand.t -> int
+(** The operand's traffic: its revisit factor times its size. *)
+
+val total_at : Matmul.t -> trips -> Order.t -> int
+(** [(eval op s).total] for a schedule [s] with these trips and order. *)
+
 val eval : ?partial_sum_penalty:bool -> Matmul.t -> Schedule.t -> t
 (** Evaluate a schedule. With [partial_sum_penalty] (default [false],
     the paper's symmetric accounting), a revisited output tile costs a

@@ -99,10 +99,38 @@ let eval pair t buf =
     if footprint > capacity then Error (Over_capacity { footprint; capacity })
     else Ok (traffic pair t)
 
-(* Per side and per C-order class (one class when C is resident), keep
-   the first cheapest order. Within a class the cheapest pair is those
-   two; across the classes a tie goes to the earlier producer order.
-   That is the first minimum of the o1-major scan over all 36 pairs. *)
+let orders = Array.of_list Order.all
+
+(* One side's first cheapest order in each C-order class, as order
+   indices into [Order.all] (-1: no order of the class keeps C
+   non-redundant) and costs: class 0 is C M-major, or every order when
+   C is resident; class 1 the rest. Each order is scored from the
+   side's one trip vector: C's revisit on [c_as] (C is operand C of
+   op1, operand A of op2), the traffic of the side's other two. *)
+let side_best op n ~c_as ~x ~y ~m_major ~resident =
+  let i0 = ref (-1) and t0 = ref 0 and i1 = ref (-1) and t1 = ref 0 in
+  for i = 0 to Array.length orders - 1 do
+    let o = orders.(i) in
+    if Cost.revisit_at n o c_as = 1 then begin
+      let t = Cost.traffic_at op n o x + Cost.traffic_at op n o y in
+      if resident || m_major o then begin
+        if !i0 < 0 || t < !t0 then begin
+          i0 := i;
+          t0 := t
+        end
+      end
+      else if !i1 < 0 || t < !t1 then begin
+        i1 := i;
+        t1 := t
+      end
+    end
+  done;
+  (!i0, !t0, !i1, !t1)
+
+(* Within a C-order class the cheapest pair is the two sides' first
+   cheapest orders; across the classes a tie goes to the earlier
+   producer order. That is the first minimum of the o1-major scan over
+   all 36 pairs. *)
 let best_orders pair ~producer ~consumer buf =
   if
     (not (tiles_agree producer consumer))
@@ -110,33 +138,27 @@ let best_orders pair ~producer ~consumer buf =
   then None
   else begin
     let resident = c_resident pair producer consumer in
-    let side nra side_traffic m_major tiling =
-      let best = [| None; None |] in
-      List.iteri
-        (fun i o ->
-          let s = Schedule.make tiling o in
-          if nra pair s then begin
-            let cls = if resident || m_major o then 0 else 1 in
-            let cost = side_traffic pair s in
-            match best.(cls) with
-            | Some (_, _, b) when b <= cost -> ()
-            | _ -> best.(cls) <- Some (i, s, cost)
-          end)
-        Order.all;
-      best
+    let p0, pt0, p1, pt1 =
+      side_best pair.op1 (Cost.trips pair.op1 producer) ~c_as:Operand.C ~x:Operand.A
+        ~y:Operand.B ~m_major:m_major_producer ~resident
     in
-    let ps = side producer_nra producer_traffic m_major_producer producer in
-    let cs = side consumer_nra consumer_traffic m_major_consumer consumer in
-    let joint cls =
-      match (ps.(cls), cs.(cls)) with
-      | Some (i, p, tp), Some (_, c, tc) -> Some (tp + tc, i, { producer = p; consumer = c })
-      | _ -> None
+    let c0, ct0, c1, ct1 =
+      side_best pair.op2 (Cost.trips pair.op2 consumer) ~c_as:Operand.A ~x:Operand.B
+        ~y:Operand.C ~m_major:m_major_consumer ~resident
     in
-    match (joint 0, joint 1) with
-    | Some (t0, i0, f0), Some (t1, i1, f1) ->
-      if (t1, i1) < (t0, i0) then Some (f1, t1) else Some (f0, t0)
-    | Some (t, _, f), None | None, Some (t, _, f) -> Some (f, t)
-    | None, None -> None
+    let pick p c t =
+      Some
+        ( { producer = Schedule.make producer orders.(p);
+            consumer = Schedule.make consumer orders.(c) },
+          t )
+    in
+    let ok0 = p0 >= 0 && c0 >= 0 and ok1 = p1 >= 0 && c1 >= 0 in
+    let t0 = pt0 + ct0 and t1 = pt1 + ct1 in
+    if ok0 && ok1 then
+      if t1 < t0 || (t1 = t0 && p1 < p0) then pick p1 c1 t1 else pick p0 c0 t0
+    else if ok0 then pick p0 c0 t0
+    else if ok1 then pick p1 c1 t1
+    else None
   end
 
 let unfused_traffic pair s1 s2 =

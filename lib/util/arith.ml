@@ -21,6 +21,18 @@ let isqrt n =
     !r
   end
 
+let isqrt_add n c =
+  assert (n >= 0 && c >= 0);
+  if n <= max_int - c then isqrt (n + c)
+  else begin
+    (* [n + c] would wrap. [n] is then within [c] of [max_int], so
+       [r = isqrt n] is about [sqrt max_int] and the next square is
+       [2r + 1 > c] away: [n + c] passes at most one. [r * (r + 2)]
+       is [(r + 1)^2 - 1 <= max_int] (compared instead of [(r+1)^2]). *)
+    let r = isqrt n in
+    if r * (r + 2) - (c - 1) <= n then r + 1 else r
+  end
+
 let divisors n =
   assert (n >= 1);
   let rec loop d small large =
@@ -78,3 +90,15 @@ let dedup_sorted xs =
     | short -> short
   in
   uniq sorted
+
+let dedup_stable key xs =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun x ->
+      let k = key x in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end)
+    xs

@@ -17,6 +17,13 @@ val isqrt : int -> int
     [0 <= n <= max_int] (the boundary fix-up is overflow-safe). Raises
     [Invalid_argument] when [n < 0]. *)
 
+val isqrt_add : int -> int -> int
+(** [isqrt_add n c] is [isqrt (n + c)], also when [n + c] exceeds
+    [max_int]. Requires [n >= 0] and [0 <= c <= isqrt max_int]. The
+    principle builders' symmetric tiles ([isqrt (BS + 1)],
+    [isqrt (BS + 4)]) use it, so a buffer of [max_int] bytes is planned,
+    not rejected. *)
+
 val divisors : int -> int list
 (** [divisors n] lists all positive divisors of [n] in increasing order.
     Requires [n >= 1]. *)
@@ -62,3 +69,8 @@ val sum : int list -> int
 
 val dedup_sorted : int list -> int list
 (** Sort a list in increasing order and remove duplicates. *)
+
+val dedup_stable : ('a -> 'k) -> 'a list -> 'a list
+(** [dedup_stable key xs] keeps, in order, the first element of [xs]
+    with each key (structural equality), in expected linear time: the
+    keys are hashed. *)

@@ -240,8 +240,8 @@ let prop_snap_smallest_of_its_trips =
          let* t = int_range (-2) (d + 8) in
          return (mode, d, t)))
     (fun (mode, d, t) ->
-      let op = Matmul.make ~m:d ~k:1 ~l:1 () in
-      let q = Mode.quantize mode op Dim.M t and s = Mode.snap mode op Dim.M t in
+      let lat = Mode.lattice mode d in
+      let q = Mode.quantize lat t and s = Mode.snap lat t in
       let lattice =
         Space.tile_candidates
           (match mode with
@@ -255,6 +255,566 @@ let prop_snap_smallest_of_its_trips =
       && trips s = trips q
       && List.for_all (fun x -> trips x <> trips s || x >= s) lattice
       && (mode = Mode.Exact || s = q))
+
+(* ------------------------------------------------------------------ *)
+(* The list-based builders the lattice replaced, kept as the reference *)
+
+(* Per-call list scans for rounding, the raw O(sqrt D) sweeps, the
+   quadratic first-occurrence dedups, [Cost.eval] ranking, and the
+   36-pair order scan [Fused.best_orders] is specified by. The
+   "builders = ref" group holds the library to these, candidate
+   list for candidate list and plan for plan. *)
+module Ref = struct
+  open Fusecu_util
+
+  let quantize mode op d target =
+    let size = Matmul.dim op d in
+    let target = Arith.clamp ~lo:1 ~hi:size target in
+    if target = size then size
+    else
+      match mode with
+      | Mode.Exact -> target
+      | Mode.Divisors ->
+        List.fold_left (fun acc v -> if v <= target then max acc v else acc) 1
+          (Arith.divisors size)
+      | Mode.Pow2 ->
+        List.fold_left (fun acc v -> if v <= target then max acc v else acc) 1
+          (Arith.pow2s_upto target)
+
+  let snap mode op d target =
+    let q = quantize mode op d target in
+    match mode with
+    | Mode.Exact ->
+      let size = Matmul.dim op d in
+      Arith.ceil_div size (Arith.ceil_div size q)
+    | Mode.Divisors | Mode.Pow2 -> q
+
+  let wiggle = [ -2; -1; 0; 1; 2 ]
+
+  let dedup_candidates cands =
+    let rec uniq seen = function
+      | [] -> []
+      | (c : Principles.candidate) :: rest ->
+        if List.exists (fun s -> Schedule.equal s c.schedule) seen then uniq seen rest
+        else c :: uniq (c.schedule :: seen) rest
+    in
+    uniq [] cands
+
+  let partner_tile ~bs t1 = (bs - t1) / (t1 + 1)
+
+  let single mode op buf ~stationary : Principles.candidate list =
+    let bs = Buffer.elements buf in
+    let d1, d2 = Operand.dims stationary in
+    let free = Operand.free_dim stationary in
+    let size1 = Matmul.dim op d1 and size2 = Matmul.dim op d2 in
+    let base = Arith.isqrt (bs + 1) - 1 in
+    let seeds =
+      match mode with
+      | Mode.Pow2 -> size1 :: Arith.pow2s_upto size1
+      | Mode.Exact | Mode.Divisors ->
+        let raw =
+          base :: size1 :: partner_tile ~bs size2 :: List.map (fun w -> base + w) wiggle
+        in
+        let root = Arith.isqrt size1 + 1 in
+        let by_trips =
+          List.map (fun j -> Arith.ceil_div size1 j) (Arith.range 1 root)
+          @ Arith.range 1 root
+        in
+        raw @ by_trips @ List.map (fun t -> if t >= 1 then snap mode op d1 t else t) raw
+    in
+    let order = Order.make ~outer:d1 ~mid:d2 ~inner:free in
+    let mk t1 =
+      if t1 < 1 then None
+      else begin
+        let t1 = quantize mode op d1 t1 in
+        let t2 = partner_tile ~bs t1 in
+        if t2 < 1 then None
+        else begin
+          let t2 = snap mode op d2 t2 in
+          let tiling =
+            Tiling.make op ~m:1 ~k:1 ~l:1
+            |> fun t -> Tiling.with_dim op t d1 t1
+            |> fun t -> Tiling.with_dim op t d2 t2
+          in
+          let schedule = Schedule.make tiling order in
+          if Schedule.fits schedule buf then
+            Some { Principles.intent = Nra.Single_nra { stationary }; schedule }
+          else None
+        end
+      end
+    in
+    dedup_candidates (List.filter_map mk seeds)
+
+  let two mode op buf ~untiled ~redundant : Principles.candidate list =
+    let bs = Buffer.elements buf in
+    let d = Matmul.dim op untiled in
+    let grow = Operand.free_dim redundant in
+    let shrink = Dim.other untiled grow in
+    let base = (bs - d) / (d + 1) in
+    if base < 1 then []
+    else begin
+      let order = Order.make ~outer:grow ~mid:shrink ~inner:untiled in
+      let mk t =
+        if t < 1 then None
+        else begin
+          let t = snap mode op grow t in
+          let tiling =
+            Tiling.full op
+            |> fun x -> Tiling.with_dim op x grow t
+            |> fun x -> Tiling.with_dim op x shrink 1
+          in
+          let schedule = Schedule.make tiling order in
+          if Schedule.fits schedule buf then
+            Some { Principles.intent = Nra.Two_nra { untiled; redundant }; schedule }
+          else None
+        end
+      in
+      dedup_candidates (List.filter_map mk (base :: List.map (fun w -> base + w) wiggle))
+    end
+
+  let all mode op buf =
+    List.concat_map (fun x -> single mode op buf ~stationary:x) Operand.all
+    @ List.concat_map
+        (fun d ->
+          List.concat_map
+            (fun x -> two mode op buf ~untiled:d ~redundant:x)
+            (Operand.with_dim d))
+        Dim.all
+    @ List.concat_map (fun x -> Principles.three mode op buf ~resident:x) Operand.all
+
+  let optimize mode op buf : (Intra.plan, string) result =
+    let scored =
+      List.map
+        (fun (c : Principles.candidate) -> (Cost.eval op c.schedule, c.schedule))
+        (all mode op buf)
+    in
+    let better ((ca : Cost.t), sa) ((cb : Cost.t), sb) =
+      if ca.total <> cb.total then ca.total < cb.total
+      else Schedule.footprint sa < Schedule.footprint sb
+    in
+    match scored with
+    | [] ->
+      Error
+        (Format.asprintf "no feasible dataflow for %a within %a" Matmul.pp op
+           Buffer.pp buf)
+    | first :: rest ->
+      let cost, schedule =
+        List.fold_left (fun best x -> if better x best then x else best) first rest
+      in
+      Ok
+        { Intra.op; schedule; cost;
+          dataflow = Nra.classify op schedule;
+          regime = Regime.classify op buf }
+
+  let best_orders pair ~producer ~consumer buf =
+    List.fold_left
+      (fun acc o1 ->
+        List.fold_left
+          (fun acc o2 ->
+            let f =
+              { Fused.producer = Schedule.make producer o1;
+                consumer = Schedule.make consumer o2 }
+            in
+            match (Fused.eval pair f buf, acc) with
+            | Error _, _ -> acc
+            | Ok t, Some (_, bt) when bt <= t -> acc
+            | Ok t, _ -> Some (f, t))
+          acc Order.all)
+      None Order.all
+
+  let order ~outer ~mid ~inner = Order.make ~outer ~mid ~inner
+
+  let build pair buf ~t1:(m1, k1, l1) ~o1 ~t2:(m2, k2, l2) ~o2 =
+    let { Fused.op1; op2 } = pair in
+    let fused =
+      { Fused.producer = Schedule.make (Tiling.make op1 ~m:m1 ~k:k1 ~l:l1) o1;
+        consumer = Schedule.make (Tiling.make op2 ~m:m2 ~k:k2 ~l:l2) o2 }
+    in
+    match Fused.eval pair fused buf with
+    | Ok traffic -> Some (fused, traffic)
+    | Error _ -> None
+
+  let dedup_fused cands =
+    let equal_f (a : Fused.t) (b : Fused.t) =
+      Schedule.equal a.producer b.producer && Schedule.equal a.consumer b.consumer
+    in
+    let rec uniq seen = function
+      | [] -> []
+      | ((_, f, _) as c) :: rest ->
+        if List.exists (equal_f f) seen then uniq seen rest
+        else c :: uniq (f :: seen) rest
+    in
+    uniq [] cands
+
+  let seeds mode op1 dim base extra =
+    let raw = base :: (extra @ List.map (fun w -> base + w) wiggle) in
+    Arith.dedup_sorted (List.map (fun t -> quantize mode op1 dim (max t 1)) raw)
+
+  let build_pattern mode pair buf p =
+    let { Fused.op1; op2 } = pair in
+    let bs = Buffer.elements buf in
+    let open Dim in
+    match p with
+    | Fusion.P_single_os_is ->
+      let sym = Arith.isqrt (bs + 4) - 2 in
+      let partner t = (bs - (2 * t)) / (t + 2) in
+      List.filter_map
+        (fun tm ->
+          let tl = partner tm in
+          if tm < 1 || tl < 1 then None
+          else begin
+            let tl = quantize mode op1 L tl in
+            build pair buf ~t1:(tm, 1, tl)
+              ~o1:(order ~outer:M ~mid:L ~inner:K)
+              ~t2:(tm, tl, 1)
+              ~o2:(order ~outer:M ~mid:K ~inner:L)
+          end)
+        (seeds mode op1 M sym [ op1.m; partner op1.l ])
+    | Fusion.P_two_os_is ->
+      let budget = (bs - op1.k - op2.l) / (op1.k + op2.l + 1) in
+      List.filter_map
+        (fun t ->
+          build pair buf ~t1:(t, op1.k, 1)
+            ~o1:(order ~outer:M ~mid:L ~inner:K)
+            ~t2:(t, 1, op2.l)
+            ~o2:(order ~outer:M ~mid:K ~inner:L))
+        (seeds mode op1 M budget [])
+      @ List.filter_map
+          (fun t ->
+            build pair buf ~t1:(1, op1.k, t)
+              ~o1:(order ~outer:L ~mid:M ~inner:K)
+              ~t2:(1, t, op2.l)
+              ~o2:(order ~outer:K ~mid:M ~inner:L))
+          (seeds mode op1 L budget [])
+    | Fusion.P_two_untile_shared ->
+      let budget = (bs - (2 * op1.l)) / (op1.l + 2) in
+      List.filter_map
+        (fun t ->
+          build pair buf ~t1:(t, 1, op1.l)
+            ~o1:(order ~outer:M ~mid:K ~inner:L)
+            ~t2:(t, op2.k, 1)
+            ~o2:(order ~outer:M ~mid:L ~inner:K))
+        (seeds mode op1 M budget [])
+    | Fusion.P_three_untile_m ->
+      Option.to_list
+        (build pair buf ~t1:(op1.m, op1.k, 1)
+           ~o1:(order ~outer:L ~mid:M ~inner:K)
+           ~t2:(op2.m, 1, op2.l)
+           ~o2:(order ~outer:K ~mid:M ~inner:L))
+    | Fusion.P_three_untile_shared ->
+      Option.to_list
+        (build pair buf ~t1:(1, op1.k, op1.l)
+           ~o1:(order ~outer:M ~mid:K ~inner:L)
+           ~t2:(1, op2.k, op2.l)
+           ~o2:(order ~outer:M ~mid:K ~inner:L))
+    | Fusion.P_three_resident ->
+      Option.to_list
+        (build pair buf ~t1:(op1.m, 1, op1.l)
+           ~o1:(order ~outer:K ~mid:M ~inner:L)
+           ~t2:(op2.m, op2.k, 1)
+           ~o2:(order ~outer:L ~mid:M ~inner:K))
+    | Fusion.P_block ->
+      let tm_sweep =
+        match mode with
+        | Mode.Pow2 -> op1.m :: Arith.pow2s_upto op1.m
+        | Mode.Exact | Mode.Divisors ->
+          let r = Arith.isqrt op1.m in
+          Arith.dedup_sorted
+            (List.concat (List.init r (fun i -> [ i + 1; Arith.ceil_div op1.m (i + 1) ])))
+      in
+      let minor_pairs =
+        List.concat_map
+          (fun tk1 -> List.map (fun tl2 -> (tk1, tl2)) (Arith.dedup_sorted [ 1; op2.l ]))
+          (Arith.dedup_sorted [ 1; op1.k ])
+      in
+      List.concat_map
+        (fun tm ->
+          let tm = quantize mode op1 M tm in
+          List.filter_map
+            (fun (tk1, tl2) ->
+              let tl = (bs - (tm * (tk1 + tl2))) / (tk1 + tm + tl2) in
+              if tl < 1 then None
+              else begin
+                let tl = snap mode op1 L tl in
+                best_orders pair
+                  ~producer:(Tiling.make op1 ~m:tm ~k:tk1 ~l:tl)
+                  ~consumer:(Tiling.make op2 ~m:tm ~k:tl ~l:tl2)
+                  buf
+              end)
+            minor_pairs)
+        tm_sweep
+
+  let candidates mode pair buf =
+    dedup_fused
+      (List.concat_map
+         (fun p -> List.map (fun (f, t) -> (p, f, t)) (build_pattern mode pair buf p))
+         Fusion.all_patterns)
+
+  let plan_pair mode strategy pair buf =
+    let { Fused.op1; op2 } = pair in
+    match (optimize mode op1 buf, optimize mode op2 buf) with
+    | Error e, _ | _, Error e -> Error e
+    | Ok plan1, Ok plan2 ->
+      let unfused = Intra.ma plan1 + Intra.ma plan2 in
+      let no_fuse why = Fusion.No_fuse { plan1; plan2; traffic = unfused; why } in
+      let decide () =
+        match candidates mode pair buf with
+        | [] -> no_fuse "no feasible fused dataflow"
+        | first :: rest -> (
+          match
+            List.fold_left
+              (fun ((_, _, bt) as best) ((_, _, t) as c) -> if t < bt then c else best)
+              first rest
+          with
+          | pattern, fused, traffic when traffic <= unfused ->
+            Fusion.Fuse { pattern; fused; traffic }
+          | _ -> no_fuse "fused dataflow moves more data than unfused")
+      in
+      let c1 = Nra.class_of plan1.dataflow and c2 = Nra.class_of plan2.dataflow in
+      match strategy with
+      | Fusion.By_principle when not (Fusion.profitable c1 c2) ->
+        Ok
+          (no_fuse
+             (Format.asprintf "Principle 4: %a vs %a dataflow, fusion unprofitable"
+                Nra.pp c1 Nra.pp c2))
+      | Fusion.By_principle | Fusion.Best_of_both -> Ok (decide ())
+
+  let row_pipeline mode chain buf =
+    let ops = Chain.ops chain in
+    let weights = Arith.sum (List.map (fun (op : Matmul.t) -> op.k * op.l) ops) in
+    let first = List.hd ops in
+    let per_row = first.k + Arith.sum (List.map (fun (op : Matmul.t) -> op.l) ops) in
+    let budget = Buffer.elements buf - weights in
+    if budget < per_row then []
+    else begin
+      let base = budget / per_row in
+      let order = Order.make ~outer:Dim.M ~mid:Dim.L ~inner:Dim.K in
+      List.filter_map
+        (fun tm ->
+          match
+            Multi_fusion.make chain
+              (List.map
+                 (fun (op : Matmul.t) ->
+                   Schedule.make (Tiling.make op ~m:tm ~k:op.k ~l:op.l) order)
+                 ops)
+          with
+          | Error _ -> None
+          | Ok t ->
+            if Multi_fusion.footprint chain t <= Buffer.elements buf then Some t else None)
+        (Arith.dedup_sorted
+           (List.filter_map
+              (fun tm -> if tm < 1 then None else Some (snap mode first Dim.M tm))
+              [ base; base - 1; base + 1; first.m ]))
+    end
+
+  let plan_chain mode chain buf =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | [ last ] -> Result.map (fun p -> List.rev (Planner.Solo p :: acc)) (optimize mode last buf)
+      | op1 :: (op2 :: rest as tail) -> (
+        let pair = Fused.make_pair_exn op1 op2 in
+        match plan_pair mode Fusion.By_principle pair buf with
+        | Error e -> Error e
+        | Ok (Fusion.Fuse { pattern; fused; traffic }) ->
+          go (Planner.Fused_pair { pair; pattern; fused; traffic } :: acc) rest
+        | Ok (Fusion.No_fuse { plan1; _ }) -> go (Planner.Solo plan1 :: acc) tail)
+    in
+    Result.map
+      (fun segments ->
+        { Planner.segments;
+          traffic = Arith.sum (List.map Planner.segment_traffic segments) })
+      (go [] (Chain.ops chain))
+
+  let multi_plan mode chain buf =
+    match plan_chain mode chain buf with
+    | Error e -> Error e
+    | Ok pairwise -> (
+      let best_full =
+        List.fold_left
+          (fun best candidate ->
+            match Multi_fusion.eval chain candidate buf with
+            | Error _ -> best
+            | Ok traffic -> (
+              match best with
+              | Some (_, bt) when bt <= traffic -> best
+              | _ -> Some (candidate, traffic)))
+          None (row_pipeline mode chain buf)
+      in
+      match best_full with
+      | Some (fused, traffic) when traffic < pairwise.Planner.traffic ->
+        Ok (Multi_fusion.Full_fusion { fused; traffic })
+      | Some _ | None -> Ok (Multi_fusion.Fallback pairwise))
+end
+
+(* Dimensions the differential draws: ragged small sizes, sizes up to
+   5,000, primes, highly composite sizes (many divisors), and 1 for
+   extreme aspect ratios next to the large ones. *)
+let gen_dim =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 1 24);
+        (2, int_range 1 5000);
+        (1, oneofl [ 2; 13; 97; 251; 509; 1021; 2039; 4093; 4999 ]);
+        (1, oneofl [ 12; 60; 120; 360; 720; 840; 1260; 1680; 2520; 5000 ]);
+        (1, oneofl [ 1; 2 ]) ])
+
+let gen_mode = QCheck.Gen.oneofl [ Mode.Exact; Mode.Divisors; Mode.Pow2 ]
+
+(* A buffer inside one of the four regime bands of [op] (drawn
+   uniformly), so every principle family gets exercised. *)
+let gen_regime_bytes op =
+  QCheck.Gen.(
+    let th = Regime.thresholds op in
+    let band lo hi = if hi < lo then return lo else int_range lo hi in
+    oneof
+      [ band 3 th.Regime.tiny_max;
+        band (th.tiny_max + 1) th.small_max;
+        band (th.small_max + 1) th.medium_max;
+        band (th.medium_max + 1) ((2 * th.medium_max) + 64) ])
+
+let gen_diff_intra =
+  QCheck.Gen.(
+    let* mode = gen_mode in
+    let* m = gen_dim and* k = gen_dim and* l = gen_dim in
+    let op = Matmul.make ~m ~k ~l () in
+    let* bytes = gen_regime_bytes op in
+    return (mode, op, bytes))
+
+let print_diff_intra (mode, op, bytes) =
+  Format.asprintf "%a %s bs=%d" Mode.pp mode (Matmul.to_string op) bytes
+
+let prop_builders_intra =
+  QCheck.Test.make ~count:5000 ~name:"intra candidates and plans"
+    (QCheck.make ~print:print_diff_intra gen_diff_intra)
+    (fun (mode, op, bytes) ->
+      let buf = Buffer.make bytes in
+      Principles.all mode op buf = Ref.all mode op buf
+      && Intra.optimize ~mode op buf = Ref.optimize mode op buf)
+
+let gen_diff_pair =
+  QCheck.Gen.(
+    let* mode = gen_mode in
+    let* m = gen_dim and* k = gen_dim and* l = gen_dim and* l2 = gen_dim in
+    let op1 = Matmul.make ~m ~k ~l () in
+    let* bytes = gen_regime_bytes op1 in
+    return (mode, Fused.make_pair_exn op1 (Matmul.make ~m ~k:l ~l:l2 ()), bytes))
+
+let prop_builders_fusion =
+  QCheck.Test.make ~count:1500 ~name:"fuse candidates and plans"
+    (QCheck.make
+       ~print:(fun (mode, (pair : Fused.pair), bytes) ->
+         Format.asprintf "%a %s l2=%d bs=%d" Mode.pp mode (Matmul.to_string pair.op1)
+           pair.op2.l bytes)
+       gen_diff_pair)
+    (fun (mode, pair, bytes) ->
+      let buf = Buffer.make bytes in
+      Fusion.candidates ~mode pair buf = Ref.candidates mode pair buf
+      && List.for_all
+           (fun strategy ->
+             Fusion.plan_pair ~mode ~strategy pair buf
+             = Ref.plan_pair mode strategy pair buf)
+           [ Fusion.By_principle; Fusion.Best_of_both ])
+
+let gen_diff_chain =
+  QCheck.Gen.(
+    let* mode = gen_mode in
+    let* m = gen_dim and* n = int_range 2 4 in
+    let* ks = list_repeat (n + 1) gen_dim in
+    let chain = Chain.of_dims ~name:"c" ~m ks in
+    let weights =
+      List.fold_left (fun acc (op : Matmul.t) -> acc + (op.k * op.l)) 0 (Chain.ops chain)
+    in
+    let* bytes =
+      oneof
+        [ gen_regime_bytes (List.hd (Chain.ops chain));
+          (* just past the row pipeline's resident weights, where it
+             becomes feasible *)
+          map (fun extra -> weights + extra) (int_range 0 4096) ]
+    in
+    return (mode, chain, bytes))
+
+let prop_builders_chain =
+  QCheck.Test.make ~count:1000 ~name:"chain candidates and plans"
+    (QCheck.make
+       ~print:(fun (mode, chain, bytes) ->
+         Format.asprintf "%a m=%d ks=%s bs=%d" Mode.pp mode
+           (List.hd (Chain.ops chain)).Matmul.m
+           (String.concat ","
+              (List.map string_of_int
+                 ((List.hd (Chain.ops chain)).Matmul.k
+                 :: List.map (fun (op : Matmul.t) -> op.l) (Chain.ops chain))))
+           bytes)
+       gen_diff_chain)
+    (fun (mode, chain, bytes) ->
+      let buf = Buffer.make bytes in
+      Multi_fusion.row_pipeline ~mode chain buf = Ref.row_pipeline mode chain buf
+      && Multi_fusion.plan ~mode chain buf = Ref.multi_plan mode chain buf)
+
+let prop_lattice_rounding =
+  QCheck.Test.make ~count:3000 ~name:"lattice rounding = list scan"
+    (QCheck.make
+       ~print:(fun (mode, d, t) -> Format.asprintf "%a D=%d t=%d" Mode.pp mode d t)
+       QCheck.Gen.(
+         let* mode = gen_mode in
+         let* d = oneof [ gen_dim; int_range 1 100_000 ] in
+         let* t =
+           oneof [ int_range (-2) (d + 8); int_range 1 (Fusecu_util.Arith.isqrt d + 2) ]
+         in
+         return (mode, d, t)))
+    (fun (mode, d, t) ->
+      let op = Matmul.make ~m:d ~k:1 ~l:1 () and lat = Mode.lattice mode d in
+      Mode.quantize lat t = Ref.quantize mode op Dim.M t
+      && Mode.snap lat t = Ref.snap mode op Dim.M t)
+
+let builders_reference_suite =
+  List.map
+    (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20251017 |]))
+    [ prop_lattice_rounding; prop_builders_intra; prop_builders_fusion;
+      prop_builders_chain ]
+
+(* Extreme sizes stay one-shot on the default lattice: the builders walk
+   each dimension's divisors (41 for 2^40), not its O(sqrt D) trip
+   counts, and the answer is the lower bound. *)
+let test_huge_dims_one_shot () =
+  let buf = Buffer.of_kib 512 in
+  let op = Matmul.make ~m:1 ~k:(1 lsl 40) ~l:1 () in
+  (match Intra.optimize ~mode:Mode.Divisors op buf with
+  | Ok plan -> check_int "k=2^40 at the lower bound" (Lower_bound.intra op) (Intra.ma plan)
+  | Error e -> Alcotest.fail e);
+  let op1 = Matmul.make ~m:(1 lsl 20) ~k:4 ~l:4 () in
+  let op2 = Matmul.make ~m:(1 lsl 20) ~k:4 ~l:8 () in
+  match Fusion.plan_pair ~mode:Mode.Divisors (Fused.make_pair_exn op1 op2) buf with
+  | Ok d ->
+    check_int "m=2^20 pair at the fused bound"
+      (Lower_bound.chain_fused (Chain.make_exn [ op1; op2 ]))
+      (Fusion.traffic_of_decision d)
+  | Error e -> Alcotest.fail e
+
+(* A buffer of max_int bytes: the symmetric tiles' isqrt (BS + c) must
+   not overflow, and everything fits, so each plan meets its bound. *)
+let test_max_int_buffer () =
+  let buf = Buffer.make max_int in
+  let op = Matmul.make ~m:4 ~k:4 ~l:4 () in
+  let chain = Chain.of_dims ~name:"c" ~m:4 [ 4; 4; 4; 4 ] in
+  let pair = Fused.make_pair_exn op op in
+  List.iter
+    (fun mode ->
+      let name what = Format.asprintf "%a %s" Mode.pp mode what in
+      (match Intra.optimize ~mode op buf with
+      | Ok plan -> check_int (name "intra") (Lower_bound.intra op) (Intra.ma plan)
+      | Error e -> Alcotest.fail e);
+      (match Fusion.plan_pair ~mode pair buf with
+      | Ok d ->
+        check_int (name "fuse")
+          (Lower_bound.chain_fused (Chain.make_exn [ op; op ]))
+          (Fusion.traffic_of_decision d)
+      | Error e -> Alcotest.fail e);
+      match Multi_fusion.plan ~mode chain buf with
+      | Ok d ->
+        check_int (name "chain") (Lower_bound.chain_fused chain)
+          (Multi_fusion.traffic_of_decision d)
+      | Error e -> Alcotest.fail e)
+    [ Mode.Exact; Mode.Divisors; Mode.Pow2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Optimality: principles == exhaustive search                         *)
@@ -830,7 +1390,11 @@ let () =
           Alcotest.test_case "pow2 plans are pow2-optimal" `Quick
             test_pow2_intra_optimal;
           Alcotest.test_case "pow2 best-of-both is pow2-optimal" `Quick
-            test_pow2_fuse_optimal ] );
+            test_pow2_fuse_optimal;
+          Alcotest.test_case "huge dims stay one-shot" `Quick test_huge_dims_one_shot;
+          Alcotest.test_case "max_int buffer meets the bound" `Quick
+            test_max_int_buffer ] );
+      ("builders = ref", builders_reference_suite);
       ( "optimizer",
         [ Alcotest.test_case "large buffer hits bound" `Quick
             test_large_buffer_hits_lower_bound;

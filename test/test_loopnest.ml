@@ -169,6 +169,37 @@ let prop_traffic_lower_bound =
   QCheck.Test.make ~count:500 ~name:"traffic >= ideal lower bound" arb_case
     (fun (op, s) -> (Cost.eval op s).total >= Matmul.ideal_ma op)
 
+(* The trip-vector kernel prices every order of a tiling from one trip
+   vector; it must agree with [Cost.eval] (held to the simulator above)
+   on every order, operand by operand. *)
+let prop_trip_kernel_matches_eval =
+  QCheck.Test.make ~count:1000 ~name:"trip kernel == Cost.eval"
+    (QCheck.make
+       ~print:(fun (op, t) ->
+         Format.asprintf "%s under %a" (Matmul.to_string op) Tiling.pp t)
+       QCheck.Gen.(
+         let dim = oneof [ int_range 1 9; int_range 1 200 ] in
+         let* m = dim and* k = dim and* l = dim in
+         let op = Matmul.make ~m ~k ~l () in
+         let tile d = int_range 1 (Matmul.dim op d) in
+         let* tm = tile Dim.M and* tk = tile Dim.K and* tl = tile Dim.L in
+         return (op, Tiling.make op ~m:tm ~k:tk ~l:tl)))
+    (fun (op, t) ->
+      let n = Cost.trips op t in
+      n.Cost.nm = Tiling.trips op t Dim.M
+      && n.nk = Tiling.trips op t Dim.K
+      && n.nl = Tiling.trips op t Dim.L
+      && List.for_all
+           (fun o ->
+             let cost = Cost.eval op (Schedule.make t o) in
+             Cost.total_at op n o = cost.total
+             && List.for_all
+                  (fun x ->
+                    let c = Cost.operand cost x in
+                    Cost.revisit_at n o x = c.revisit && Cost.traffic_at op n o x = c.traffic)
+                  Operand.all)
+           Order.all)
+
 (* ------------------------------------------------------------------ *)
 (* Fused pair model                                                    *)
 
@@ -467,7 +498,7 @@ let qsuite =
     (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250704 |]))
     [ prop_cost_matches_sim; prop_fetches_match_sim; prop_revisit_matches_sim;
       prop_sim_macs_exact; prop_traffic_lower_bound;
-      prop_best_orders_matches_brute_force ]
+      prop_best_orders_matches_brute_force; prop_trip_kernel_matches_eval ]
 
 let () =
   Alcotest.run "loopnest"

@@ -402,6 +402,33 @@ let test_engine_oversized_problems () =
   in
   check out
 
+(* A buffer of max_int bytes (max_int - 3 for the pair and chain ops,
+   where isqrt (BS + 4) overflowed) is answered ok, at the lower bound
+   for intra, and the line after it too: once it raised out of the
+   engine and ended the stream. *)
+let test_engine_max_int_buffer () =
+  let next = "{\"op\":\"intra\",\"m\":8,\"k\":8,\"l\":8}" in
+  let huge =
+    [ "{\"op\":\"intra\",\"id\":1,\"m\":4,\"k\":4,\"l\":4,\"buffer\":4611686018427387903}";
+      "{\"op\":\"fuse\",\"m\":4,\"k\":4,\"l\":4,\"l2\":4,\"buffer\":4611686018427387900}";
+      "{\"op\":\"chain\",\"m\":4,\"ks\":[4,4,4],\"buffer\":4611686018427387903}";
+      "{\"op\":\"eval\",\"model\":\"bert\",\"buffer\":4611686018427387900}";
+      "{\"op\":\"plan_model\",\"model\":\"bert\",\"buffer\":4611686018427387903}" ]
+  in
+  let out =
+    Engine.handle_lines
+      (Engine.create (Engine.default_config ()))
+      (List.concat_map (fun l -> [ l; next ]) huge)
+    |> List.map (fun l -> Result.get_ok (Json.parse l))
+  in
+  check_int "every line answered" (2 * List.length huge) (List.length out);
+  List.iter
+    (fun r -> check_bool "ok" true (Json.member "ok" r = Some (Json.Bool true)))
+    out;
+  match Option.bind (Json.member "result" (List.hd out)) (Json.member "redundancy") with
+  | Some (Json.Float r) -> check_bool "intra at the lower bound" true (r = 1.0)
+  | _ -> Alcotest.fail "intra answer has no redundancy"
+
 (* ------------------------------------------------------------------ *)
 (* Engine over the checked-in fixture                                  *)
 
@@ -1885,7 +1912,9 @@ let () =
             test_nest_outcome_codec;
           Alcotest.test_case "nest infeasible" `Quick test_nest_infeasible;
           Alcotest.test_case "shutdown barrier" `Quick
-            test_shutdown_stops_processing ] );
+            test_shutdown_stops_processing;
+          Alcotest.test_case "max_int buffer answered" `Quick
+            test_engine_max_int_buffer ] );
       ( "server",
         [ Alcotest.test_case "concurrent clients deterministic" `Quick
             test_server_concurrent_clients_deterministic;

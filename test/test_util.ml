@@ -49,6 +49,22 @@ let test_isqrt_boundaries () =
       check_bool "(r+1)^2 > n (division form)" true (r + 1 > n / (r + 1)))
     [ max_int; max_int - 1; (1 lsl 62) - 1; 1 lsl 61; (1 lsl 61) - 1 ]
 
+(* isqrt (n + c) past max_int: the principle builders' symmetric tiles
+   for a buffer of max_int bytes. *)
+let test_isqrt_add () =
+  let isqrt_max = 2147483647 in
+  check_int "no overflow" 3 (Arith.isqrt_add 8 1);
+  check_int "no overflow, below a square" 2 (Arith.isqrt_add 7 1);
+  check_int "max_int + 0" isqrt_max (Arith.isqrt_add max_int 0);
+  (* max_int + 1 = 2^62 = (2^31)^2 *)
+  check_int "max_int + 1" (isqrt_max + 1) (Arith.isqrt_add max_int 1);
+  check_int "max_int + 4" (isqrt_max + 1) (Arith.isqrt_add max_int 4);
+  check_int "max_int - 3 + 4" (isqrt_max + 1) (Arith.isqrt_add (max_int - 3) 4);
+  check_int "max_int - 4 + 4" isqrt_max (Arith.isqrt_add (max_int - 4) 4);
+  List.iter
+    (fun (n, c) -> check_int "= isqrt (n + c)" (Arith.isqrt (n + c)) (Arith.isqrt_add n c))
+    [ (0, 0); (0, 4); (1, 1); (max_int - 4, 4); (max_int - 1, 1); (1 lsl 61, 4) ]
+
 let prop_isqrt =
   QCheck.Test.make ~count:500 ~name:"isqrt bounds" QCheck.(int_bound 1_000_000)
     (fun n ->
@@ -520,7 +536,8 @@ let () =
           Alcotest.test_case "next_pow2 boundaries" `Quick
             test_next_pow2_boundaries;
           Alcotest.test_case "gcd negative" `Quick test_gcd_negative;
-          Alcotest.test_case "misc" `Quick test_misc_arith ] );
+          Alcotest.test_case "misc" `Quick test_misc_arith;
+          Alcotest.test_case "isqrt_add past max_int" `Quick test_isqrt_add ] );
       ( "stats",
         [ Alcotest.test_case "summary" `Quick test_stats ] );
       ( "units",
