@@ -36,7 +36,7 @@ type pattern =
           the [Exact] sweep rounds to) and [Pow2] ([M], then the powers
           of two), and [t_l] maximized ({!Mode.snap}), producer [K] /
           consumer [L] tiles in [{minimal, untiled}], all order pairs
-          ({!Fused.best_orders}). Subsumes the six named
+          ({!Fused.best_tiles}). Subsumes the six named
           patterns and is complete over the valid fused-pair space, so
           [Best_of_both] matches exhaustive search exactly (the named
           builders alone miss mixed-class optima on ragged sizes —
@@ -66,8 +66,15 @@ val candidates : ?mode:Mode.t -> ?patterns:pattern list -> Fused.pair -> Buffer.
     requested patterns (default: all); each entry carries its memory
     traffic. Candidates that fail {!Fused.eval} are dropped, and so is
     every repeat of a fused dataflow an earlier pattern or tile already
-    produced (a hashed first-occurrence filter). The lattices of
-    [op1]'s [M] and [L] are built once per call. *)
+    produced. The lattices of [op1]'s [M] and [L] are built once per
+    call.
+
+    The patterns are one enumerator, shared with {!plan_pair}: it
+    yields each candidate as the integer tiles and order indices of
+    {!Fused.of_tiles}, priced on {!Fused.eval_tiles} (the named
+    patterns) and {!Fused.best_tiles} ([P_block]), and this list
+    collects it through a first-occurrence filter hashed on those six
+    integers. *)
 
 (** The outcome of planning a candidate fusion site. *)
 type decision =
@@ -90,6 +97,9 @@ val plan_pair : ?mode:Mode.t -> ?strategy:strategy -> Fused.pair -> Buffer.t
   -> (decision, string) result
 (** Decide whether (and how) to fuse a pair. [strategy] defaults to
     [By_principle]. [Error] only when even unfused intra optimization is
-    infeasible. *)
+    infeasible. The fused candidate is the first traffic minimum of
+    {!candidates}, found by folding the candidate stream without the
+    list or its filter (a repeat cannot displace its first occurrence);
+    only the winner's {!Fused.t} is built. *)
 
 val pp_decision : Format.formatter -> decision -> unit

@@ -11,41 +11,56 @@ type plan = {
 
 let candidates ?(mode = Mode.Exact) op buf = Principles.all mode op buf
 
-let optimize ?(mode = Mode.Exact) ?(filter = fun _ -> true) op buf =
-  (* Rank by (total, footprint), first minimum; price on the trip
-     kernel and build the [Cost.t] for the winner alone. *)
-  let total (c : Principles.candidate) =
-    Cost.total_at op (Cost.trips op c.schedule.tiling) c.schedule.order
-  in
-  let best =
-    List.fold_left
-      (fun best (c : Principles.candidate) ->
-        if not (filter c) then best
-        else
-          let t = total c in
-          match best with
-          | Some (bt, (b : Principles.candidate))
-            when bt < t
-                 || (bt = t
-                    && Schedule.footprint b.schedule <= Schedule.footprint c.schedule) ->
-            best
-          | _ -> Some (t, c))
-      None (candidates ~mode op buf)
-  in
-  match best with
-  | None ->
+(* The first minimum so far under (total, footprint), as tiles and an
+   order index. *)
+type best = {
+  mutable found : bool;
+  mutable total : int;
+  mutable footprint : int;
+  mutable m : int;
+  mutable k : int;
+  mutable l : int;
+  mutable order : int;
+}
+
+let optimize ?(mode = Mode.Exact) (op : Matmul.t) buf =
+  (* Fold the candidate stream into its first minimum by (total,
+     footprint), priced on the revisit table; no list and no dedup, as
+     a repeated candidate cannot displace its first occurrence. Only
+     the winner gets a schedule and a [Cost.t]. *)
+  let b = { found = false; total = 0; footprint = 0; m = 0; k = 0; l = 0; order = 0 } in
+  Principles.iter ~distinct:false mode op buf (fun _ m k l order ->
+      let total =
+        Cost.table_total op (Cost.trip op.m m) (Cost.trip op.k k) (Cost.trip op.l l) order
+      in
+      let footprint = (m * k) + (k * l) + (m * l) in
+      if
+        (not b.found) || total < b.total || (total = b.total && footprint < b.footprint)
+      then begin
+        b.found <- true;
+        b.total <- total;
+        b.footprint <- footprint;
+        b.m <- m;
+        b.k <- k;
+        b.l <- l;
+        b.order <- order
+      end);
+  if not b.found then
     Error
       (Format.asprintf "no feasible dataflow for %a within %a" Matmul.pp op
          Buffer.pp buf)
-  | Some (_, c) ->
-    let schedule = c.schedule in
+  else begin
+    let schedule =
+      Schedule.make (Tiling.make op ~m:b.m ~k:b.k ~l:b.l) (Order.of_index b.order)
+    in
     Ok
       { op; schedule; cost = Cost.eval op schedule;
         dataflow = Nra.classify op schedule;
         regime = Regime.classify op buf }
+  end
 
-let optimize_exn ?mode ?filter op buf =
-  match optimize ?mode ?filter op buf with
+let optimize_exn ?mode op buf =
+  match optimize ?mode op buf with
   | Ok p -> p
   | Error e -> invalid_arg e
 

@@ -21,17 +21,17 @@ val candidates : ?mode:Mode.t -> Matmul.t -> Buffer.t -> Principles.candidate li
 (** The full principle candidate set ({!Principles.all}); [mode]
     defaults to [Exact]. *)
 
-val optimize : ?mode:Mode.t -> ?filter:(Principles.candidate -> bool) ->
-  Matmul.t -> Buffer.t -> (plan, string) result
+val optimize : ?mode:Mode.t -> Matmul.t -> Buffer.t -> (plan, string) result
 (** Pick the candidate with the least memory traffic (ties broken by
-    smaller buffer footprint, then by candidate order). Candidates are
-    ranked on {!Cost.total_at}; only the winner's {!Cost.t} is built.
-    [filter] restricts the candidate set —
-    platform models use it to express hardware limitations. [Error] when
-    no candidate fits the buffer (capacity below 3 elements). *)
+    smaller buffer footprint, then by candidate order). It folds the
+    candidate stream ({!Principles.iter}) into that first minimum,
+    pricing each candidate's integer tiles on {!Cost.table_total},
+    without a list or the builders' first-occurrence filters (a
+    repeated candidate cannot displace its first occurrence); only the
+    winner's {!Schedule.t} and {!Cost.t} are built. [Error] when no
+    candidate fits the buffer (capacity below 3 elements). *)
 
-val optimize_exn : ?mode:Mode.t -> ?filter:(Principles.candidate -> bool) ->
-  Matmul.t -> Buffer.t -> plan
+val optimize_exn : ?mode:Mode.t -> Matmul.t -> Buffer.t -> plan
 
 val ma : plan -> int
 (** Total element traffic of a plan. *)

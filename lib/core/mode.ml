@@ -16,14 +16,14 @@ let lattice mode size =
   in
   { mode; size; points }
 
-(* The largest point <= target; points.(0) = 1 <= target. *)
-let floor_point points target =
+(* The index of the largest point <= target; points.(0) = 1 <= target. *)
+let floor_index points target =
   let lo = ref 0 and hi = ref (Array.length points) in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
     if points.(mid) <= target then lo := mid else hi := mid
   done;
-  points.(!lo)
+  !lo
 
 let quantize lat target =
   let target = Arith.clamp ~lo:1 ~hi:lat.size target in
@@ -31,7 +31,12 @@ let quantize lat target =
   else
     match lat.mode with
     | Exact -> target
-    | Divisors | Pow2 -> floor_point lat.points target
+    | Divisors | Pow2 -> lat.points.(floor_index lat.points target)
+
+let rank lat t =
+  match lat.mode with
+  | Exact -> invalid_arg "Mode.rank: the Exact lattice has no points"
+  | Divisors | Pow2 -> floor_index lat.points t
 
 let snap lat target =
   let q = quantize lat target in

@@ -31,6 +31,12 @@ val quantize : lattice -> int -> int
     clamped into [\[1, size\]]. A target at or above the dimension size
     always yields the full dimension (untiled). O(log points). *)
 
+val rank : lattice -> int -> int
+(** [rank lat t] is the index in [points] of the lattice point [t] (of
+    the largest point [<= t] in general), on [Divisors] and [Pow2]; a
+    planner keys a bitmap of visited tiles on it. O(log points). Raises
+    [Invalid_argument] on [Exact]. *)
+
 val snap : lattice -> int -> int
 (** [snap lat target] is the lattice tile the principle builders use
     for a budget of [target]: {!quantize}'s result, then, on [Exact]

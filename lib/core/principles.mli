@@ -8,9 +8,15 @@
     candidate count is therefore bounded by the lattice, per swept
     dimension of extent [D]: O(sqrt D) on [Exact] (every trip count is
     its own tile), O(number of divisors of D) on [Divisors], O(log D)
-    on [Pow2]. {!all} builds each dimension's {!Mode.lattice} once and
-    rounds every seed on it by binary search; the repeated tiles are
-    dropped by a hashed first-occurrence filter.
+    on [Pow2]. {!iter} builds each dimension's {!Mode.lattice} once and
+    rounds every seed on it by binary search.
+
+    Each builder is one enumerator ({!iter}): it yields integer tiles
+    and an order index, building no schedule per candidate, and drops a
+    swept tile it has already visited with a first-occurrence filter (a
+    bitmap over lattice-point indices on [Divisors] and [Pow2], a
+    hashed set on [Exact]). The list builders below collect it;
+    {!Intra.optimize} folds it into its first minimum.
 
     - {!single} — Principle 1: tile of the stationary tensor's dims
       maximized ([T^2 + 2T <= BS] at the symmetric point), free dim
@@ -51,3 +57,14 @@ val all : Mode.t -> Matmul.t -> Buffer.t -> candidate list
 (** Every candidate from every builder variant: 3 stationary choices,
     6 (untiled, redundant) choices, 3 resident choices, on lattices
     built once for the call. *)
+
+val iter :
+  distinct:bool -> Mode.t -> Matmul.t -> Buffer.t ->
+  (Nra.dataflow -> int -> int -> int -> int -> unit) -> unit
+(** [iter ~distinct:true mode op buf f] calls [f intent tm tk tl order]
+    for each candidate of {!all}, in {!all}'s order, with its tiles in
+    [M], [K], [L] and its loop order as an index into {!Order.all}
+    ({!Order.of_index}). With [~distinct:false] the builders skip their
+    first-occurrence filters, so a swept tile that repeats is yielded
+    again: a fold for a first strict minimum gets the same winner, since
+    a repeat equals, and follows, its first occurrence. *)

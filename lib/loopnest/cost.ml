@@ -6,21 +6,24 @@ type t = { a : per_operand; b : per_operand; c : per_operand; total : int }
 
 type trips = { nm : int; nk : int; nl : int }
 
-let trips (op : Matmul.t) (t : Tiling.t) =
-  let open Fusecu_util.Arith in
-  { nm = ceil_div op.m t.m; nk = ceil_div op.k t.k; nl = ceil_div op.l t.l }
+(* [ceil (d / t)], without a division for the untiled and the unit
+   tile, which most principle candidates have. *)
+let trip d t = if t >= d then 1 else if t = 1 then d else (d + t - 1) / t
 
-let trip n = function Dim.M -> n.nm | Dim.K -> n.nk | Dim.L -> n.nl
+let trips (op : Matmul.t) (t : Tiling.t) =
+  { nm = trip op.m t.m; nk = trip op.k t.k; nl = trip op.l t.l }
+
+let trip_of n = function Dim.M -> n.nm | Dim.K -> n.nk | Dim.L -> n.nl
 
 (* The one revisit rule; allocation-free (no closures, int compares). *)
 let revisit_at n (o : Order.t) operand =
   let free = Operand.free_dim operand in
-  let nf = trip n free in
+  let nf = trip_of n free in
   if nf = 1 then 1
   else begin
     let d1, d2 = Operand.dims operand in
-    let p1 = if trip n d1 > 1 then Order.position o d1 else 0 in
-    let p2 = if trip n d2 > 1 then Order.position o d2 else 0 in
+    let p1 = if trip_of n d1 > 1 then Order.position o d1 else 0 in
+    let p2 = if trip_of n d2 > 1 then Order.position o d2 else 0 in
     if Order.position o free < (if p1 > p2 then p1 else p2) then nf else 1
   end
 
@@ -29,12 +32,41 @@ let traffic_at op n o operand = revisit_at n o operand * Matmul.operand_size op 
 let total_at op n o =
   traffic_at op n o Operand.A + traffic_at op n o Operand.B + traffic_at op n o Operand.C
 
+(* The revisit table: [revisits.(8 * i + p)] is the set of operands
+   (A = 1, B = 2, C = 4) that order [i] of [Order.all] revisits when the
+   dimensions whose trip count exceeds 1 are those of pattern [p]
+   (M = 1, K = 2, L = 4). [revisit_at] reads trips only through that
+   pattern (and the free dimension's count, which is the revisit factor
+   when the operand is revisited), so the table is built from it. *)
+let operand_bit = function Operand.A -> 1 | Operand.B -> 2 | Operand.C -> 4
+
+let revisits =
+  Array.init 48 (fun j ->
+      let p = j land 7 in
+      let n = { nm = 1 + (p land 1); nk = 1 + ((p lsr 1) land 1); nl = 1 + (p lsr 2) } in
+      let o = Order.of_index (j lsr 3) in
+      List.fold_left
+        (fun acc x -> if revisit_at n o x > 1 then acc lor operand_bit x else acc)
+        0 Operand.all)
+
+let table_revisits nm nk nl i =
+  revisits.((8 * i)
+            + (if nm > 1 then 1 else 0)
+            + (if nk > 1 then 2 else 0)
+            + if nl > 1 then 4 else 0)
+
+let table_total (op : Matmul.t) nm nk nl i =
+  let r = table_revisits nm nk nl i in
+  ((if r land 1 = 0 then 1 else nl) * (op.m * op.k))
+  + ((if r land 2 = 0 then 1 else nm) * (op.k * op.l))
+  + ((if r land 4 = 0 then 1 else nk) * (op.m * op.l))
+
 let revisit op (s : Schedule.t) operand = revisit_at (trips op s.tiling) s.order operand
 
 let eval_operand op n (s : Schedule.t) operand =
   let r = revisit_at n s.order operand in
   let d1, d2 = Operand.dims operand in
-  { fetches = r * trip n d1 * trip n d2;
+  { fetches = r * trip_of n d1 * trip_of n d2;
     traffic = r * Matmul.operand_size op operand;
     revisit = r }
 

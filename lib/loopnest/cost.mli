@@ -38,14 +38,17 @@ type t = {
 (** {2 Trip-vector kernel}
 
     The revisit rule above reads a tiling only through its trip counts
-    and an order only through its loop positions. A planner that prices
-    many orders of one tiling, or many tilings without keeping their
-    costs, computes the trip vector once with {!trips} and reads each
-    order from it; {!eval} and {!revisit} are built on the same kernel,
-    so there is one revisit rule. The [_at] functions allocate nothing. *)
+    and an order only through its loop positions. {!revisit_at} states
+    it on a trip vector; {!eval}, {!revisit} and the revisit table below
+    are built on it, so there is one revisit rule. The [_at] functions
+    allocate nothing. *)
 
 type trips = private { nm : int; nk : int; nl : int }
 (** Trip counts [ceil(D/T)] of [M], [K] and [L]. *)
+
+val trip : int -> int -> int
+(** [trip d t] is the trip count [ceil(d/t)] of a dimension of extent
+    [d] under a tile [1 <= t]; it divides only when [1 < t < d]. *)
 
 val trips : Matmul.t -> Tiling.t -> trips
 
@@ -58,6 +61,30 @@ val traffic_at : Matmul.t -> trips -> Order.t -> Operand.t -> int
 
 val total_at : Matmul.t -> trips -> Order.t -> int
 (** [(eval op s).total] for a schedule [s] with these trips and order. *)
+
+(** {2 Revisit table}
+
+    Whether {!revisit_at} revisits an operand depends only on the order
+    and on which of the three trip counts exceed 1; when it does, the
+    factor is the free dimension's trip count. So the rule fits a table
+    of 6 orders x 8 trip patterns = 48 entries, each the set of operands
+    revisited. The table is built once, at start-up, from {!revisit_at}
+    (there is still one revisit rule), and the principle planners price
+    every candidate on it: the functions below take the trip counts
+    [nm], [nk], [nl] and an order index ({!Order.index}), read one
+    entry, and allocate nothing. *)
+
+val operand_bit : Operand.t -> int
+(** [A] is 1, [B] is 2, [C] is 4. *)
+
+val table_revisits : int -> int -> int -> int -> int
+(** [table_revisits nm nk nl i] is the table entry: the operands the
+    [i]-th order of {!Order.all} revisits under these trip counts, as a
+    set of {!operand_bit}s. An operand in the set has the revisit factor
+    of its free dimension's trip count, any other 1. *)
+
+val table_total : Matmul.t -> int -> int -> int -> int -> int
+(** {!total_at}, from the table. *)
 
 val eval : ?partial_sum_penalty:bool -> Matmul.t -> Schedule.t -> t
 (** Evaluate a schedule. With [partial_sum_penalty] (default [false],

@@ -99,66 +99,122 @@ let eval pair t buf =
     if footprint > capacity then Error (Over_capacity { footprint; capacity })
     else Ok (traffic pair t)
 
-let orders = Array.of_list Order.all
+(* The integer-tile kernel. A fused dataflow whose C tiles agree is
+   fixed by producer tiles (tm, tk1, tl), consumer tiles (tm, tl, tl2)
+   and two order indices; both sides' trip counts follow from the
+   tiles, and every condition above is read from them and from the
+   revisit table. *)
 
-(* One side's first cheapest order in each C-order class, as order
-   indices into [Order.all] (-1: no order of the class keeps C
-   non-redundant) and costs: class 0 is C M-major, or every order when
-   C is resident; class 1 the rest. Each order is scored from the
-   side's one trip vector: C's revisit on [c_as] (C is operand C of
-   op1, operand A of op2), the traffic of the side's other two. *)
-let side_best op n ~c_as ~x ~y ~m_major ~resident =
-  let i0 = ref (-1) and t0 = ref 0 and i1 = ref (-1) and t1 = ref 0 in
-  for i = 0 to Array.length orders - 1 do
-    let o = orders.(i) in
-    if Cost.revisit_at n o c_as = 1 then begin
-      let t = Cost.traffic_at op n o x + Cost.traffic_at op n o y in
-      if resident || m_major o then begin
-        if !i0 < 0 || t < !t0 then begin
+let producer_m_major = Array.init 6 (fun i -> m_major_producer (Order.of_index i))
+
+let consumer_m_major = Array.init 6 (fun i -> m_major_consumer (Order.of_index i))
+
+let tiles_footprint ~tm ~tk1 ~tl ~tl2 =
+  (tm * tk1) + (tk1 * tl) + (tm * tl) + ((tm * tl) + (tl * tl2) + (tm * tl2)) - (tm * tl)
+
+(* C is resident on both sides exactly when it is on the producer's:
+   op2's M and K are op1's M and L. *)
+let tiles_resident pair ~tm ~tl = tm >= pair.op1.m && tl >= pair.op1.l
+
+(* A side's traffic under an order whose revisit set is [r], or -1 when
+   it revisits C. On each side C is the operand of bit [c]; the other
+   two, of bits [x] and [y], move [x1] and [y1] elements when read once
+   and [xn] and [yn] when revisited (their size times their free
+   dimension's trip count). *)
+let side_traffic r ~c ~x ~x1 ~xn ~y ~y1 ~yn =
+  if r land c <> 0 then -1
+  else (if r land x = 0 then x1 else xn) + if r land y = 0 then y1 else yn
+
+(* Each side's traffic by order index, from the tiles: the producer
+   moves A1 and B1, the consumer D (its B) and E (its C). op2's M and K
+   are op1's M and L, and so are their trip counts. *)
+let sides pair ~tm ~tk1 ~tl ~tl2 =
+  let { op1; op2 } = pair in
+  let nm1 = Cost.trip op1.m tm and nk1 = Cost.trip op1.k tk1 and nl1 = Cost.trip op1.l tl in
+  let nm2 = nm1 and nk2 = nl1 and nl2 = Cost.trip op2.l tl2 in
+  let a = op1.m * op1.k and b = op1.k * op1.l and d = op2.k * op2.l and e = op2.m * op2.l in
+  let bit = Cost.operand_bit in
+  ( (fun i ->
+      side_traffic (Cost.table_revisits nm1 nk1 nl1 i) ~c:(bit Operand.C) ~x:(bit Operand.A)
+        ~x1:a ~xn:(a * nl1) ~y:(bit Operand.B) ~y1:b ~yn:(b * nm1)),
+    fun i ->
+      side_traffic (Cost.table_revisits nm2 nk2 nl2 i) ~c:(bit Operand.A) ~x:(bit Operand.B)
+        ~x1:d ~xn:(d * nm2) ~y:(bit Operand.C) ~y1:e ~yn:(e * nk2) )
+
+let eval_tiles pair ~tm ~tk1 ~tl ~tl2 ~capacity o1 o2 =
+  if
+    tiles_footprint ~tm ~tk1 ~tl ~tl2 > capacity
+    || not (tiles_resident pair ~tm ~tl || producer_m_major.(o1) = consumer_m_major.(o2))
+  then -1
+  else begin
+    let producer, consumer = sides pair ~tm ~tk1 ~tl ~tl2 in
+    let p = producer o1 and c = consumer o2 in
+    if p < 0 || c < 0 then -1 else p + c
+  end
+
+(* No order of the class keeps C non-redundant. *)
+let none = 7
+
+(* One side's first cheapest order in each C-order class, packed as
+   [i0 + 8 * i1] ([none] for an empty class): class 0 is C M-major, or
+   every order when C is resident; class 1 the rest. *)
+let side_best traffic ~m_major ~resident =
+  let i0 = ref none and t0 = ref 0 and i1 = ref none and t1 = ref 0 in
+  for i = 0 to 5 do
+    let t = traffic i in
+    if t >= 0 then
+      if resident || m_major.(i) then begin
+        if !i0 = none || t < !t0 then begin
           i0 := i;
           t0 := t
         end
       end
-      else if !i1 < 0 || t < !t1 then begin
+      else if !i1 = none || t < !t1 then begin
         i1 := i;
         t1 := t
       end
-    end
   done;
-  (!i0, !t0, !i1, !t1)
+  !i0 + (8 * !i1)
 
 (* Within a C-order class the cheapest pair is the two sides' first
    cheapest orders; across the classes a tie goes to the earlier
    producer order. That is the first minimum of the o1-major scan over
    all 36 pairs. *)
-let best_orders pair ~producer ~consumer buf =
-  if
-    (not (tiles_agree producer consumer))
-    || tilings_footprint producer consumer > Buffer.elements buf
-  then None
+let best_tiles pair ~tm ~tk1 ~tl ~tl2 ~capacity =
+  if tiles_footprint ~tm ~tk1 ~tl ~tl2 > capacity then -1
   else begin
-    let resident = c_resident pair producer consumer in
-    let p0, pt0, p1, pt1 =
-      side_best pair.op1 (Cost.trips pair.op1 producer) ~c_as:Operand.C ~x:Operand.A
-        ~y:Operand.B ~m_major:m_major_producer ~resident
-    in
-    let c0, ct0, c1, ct1 =
-      side_best pair.op2 (Cost.trips pair.op2 consumer) ~c_as:Operand.A ~x:Operand.B
-        ~y:Operand.C ~m_major:m_major_consumer ~resident
-    in
-    let pick p c t =
+    let resident = tiles_resident pair ~tm ~tl in
+    let producer, consumer = sides pair ~tm ~tk1 ~tl ~tl2 in
+    let p = side_best producer ~m_major:producer_m_major ~resident in
+    let c = side_best consumer ~m_major:consumer_m_major ~resident in
+    let p0 = p land 7 and p1 = p lsr 3 and c0 = c land 7 and c1 = c lsr 3 in
+    let ok0 = p0 <> none && c0 <> none and ok1 = p1 <> none && c1 <> none in
+    if ok0 && ok1 then begin
+      let t0 = producer p0 + consumer c0 and t1 = producer p1 + consumer c1 in
+      if t1 < t0 || (t1 = t0 && p1 < p0) then (6 * p1) + c1 else (6 * p0) + c0
+    end
+    else if ok0 then (6 * p0) + c0
+    else if ok1 then (6 * p1) + c1
+    else -1
+  end
+
+let of_tiles pair ~tm ~tk1 ~tl ~tl2 o1 o2 =
+  { producer = Schedule.make (Tiling.make pair.op1 ~m:tm ~k:tk1 ~l:tl) (Order.of_index o1);
+    consumer = Schedule.make (Tiling.make pair.op2 ~m:tm ~k:tl ~l:tl2) (Order.of_index o2) }
+
+let best_orders pair ~(producer : Tiling.t) ~(consumer : Tiling.t) buf =
+  if not (tiles_agree producer consumer) then None
+  else begin
+    let tm = producer.m and tk1 = producer.k and tl = producer.l and tl2 = consumer.l in
+    let capacity = Buffer.elements buf in
+    match best_tiles pair ~tm ~tk1 ~tl ~tl2 ~capacity with
+    | -1 -> None
+    | b ->
+      let o1 = b / 6 and o2 = b mod 6 in
       Some
-        ( { producer = Schedule.make producer orders.(p);
-            consumer = Schedule.make consumer orders.(c) },
-          t )
-    in
-    let ok0 = p0 >= 0 && c0 >= 0 and ok1 = p1 >= 0 && c1 >= 0 in
-    let t0 = pt0 + ct0 and t1 = pt1 + ct1 in
-    if ok0 && ok1 then
-      if t1 < t0 || (t1 = t0 && p1 < p0) then pick p1 c1 t1 else pick p0 c0 t0
-    else if ok0 then pick p0 c0 t0
-    else if ok1 then pick p1 c1 t1
-    else None
+        ( { producer = Schedule.make producer (Order.of_index o1);
+            consumer = Schedule.make consumer (Order.of_index o2) },
+          eval_tiles pair ~tm ~tk1 ~tl ~tl2 ~capacity o1 o2 )
   end
 
 let unfused_traffic pair s1 s2 =

@@ -68,14 +68,38 @@ val best_orders :
 (** The loop orders for a fixed pair of tilings: the first traffic
     minimum of {!eval} over [Order.all x Order.all], producer order
     major, as the fused dataflow and its traffic; [None] when no order
-    pair passes {!eval}. It evaluates each side's six orders once, not
-    the 36 pairs, because the conditions above separate: tile agreement,
-    residency and the footprint read only the tilings; [C]'s
-    non-redundancy and the traffic split into a producer term ([A], [B])
-    and a consumer term ([D], [E]); and the two orders meet only in the
-    [C]-order agreement, which is a match of one bit per side ([M]
-    before the shared dim or not) and is waived when [C] is resident on
-    both sides. It shares {!validate}'s predicates. *)
+    pair passes {!eval}. A wrapper over {!best_tiles}, the one order
+    scan. *)
+
+(** {2 Integer-tile kernel}
+
+    A fused dataflow whose [C] tiles agree is fixed by six integers:
+    producer tiles [(tm, tk1, tl)], consumer tiles [(tm, tl, tl2)], and
+    an order index ({!Order.index}) per side. The principle planners
+    price their fused candidates on these, from each side's trip counts
+    and {!Cost}'s revisit table (one entry per side and order), and
+    build a {!t} for the winner alone. Tiles must lie in
+    [\[1, dim\]]. *)
+
+val eval_tiles :
+  pair -> tm:int -> tk1:int -> tl:int -> tl2:int -> capacity:int -> int -> int -> int
+(** [eval_tiles pair ~tm ~tk1 ~tl ~tl2 ~capacity o1 o2] is {!eval} of
+    that dataflow on a buffer of [capacity] elements: its traffic, or
+    [-1] when {!eval} rejects it. *)
+
+val best_tiles : pair -> tm:int -> tk1:int -> tl:int -> tl2:int -> capacity:int -> int
+(** The order pair {!best_orders} picks for these tiles, as
+    [6 * o1 + o2], or [-1] when none passes. It scores each side's six
+    orders once, not the 36 pairs, because the conditions above
+    separate: tile agreement, residency and the footprint read only the
+    tilings; [C]'s non-redundancy and the traffic split into a producer
+    term ([A], [B]) and a consumer term ([D], [E]); and the two orders
+    meet only in the [C]-order agreement, which is a match of one bit
+    per side ([M] before the shared dim or not) and is waived when [C]
+    is resident on both sides. It shares {!validate}'s predicates. *)
+
+val of_tiles : pair -> tm:int -> tk1:int -> tl:int -> tl2:int -> int -> int -> t
+(** The fused dataflow of these tiles and order indices. *)
 
 val unfused_traffic : pair -> Schedule.t -> Schedule.t -> int
 (** Traffic when the two operators run separately with the given

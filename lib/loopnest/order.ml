@@ -16,6 +16,16 @@ let all =
     { outer = L; mid = M; inner = K };
     { outer = L; mid = K; inner = M } ]
 
+let by_index = Array.of_list all
+
+let of_index i = by_index.(i)
+
+(* [all] lists the outer loop M, K, L in pairs, and within a pair the
+   order whose mid loop comes first in M, K, L. *)
+let index t =
+  let rank = function Dim.M -> 0 | Dim.K -> 1 | Dim.L -> 2 in
+  (2 * rank t.outer) + if rank t.mid > rank t.inner then 1 else 0
+
 let position t d =
   if Dim.equal d t.outer then 1
   else if Dim.equal d t.mid then 2

@@ -15,6 +15,13 @@ val make : outer:Dim.t -> mid:Dim.t -> inner:Dim.t -> t
 val all : t list
 (** All six loop orders. *)
 
+val index : t -> int
+(** The order's position in {!all}, from 0. Planners that price many
+    candidates carry an order as this index. *)
+
+val of_index : int -> t
+(** [of_index i] is the [i]-th order of {!all} ([0 <= i < 6]). *)
+
 val position : t -> Dim.t -> int
 (** 1 for the outermost loop, 3 for the innermost. *)
 

@@ -1,9 +1,21 @@
-type 'a entry = { value : 'a; mutable stamp : int }
+(* Recency is an intrusive doubly-linked list per shard, most recent at
+   [head], least recent at [tail]; each table entry is its own list
+   node, so a hit relinks in O(1) and allocates nothing, and an insert
+   into a full shard unlinks the tail. *)
+type 'a node =
+  | Nil
+  | Node of {
+      key : string;
+      mutable value : 'a;
+      mutable prev : 'a node;  (** more recent *)
+      mutable next : 'a node;  (** less recent *)
+    }
 
 type 'a shard = {
   mutex : Mutex.t;
-  table : (string, 'a entry) Hashtbl.t;
-  mutable tick : int;
+  table : (string, 'a node) Hashtbl.t;
+  mutable head : 'a node;
+  mutable tail : 'a node;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -19,7 +31,8 @@ let create ?(shards = 8) ~capacity () =
       Array.init shards (fun _ ->
           { mutex = Mutex.create ();
             table = Hashtbl.create 64;
-            tick = 0;
+            head = Nil;
+            tail = Nil;
             hits = 0;
             misses = 0;
             evictions = 0 });
@@ -40,42 +53,59 @@ let with_lock shard f =
   Mutex.lock shard.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock shard.mutex) f
 
+let unlink s = function
+  | Nil -> ()
+  | Node n ->
+    (match n.prev with Nil -> s.head <- n.next | Node p -> p.next <- n.next);
+    (match n.next with Nil -> s.tail <- n.prev | Node x -> x.prev <- n.prev);
+    n.prev <- Nil;
+    n.next <- Nil
+
+let push_front s = function
+  | Nil -> ()
+  | Node n as node ->
+    n.next <- s.head;
+    (match s.head with Nil -> s.tail <- node | Node h -> h.prev <- node);
+    s.head <- node
+
+(* Most recent first: what a hit or an insert does to its entry. *)
+let touch s node =
+  if s.head != node then begin
+    unlink s node;
+    push_front s node
+  end
+
 let find t key =
   let s = shard_of t key in
   with_lock s (fun () ->
       match Hashtbl.find_opt s.table key with
-      | Some e ->
-        s.tick <- s.tick + 1;
-        e.stamp <- s.tick;
+      | Some (Node n as node) ->
+        touch s node;
         s.hits <- s.hits + 1;
-        Some e.value
-      | None ->
+        Some n.value
+      | Some Nil | None ->
         s.misses <- s.misses + 1;
         None)
-
-let evict_lru s =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, stamp) when stamp <= e.stamp -> acc
-        | _ -> Some (k, e.stamp))
-      s.table None
-  in
-  match victim with
-  | Some (k, _) ->
-    Hashtbl.remove s.table k;
-    s.evictions <- s.evictions + 1
-  | None -> ()
 
 let add t key value =
   if t.per_shard > 0 then
     let s = shard_of t key in
     with_lock s (fun () ->
-        if (not (Hashtbl.mem s.table key)) && Hashtbl.length s.table >= t.per_shard
-        then evict_lru s;
-        s.tick <- s.tick + 1;
-        Hashtbl.replace s.table key { value; stamp = s.tick })
+        match Hashtbl.find_opt s.table key with
+        | Some (Node n as node) ->
+          n.value <- value;
+          touch s node
+        | Some Nil | None ->
+          (if Hashtbl.length s.table >= t.per_shard then
+             match s.tail with
+             | Node victim as node ->
+               unlink s node;
+               Hashtbl.remove s.table victim.key;
+               s.evictions <- s.evictions + 1
+             | Nil -> ());
+          let node = Node { key; value; prev = Nil; next = Nil } in
+          push_front s node;
+          Hashtbl.replace s.table key node)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
@@ -108,7 +138,10 @@ let shard_occupancy t =
 let fold_entries t f init =
   with_all_locked t (fun () ->
       Array.fold_left
-        (fun acc s -> Hashtbl.fold (fun k e acc -> f k e.value acc) s.table acc)
+        (fun acc s ->
+          Hashtbl.fold
+            (fun k node acc -> match node with Node n -> f k n.value acc | Nil -> acc)
+            s.table acc)
         init t.shards)
 
 let hit_rate st =

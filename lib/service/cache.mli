@@ -9,10 +9,12 @@
     per-shard [ceil (capacity / shards)] and the total never exceeds
     [shards * ceil (capacity / shards)].
 
-    Recency is a per-shard monotonically increasing tick stamped on
-    every hit and insert; eviction scans the shard for the minimum stamp
-    (O(entries-per-shard), fine for the bounded shard sizes the service
-    uses — capacity comes from [FUSECU_CACHE_ENTRIES]).
+    Recency is an intrusive doubly-linked list per shard: every entry is
+    a list node, moved to the front on each hit and insert, so the back
+    is the least recently used entry. A hit relinks its node and
+    allocates nothing, and an insert into a full shard unlinks the back:
+    eviction is O(1), whatever the shard size (capacity comes from
+    [FUSECU_CACHE_ENTRIES]).
 
     Determinism: hit/miss/eviction behaviour depends only on the
     sequence of [find]/[add] calls. The service engine performs all

@@ -90,15 +90,3 @@ let dedup_sorted xs =
     | short -> short
   in
   uniq sorted
-
-let dedup_stable key xs =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun x ->
-      let k = key x in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    xs

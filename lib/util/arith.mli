@@ -69,8 +69,3 @@ val sum : int list -> int
 
 val dedup_sorted : int list -> int list
 (** Sort a list in increasing order and remove duplicates. *)
-
-val dedup_stable : ('a -> 'k) -> 'a list -> 'a list
-(** [dedup_stable key xs] keeps, in order, the first element of [xs]
-    with each key (structural equality), in expected linear time: the
-    keys are hashed. *)

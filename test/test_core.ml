@@ -790,6 +790,62 @@ let test_huge_dims_one_shot () =
       (Fusion.traffic_of_decision d)
   | Error e -> Alcotest.fail e
 
+(* On the one-shot fixture's shapes, where [Ref]'s raw sweeps are too
+   slow, the folds return the first minimum of the lists they stand
+   for: [Intra.optimize] that of [Principles.all] under (total,
+   footprint), [Fusion.plan_pair] that of [Fusion.candidates] under
+   strict traffic. *)
+let test_huge_dims_fold_is_list_argmin () =
+  let buf = Buffer.of_kib 512 in
+  let first_min better = function
+    | [] -> None
+    | x :: rest -> Some (List.fold_left (fun b c -> if better c b then c else b) x rest)
+  in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun k ->
+          let op = Matmul.make ~m:1 ~k ~l:1 () in
+          let key (c : Principles.candidate) =
+            ((Cost.eval op c.schedule).total, Schedule.footprint c.schedule)
+          in
+          let best = first_min (fun a b -> key a < key b) (Principles.all mode op buf) in
+          match (Intra.optimize ~mode op buf, best) with
+          | Ok plan, Some c ->
+            check_bool
+              (Format.asprintf "%a k=%d: fold = argmin" Mode.pp mode k)
+              true
+              (Schedule.equal plan.schedule c.schedule)
+          | _ -> Alcotest.fail "intra: no plan")
+        [ 1 lsl 36; 1 lsl 40 ];
+      let op1 = Matmul.make ~m:(1 lsl 20) ~k:4 ~l:4 () in
+      let pair = Fused.make_pair_exn op1 (Matmul.make ~m:(1 lsl 20) ~k:4 ~l:8 ()) in
+      let plan1 = Intra.optimize_exn ~mode pair.op1 buf
+      and plan2 = Intra.optimize_exn ~mode pair.op2 buf in
+      let best =
+        first_min (fun (_, _, t) (_, _, u) -> t < u) (Fusion.candidates ~mode pair buf)
+      in
+      List.iter
+        (fun strategy ->
+          let expect_fuse =
+            strategy = Fusion.Best_of_both
+            || Fusion.profitable (Nra.class_of plan1.dataflow) (Nra.class_of plan2.dataflow)
+          in
+          match (Fusion.plan_pair ~mode ~strategy pair buf, best) with
+          | Ok (Fusion.Fuse f), Some (pattern, fused, traffic) ->
+            check_bool
+              (Format.asprintf "%a m=2^20: fold = argmin" Mode.pp mode)
+              true
+              (expect_fuse && f.pattern = pattern && f.fused = fused && f.traffic = traffic
+              && traffic <= Intra.ma plan1 + Intra.ma plan2)
+          | Ok (Fusion.No_fuse _), Some (_, _, traffic) ->
+            check_bool "no fuse" true
+              ((not expect_fuse) || traffic > Intra.ma plan1 + Intra.ma plan2)
+          | Ok (Fusion.No_fuse _), None -> ()
+          | _ -> Alcotest.fail "fuse: decision without a candidate")
+        [ Fusion.By_principle; Fusion.Best_of_both ])
+    [ Mode.Divisors; Mode.Pow2 ]
+
 (* A buffer of max_int bytes: the symmetric tiles' isqrt (BS + c) must
    not overflow, and everything fits, so each plan meets its bound. *)
 let test_max_int_buffer () =
@@ -1392,6 +1448,8 @@ let () =
           Alcotest.test_case "pow2 best-of-both is pow2-optimal" `Quick
             test_pow2_fuse_optimal;
           Alcotest.test_case "huge dims stay one-shot" `Quick test_huge_dims_one_shot;
+          Alcotest.test_case "huge dims: fold = list argmin" `Quick
+            test_huge_dims_fold_is_list_argmin;
           Alcotest.test_case "max_int buffer meets the bound" `Quick
             test_max_int_buffer ] );
       ("builders = ref", builders_reference_suite);

@@ -200,6 +200,46 @@ let prop_trip_kernel_matches_eval =
                   Operand.all)
            Order.all)
 
+(* The revisit table against the rule it is built from: trip counts of
+   1, 2 or anything, each made by a dimension of [n * t] under a tile
+   of [t], under all six orders. *)
+let prop_revisit_table_matches_rule =
+  QCheck.Test.make ~count:1000 ~name:"revisit table == revisit_at"
+    (QCheck.make
+       ~print:(fun (op, t) ->
+         Format.asprintf "%s under %a" (Matmul.to_string op) Tiling.pp t)
+       QCheck.Gen.(
+         let dim =
+           let* n = oneof [ return 1; return 2; int_range 1 50 ] and* t = int_range 1 20 in
+           return (n * t, t)
+         in
+         let* m, tm = dim and* k, tk = dim and* l, tl = dim in
+         let op = Matmul.make ~m ~k ~l () in
+         return (op, Tiling.make op ~m:tm ~k:tk ~l:tl)))
+    (fun (op, t) ->
+      let n = Cost.trips op t in
+      n.Cost.nm = Cost.trip op.m t.m
+      && n.nk = Cost.trip op.k t.k
+      && n.nl = Cost.trip op.l t.l
+      && List.for_all
+           (fun i ->
+             let o = Order.of_index i in
+             o = List.nth Order.all i
+             && Order.index o = i
+             && Cost.table_total op n.nm n.nk n.nl i = Cost.total_at op n o
+             && List.for_all
+                  (fun x ->
+                    let revisit =
+                      if Cost.table_revisits n.nm n.nk n.nl i land Cost.operand_bit x = 0
+                      then 1
+                      else Cost.trip (Matmul.dim op (Operand.free_dim x))
+                             (Tiling.get t (Operand.free_dim x))
+                    in
+                    revisit = Cost.revisit_at n o x
+                    && revisit * Matmul.operand_size op x = Cost.traffic_at op n o x)
+                  Operand.all)
+           [ 0; 1; 2; 3; 4; 5 ])
+
 (* ------------------------------------------------------------------ *)
 (* Fused pair model                                                    *)
 
@@ -441,6 +481,28 @@ let prop_best_orders_matches_brute_force =
         (Fused.best_orders c.pair ~producer:c.producer ~consumer:c.consumer buf)
         (brute_best_orders c.pair ~producer:c.producer ~consumer:c.consumer buf))
 
+let prop_eval_tiles_matches_eval =
+  QCheck.Test.make ~count:1000 ~name:"eval_tiles == eval over all 36 order pairs"
+    (QCheck.make ~print:print_orders_case gen_orders_case)
+    (fun c ->
+      let buf = Buffer.make c.bytes in
+      let p = c.producer and k = c.consumer in
+      (* the kernel takes agreeing C tiles *)
+      p.m <> k.m || p.l <> k.k
+      || List.for_all
+           (fun o1 ->
+             List.for_all
+               (fun o2 ->
+                 let fused =
+                   { Fused.producer = Schedule.make p (Order.of_index o1);
+                     consumer = Schedule.make k (Order.of_index o2) }
+                 in
+                 Fused.eval_tiles c.pair ~tm:p.m ~tk1:p.k ~tl:p.l ~tl2:k.l
+                   ~capacity:(Buffer.elements buf) o1 o2
+                 = match Fused.eval c.pair fused buf with Ok t -> t | Error _ -> -1)
+               [ 0; 1; 2; 3; 4; 5 ])
+           [ 0; 1; 2; 3; 4; 5 ])
+
 (* The three cases the property's generator steers toward, pinned. *)
 let test_best_orders_cases () =
   let pair = fused_pair () in
@@ -498,7 +560,8 @@ let qsuite =
     (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250704 |]))
     [ prop_cost_matches_sim; prop_fetches_match_sim; prop_revisit_matches_sim;
       prop_sim_macs_exact; prop_traffic_lower_bound;
-      prop_best_orders_matches_brute_force; prop_trip_kernel_matches_eval ]
+      prop_best_orders_matches_brute_force; prop_trip_kernel_matches_eval;
+      prop_revisit_table_matches_rule; prop_eval_tiles_matches_eval ]
 
 let () =
   Alcotest.run "loopnest"

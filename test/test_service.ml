@@ -185,6 +185,126 @@ let prop_cache_never_exceeds_capacity =
       let per_shard = (cap + shards - 1) / shards in
       (Cache.stats c).Cache.entries <= min shards cap * per_shard)
 
+(* The stamp-scan LRU cache the recency list replaced, kept as the
+   reference: a per-shard tick stamped on every hit and insert, and
+   eviction of the minimum stamp by a fold over the shard. *)
+module Ref_cache = struct
+  type 'a entry = { value : 'a; mutable stamp : int }
+
+  type 'a shard = {
+    table : (string, 'a entry) Hashtbl.t;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  type 'a t = { shards : 'a shard array; per_shard : int }
+
+  let create ~shards ~capacity =
+    let shards = if capacity = 0 then 1 else max 1 (min shards capacity) in
+    { shards =
+        Array.init shards (fun _ ->
+            { table = Hashtbl.create 64; tick = 0; hits = 0; misses = 0; evictions = 0 });
+      per_shard = (if capacity = 0 then 0 else (capacity + shards - 1) / shards) }
+
+  let shard_of t key =
+    t.shards.(Fusecu_util.Hash.fnv1a64_positive key mod Array.length t.shards)
+
+  let find t key =
+    let s = shard_of t key in
+    match Hashtbl.find_opt s.table key with
+    | Some e ->
+      s.tick <- s.tick + 1;
+      e.stamp <- s.tick;
+      s.hits <- s.hits + 1;
+      Some e.value
+    | None ->
+      s.misses <- s.misses + 1;
+      None
+
+  let evict_lru s =
+    let victim =
+      Hashtbl.fold
+        (fun k e acc ->
+          match acc with
+          | Some (_, stamp) when stamp <= e.stamp -> acc
+          | _ -> Some (k, e.stamp))
+        s.table None
+    in
+    match victim with
+    | Some (k, _) ->
+      Hashtbl.remove s.table k;
+      s.evictions <- s.evictions + 1
+    | None -> ()
+
+  let add t key value =
+    if t.per_shard > 0 then begin
+      let s = shard_of t key in
+      if (not (Hashtbl.mem s.table key)) && Hashtbl.length s.table >= t.per_shard then
+        evict_lru s;
+      s.tick <- s.tick + 1;
+      Hashtbl.replace s.table key { value; stamp = s.tick }
+    end
+
+  let stats t =
+    Array.fold_left
+      (fun (acc : Cache.stats) s ->
+        { Cache.hits = acc.hits + s.hits;
+          misses = acc.misses + s.misses;
+          evictions = acc.evictions + s.evictions;
+          entries = acc.entries + Hashtbl.length s.table })
+      { Cache.hits = 0; misses = 0; evictions = 0; entries = 0 }
+      t.shards
+
+  let shard_occupancy t =
+    Array.to_list (Array.map (fun s -> Hashtbl.length s.table) t.shards)
+
+  let entries t =
+    List.sort compare
+      (Array.fold_left
+         (fun acc s -> Hashtbl.fold (fun k e acc -> (k, e.value) :: acc) s.table acc)
+         [] t.shards)
+end
+
+(* Random find/add sequences over at most 24 keys, 1-8 shards and
+   capacities 0-40 (so shards fill, evict, and see overwrites of live
+   keys): after every step the recency-list cache answers, counts and
+   holds exactly what the stamp scan does. *)
+let prop_cache_matches_stamp_scan =
+  let op =
+    QCheck.Gen.(
+      let* key = map (Printf.sprintf "k%d") (int_range 0 23) in
+      oneof [ return (`Find key); map (fun v -> `Add (key, v)) (int_range 0 99) ])
+  in
+  QCheck.Test.make ~count:500 ~name:"recency list = stamp scan"
+    (QCheck.make
+       ~print:(fun (shards, capacity, ops) ->
+         Printf.sprintf "shards=%d capacity=%d [%s]" shards capacity
+           (String.concat "; "
+              (List.map
+                 (function
+                   | `Find k -> "find " ^ k | `Add (k, v) -> Printf.sprintf "add %s %d" k v)
+                 ops)))
+       QCheck.Gen.(
+         triple (int_range 1 8) (int_range 0 40) (list_size (int_range 0 200) op)))
+    (fun (shards, capacity, ops) ->
+      let c = Cache.create ~shards ~capacity () in
+      let r = Ref_cache.create ~shards ~capacity in
+      List.for_all
+        (fun op ->
+          (match op with
+           | `Find k -> Cache.find c k = Ref_cache.find r k
+           | `Add (k, v) ->
+             Cache.add c k v;
+             Ref_cache.add r k v;
+             true)
+          && Cache.stats c = Ref_cache.stats r
+          && Cache.shard_occupancy c = Ref_cache.shard_occupancy r
+          && List.sort compare (Cache.fold_entries c (fun k v acc -> (k, v) :: acc) [])
+             = Ref_cache.entries r)
+        ops)
+
 (* [stats] must be a consistent snapshot — all shard locks held at
    once. The old shard-at-a-time read could observe an [add] between
    shards and return an [entries] total exceeding the capacity bound,
@@ -1868,7 +1988,7 @@ let () =
             test_cache_snapshot_consistent_under_load;
           Alcotest.test_case "shard balance (full-string hash)" `Quick
             test_cache_shard_balance ]
-        @ qcheck [ prop_cache_never_exceeds_capacity ] );
+        @ qcheck [ prop_cache_never_exceeds_capacity; prop_cache_matches_stamp_scan ] );
       ( "protocol",
         [ Alcotest.test_case "parse" `Quick test_protocol_parse;
           Alcotest.test_case "rejects" `Quick test_protocol_rejects;
