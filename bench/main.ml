@@ -140,37 +140,41 @@ type options = {
    non-zero on any divergence, like the CLI. *)
 let oracle_soak ~quick () =
   let open Fusecu_util in
+  let open Fusecu_oracle in
+  let o = Check.oracle Check.Principles in
   let cases = if quick then 1000 else 5000 in
   let seed = 7 in
   let t0 = Unix.gettimeofday () in
-  let report = Fusecu_oracle.Oracle.run ~cases ~seed () in
+  let report = Oracle.run o ~cases ~seed in
   let elapsed = Unix.gettimeofday () -. t0 in
-  Format.printf "%a@." Fusecu_oracle.Oracle.pp_report report;
+  Format.printf "%a@." (Oracle.pp_report o) report;
   Printf.printf "soak: %.1f s (%.0f cases/s)\n" elapsed
     (float_of_int cases /. elapsed);
-  let tally kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs) in
+  let tally name =
+    Json.Obj
+      (List.map (fun (k, v) -> (k, Json.Int v)) (List.assoc name report.Oracle.tallies))
+  in
   let json =
     Json.Obj
-      [ ("cases", Json.Int report.Fusecu_oracle.Oracle.cases);
+      [ ("cases", Json.Int report.Oracle.cases);
         ("seed", Json.Int seed);
-        ("max_dim", Json.Int 24);
-        ("checks", Json.Int report.Fusecu_oracle.Oracle.checks);
-        ("divergences",
-         Json.Int (List.length report.Fusecu_oracle.Oracle.counterexamples));
+        ("max_dim", Json.Int o.Oracle.max_dim);
+        ("checks", Json.Int report.Oracle.checks);
+        ("divergences", Json.Int (List.length report.Oracle.counterexamples));
         ("elapsed_s", Json.Float elapsed);
-        ("by_shape", tally report.Fusecu_oracle.Oracle.by_shape);
-        ("by_regime", tally report.Fusecu_oracle.Oracle.by_regime);
+        ("by_shape", tally "shapes");
+        ("by_regime", tally "regimes (op1)");
         ("counterexamples",
          Json.List
            (List.map
-              (fun (ce : Fusecu_oracle.Oracle.counterexample) ->
-                Json.String (Fusecu_oracle.Problem.to_spec ce.shrunk))
-              report.Fusecu_oracle.Oracle.counterexamples)) ]
+              (fun (ce : Problem.t Oracle.counterexample) ->
+                Json.String (Problem.to_spec ce.Oracle.shrunk))
+              report.Oracle.counterexamples)) ]
   in
   Out_channel.with_open_text "BENCH_oracle.json" (fun oc ->
       output_string oc (Json.print_hum json ^ "\n"));
   print_endline "wrote BENCH_oracle.json";
-  if report.Fusecu_oracle.Oracle.counterexamples <> [] then exit 1
+  if not (Oracle.ok report) then exit 1
 
 let parse_args () =
   let only = ref None and buffer = ref Experiments.default_buffer in

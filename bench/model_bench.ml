@@ -139,32 +139,33 @@ let row_json r =
 (* The random-graph soak: DP / B&B vs exhaustive on seeded graphs the
    fixtures never produce (diamonds, mixed counts, infeasible buffers). *)
 let soak ~cases ~seed =
+  let open Fusecu_oracle in
   let t0 = Unix.gettimeofday () in
-  let report = Fusecu_oracle.Graph_check.run ~log:prerr_endline ~cases ~seed () in
+  let report = Oracle.run ~log:prerr_endline Graph_check.oracle ~cases ~seed in
   let elapsed = Unix.gettimeofday () -. t0 in
-  Format.printf "%a@." Fusecu_oracle.Graph_check.pp_report report;
+  Format.printf "%a@." (Oracle.pp_report Graph_check.oracle) report;
   Printf.printf "soak: %.1f s (%.0f graphs/s)\n" elapsed
     (float_of_int cases /. elapsed);
   (report, elapsed)
 
-let soak_json (report : Fusecu_oracle.Graph_check.report) elapsed ~seed =
+let soak_json (report : Fusecu_oracle.Graph_check.t Fusecu_oracle.Oracle.report)
+    elapsed ~seed =
+  let open Fusecu_oracle in
+  let sum name = Json.Int (List.assoc name report.Oracle.sums) in
   Json.Obj
-    [ ("cases", Json.Int report.Fusecu_oracle.Graph_check.cases);
+    [ ("cases", Json.Int report.Oracle.cases);
       ("seed", Json.Int seed);
-      ("checks", Json.Int report.Fusecu_oracle.Graph_check.checks);
-      ("candidate_edges",
-       Json.Int report.Fusecu_oracle.Graph_check.candidate_edges);
-      ("fused_cases", Json.Int report.Fusecu_oracle.Graph_check.fused_cases);
-      ("divergences",
-       Json.Int
-         (List.length report.Fusecu_oracle.Graph_check.counterexamples));
+      ("checks", Json.Int report.Oracle.checks);
+      ("candidate_edges", sum "candidate edges");
+      ("fused_cases", sum "cases with fusion");
+      ("divergences", Json.Int (List.length report.Oracle.counterexamples));
       ("elapsed_s", Json.Float elapsed);
       ("counterexamples",
        Json.List
          (List.map
-            (fun (ce : Fusecu_oracle.Graph_check.counterexample) ->
-              Json.String (Fusecu_oracle.Graph_check.to_spec ce.shrunk))
-            report.Fusecu_oracle.Graph_check.counterexamples)) ]
+            (fun (ce : Graph_check.t Oracle.counterexample) ->
+              Json.String (Graph_check.to_spec ce.Oracle.shrunk))
+            report.Oracle.counterexamples)) ]
 
 let write_json ~quick () =
   let rows = List.map run_fixture fixtures in
@@ -184,7 +185,7 @@ let write_json ~quick () =
     prerr_endline "model_bench: planner diverged from exhaustive on a fixture";
     exit 1
   end;
-  if not (Fusecu_oracle.Graph_check.ok report) then exit 1
+  if not (Fusecu_oracle.Oracle.ok report) then exit 1
 
 (* @model-smoke: small fixtures + a short soak, strict. *)
 let smoke () =
@@ -195,5 +196,5 @@ let smoke () =
     exit 1
   end;
   let report, _ = soak ~cases:120 ~seed:11 in
-  if not (Fusecu_oracle.Graph_check.ok report) then exit 1;
+  if not (Fusecu_oracle.Oracle.ok report) then exit 1;
   print_endline "model smoke ok"

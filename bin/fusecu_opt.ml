@@ -1108,82 +1108,31 @@ let plan_cmd =
 (* check                                                               *)
 
 let check_cmd =
-  let run cases seed max_dim repro mapper graphs graph_repro nests nest_repro
-      trace log_level =
+  let open Fusecu_oracle in
+  let run cases seed max_dim repro mapper graphs nests trace log_level =
     with_observability ~trace ~log_level @@ fun () ->
-    let open Fusecu_oracle in
-    match nest_repro with
-    | Some spec -> (
-      match Nest_check.check_spec spec with
-      | Error e ->
-        prerr_endline ("--nest-repro: " ^ e);
-        exit 2
-      | Ok (p, o) ->
-        Printf.printf "%s: %d checks\n" (Nest_check.to_spec p)
-          o.Nest_check.checks;
-        if o.Nest_check.failures = [] then print_endline "no divergence"
-        else begin
-          List.iter
-            (fun (f : Nest_check.failure) ->
-              Printf.printf "[%s] %s\n" f.Nest_check.check f.Nest_check.detail)
-            o.Nest_check.failures;
-          exit 1
-        end)
-    | None when nests ->
-      let max_dim = min max_dim 12 in
-      let report =
-        Nest_check.soak ~log:prerr_endline ~cases ~seed ~max_dim ()
-      in
-      Format.printf "%a@." Nest_check.pp_report report;
-      if not (Nest_check.ok report) then exit 1
-    | None -> (
-    match graph_repro with
-    | Some spec -> (
-      match Graph_check.check_spec spec with
-      | Error e ->
-        prerr_endline ("--graph-repro: " ^ e);
-        exit 2
-      | Ok (t, o) ->
-        Printf.printf "%s: %d checks\n" (Graph_check.to_spec t)
-          o.Graph_check.checks;
-        if o.Graph_check.failures = [] then print_endline "no divergence"
-        else begin
-          List.iter
-            (fun (f : Graph_check.failure) ->
-              Printf.printf "[%s] %s\n" f.Graph_check.check
-                f.Graph_check.detail)
-            o.Graph_check.failures;
-          exit 1
-        end)
-    | None when graphs ->
-      let report =
-        Graph_check.run ~log:prerr_endline ~cases ~seed ()
-      in
-      Format.printf "%a@." Graph_check.pp_report report;
-      if not (Graph_check.ok report) then exit 1
-    | None -> (
-    match repro with
-    | Some spec -> (
-      match Oracle.check_spec ~mapper spec with
-      | Error e ->
-        prerr_endline ("--repro: " ^ e);
-        exit 2
-      | Ok (p, outcome) ->
-        Format.printf "%a: %d checks@." Problem.pp p outcome.Check.checks;
-        if outcome.Check.failures = [] then print_endline "no divergence"
-        else begin
-          List.iter
-            (fun (f : Check.failure) ->
-              Printf.printf "[%s] %s\n" f.Check.check f.Check.detail)
-            outcome.Check.failures;
-          exit 1
-        end)
-    | None ->
-      let report =
-        Oracle.run ~log:prerr_endline ~mapper ~cases ~seed ~max_dim ()
-      in
-      Format.printf "%a@." Oracle.pp_report report;
-      if not (Oracle.ok report) then exit 1))
+    let check (o : _ Oracle.t) =
+      match repro with
+      | Some spec -> (
+        match Oracle.check_spec o spec with
+        | Error e ->
+          prerr_endline ("--repro: " ^ e);
+          exit 2
+        | Ok (p, outcome) ->
+          Format.printf "%s: %d checks@." (o.to_spec p) outcome.Oracle.checks;
+          if outcome.Oracle.failures = [] then Format.printf "no divergence@."
+          else begin
+            List.iter (Format.printf "%a@." Oracle.pp_failure) outcome.Oracle.failures;
+            exit 1
+          end)
+      | None ->
+        let report = Oracle.run ~log:prerr_endline ?max_dim o ~cases ~seed in
+        Format.printf "%a@." (Oracle.pp_report o) report;
+        if not (Oracle.ok report) then exit 1
+    in
+    if nests then check Nest_check.oracle
+    else if graphs then check Graph_check.oracle
+    else check (Check.oracle mapper)
   in
   let cases =
     Arg.(
@@ -1199,34 +1148,46 @@ let check_cmd =
   in
   let max_dim =
     Arg.(
-      value & opt int 24
+      value
+      & opt (some int) None
       & info [ "max-dim" ] ~docv:"D"
-          ~doc:"Largest generated matmul dimension (small keeps the \
-                exhaustive ground truth cheap while still crossing every \
-                regime boundary).")
+          ~doc:
+            (Printf.sprintf
+               "Largest generated dimension (small keeps the exhaustive \
+                ground truth cheap while still crossing every regime \
+                boundary). Defaults to %d for matmul problems, %d with \
+                $(b,--nests) (which clamps it at 12 to keep rank-7 conv \
+                ground truth exact) and %d with $(b,--graphs), where it \
+                also bounds node counts and the buffer."
+               (Check.oracle Check.Principles).Oracle.max_dim
+               Nest_check.oracle.Oracle.max_dim
+               Graph_check.oracle.Oracle.max_dim))
   in
   let repro =
     Arg.(
       value
       & opt (some string) None
       & info [ "repro" ] ~docv:"SPEC"
-          ~doc:"Re-check a single problem given by its spec (e.g. \
-                m=7,k=3,l=4,l2=2,bs=16) — the one-liner printed for every \
-                shrunk counterexample.")
+          ~doc:"Re-check a single problem given by its spec — the one-liner \
+                printed for every shrunk counterexample — instead of a \
+                soak. The spec is a matmul problem (e.g. \
+                m=7,k=3,l=4,l2=2,bs=16), a nest problem with $(b,--nests) \
+                (e.g. kind=conv,n=1,c=2,h=6,w=6,k=3,r=3,s=3,st=1,di=1,pa=0,bs=64) \
+                or a graph with $(b,--graphs) (e.g. \
+                'm=4,b=256,nodes=1*3:5|1*5:2,edges=0-1').")
   in
   let mapper =
     Arg.(
       value
       & opt
           (enum
-             [ ("principles", Fusecu_oracle.Check.Principles);
-               ("bnb", Fusecu_oracle.Check.Bnb) ])
-          Fusecu_oracle.Check.Principles
+             [ ("principles", Check.Principles); ("bnb", Check.Bnb) ])
+          Check.Principles
       & info [ "mapper" ] ~docv:"MAPPER"
-          ~doc:"Check set: 'principles' (default) runs the three-way \
-                conformance checks; 'bnb' additionally asserts the \
-                branch-and-bound mapper reproduces the exhaustive optimum \
-                bit-for-bit on every generated problem.")
+          ~doc:"Check set for matmul problems: 'principles' (default) runs \
+                the three-way conformance checks; 'bnb' additionally \
+                asserts the branch-and-bound mapper reproduces the \
+                exhaustive optimum bit-for-bit on every generated problem.")
   in
   let graphs =
     Arg.(
@@ -1238,42 +1199,22 @@ let check_cmd =
                 (cost, traffic, and chosen cuts under the deterministic \
                 tie-break).")
   in
-  let graph_repro =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "graph-repro" ] ~docv:"SPEC"
-          ~doc:"Re-check a single planner problem given by its graph spec \
-                (e.g. m=4,b=256,nodes=1*3:5|1*5:2,edges=0-1) — the \
-                one-liner printed for every shrunk graph counterexample.")
-  in
   let nests =
     Arg.(
       value & flag
       & info [ "nests" ]
-          ~doc:"Check the projective loop-nest IR instead: on seeded random \
-                nests (matmul, conv2d, batched/grouped matmul, attention \
-                pairs), the nest branch-and-bound must reproduce the \
-                exhaustive Divisors-lattice optimum bit-for-bit, the \
-                analytic cost must match the tile-replay simulator, and \
-                matmul winners must match the legacy exhaustive search. \
-                max-dim is clamped to 12 to keep rank-7 conv ground truth \
-                exact.")
-  in
-  let nest_repro =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "nest-repro" ] ~docv:"SPEC"
-          ~doc:"Re-check a single nest problem given by its spec (e.g. \
-                kind=conv,n=1,c=2,h=6,w=6,k=3,r=3,s=3,st=1,di=1,pa=0,bs=64) \
-                — the one-liner printed for every shrunk nest \
-                counterexample.")
+          ~doc:"Check the projective loop-nest IR instead (takes precedence \
+                over $(b,--graphs)): on seeded random nests (matmul, \
+                conv2d, batched/grouped matmul, attention pairs), the nest \
+                branch-and-bound must reproduce the exhaustive \
+                Divisors-lattice optimum bit-for-bit, the analytic cost \
+                must match the tile-replay simulator, and matmul winners \
+                must match the legacy exhaustive search.")
   in
   let term =
     Term.(
-      const run $ cases $ seed $ max_dim $ repro $ mapper $ graphs
-      $ graph_repro $ nests $ nest_repro $ trace_file_arg $ log_level_arg)
+      const run $ cases $ seed $ max_dim $ repro $ mapper $ graphs $ nests
+      $ trace_file_arg $ log_level_arg)
   in
   Cmd.v
     (Cmd.info "check"
@@ -1281,9 +1222,11 @@ let check_cmd =
              against exhaustive search (on the exact, divisors and pow2 \
              lattices), the analytic cost model against the \
              loop-nest simulator, and both against the communication lower \
-             bounds, on seeded random problems spanning all buffer regimes. \
-             Failures are shrunk to minimal counterexamples and printed as \
-             reproducible one-liners; exits non-zero on any divergence.")
+             bounds, on seeded random problems spanning all buffer regimes \
+             ($(b,--nests) and $(b,--graphs) pick the loop-nest and \
+             whole-model oracles instead). Failures are shrunk to minimal \
+             counterexamples and printed as reproducible \
+             $(b,--repro) one-liners; exits non-zero on any divergence.")
     term
 
 (* ------------------------------------------------------------------ *)

@@ -132,3 +132,17 @@ let attention_pair ?(name = "attn") ?dv ~seq_q ~seq_k ~d () =
         Nest.tensor ~internal:true "S" [ Nest.Point 0; Nest.Point 1 ];
         Nest.tensor "O" [ Nest.Point 0; Nest.Point 3 ];
       ]
+
+type kind =
+  | N_matmul of { m : int; k : int; l : int }
+  | N_conv2d of Conv.t
+  | N_batched_mm of { b : int; m : int; k : int; l : int }
+  | N_grouped_mm of { groups : int; heads : int; m : int; k : int; l : int }
+  | N_attention of { seq_q : int; seq_k : int; d : int; dv : int }
+
+let of_kind = function
+  | N_matmul { m; k; l } -> of_matmul (Matmul.make ~name:"nest" ~m ~k ~l ())
+  | N_conv2d cv -> of_conv cv
+  | N_batched_mm { b; m; k; l } -> batched_mm ~b ~m ~k ~l ()
+  | N_grouped_mm { groups; heads; m; k; l } -> grouped_mm ~groups ~heads ~m ~k ~l ()
+  | N_attention { seq_q; seq_k; d; dv } -> attention_pair ~seq_q ~seq_k ~d ~dv ()

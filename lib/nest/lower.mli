@@ -43,3 +43,20 @@ val attention_pair :
   ?name:string -> ?dv:int -> seq_q:int -> seq_k:int -> d:int -> unit -> Nest.t
 (** The score x value pair [S = Q.K^T; O = S.V] as one fused nest with
     the score matrix [S(m,n)] internal. [dv] defaults to [d]. *)
+
+(** {1 The five nest kinds} *)
+
+(** The operators the [nest] service op and the [check --nests] oracle
+    lower, with the dimensions each is built from. *)
+type kind =
+  | N_matmul of { m : int; k : int; l : int }
+  | N_conv2d of Conv.t
+  | N_batched_mm of { b : int; m : int; k : int; l : int }
+  | N_grouped_mm of { groups : int; heads : int; m : int; k : int; l : int }
+  | N_attention of { seq_q : int; seq_k : int; d : int; dv : int }
+      (** fused score x value pair: Q(seq_q,d) K(seq_k,d) V(seq_k,dv),
+          scores internal (Principle-4 fused) *)
+
+val of_kind : kind -> Nest.t
+(** The kind's lowering: {!of_matmul}, {!of_conv}, {!batched_mm},
+    {!grouped_mm} or {!attention_pair}. *)

@@ -3,10 +3,6 @@ open Fusecu_loopnest
 open Fusecu_core
 open Fusecu_dse
 
-type failure = { check : string; detail : string }
-
-type outcome = { checks : int; failures : failure list }
-
 type mapper = Principles | Bnb
 
 (* A lattice leg: principle plans built in [mode], held to the optimum
@@ -22,21 +18,7 @@ let legs =
 
 let full leg = leg.mode = Mode.Exact
 
-(* Deterministic per-problem stream for the ragged-schedule samples:
-   FNV-1a over the spec string, so a problem's verdict is a pure
-   function of the problem (independent of its position in a run). *)
-let seed_of p =
-  let h = ref 0x811C9DC5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land max_int)
-    (Problem.to_spec p);
-  !h
-
-type ctx = { mutable checks : int; mutable failures : failure list }
-
-let check ctx name ok detail =
-  ctx.checks <- ctx.checks + 1;
-  if not ok then ctx.failures <- { check = name; detail = detail () } :: ctx.failures
+let check = Oracle.check
 
 let operand_cost_equal a b =
   let open Cost in
@@ -339,17 +321,24 @@ let chain_checks ctx { mode; infix; _ } chain buf =
           Printf.sprintf "analytic chain traffic %d but simulated %d" traffic
             sim_external))
 
-let run ?(mapper = Principles) p : outcome =
-  let ctx = { checks = 0; failures = [] } in
+let shape_name (p : Problem.t) =
+  match p.shape with
+  | Problem.Single -> "single"
+  | Problem.Pair _ -> "pair"
+  | Problem.Chain3 _ -> "chain3"
+
+let checks ~mapper ctx p =
   let buf = Problem.buffer p in
-  let rng = Rng.make (seed_of p) in
+  Oracle.tally ctx "shapes" (shape_name p);
+  Oracle.tally ctx "regimes (op1)"
+    (Regime.to_string (Regime.classify (Problem.op1 p) buf));
   List.iter
     (fun leg ->
       List.iteri
         (fun i op ->
           let tag = Printf.sprintf "op%d%s" (i + 1) leg.infix in
           intra_checks ctx ~mapper leg tag op buf;
-          if full leg then ragged_checks ctx rng tag op)
+          if full leg then ragged_checks ctx (Oracle.rng ctx) tag op)
         (Problem.ops p);
       (match Problem.pair p with
       | Some pair -> pair_checks ctx ~mapper leg pair buf
@@ -357,8 +346,16 @@ let run ?(mapper = Principles) p : outcome =
       match Problem.chain p with
       | Some chain -> chain_checks ctx leg chain buf
       | None -> ())
-    legs;
-  { checks = ctx.checks; failures = List.rev ctx.failures }
+    legs
 
-let failure_names (o : outcome) =
-  List.sort_uniq compare (List.map (fun f -> f.check) o.failures)
+let oracle mapper =
+  { Oracle.name = "oracle";
+    flag = "";
+    max_dim = 24;
+    gen = Gen.problem;
+    checks = checks ~mapper;
+    proposals = Problem.proposals;
+    to_spec = Problem.to_spec;
+    of_spec = Problem.of_spec;
+    tallies = [ "shapes"; "regimes (op1)" ];
+    sums = [] }

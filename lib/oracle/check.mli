@@ -1,4 +1,5 @@
-(** The three-way differential conformance checks, run on one problem:
+(** The matmul oracle's checks: three-way differential conformance, run
+    on one {!Problem.t}:
 
     - {e principles vs exhaustive}: the one-shot principle plan must hit
       the exhaustive-search optimum over the full tiling space (and
@@ -27,10 +28,6 @@
     the chain checks in its mode; its check names carry the mode
     ([op1/pow2/optimal], [fuse/divisors/optimal], [chain/pow2/valid]). *)
 
-type failure = { check : string; detail : string }
-
-type outcome = { checks : int; failures : failure list }
-
 type mapper =
   | Principles  (** the default check set *)
   | Bnb
@@ -40,8 +37,9 @@ type mapper =
           schedule), both intra-operator ([opN/bnb-exact]) and fused
           ([fuse/bnb-exact]) *)
 
-val run : ?mapper:mapper -> Problem.t -> outcome
-(** [mapper] defaults to [Principles]. *)
-
-val failure_names : outcome -> string list
-(** Sorted, de-duplicated check names that failed. *)
+val oracle : mapper -> Problem.t Oracle.t
+(** The default [check] oracle: problems from {!Gen.problem} (dimensions
+    up to 24 unless [--max-dim] says otherwise), shrunk by
+    {!Problem.proposals}, specs from {!Problem.to_spec}. Its report
+    tallies the cases by shape ([shapes]: single, pair, chain3) and by
+    the producer's buffer regime ([regimes (op1)]). *)

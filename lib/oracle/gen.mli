@@ -6,7 +6,3 @@
     and the unbounded-buffer cap, with a uniform backstop. *)
 
 val problem : Rng.t -> max_dim:int -> Problem.t
-
-val buffer_size : Rng.t -> Problem.t -> int
-(** Resample only the buffer size for a fixed operator skeleton
-    (exposed for the shrinker's buffer anchors). *)

@@ -167,10 +167,6 @@ let graph t =
 (* ------------------------------------------------------------------ *)
 (* Conformance checks                                                  *)
 
-type failure = { check : string; detail : string }
-
-type outcome = { checks : int; failures : failure list }
-
 let edge_ids (sel : Partition.edge list) =
   String.concat ","
     (List.map
@@ -178,41 +174,36 @@ let edge_ids (sel : Partition.edge list) =
          Printf.sprintf "%d-%d" e.Partition.src e.Partition.dst)
        sel)
 
-let check t =
+(* The report's statistics come from the plan these checks make. *)
+let checks ctx t =
+  let check name ok detail = Oracle.check ctx name ok (fun () -> detail) in
   match graph t with
-  | Error e -> { checks = 1; failures = [ { check = "graph"; detail = e } ] }
+  | Error e -> check "graph" false e
   | Ok g -> (
     let buf = Buffer.make t.bytes in
     let planned = Partition.plan g buf in
-    let brute = Partition.exhaustive g buf in
-    match (planned, brute) with
-    | Error _, Error _ -> { checks = 1; failures = [] }
+    (match planned with
+    | Ok p ->
+      Oracle.add ctx "candidate edges" p.Partition.stats.Partition.candidate_edges;
+      Oracle.add ctx "cases with fusion" (if p.Partition.selected = [] then 0 else 1)
+    | Error _ -> ());
+    match (planned, Partition.exhaustive g buf) with
+    | Error _, Error _ -> check "feasibility" true ""
     | Error e, Ok _ ->
-      { checks = 1;
-        failures =
-          [ { check = "feasibility";
-              detail = "plan infeasible but exhaustive succeeded: " ^ e } ] }
+      check "feasibility" false ("plan infeasible but exhaustive succeeded: " ^ e)
     | Ok _, Error e ->
-      { checks = 1;
-        failures =
-          [ { check = "feasibility";
-              detail = "exhaustive infeasible but plan succeeded: " ^ e } ] }
+      check "feasibility" false ("exhaustive infeasible but plan succeeded: " ^ e)
     | Ok p, Ok ex ->
       let b = ex.Partition.best in
-      let checks = ref 0 and failures = ref [] in
-      let assert_ name cond detail =
-        incr checks;
-        if not cond then failures := { check = name; detail } :: !failures
-      in
-      assert_ "effective"
+      check "effective"
         (p.Partition.effective = b.Partition.effective)
         (Printf.sprintf "plan %d vs exhaustive %d" p.Partition.effective
            b.Partition.effective);
-      assert_ "traffic"
+      check "traffic"
         (p.Partition.traffic = b.Partition.traffic)
         (Printf.sprintf "plan %d vs exhaustive %d" p.Partition.traffic
            b.Partition.traffic);
-      assert_ "selection"
+      check "selection"
         (edge_ids p.Partition.selected = edge_ids b.Partition.selected)
         (Printf.sprintf "plan [%s] vs exhaustive [%s]"
            (edge_ids p.Partition.selected)
@@ -224,15 +215,14 @@ let check t =
                List.map (fun (n : Graph.node) -> n.Graph.id) gr.Partition.members)
              p.Partition.groups)
       in
-      assert_ "cover"
+      check "cover"
         (covered = List.init (List.length t.nodes) Fun.id)
         (Printf.sprintf "groups cover [%s]"
            (String.concat "," (List.map string_of_int covered)));
-      assert_ "baseline"
+      check "baseline"
         (p.Partition.effective <= p.Partition.unfused_effective)
         (Printf.sprintf "effective %d above unfused %d" p.Partition.effective
-           p.Partition.unfused_effective);
-      { checks = !checks; failures = List.rev !failures })
+           p.Partition.unfused_effective))
 
 (* ------------------------------------------------------------------ *)
 (* Generator                                                           *)
@@ -323,104 +313,14 @@ let proposals t =
   in
   node_props @ edge_props @ dim_props
 
-let minimize ?(budget = 200) t ~still_fails =
-  let spent = ref 0 in
-  let try_one p =
-    if !spent >= budget then false
-    else begin
-      incr spent;
-      still_fails p
-    end
-  in
-  let rec go t =
-    match List.find_opt try_one (proposals t) with
-    | Some simpler when !spent < budget -> go simpler
-    | _ -> t
-  in
-  go t
-
-(* ------------------------------------------------------------------ *)
-(* Runner                                                              *)
-
-type counterexample = {
-  index : int;
-  original : t;
-  shrunk : t;
-  failures : failure list;
-}
-
-type report = {
-  cases : int;
-  checks : int;
-  candidate_edges : int;
-  fused_cases : int;
-  counterexamples : counterexample list;
-}
-
-let ok r = r.counterexamples = []
-
-let failed_names (o : outcome) = List.map (fun f -> f.check) o.failures
-
-let run ?(log = ignore) ~cases ~seed ?(max_dim = 8) () =
-  let rng = Rng.make seed in
-  let checks = ref 0 and cand = ref 0 and fused = ref 0 in
-  let cexs = ref [] in
-  for index = 1 to cases do
-    let t = gen rng ~max_dim in
-    let o = check t in
-    checks := !checks + o.checks;
-    (match graph t with
-    | Ok g -> (
-      match Partition.plan g (Buffer.make t.bytes) with
-      | Ok p ->
-        cand := !cand + p.Partition.stats.Partition.candidate_edges;
-        if p.Partition.selected <> [] then incr fused
-      | Error _ -> ())
-    | Error _ -> ());
-    if o.failures <> [] then begin
-      let names = failed_names o in
-      let still_fails t' =
-        let o' = check t' in
-        List.exists (fun f -> List.mem f.check names) o'.failures
-      in
-      let shrunk = minimize t ~still_fails in
-      let o' = check shrunk in
-      log
-        (Printf.sprintf "case %d diverged; shrunk repro: %s" index
-           (to_spec shrunk));
-      cexs := { index; original = t; shrunk; failures = o'.failures } :: !cexs
-    end
-  done;
-  { cases;
-    checks = !checks;
-    candidate_edges = !cand;
-    fused_cases = !fused;
-    counterexamples = List.rev !cexs }
-
-let check_spec spec =
-  let* t = of_spec spec in
-  Ok (t, check t)
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-
-let pp_counterexample fmt c =
-  Format.fprintf fmt "@[<v>case %d diverged:@,  original: %s@,  shrunk:   %s@,"
-    c.index (to_spec c.original) (to_spec c.shrunk);
-  List.iter
-    (fun f -> Format.fprintf fmt "  [%s] %s@," f.check f.detail)
-    c.failures;
-  Format.fprintf fmt "  repro: fusecu_opt check --graph-repro %s@]"
-    (to_spec c.shrunk)
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "@[<v>graph oracle: %d cases, %d checks, %d candidate edges, %d cases \
-     with fusion@,"
-    r.cases r.checks r.candidate_edges r.fused_cases;
-  (match r.counterexamples with
-  | [] -> Format.fprintf fmt "no divergences@]"
-  | cs ->
-    Format.fprintf fmt "%d DIVERGENCES:@," (List.length cs);
-    List.iter (fun c -> Format.fprintf fmt "%a@," pp_counterexample c) cs;
-    Format.fprintf fmt "@]")
+let oracle =
+  { Oracle.name = "graph oracle";
+    flag = "--graphs";
+    max_dim = 8;
+    gen;
+    checks;
+    proposals;
+    to_spec;
+    of_spec;
+    tallies = [];
+    sums = [ "candidate edges"; "cases with fusion" ] }

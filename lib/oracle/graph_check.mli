@@ -1,17 +1,18 @@
-(** Differential oracle for the whole-model fusion planner.
+(** The graph oracle ([check --graphs]): differential conformance for
+    the whole-model fusion planner, run by the {!Oracle} driver.
 
-    Generates seeded random workload graphs small enough to enumerate
-    (at most 8 nodes, at most 20 candidate edges) and asserts that
-    {!Fusecu_planner.Partition.plan} — the DP / branch-and-bound
+    It generates seeded random workload graphs small enough to
+    enumerate (at most 8 nodes, at most 20 candidate edges) and asserts
+    that {!Fusecu_planner.Partition.plan} — the DP / branch-and-bound
     partitioner — returns exactly the optimum found by
     {!Fusecu_planner.Partition.exhaustive}: same effective cost, same
     raw traffic, and the same selected edge set under the deterministic
-    tie-break. Divergences are greedily shrunk (drop nodes, drop edges,
-    shrink dimensions and counts, shrink the buffer) and printed as
-    [fusecu_opt check --graph-repro <spec>] one-liners.
-
-    Like {!Oracle}, a run is a pure function of [(seed, cases,
-    max_dim)]. *)
+    tie-break. It also asserts the structural invariants: groups cover
+    every node exactly once, the effective cost never exceeds the
+    all-singleton baseline, and both sides agree on infeasibility.
+    Divergences shrink by dropping nodes (with their edges), edges and
+    trailing operators, and by halving counts, dimensions and the
+    buffer. *)
 
 type node_spec = { count : int; k0 : int; ls : int list }
 (** One graph node: [count] instances of the operator chain whose first
@@ -32,56 +33,8 @@ val to_spec : t -> string
 
 val of_spec : string -> (t, string) result
 
-val graph : t -> (Fusecu_workloads.Graph.t, string) result
-(** The {!Fusecu_workloads.Graph} this spec denotes (nodes named [n0],
-    [n1], ...). *)
-
-type failure = { check : string; detail : string }
-
-type outcome = { checks : int; failures : failure list }
-
-val check : t -> outcome
-(** Run planner-vs-exhaustive conformance on one graph. Also asserts
-    the structural invariants: groups cover every node exactly once,
-    the effective cost never exceeds the all-singleton baseline, and
-    both sides agree on infeasibility. *)
-
-val proposals : t -> t list
-(** Strictly simpler variants, simplest first: drop a node (with its
-    edges), drop an edge, drop trailing operators, and halve counts,
-    dimensions, and the buffer. *)
-
-val minimize : ?budget:int -> t -> still_fails:(t -> bool) -> t
-(** Greedy shrink, mirroring {!Shrink.minimize}: repeatedly take the
-    first simpler variant on which [still_fails] holds, spending at
-    most [budget] (default 200) predicate evaluations. *)
-
-type counterexample = {
-  index : int;  (** 1-based case index within the run *)
-  original : t;
-  shrunk : t;
-  failures : failure list;  (** failures on the shrunk spec *)
-}
-
-type report = {
-  cases : int;
-  checks : int;
-  candidate_edges : int;  (** total candidate edges across the run *)
-  fused_cases : int;  (** cases where the optimum fuses at least once *)
-  counterexamples : counterexample list;
-}
-
-val ok : report -> bool
-
-val run :
-  ?log:(string -> unit) -> cases:int -> seed:int -> ?max_dim:int -> unit ->
-  report
-(** [max_dim] (default 8) bounds generated dimensions and counts. *)
-
-val check_spec : string -> (t * outcome, string) result
-(** Re-run one graph given by its spec string — the reproduction path
-    for logged counterexamples. *)
-
-val pp_counterexample : Format.formatter -> counterexample -> unit
-
-val pp_report : Format.formatter -> report -> unit
+val oracle : t Oracle.t
+(** Default [max_dim] 8, which bounds generated dimensions and counts
+    (and the buffer, at [4 * max_dim^2] bytes). The report sums the
+    planner's candidate edges and the cases whose optimum fuses at
+    least once. *)

@@ -20,45 +20,31 @@ open Fusecu_nest
    Ground truth uses the Divisors lattice — the service hot path's
    lattice — so the soak exercises exactly what production searches. *)
 
-type kind =
-  | Mm of { m : int; k : int; l : int }
-  | Conv of Conv.t
-  | Bmm of { b : int; m : int; k : int; l : int }
-  | Gmm of { g : int; hd : int; m : int; k : int; l : int }
-  | Attn of { q : int; n : int; d : int; dv : int }
-
-type problem = { kind : kind; bs : int }
+type problem = { kind : Lower.kind; bs : int }
 
 let lattice = Search.Divisors
 
 let kind_name = function
-  | Mm _ -> "mm"
-  | Conv _ -> "conv"
-  | Bmm _ -> "bmm"
-  | Gmm _ -> "gmm"
-  | Attn _ -> "attn"
-
-let to_nest p =
-  match p.kind with
-  | Mm { m; k; l } -> Lower.of_matmul (Matmul.make ~name:"mm" ~m ~k ~l ())
-  | Conv cv -> Lower.of_conv cv
-  | Bmm { b; m; k; l } -> Lower.batched_mm ~b ~m ~k ~l ()
-  | Gmm { g; hd; m; k; l } -> Lower.grouped_mm ~groups:g ~heads:hd ~m ~k ~l ()
-  | Attn { q; n; d; dv } -> Lower.attention_pair ~seq_q:q ~seq_k:n ~d ~dv ()
+  | Lower.N_matmul _ -> "mm"
+  | Lower.N_conv2d _ -> "conv"
+  | Lower.N_batched_mm _ -> "bmm"
+  | Lower.N_grouped_mm _ -> "gmm"
+  | Lower.N_attention _ -> "attn"
 
 let to_spec p =
   let fields =
     match p.kind with
-    | Mm { m; k; l } -> [ ("m", m); ("k", k); ("l", l) ]
-    | Conv cv ->
+    | Lower.N_matmul { m; k; l } -> [ ("m", m); ("k", k); ("l", l) ]
+    | Lower.N_conv2d cv ->
       [ ("n", cv.Conv.n); ("c", cv.Conv.c); ("h", cv.Conv.h); ("w", cv.Conv.w);
         ("k", cv.Conv.k); ("r", cv.Conv.r); ("s", cv.Conv.s);
         ("st", cv.Conv.stride); ("di", cv.Conv.dilation);
         ("pa", cv.Conv.padding) ]
-    | Bmm { b; m; k; l } -> [ ("b", b); ("m", m); ("k", k); ("l", l) ]
-    | Gmm { g; hd; m; k; l } ->
-      [ ("g", g); ("hd", hd); ("m", m); ("k", k); ("l", l) ]
-    | Attn { q; n; d; dv } -> [ ("q", q); ("n", n); ("d", d); ("dv", dv) ]
+    | Lower.N_batched_mm { b; m; k; l } -> [ ("b", b); ("m", m); ("k", k); ("l", l) ]
+    | Lower.N_grouped_mm { groups; heads; m; k; l } ->
+      [ ("g", groups); ("hd", heads); ("m", m); ("k", k); ("l", l) ]
+    | Lower.N_attention { seq_q; seq_k; d; dv } ->
+      [ ("q", seq_q); ("n", seq_k); ("d", d); ("dv", dv) ]
   in
   String.concat ","
     (Printf.sprintf "kind=%s" (kind_name p.kind)
@@ -108,7 +94,7 @@ let of_spec s =
         let* k = int "k" in
         let* l = int "l" in
         if m < 1 || k < 1 || l < 1 then Error "mm dims must be >= 1"
-        else Ok (Mm { m; k; l })
+        else Ok (Lower.N_matmul { m; k; l })
       | "conv" ->
         let* n = int "n" in
         let* c = int "c" in
@@ -125,14 +111,14 @@ let of_spec s =
             (fun e -> "conv: " ^ e)
             (Conv.validate ~stride ~padding ~dilation ~n ~c ~h ~w ~k ~r ~s ())
         in
-        Ok (Conv cv)
+        Ok (Lower.N_conv2d cv)
       | "bmm" ->
         let* b = int "b" in
         let* m = int "m" in
         let* k = int "k" in
         let* l = int "l" in
         if b < 1 || m < 1 || k < 1 || l < 1 then Error "bmm dims must be >= 1"
-        else Ok (Bmm { b; m; k; l })
+        else Ok (Lower.N_batched_mm { b; m; k; l })
       | "gmm" ->
         let* g = int "g" in
         let* hd = int "hd" in
@@ -141,7 +127,7 @@ let of_spec s =
         let* l = int "l" in
         if g < 1 || hd < 1 || m < 1 || k < 1 || l < 1 then
           Error "gmm dims must be >= 1"
-        else Ok (Gmm { g; hd; m; k; l })
+        else Ok (Lower.N_grouped_mm { groups = g; heads = hd; m; k; l })
       | "attn" ->
         let* q = int "q" in
         let* n = int "n" in
@@ -150,54 +136,29 @@ let of_spec s =
         let dv = if dv = 0 then d else dv in
         if q < 1 || n < 1 || d < 1 || dv < 1 then
           Error "attn dims must be >= 1"
-        else Ok (Attn { q; n; d; dv })
+        else Ok (Lower.N_attention { seq_q = q; seq_k = n; d; dv })
       | other -> Error (Printf.sprintf "unknown kind %S" other)
     in
     Ok { kind; bs }
-
-let equal a b = to_spec a = to_spec b
-
-let pp fmt p = Format.pp_print_string fmt (to_spec p)
 
 (* Shrinking order: dimension sum, then buffer. *)
 let size p =
   let dims =
     match p.kind with
-    | Mm { m; k; l } -> m + k + l
-    | Conv cv ->
+    | Lower.N_matmul { m; k; l } -> m + k + l
+    | Lower.N_conv2d cv ->
       cv.Conv.n + cv.Conv.c + cv.Conv.h + cv.Conv.w + cv.Conv.k + cv.Conv.r
       + cv.Conv.s + cv.Conv.stride + cv.Conv.dilation + cv.Conv.padding
-    | Bmm { b; m; k; l } -> b + m + k + l
-    | Gmm { g; hd; m; k; l } -> g + hd + m + k + l
-    | Attn { q; n; d; dv } -> q + n + d + dv
+    | Lower.N_batched_mm { b; m; k; l } -> b + m + k + l
+    | Lower.N_grouped_mm { groups; heads; m; k; l } -> groups + heads + m + k + l
+    | Lower.N_attention { seq_q; seq_k; d; dv } -> seq_q + seq_k + d + dv
   in
   (dims, p.bs)
 
 (* ------------------------------------------------------------------ *)
 (* Checks                                                              *)
 
-type failure = { check : string; detail : string }
-
-type outcome = { checks : int; failures : failure list }
-
-let failure_names (o : outcome) =
-  List.sort_uniq compare (List.map (fun f -> f.check) o.failures)
-
-type ctx = { mutable checks : int; mutable failures : failure list }
-
-let check ctx name ok detail =
-  ctx.checks <- ctx.checks + 1;
-  if not ok then
-    ctx.failures <- { check = name; detail = detail () } :: ctx.failures
-
-(* Deterministic per-problem stream: FNV-1a over the spec, so a
-   problem's verdict is independent of its position in a run. *)
-let seed_of p =
-  let h = ref 0x811C9DC5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land max_int)
-    (to_spec p);
-  !h
+let check = Oracle.check
 
 let sim_points_cap = 1 lsl 17
 
@@ -234,9 +195,9 @@ let sim_vs_analytic ctx ~name nest s =
           analytic.Nest.total simulated.Nest.total)
   end
 
-let run p =
-  let ctx = { checks = 0; failures = [] } in
-  let nest = to_nest p in
+let checks ctx p =
+  Oracle.tally ctx "by kind" (kind_name p.kind);
+  let nest = Lower.of_kind p.kind in
   let buf = Buffer.make p.bs in
   let capacity = Buffer.elements buf in
   let exh = Search.exhaustive ~lattice nest ~capacity in
@@ -290,13 +251,13 @@ let run p =
     sim_vs_analytic ctx ~name:"nest/analytic-sim" nest s);
   (* ragged random schedules need no feasibility: the cost contract
      holds on the whole lattice *)
-  let rng = Rng.make (seed_of p) in
+  let rng = Oracle.rng ctx in
   for _ = 1 to 4 do
     sim_vs_analytic ctx ~name:"nest/analytic-sim" nest
       (random_schedule rng nest)
   done;
-  (match p.kind with
-  | Mm { m; k; l } ->
+  match p.kind with
+  | Lower.N_matmul { m; k; l } ->
     let op = Matmul.make ~name:"mm" ~m ~k ~l () in
     let legacy =
       Fusecu_dse.Exhaustive.search ~lattice:Fusecu_dse.Space.Divisors
@@ -322,7 +283,7 @@ let run p =
     | None, Some _ ->
       check ctx "nest/legacy-exact" false (fun () ->
           "legacy feasible where nest space is empty"))
-  | Conv cv ->
+  | Lower.N_conv2d cv ->
     check ctx "nest/conv-macs"
       (Nest.points nest = Conv.macs cv)
       (fun () ->
@@ -342,23 +303,24 @@ let run p =
         (fun () ->
           Printf.sprintf "direct ideal %d > im2col ideal %d" (Bound.ideal nest)
             (Bound.ideal (Lower.of_conv_im2col cv)))
-  | Bmm _ | Gmm _ | Attn _ -> ());
-  ({ checks = ctx.checks; failures = List.rev ctx.failures } : outcome)
+  | Lower.N_batched_mm _ | Lower.N_grouped_mm _ | Lower.N_attention _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Generator                                                           *)
 
 (* Dimensions biased small (ragged-edge territory, cheap exhaustive
-   ground truth). Conv parameters are drawn avoid-but-test style: the
-   raw draw may violate the output-shape constraints; invalid combos
-   are discarded through Conv.validate — the boundary tests pin that
-   they are rejected, the oracle only soaks valid operators. *)
+   ground truth), and never above 12 so rank-7 conv ground truth stays
+   exhaustive. Conv parameters are drawn avoid-but-test style: the raw
+   draw may violate the output-shape constraints; invalid combos are
+   discarded through Conv.validate — the boundary tests pin that they
+   are rejected, the oracle only soaks valid operators. *)
 let gen rng ~max_dim =
+  let max_dim = min max_dim 12 in
   let dim () = Rng.range rng ~lo:1 ~hi:max_dim in
   let small cap = Rng.range rng ~lo:1 ~hi:(min cap max_dim) in
   let rec conv tries =
     if tries = 0 then
-      Conv (Conv.make ~n:1 ~c:1 ~h:3 ~w:3 ~k:1 ~r:1 ~s:1 ())
+      Lower.N_conv2d (Conv.make ~n:1 ~c:1 ~h:3 ~w:3 ~k:1 ~r:1 ~s:1 ())
     else
       let h = Rng.range rng ~lo:2 ~hi:(max 4 max_dim) in
       let w = Rng.range rng ~lo:2 ~hi:(max 4 max_dim) in
@@ -369,27 +331,29 @@ let gen rng ~max_dim =
           ~dilation:(Rng.range rng ~lo:1 ~hi:2)
           ~padding:(Rng.int rng 2) ()
       with
-      | Ok cv -> Conv cv
+      | Ok cv -> Lower.N_conv2d cv
       | Error _ -> conv (tries - 1)
   in
   let kind =
     match Rng.int rng 5 with
-    | 0 -> Mm { m = dim (); k = dim (); l = dim () }
+    | 0 -> Lower.N_matmul { m = dim (); k = dim (); l = dim () }
     | 1 -> conv 64
-    | 2 -> Bmm { b = small 3; m = dim (); k = dim (); l = dim () }
-    | 3 -> Gmm { g = small 3; hd = small 3; m = small 5; k = small 5; l = small 5 }
+    | 2 -> Lower.N_batched_mm { b = small 3; m = dim (); k = dim (); l = dim () }
+    | 3 ->
+      Lower.N_grouped_mm
+        { groups = small 3; heads = small 3; m = small 5; k = small 5; l = small 5 }
     | _ ->
-      Attn
-        { q = dim (); n = dim (); d = small 6;
+      Lower.N_attention
+        { seq_q = dim (); seq_k = dim (); d = small 6;
           dv = (if Rng.bool rng then small 6 else 0) }
   in
   let kind =
     match kind with
-    | Attn a -> Attn { a with dv = (if a.dv = 0 then a.d else a.dv) }
+    | Lower.N_attention a ->
+      Lower.N_attention { a with dv = (if a.dv = 0 then a.d else a.dv) }
     | k -> k
   in
-  let skeleton = { kind; bs = 1 } in
-  let nest = to_nest skeleton in
+  let nest = Lower.of_kind kind in
   let ideal = Bound.ideal nest in
   let min_fp = List.length nest.Nest.tensors in
   let bs =
@@ -412,17 +376,17 @@ let proposals p =
   let with_kind kind = { p with kind } in
   let dims =
     match p.kind with
-    | Mm { m; k; l } ->
+    | Lower.N_matmul { m; k; l } ->
       List.concat
-        [ List.map (fun m -> with_kind (Mm { m; k; l })) (smaller m);
-          List.map (fun k -> with_kind (Mm { m; k; l })) (smaller k);
-          List.map (fun l -> with_kind (Mm { m; k; l })) (smaller l) ]
-    | Conv cv ->
+        [ List.map (fun m -> with_kind (Lower.N_matmul { m; k; l })) (smaller m);
+          List.map (fun k -> with_kind (Lower.N_matmul { m; k; l })) (smaller k);
+          List.map (fun l -> with_kind (Lower.N_matmul { m; k; l })) (smaller l) ]
+    | Lower.N_conv2d cv ->
       let rebuild ~n ~c ~h ~w ~k ~r ~s ~stride ~dilation ~padding =
         match
           Conv.validate ~stride ~padding ~dilation ~n ~c ~h ~w ~k ~r ~s ()
         with
-        | Ok cv -> Some (with_kind (Conv cv))
+        | Ok cv -> Some (with_kind (Lower.N_conv2d cv))
         | Error _ -> None
       in
       let { Conv.n; c; h; w; k; r; s; stride; padding; dilation; _ } = cv in
@@ -439,119 +403,43 @@ let proposals p =
              List.map (fun dilation -> rebuild ~n ~c ~h ~w ~k ~r ~s ~stride ~dilation ~padding) (smaller dilation);
              List.map (fun padding -> rebuild ~n ~c ~h ~w ~k ~r ~s ~stride ~dilation ~padding)
                (List.filter (fun x -> x >= 0 && x < padding) [ 0; padding - 1 ]) ])
-    | Bmm { b; m; k; l } ->
+    | Lower.N_batched_mm { b; m; k; l } ->
       List.concat
-        [ List.map (fun b -> with_kind (Bmm { b; m; k; l })) (smaller b);
-          List.map (fun m -> with_kind (Bmm { b; m; k; l })) (smaller m);
-          List.map (fun k -> with_kind (Bmm { b; m; k; l })) (smaller k);
-          List.map (fun l -> with_kind (Bmm { b; m; k; l })) (smaller l) ]
-    | Gmm { g; hd; m; k; l } ->
+        [ List.map (fun b -> with_kind (Lower.N_batched_mm { b; m; k; l })) (smaller b);
+          List.map (fun m -> with_kind (Lower.N_batched_mm { b; m; k; l })) (smaller m);
+          List.map (fun k -> with_kind (Lower.N_batched_mm { b; m; k; l })) (smaller k);
+          List.map (fun l -> with_kind (Lower.N_batched_mm { b; m; k; l })) (smaller l) ]
+    | Lower.N_grouped_mm { groups; heads; m; k; l } ->
+      let gmm ~groups ~heads ~m ~k ~l =
+        with_kind (Lower.N_grouped_mm { groups; heads; m; k; l })
+      in
       List.concat
-        [ List.map (fun g -> with_kind (Gmm { g; hd; m; k; l })) (smaller g);
-          List.map (fun hd -> with_kind (Gmm { g; hd; m; k; l })) (smaller hd);
-          List.map (fun m -> with_kind (Gmm { g; hd; m; k; l })) (smaller m);
-          List.map (fun k -> with_kind (Gmm { g; hd; m; k; l })) (smaller k);
-          List.map (fun l -> with_kind (Gmm { g; hd; m; k; l })) (smaller l) ]
-    | Attn { q; n; d; dv } ->
+        [ List.map (fun groups -> gmm ~groups ~heads ~m ~k ~l) (smaller groups);
+          List.map (fun heads -> gmm ~groups ~heads ~m ~k ~l) (smaller heads);
+          List.map (fun m -> gmm ~groups ~heads ~m ~k ~l) (smaller m);
+          List.map (fun k -> gmm ~groups ~heads ~m ~k ~l) (smaller k);
+          List.map (fun l -> gmm ~groups ~heads ~m ~k ~l) (smaller l) ]
+    | Lower.N_attention { seq_q; seq_k; d; dv } ->
+      let attn ~seq_q ~seq_k ~d ~dv =
+        with_kind (Lower.N_attention { seq_q; seq_k; d; dv })
+      in
       List.concat
-        [ List.map (fun q -> with_kind (Attn { q; n; d; dv })) (smaller q);
-          List.map (fun n -> with_kind (Attn { q; n; d; dv })) (smaller n);
-          List.map (fun d -> with_kind (Attn { q; n; d; dv })) (smaller d);
-          List.map (fun dv -> with_kind (Attn { q; n; d; dv })) (smaller dv) ]
+        [ List.map (fun seq_q -> attn ~seq_q ~seq_k ~d ~dv) (smaller seq_q);
+          List.map (fun seq_k -> attn ~seq_q ~seq_k ~d ~dv) (smaller seq_k);
+          List.map (fun d -> attn ~seq_q ~seq_k ~d ~dv) (smaller d);
+          List.map (fun dv -> attn ~seq_q ~seq_k ~d ~dv) (smaller dv) ]
   in
   let bufs = List.map (fun bs -> { p with bs }) (smaller p.bs) in
   List.sort (fun a b -> compare (size a) (size b)) (dims @ bufs)
 
-let minimize ?(budget = 200) p ~still_fails =
-  let budget = ref budget in
-  let test q =
-    if !budget <= 0 then false
-    else begin
-      decr budget;
-      still_fails q
-    end
-  in
-  let rec go p =
-    match List.find_opt test (proposals p) with
-    | Some q -> go q
-    | None -> p
-  in
-  go p
-
-(* ------------------------------------------------------------------ *)
-(* Runner                                                              *)
-
-type counterexample = {
-  index : int;
-  original : problem;
-  shrunk : problem;
-  failures : failure list;
-}
-
-type report = {
-  cases : int;
-  checks : int;
-  counterexamples : counterexample list;
-  by_kind : (string * int) list;
-}
-
-let ok r = r.counterexamples = []
-
-let shrink_failure index p (o : outcome) =
-  let names = failure_names o in
-  let still_fails q =
-    List.exists (fun n -> List.mem n names) (failure_names (run q))
-  in
-  let shrunk = minimize p ~still_fails in
-  let failures =
-    let final = run shrunk in
-    if final.failures = [] then o.failures else final.failures
-  in
-  { index; original = p; shrunk; failures }
-
-let soak ?(log = ignore) ~cases ~seed ?(max_dim = 8) () =
-  let rng = Rng.make seed in
-  let kinds = Hashtbl.create 7 in
-  let checks = ref 0 in
-  let counterexamples = ref [] in
-  for index = 1 to cases do
-    let p = gen rng ~max_dim in
-    Hashtbl.replace kinds (kind_name p.kind)
-      (1 + Option.value ~default:0 (Hashtbl.find_opt kinds (kind_name p.kind)));
-    let o = run p in
-    checks := !checks + o.checks;
-    if o.failures <> [] then begin
-      let ce = shrink_failure index p o in
-      counterexamples := ce :: !counterexamples;
-      log
-        (Printf.sprintf "nest case %d diverged: %s (shrunk to %s; checks: %s)"
-           index (to_spec p) (to_spec ce.shrunk)
-           (String.concat ", " (failure_names o)))
-    end
-  done;
-  {
-    cases;
-    checks = !checks;
-    counterexamples = List.rev !counterexamples;
-    by_kind =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []);
-  }
-
-let check_spec s =
-  Result.map (fun p -> (p, run p)) (of_spec s)
-
-let pp_counterexample fmt ce =
-  Format.fprintf fmt "@[<v2>case %d: %s@ shrunk: %s@ repro: fusecu_opt check --nest-repro %s@ %a@]"
-    ce.index (to_spec ce.original) (to_spec ce.shrunk) (to_spec ce.shrunk)
-    (Format.pp_print_list (fun fmt f ->
-         Format.fprintf fmt "%s: %s" f.check f.detail))
-    ce.failures
-
-let pp_report fmt r =
-  Format.fprintf fmt "@[<v>nest oracle: %d cases, %d checks, %d divergences@ by kind: %s@ %a@]"
-    r.cases r.checks
-    (List.length r.counterexamples)
-    (String.concat ", "
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.by_kind))
-    (Format.pp_print_list pp_counterexample)
-    r.counterexamples
+let oracle =
+  { Oracle.name = "nest oracle";
+    flag = "--nests";
+    max_dim = 12;
+    gen;
+    checks;
+    proposals;
+    to_spec;
+    of_spec;
+    tallies = [ "by kind" ];
+    sums = [] }

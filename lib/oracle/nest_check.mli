@@ -1,8 +1,9 @@
-(** Differential conformance oracle for the projective loop-nest IR
-    ([check --nests]).
+(** The nest oracle ([check --nests]): differential conformance for the
+    projective loop-nest IR, run by the {!Oracle} driver.
 
-    Each generated problem is a nest kind (matmul, conv2d, batched MM,
-    grouped MM, attention pair) plus a buffer budget. The checks:
+    Each generated problem is one of {!Fusecu_nest.Lower.kind}'s five
+    kinds (matmul, conv2d, batched MM, grouped MM, attention pair) plus
+    a buffer budget. The checks:
 
     - [nest/bnb-exact] — {!Fusecu_dse.Nest_bnb.search} reproduces
       {!Fusecu_nest.Search.exhaustive} bit-for-bit on the Divisors
@@ -21,81 +22,25 @@
       iteration count equals [Conv.macs] and the halo-exact input
       lower bound never exceeds the im2col-inflated one.
 
-    Failures shrink greedily toward smaller dimensions/buffers while
-    preserving at least one failing check of the same name. *)
+    Failures shrink toward smaller dimensions and buffers. *)
 
-type kind =
-  | Mm of { m : int; k : int; l : int }
-  | Conv of Fusecu_tensor.Conv.t
-  | Bmm of { b : int; m : int; k : int; l : int }
-  | Gmm of { g : int; hd : int; m : int; k : int; l : int }
-  | Attn of { q : int; n : int; d : int; dv : int }
-
-type problem = { kind : kind; bs : int }
+type problem = { kind : Fusecu_nest.Lower.kind; bs : int }
 (** [bs] is the buffer budget in bytes (1-byte elements). *)
-
-val kind_name : kind -> string
-
-val to_nest : problem -> Fusecu_nest.Nest.t
 
 val to_spec : problem -> string
 (** Canonical one-line form, e.g.
-    [kind=conv,n=1,c=2,h=6,w=6,k=3,r=3,s=3,st=1,di=1,pa=0,bs=64]. *)
+    [kind=conv,n=1,c=2,h=6,w=6,k=3,r=3,s=3,st=1,di=1,pa=0,bs=64].
+    [kind] is [mm], [conv], [bmm], [gmm] or [attn]; grouped MM writes
+    its groups and heads as [g] and [hd], attention its sequence
+    lengths as [q] and [n]. *)
 
 val of_spec : string -> (problem, string) result
 (** Inverse of {!to_spec}; [st]/[di]/[pa]/[dv] are optional. *)
 
-val equal : problem -> problem -> bool
-
-val pp : Format.formatter -> problem -> unit
-
-type failure = { check : string; detail : string }
-
-type outcome = { checks : int; failures : failure list }
-
-val failure_names : outcome -> string list
-
-val seed_of : problem -> int
-(** FNV-1a over the spec — the per-problem schedule-sampling stream is
-    position-independent. *)
-
-val run : problem -> outcome
-(** Execute every applicable check against one problem. *)
-
-val gen : Rng.t -> max_dim:int -> problem
-(** Draw a random problem. Conv parameters are sampled avoid-but-test
-    style: raw draws may violate the output-shape constraints and are
-    filtered through [Conv.validate], so the oracle soaks only valid
-    operators while the unit tests pin rejection of the invalid ones. *)
-
-val minimize : ?budget:int -> problem -> still_fails:(problem -> bool) -> problem
-(** Greedy shrink over smaller dimensions and buffers. *)
-
-type counterexample = {
-  index : int;  (** 1-based case number in the run *)
-  original : problem;
-  shrunk : problem;
-  failures : failure list;
-}
-
-type report = {
-  cases : int;
-  checks : int;
-  counterexamples : counterexample list;
-  by_kind : (string * int) list;
-}
-
-val ok : report -> bool
-
-val soak :
-  ?log:(string -> unit) -> cases:int -> seed:int -> ?max_dim:int -> unit ->
-  report
-(** Generate and check [cases] problems; divergences are shrunk
-    (demanding a same-named failing check) and collected. *)
-
-val check_spec : string -> (problem * outcome, string) result
-(** Parse and run a single spec — the [--nest-repro] entry point. *)
-
-val pp_counterexample : Format.formatter -> counterexample -> unit
-
-val pp_report : Format.formatter -> report -> unit
+val oracle : problem Oracle.t
+(** Problems with dimensions up to [min max_dim 12] (default 12; rank-7
+    conv ground truth stays exhaustive). Conv parameters are sampled
+    avoid-but-test style: raw draws may violate the output-shape
+    constraints and are filtered through [Conv.validate], so the oracle
+    soaks only valid operators while the unit tests pin rejection of
+    the invalid ones. The report tallies cases [by kind]. *)

@@ -69,8 +69,6 @@ let of_spec s =
   | Some l2, Some l3 -> Ok { m; k; l; shape = Chain3 { l2; l3 }; bs }
   | None, Some _ -> Error "l3 without l2"
 
-let pp fmt p = Format.pp_print_string fmt (to_spec p)
-
 let equal (a : t) b = a = b
 
 (* Lexicographic "simplicity" used by the shrinker: fewer operators
@@ -86,3 +84,38 @@ let size p =
     match p.shape with Single -> 1 | Pair _ -> 2 | Chain3 _ -> 3
   in
   (arity, dims, p.bs)
+
+let smaller_dims v =
+  List.sort_uniq compare (List.filter (fun x -> x >= 1 && x < v) [ 1; v / 2; v - 1 ])
+
+let smaller_buffers p =
+  let anchors =
+    let th = Fusecu_core.Regime.thresholds (op1 p) in
+    [ th.tiny_max; th.small_max; th.medium_max + 1 ]
+  in
+  List.sort_uniq compare
+    (List.filter (fun b -> b >= 3 && b < p.bs) ([ 3; p.bs / 2; p.bs - 1 ] @ anchors))
+
+let proposals p =
+  let shape_cuts =
+    match p.shape with
+    | Single -> []
+    | Pair _ -> [ { p with shape = Single } ]
+    | Chain3 { l2; l3 } ->
+      [ { p with shape = Pair { l2 } }; { p with shape = Pair { l2 = l3 } };
+        { p with shape = Single } ]
+  in
+  let dim_cuts =
+    List.map (fun m -> { p with m }) (smaller_dims p.m)
+    @ List.map (fun k -> { p with k }) (smaller_dims p.k)
+    @ List.map (fun l -> { p with l }) (smaller_dims p.l)
+    @
+    match p.shape with
+    | Single -> []
+    | Pair { l2 } -> List.map (fun l2 -> { p with shape = Pair { l2 } }) (smaller_dims l2)
+    | Chain3 { l2; l3 } ->
+      List.map (fun l2 -> { p with shape = Chain3 { l2; l3 } }) (smaller_dims l2)
+      @ List.map (fun l3 -> { p with shape = Chain3 { l2; l3 } }) (smaller_dims l3)
+  in
+  let buffer_cuts = List.map (fun bs -> { p with bs }) (smaller_buffers p) in
+  List.sort (fun a b -> compare (size a) (size b)) (shape_cuts @ dim_cuts @ buffer_cuts)

@@ -34,10 +34,14 @@ val to_spec : t -> string
 val of_spec : string -> (t, string) result
 (** Parse [m=..,k=..,l=..,bs=..[,l2=..[,l3=..]]] (any field order). *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool
 
 val size : t -> int * int * int
 (** Shrinking order: (operator count, dimension sum, buffer size),
     compared lexicographically. *)
+
+val proposals : t -> t list
+(** Strictly simpler variants of a problem, simplest first: drop
+    operators, shrink each dimension (to 1, half, minus one), shrink
+    the buffer (to 3, half, minus one, and the regime anchors below
+    it). *)

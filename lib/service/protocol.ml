@@ -7,7 +7,7 @@ module Arith = Fusecu_util.Arith
 
 let version = 1
 
-type nest_kind =
+type nest_kind = Fusecu_nest.Lower.kind =
   | N_matmul of { m : int; k : int; l : int }
   | N_conv2d of Conv.t
   | N_batched_mm of { b : int; m : int; k : int; l : int }
@@ -215,15 +215,7 @@ let nest_kind_field obj =
   | Some parse -> parse obj
   | None -> fail "unknown nest kind %S (%s)" kind (names nest_kinds)
 
-let nest_of_kind =
-  let open Fusecu_nest in
-  function
-  | N_matmul { m; k; l } -> Lower.of_matmul (Matmul.make ~name:"nest" ~m ~k ~l ())
-  | N_conv2d cv -> Lower.of_conv cv
-  | N_batched_mm { b; m; k; l } -> Lower.batched_mm ~b ~m ~k ~l ()
-  | N_grouped_mm { groups; heads; m; k; l } ->
-    Lower.grouped_mm ~groups ~heads ~m ~k ~l ()
-  | N_attention { seq_q; seq_k; d; dv } -> Lower.attention_pair ~seq_q ~seq_k ~d ~dv ()
+let nest_of_kind = Fusecu_nest.Lower.of_kind
 
 (* The largest traffic total any schedule of the call's operators can
    reach (saturated at [max_int]); fuse and chain plans sum per-operator

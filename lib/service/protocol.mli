@@ -50,7 +50,7 @@ val version : int
 
 (** {1 Requests} *)
 
-type nest_kind =
+type nest_kind = Fusecu_nest.Lower.kind =
   | N_matmul of { m : int; k : int; l : int }
   | N_conv2d of Conv.t
   | N_batched_mm of { b : int; m : int; k : int; l : int }

@@ -14,6 +14,8 @@ open Fusecu_oracle
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let matmul = Check.oracle Check.Principles
+
 let problem_of_spec spec =
   match Problem.of_spec spec with
   | Ok p -> p
@@ -43,13 +45,13 @@ let regression_specs =
 let test_regression_counterexamples () =
   List.iter
     (fun spec ->
-      let o = Check.run (problem_of_spec spec) in
+      let o = Oracle.outcome matmul (problem_of_spec spec) in
       Alcotest.(check (list string))
         (spec ^ " has no divergence") []
         (List.map
-           (fun (f : Check.failure) -> f.Check.check ^ ": " ^ f.Check.detail)
-           o.Check.failures);
-      check_bool (spec ^ " ran checks") true (o.Check.checks > 0))
+           (fun (f : Oracle.failure) -> f.Oracle.check ^ ": " ^ f.Oracle.detail)
+           o.Oracle.failures);
+      check_bool (spec ^ " ran checks") true (o.Oracle.checks > 0))
     regression_specs
 
 (* The historical failure mode, asserted directly: on every pair
@@ -149,13 +151,16 @@ let test_proposals_strictly_smaller () =
         (Printf.sprintf "%s < %s" (Problem.to_spec q) (Problem.to_spec p))
         true
         (Problem.size q < Problem.size p))
-    (Shrink.proposals p)
+    (Problem.proposals p)
 
 (* Greedy minimization against a synthetic predicate lands exactly on
    the smallest failing instance. *)
 let test_minimize_converges () =
   let p = problem_of_spec "m=24,k=13,l=17,l2=6,bs=500" in
-  let shrunk = Shrink.minimize p ~still_fails:(fun q -> q.Problem.m >= 4) in
+  let shrunk =
+    Oracle.minimize ~proposals:Problem.proposals p ~still_fails:(fun q ->
+        q.Problem.m >= 4)
+  in
   check_int "minimal m" 4 shrunk.Problem.m;
   check_int "k shrunk to 1" 1 shrunk.Problem.k;
   check_int "l shrunk to 1" 1 shrunk.Problem.l;
@@ -163,32 +168,122 @@ let test_minimize_converges () =
   check_int "buffer at floor" 3 shrunk.Problem.bs;
   (* a predicate that never fails leaves the problem untouched *)
   check_bool "fixed point when nothing fails" true
-    (Problem.equal p (Shrink.minimize p ~still_fails:(fun _ -> false)))
+    (Problem.equal p
+       (Oracle.minimize ~proposals:Problem.proposals p ~still_fails:(fun _ -> false)))
+
+(* A proposal found with the last unit of budget is kept: with one
+   evaluation allowed and a first proposal that fails, the result is
+   that proposal, not the input. *)
+let test_minimize_last_unit_of_budget () =
+  match Graph_check.of_spec "m=4,b=64,nodes=1*4:4|1*4:4|1*4:4,edges=0-1|1-2" with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+    let proposals = Graph_check.oracle.Oracle.proposals in
+    let calls = ref 0 in
+    let shrunk =
+      Oracle.minimize ~budget:1 ~proposals t ~still_fails:(fun _ ->
+          incr calls;
+          true)
+    in
+    check_int "one evaluation" 1 !calls;
+    Alcotest.(check string) "first proposal kept"
+      (Graph_check.to_spec (List.hd (proposals t)))
+      (Graph_check.to_spec shrunk)
+
+(* The shrinker on a synthetic case type: a short list of small
+   naturals whose proposals drop one element or shrink one to 0, half
+   or minus one, under an arbitrary (hashed) failure predicate. *)
+let synthetic_proposals xs =
+  List.concat
+    (List.mapi
+       (fun i x ->
+         List.filteri (fun j _ -> j <> i) xs
+         :: List.map
+              (fun y -> List.mapi (fun j v -> if j = i then y else v) xs)
+              (List.sort_uniq compare
+                 (List.filter (fun y -> y >= 0 && y < x) [ 0; x / 2; x - 1 ])))
+       xs)
+
+let prop_minimize =
+  QCheck.Test.make ~count:500
+    ~name:"minimize: fails or is the input, within budget, and a fixpoint"
+    QCheck.(
+      triple (int_range 0 40) (int_range 0 1_000)
+        (list_of_size Gen.(int_range 0 4) (int_range 0 20)))
+    (fun (budget, salt, xs) ->
+      let fails q = Hashtbl.hash (salt, q) mod 3 = 0 in
+      let calls = ref 0 in
+      let shrunk =
+        Oracle.minimize ~budget ~proposals:synthetic_proposals xs
+          ~still_fails:(fun q ->
+            incr calls;
+            fails q)
+      in
+      (* every proposal lowers length + sum, so 10^4 evaluations are
+         more than a descent from at most 4 values of 20 can spend *)
+      let fixpoint =
+        Oracle.minimize ~budget:10_000 ~proposals:synthetic_proposals xs
+          ~still_fails:fails
+      in
+      (shrunk = xs || fails shrunk)
+      && !calls <= budget
+      && not (List.exists fails (synthetic_proposals fixpoint)))
 
 (* ------------------------------------------------------------------ *)
 (* A miniature end-to-end oracle run                                   *)
 
 let test_oracle_run_clean () =
-  let report = Oracle.run ~cases:150 ~seed:7 ~max_dim:20 () in
+  let report = Oracle.run matmul ~cases:150 ~seed:7 ~max_dim:20 in
+  let by_shape (r : _ Oracle.report) = List.assoc "shapes" r.Oracle.tallies in
   check_bool "no divergences" true (Oracle.ok report);
   check_int "cases" 150 report.Oracle.cases;
   check_bool "checks ran" true (report.Oracle.checks > 150);
   let sum t = List.fold_left (fun a (_, n) -> a + n) 0 t in
-  check_int "shape tally covers every case" 150 (sum report.Oracle.by_shape);
-  check_int "regime tally covers every case" 150 (sum report.Oracle.by_regime);
+  check_int "shape tally covers every case" 150 (sum (by_shape report));
+  check_int "regime tally covers every case" 150
+    (sum (List.assoc "regimes (op1)" report.Oracle.tallies));
   (* same seed, same report *)
-  let again = Oracle.run ~cases:150 ~seed:7 ~max_dim:20 () in
+  let again = Oracle.run matmul ~cases:150 ~seed:7 ~max_dim:20 in
   check_int "deterministic checks" report.Oracle.checks again.Oracle.checks;
   Alcotest.(check (list (pair string int)))
-    "deterministic tallies" report.Oracle.by_shape again.Oracle.by_shape
+    "deterministic tallies" (by_shape report) (by_shape again)
+
+(* Each oracle at a small size, pinned to the counts the oracles gave
+   before they shared one driver: a change that shifts a generator's
+   RNG stream, a check or a statistic shows up here. *)
+let test_soak_fingerprints () =
+  let pin name ~checks ~tallies ~sums (r : _ Oracle.report) ~cases =
+    check_int (name ^ " cases") cases r.Oracle.cases;
+    check_int (name ^ " checks") checks r.Oracle.checks;
+    check_int (name ^ " divergences") 0 (List.length r.Oracle.counterexamples);
+    Alcotest.(check (list (pair string (list (pair string int)))))
+      (name ^ " tallies") tallies r.Oracle.tallies;
+    Alcotest.(check (list (pair string int))) (name ^ " sums") sums r.Oracle.sums
+  in
+  pin "matmul" ~cases:150 ~checks:4937
+    ~tallies:
+      [ ("shapes", [ ("chain3", 21); ("pair", 62); ("single", 67) ]);
+        ("regimes (op1)",
+         [ ("large", 92); ("medium", 33); ("small", 13); ("tiny", 12) ]) ]
+    ~sums:[]
+    (Oracle.run matmul ~cases:150 ~seed:7 ~max_dim:20);
+  pin "nests" ~cases:300 ~checks:2829
+    ~tallies:
+      [ ("by kind",
+         [ ("attn", 70); ("bmm", 55); ("conv", 55); ("gmm", 65); ("mm", 55) ]) ]
+    ~sums:[]
+    (Oracle.run Nest_check.oracle ~cases:300 ~seed:7);
+  pin "graphs" ~cases:40 ~checks:200 ~tallies:[]
+    ~sums:[ ("candidate edges", 104); ("cases with fusion", 31) ]
+    (Oracle.run Graph_check.oracle ~cases:40 ~seed:5)
 
 let test_check_spec_matches_run () =
   let p = problem_of_spec "m=6,k=1,l=5,l2=4,bs=16" in
-  match Oracle.check_spec "m=6,k=1,l=5,l2=4,bs=16" with
+  match Oracle.check_spec matmul "m=6,k=1,l=5,l2=4,bs=16" with
   | Error e -> Alcotest.fail e
   | Ok (q, o) ->
     check_bool "same problem" true (Problem.equal p q);
-    check_int "same verdict" (Check.run p).Check.checks o.Check.checks
+    check_int "same verdict" (Oracle.outcome matmul p).Oracle.checks o.Oracle.checks
 
 (* ------------------------------------------------------------------ *)
 (* Property: analytic cost == simulated traffic on ragged schedules    *)
@@ -278,14 +373,13 @@ let test_graph_corpus () =
   check_bool "corpus non-empty" true (corpus_specs <> []);
   List.iter
     (fun spec ->
-      match Graph_check.check_spec spec with
+      match Oracle.check_spec Graph_check.oracle spec with
       | Error e -> Alcotest.failf "bad corpus spec %s: %s" spec e
       | Ok (_, o) ->
         List.iter
-          (fun (f : Graph_check.failure) ->
-            Alcotest.failf "%s: [%s] %s" spec f.Graph_check.check
-              f.Graph_check.detail)
-          o.Graph_check.failures)
+          (fun (f : Oracle.failure) ->
+            Alcotest.failf "%s: [%s] %s" spec f.Oracle.check f.Oracle.detail)
+          o.Oracle.failures)
     corpus_specs
 
 let test_graph_spec_round_trip () =
@@ -301,13 +395,13 @@ let test_graph_spec_round_trip () =
     (Result.is_error (Graph_check.of_spec "m=2,b=9,nodes=1*2:2,edges=0-1"))
 
 let test_graph_run_pinned () =
-  let r1 = Graph_check.run ~cases:40 ~seed:5 () in
-  let r2 = Graph_check.run ~cases:40 ~seed:5 () in
-  check_int "checks pinned" r1.Graph_check.checks r2.Graph_check.checks;
-  check_int "edges pinned" r1.Graph_check.candidate_edges
-    r2.Graph_check.candidate_edges;
-  check_int "fused pinned" r1.Graph_check.fused_cases r2.Graph_check.fused_cases;
-  check_bool "clean" true (Graph_check.ok r1)
+  let r1 = Oracle.run Graph_check.oracle ~cases:40 ~seed:5 in
+  let r2 = Oracle.run Graph_check.oracle ~cases:40 ~seed:5 in
+  let sum (r : _ Oracle.report) name = List.assoc name r.Oracle.sums in
+  check_int "checks pinned" r1.Oracle.checks r2.Oracle.checks;
+  check_int "edges pinned" (sum r1 "candidate edges") (sum r2 "candidate edges");
+  check_int "fused pinned" (sum r1 "cases with fusion") (sum r2 "cases with fusion");
+  check_bool "clean" true (Oracle.ok r1)
 
 let test_graph_minimize_converges () =
   (* an artificial predicate: "fails" while the graph still has more
@@ -317,15 +411,17 @@ let test_graph_minimize_converges () =
   | Error e -> Alcotest.fail e
   | Ok t ->
     let shrunk =
-      Graph_check.minimize t ~still_fails:(fun t' ->
-          List.length t'.Graph_check.nodes > 1)
+      Oracle.minimize ~proposals:Graph_check.oracle.Oracle.proposals t
+        ~still_fails:(fun t' -> List.length t'.Graph_check.nodes > 1)
     in
     Alcotest.(check string) "minimal failing graph"
       "m=1,b=3,nodes=1*1:1|1*1:1"
       (Graph_check.to_spec shrunk);
     (* a predicate that never fails leaves the spec untouched *)
     check_bool "fixed point when nothing fails" true
-      (Graph_check.to_spec (Graph_check.minimize t ~still_fails:(fun _ -> false))
+      (Graph_check.to_spec
+         (Oracle.minimize ~proposals:Graph_check.oracle.Oracle.proposals t
+            ~still_fails:(fun _ -> false))
        = Graph_check.to_spec t)
 
 let () =
@@ -346,12 +442,17 @@ let () =
         [ Alcotest.test_case "proposals strictly smaller" `Quick
             test_proposals_strictly_smaller;
           Alcotest.test_case "greedy minimize converges" `Quick
-            test_minimize_converges ] );
+            test_minimize_converges;
+          Alcotest.test_case "last unit of budget keeps its find" `Quick
+            test_minimize_last_unit_of_budget;
+          qtest prop_minimize ] );
       ( "runner",
         [ Alcotest.test_case "150 cases, zero divergences" `Slow
             test_oracle_run_clean;
           Alcotest.test_case "check_spec = run" `Quick
-            test_check_spec_matches_run ] );
+            test_check_spec_matches_run;
+          Alcotest.test_case "soak fingerprints pinned" `Slow
+            test_soak_fingerprints ] );
       ( "graph-planner",
         [ Alcotest.test_case "corpus stays fixed" `Quick test_graph_corpus;
           Alcotest.test_case "spec round-trip" `Quick
