@@ -576,7 +576,8 @@ let serve_cmd =
           with Failure msg | Invalid_argument msg ->
             prerr_endline msg;
             exit 1)
-        | None -> Fusecu_service.Server.serve_channel engine ~batch stdin stdout);
+        | None ->
+          Fusecu_service.Server.serve_fds engine ~batch Unix.stdin Unix.stdout);
     match metrics_file with
     | None -> ()
     | Some file ->

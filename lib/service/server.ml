@@ -1,13 +1,15 @@
 (* Transport layer for the planning daemon.
 
-   Channel mode stays a plain drain of an [in_channel]. Socket mode is a
-   concurrent accept loop: every connection gets its own systhread
-   running [Engine.run] against a select-based bounded line reader, with
-   a connection cap (backpressure: the accept loop stops accepting while
-   the cap is reached), per-connection idle/read timeouts, an input
-   line-length bound, and graceful shutdown (SIGINT / SIGTERM / in-band
-   [shutdown]) that stops accepting, drains in-flight batches, closes
-   the listener and unlinks the socket path.
+   Stdin mode and socket mode run one connection loop
+   ([serve_connection]): a select-based bounded line reader feeds
+   [Engine.run], and response lines collect in one output buffer that
+   is written once per batch. Socket mode adds a concurrent accept
+   loop: every connection gets its own systhread, with a connection cap
+   (backpressure: the accept loop stops accepting while the cap is
+   reached), per-connection idle/read timeouts, an input line-length
+   bound, and graceful shutdown (SIGINT / SIGTERM / in-band [shutdown])
+   that stops accepting, drains in-flight batches, closes the listener
+   and unlinks the socket path.
 
    Sharing one [Engine] across connection threads is safe: the cache and
    metrics registry are mutex-guarded, and concurrent [Pool] regions
@@ -30,18 +32,6 @@ let default_socket_config =
 let poll_slice = 0.05
 
 (* ------------------------------------------------------------------ *)
-(* Channel mode                                                        *)
-
-let serve_channel engine ?batch ic oc =
-  let next () = In_channel.input_line ic in
-  let emit line =
-    Out_channel.output_string oc line;
-    Out_channel.output_char oc '\n';
-    Out_channel.flush oc
-  in
-  ignore (Engine.run engine ?batch ~next ~emit ())
-
-(* ------------------------------------------------------------------ *)
 (* Select-based bounded line reader                                    *)
 
 type read_result =
@@ -51,67 +41,94 @@ type read_result =
   | Oversized  (** line exceeded [max_line] before its newline *)
   | Stopped  (** server shutdown requested *)
 
+(* The most one [read] asks for; also the reader's initial buffer. *)
+let read_chunk = 65536
+
+(* Received bytes not yet returned as lines are [buf.[start, stop)];
+   [buf.[start, scanned)] holds no newline. Reads append at [stop]. *)
 type reader = {
   fd : Unix.file_descr;
-  pending : Buffer.t;  (** received bytes not yet returned as lines *)
-  scratch : Bytes.t;
-  mutable scanned : int;  (** prefix of [pending] known newline-free *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  mutable scanned : int;
   mutable at_eof : bool;
-  mutable swept : bool;  (** final post-shutdown drain already done *)
 }
 
 let reader_of_fd fd =
-  { fd;
-    pending = Buffer.create 512;
-    scratch = Bytes.create 4096;
-    scanned = 0;
-    at_eof = false;
-    swept = false }
+  { fd; buf = Bytes.create read_chunk; start = 0; stop = 0; scanned = 0;
+    at_eof = false }
 
-(* Consume everything already delivered to the kernel buffer without
-   blocking. Used once at shutdown so requests the client sent before
-   the stop signal are still answered ("drain in-flight"). *)
-let drain_available r =
-  let rec go () =
-    match Unix.select [ r.fd ] [] [] 0. with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-      match Unix.read r.fd r.scratch 0 (Bytes.length r.scratch) with
-      | 0 -> r.at_eof <- true
-      | n ->
-        Buffer.add_subbytes r.pending r.scratch 0 n;
-        go ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        r.at_eof <- true)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
+let reset r =
+  r.start <- 0;
+  r.stop <- 0;
+  r.scanned <- 0
 
-(* Take the first '\n'-terminated line out of [r.pending], if any. *)
+(* Take the first '\n'-terminated line out of [r], scanning only bytes
+   not scanned before. *)
 let take_line r =
-  let len = Buffer.length r.pending in
+  let buf = r.buf and stop = r.stop in
   let rec find i =
-    if i >= len then None
-    else if Buffer.nth r.pending i = '\n' then Some i
+    if i >= stop then None
+    else if Bytes.unsafe_get buf i = '\n' then Some i
     else find (i + 1)
   in
   match find r.scanned with
   | None ->
-    r.scanned <- len;
+    r.scanned <- stop;
     None
   | Some i ->
-    let line = Buffer.sub r.pending 0 i in
-    let rest = Buffer.sub r.pending (i + 1) (len - i - 1) in
-    Buffer.clear r.pending;
-    Buffer.add_string r.pending rest;
-    r.scanned <- 0;
+    let line = Bytes.sub_string buf r.start (i - r.start) in
+    (* an emptied buffer starts over at its front, so the next read
+       gets the whole buffer and a closed loop never splits a request *)
+    if i + 1 = stop then reset r
+    else begin
+      r.start <- i + 1;
+      r.scanned <- i + 1
+    end;
     Some line
+
+(* One [read] into the free tail of [r.buf]. The unread bytes slide to
+   the front only when the buffer is full, and it grows only when they
+   fill it — one pending line, since [take_line] found no newline — so
+   the caller's [max_line] check bounds a partial line at [max_line]
+   plus one read. *)
+let fill r =
+  if r.stop = Bytes.length r.buf then begin
+    let pending = r.stop - r.start in
+    if r.start = 0 then begin
+      let grown = Bytes.create (2 * Bytes.length r.buf) in
+      Bytes.blit r.buf 0 grown 0 pending;
+      r.buf <- grown
+    end
+    else Bytes.blit r.buf r.start r.buf 0 pending;
+    r.scanned <- r.scanned - r.start;
+    r.start <- 0;
+    r.stop <- pending
+  end;
+  match
+    Unix.read r.fd r.buf r.stop (min read_chunk (Bytes.length r.buf - r.stop))
+  with
+  | 0 -> r.at_eof <- true
+  | n -> r.stop <- r.stop + n
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+    ->
+    ()
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+    r.at_eof <- true
+
+let rec readable fd wait =
+  match Unix.select [ fd ] [] [] wait with
+  | [], _, _ -> false
+  | _ :: _, _, _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> readable fd wait
 
 (* One line, or the reason there is none. A partial line followed by EOF
    is returned as a line (matching [In_channel.input_line]); the idle
    deadline covers the whole wait for one complete line, so a client
-   trickling bytes forever (slow loris) still times out. *)
+   trickling bytes forever (slow loris) still times out. Once [stop] is
+   set the reader still serves the lines the client delivered before
+   it, reading only what is already readable ("drain in-flight"). *)
 let read_line ~stop ~idle_timeout ~max_line r =
   let deadline =
     if idle_timeout > 0. then Unix.gettimeofday () +. idle_timeout
@@ -121,53 +138,40 @@ let read_line ~stop ~idle_timeout ~max_line r =
     match take_line r with
     | Some line -> if String.length line > max_line then Oversized else Line line
     | None ->
-      if Buffer.length r.pending > max_line then Oversized
+      let pending = r.stop - r.start in
+      if pending > max_line then Oversized
       else if r.at_eof then
-        if Buffer.length r.pending > 0 then begin
-          let line = Buffer.contents r.pending in
-          Buffer.clear r.pending;
-          r.scanned <- 0;
+        if pending > 0 then begin
+          let line = Bytes.sub_string r.buf r.start pending in
+          reset r;
           Line line
         end
         else Eof
       else if Atomic.get stop then
-        if r.swept then Stopped
-        else begin
-          (* one last non-blocking sweep, then re-scan: lines the client
-             delivered before the shutdown are still served *)
-          r.swept <- true;
-          drain_available r;
+        if readable r.fd 0. then begin
+          fill r;
           go ()
         end
+        else Stopped
       else begin
         let now = Unix.gettimeofday () in
         if now >= deadline then Timeout
         else begin
-          let wait = Float.min poll_slice (deadline -. now) in
-          (match Unix.select [ r.fd ] [] [] wait with
-          | [], _, _ -> ()
-          | _ :: _, _, _ -> (
-            match Unix.read r.fd r.scratch 0 (Bytes.length r.scratch) with
-            | 0 -> r.at_eof <- true
-            | n -> Buffer.add_subbytes r.pending r.scratch 0 n
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-              ->
-              r.at_eof <- true)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          if readable r.fd (Float.min poll_slice (deadline -. now)) then fill r;
           go ()
         end
       end
   in
   go ()
 
-(* Blocking write of the whole string, with a liveness bound: a peer
-   that stops reading cannot wedge the connection thread forever. *)
+(* Write [b.[0, len)] with a liveness bound: a peer that stops reading
+   cannot wedge the connection thread past [idle_timeout]. On a
+   non-blocking descriptor (a server connection) each [write] takes only
+   what the socket buffer holds, so a batch larger than the buffer waits
+   for the peer in [select] slices, under the deadline, not in [write]. *)
 exception Write_stalled
 
-let write_all ~idle_timeout fd s =
-  let len = String.length s in
-  let b = Bytes.of_string s in
+let write_prefix ~idle_timeout fd b len =
   let deadline =
     if idle_timeout > 0. then Unix.gettimeofday () +. idle_timeout
     else infinity
@@ -178,13 +182,21 @@ let write_all ~idle_timeout fd s =
       if now >= deadline then raise Write_stalled;
       match Unix.select [] [ fd ] [] (Float.min poll_slice (deadline -. now)) with
       | _, [], _ -> go off
-      | _, _ :: _, _ ->
-        let n = Unix.write fd b off (len - off) in
-        go (off + n)
+      | _, _ :: _, _ -> (
+        match Unix.write fd b off (len - off) with
+        | n -> go (off + n)
+        | exception
+            Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+          go off)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
     end
   in
   go 0
+
+(* [Unix.write] only reads its buffer, so the string is not copied. *)
+let write_all ~idle_timeout fd s =
+  write_prefix ~idle_timeout fd (Bytes.unsafe_of_string s) (String.length s)
 
 (* Re-export the transport primitives for other line-protocol front
    ends (the {!Router}): same select-sliced reads, idle deadlines,
@@ -202,6 +214,71 @@ module Line_reader = struct
   let create = reader_of_fd
   let read = read_line
 end
+
+(* ------------------------------------------------------------------ *)
+(* The connection loop                                                 *)
+
+(* Serve requests read from [input] until end of input, writing the
+   responses to [output]. Response lines collect in [out.[0, used)],
+   one buffer for the life of the connection, grown when a batch
+   outgrows it; it is written before every read, so a batch costs one
+   write and no response waits for more input, and a batch-1 closed
+   loop makes one write and one read per request. The reader turns
+   timeout / oversize / shutdown into end of input (reported to
+   [on_close] as it happens), so [Engine.run] always drains the pending
+   batch before returning: responses for requests received so far are
+   written even when the connection is about to be closed for cause. *)
+let serve_connection engine ?batch ~stop ~idle_timeout ~max_line
+    ?(on_close = ignore) input output =
+  let reader = reader_of_fd input in
+  let out = ref (Bytes.create 4096) and used = ref 0 in
+  let emit line =
+    let len = String.length line in
+    let n = !used + len + 1 in
+    if n > Bytes.length !out then begin
+      let grown = Bytes.create (max n (2 * Bytes.length !out)) in
+      Bytes.blit !out 0 grown 0 !used;
+      out := grown
+    end;
+    Bytes.blit_string line 0 !out !used len;
+    Bytes.set !out (n - 1) '\n';
+    used := n
+  in
+  let flush () =
+    if !used > 0 then begin
+      let len = !used in
+      used := 0;
+      write_prefix ~idle_timeout output !out len
+    end
+  in
+  let oversized = ref false in
+  let next () =
+    flush ();
+    match read_line ~stop ~idle_timeout ~max_line reader with
+    | Line l -> Some l
+    | ended ->
+      oversized := ended = Oversized;
+      on_close ended;
+      None
+  in
+  let outcome = Engine.run engine ?batch ~next ~emit () in
+  if !oversized then
+    (* tell the client why it is being dropped (best effort — it may
+       already be gone) *)
+    emit
+      (Protocol.response_error ~id:Fusecu_util.Json.Null
+         ~code:Protocol.Bad_request
+         ~message:
+           (Printf.sprintf
+              "input line exceeds max-line (%d bytes); closing connection"
+              max_line));
+  flush ();
+  outcome
+
+let serve_fds engine ?batch input output =
+  ignore
+    (serve_connection engine ?batch ~stop:(Atomic.make false) ~idle_timeout:0.
+       ~max_line:max_int input output)
 
 (* ------------------------------------------------------------------ *)
 (* Socket mode                                                         *)
@@ -222,45 +299,20 @@ let request_stop srv = Atomic.set srv.stop true
 let handle_connection srv ?batch client =
   let { idle_timeout; max_line; _ } = srv.config in
   let m = Engine.metrics srv.engine in
-  let reader = reader_of_fd client in
-  let close_reason = ref `Eof in
-  let next () =
-    match read_line ~stop:srv.stop ~idle_timeout ~max_line reader with
-    | Line l -> Some l
-    | Eof -> None
-    | Stopped ->
-      close_reason := `Stopped;
-      None
-    | Timeout ->
-      Metrics.incr m "conn_idle_timeouts";
-      close_reason := `Timeout;
-      None
-    | Oversized ->
-      Metrics.incr m "conn_oversized_lines";
-      close_reason := `Oversized;
-      None
+  let on_close = function
+    | Timeout -> Metrics.incr m "conn_idle_timeouts"
+    | Oversized -> Metrics.incr m "conn_oversized_lines"
+    | Line _ | Eof | Stopped -> ()
   in
-  let emit line = write_all ~idle_timeout client (line ^ "\n") in
   (try
-     (* The reader turns timeout / oversize / shutdown into end-of-input,
-        so Engine.run always drains the pending batch before returning:
-        responses for requests received so far are emitted even when the
-        connection is about to be closed for cause. *)
-     (match Engine.run srv.engine ?batch ~next ~emit () with
+     (* so a write waits for a slow reader under the stall deadline *)
+     Unix.set_nonblock client;
+     match
+       serve_connection srv.engine ?batch ~stop:srv.stop ~idle_timeout
+         ~max_line ~on_close client client
+     with
      | Engine.Shutdown -> request_stop srv
-     | Engine.Drained -> ());
-     match !close_reason with
-     | `Oversized ->
-       (* Tell the client why it is being dropped (best effort — it may
-          already be gone). *)
-       emit
-         (Protocol.response_error ~id:Fusecu_util.Json.Null
-            ~code:Protocol.Bad_request
-            ~message:
-              (Printf.sprintf
-                 "input line exceeds max-line (%d bytes); closing connection"
-                 max_line))
-     | `Eof | `Timeout | `Stopped -> ()
+     | Engine.Drained -> ()
    with
   | Sys_error _ | End_of_file | Write_stalled ->
     Metrics.incr m "conn_client_drops"

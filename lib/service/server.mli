@@ -1,7 +1,7 @@
 (** Transport layer for the planning daemon: newline-delimited JSON over
     stdin/stdout or a Unix-domain socket.
 
-    Channel mode is the pipeline-friendly form —
+    Stdin mode is the pipeline-friendly form —
     {v echo '{"op":"intra",...}' | fusecu_opt serve v}
     — reading until EOF (or a [shutdown] request). Socket mode binds a
     path and serves clients {e concurrently}: each accepted connection
@@ -12,6 +12,12 @@
     mid-batch is dropped — and each such event lands in a
     {!Metrics} counter ([conns_accepted], [conns_closed],
     [conn_idle_timeouts], [conn_oversized_lines], [conn_client_drops]).
+
+    Both modes run one connection loop: requests come through
+    {!Line_reader}, and the responses of a batch collect in one buffer
+    that is written with one {!write_all} before the next read and once
+    more at end of input, so a batch costs one write and no response
+    waits for more input.
 
     Shutdown is graceful on SIGINT, SIGTERM, or an in-band [shutdown]
     request: the listener stops accepting and is closed, the socket
@@ -35,9 +41,12 @@ type socket_config = {
 val default_socket_config : socket_config
 (** 16 connections, 30 s idle timeout, 1 MiB line bound. *)
 
-val serve_channel : Engine.t -> ?batch:int -> in_channel -> out_channel -> unit
-(** Drain the input channel through {!Engine.run}; responses are
-    flushed after every batch. *)
+val serve_fds : Engine.t -> ?batch:int -> Unix.file_descr -> Unix.file_descr -> unit
+(** [serve_fds engine input output] serves requests read from [input]
+    until end of input or a [shutdown] request, writing the responses
+    to [output] (stdin mode passes [Unix.stdin] and [Unix.stdout]): the
+    socket connection's loop with no idle timeout, no line bound and no
+    [conn_*] counters. *)
 
 val serve_socket :
   Engine.t -> ?batch:int -> ?config:socket_config -> path:string -> unit -> unit
@@ -59,6 +68,13 @@ val serve_socket :
 
 module Line_reader : sig
   type t
+  (** One [Bytes] buffer of received bytes with start and stop offsets.
+      Each read asks for up to 64 KiB into the buffer's free tail; the
+      newline scan covers only bytes not scanned before, and each line
+      is copied out once. The unread bytes slide to the front only when
+      the buffer is full, and the buffer grows only while one pending
+      line fills it, so a partial line holds at most [max_line] bytes
+      plus one read. *)
 
   type result =
     | Line of string
@@ -74,14 +90,19 @@ module Line_reader : sig
   (** One line, or the reason there is none. A partial line at EOF is
       returned as a line; the idle deadline covers the whole wait for
       one complete line (slow-loris-proof); [idle_timeout <= 0.]
-      disables the deadline. *)
+      disables the deadline. A line longer than [max_line] bytes is
+      [Oversized], whether or not its newline has arrived. Once [stop]
+      is set, lines already readable are still returned, and then
+      [Stopped]. *)
 end
 
 exception Write_stalled
 
 val write_all : idle_timeout:float -> Unix.file_descr -> string -> unit
-(** Write the whole string, bounded by [idle_timeout] of write-readiness
-    waiting; raises {!Write_stalled} when the peer stops reading. *)
+(** Write the whole string without copying it. Each wait for
+    write-readiness is a [select] slice, and the whole write is bounded
+    by [idle_timeout] from the call ([<= 0.] disables the bound); raises
+    {!Write_stalled} when the peer stops reading. *)
 
 (** {1 Metrics exporter} *)
 

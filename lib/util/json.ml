@@ -41,6 +41,10 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C formatter behind [Printf]'s "%g" (and [string_of_float]):
+   the same bytes without the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest decimal form that reparses to the same float ("%.15g" is
    enough for most values, "%.17g" always is), forced to contain a '.'
    or exponent so the reader classifies it as Float, not Int. *)
@@ -48,8 +52,8 @@ let float_repr f =
   if not (Float.is_finite f) then
     invalid_arg "Json.print: NaN and infinities are not representable";
   let s =
-    let s15 = Printf.sprintf "%.15g" f in
-    if float_of_string s15 = f then s15 else Printf.sprintf "%.17g" f
+    let s15 = format_float "%.15g" f in
+    if float_of_string s15 = f then s15 else format_float "%.17g" f
   in
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
   else s ^ ".0"

@@ -1049,6 +1049,233 @@ let test_server_rejects_non_socket_path () =
         check_bool "file left in place" true (Sys.file_exists path))
 
 (* ------------------------------------------------------------------ *)
+(* Line transport: the bounded reader and the per-batch writer         *)
+
+type reader_case = {
+  lines : string list;  (** each sent with its newline *)
+  fragment : string;  (** a last line with no newline; may be empty *)
+  chunks : int list;  (** write sizes, cycled *)
+  max_line : int;
+}
+
+(* What [Line_reader.read] must return: every line in order, a
+   non-empty fragment as a line, then [Eof] — or [Oversized] in place
+   of the first line longer than [max_line]. *)
+let expected_reads c =
+  let rec go = function
+    | [] -> [ Server.Line_reader.Eof ]
+    | l :: _ when String.length l > c.max_line -> [ Server.Line_reader.Oversized ]
+    | l :: rest -> Server.Line_reader.Line l :: go rest
+  in
+  go (if c.fragment = "" then c.lines else c.lines @ [ c.fragment ])
+
+(* Send the case through a socketpair in its chunk sizes from a writer
+   thread and collect the reads until one is not a line. *)
+let reads_through_socketpair c =
+  let tx, rx = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let data = String.concat "" (List.map (fun l -> l ^ "\n") c.lines) ^ c.fragment in
+  let chunks = Array.of_list c.chunks in
+  let writer =
+    Thread.create
+      (fun () ->
+        let b = Bytes.unsafe_of_string data in
+        let rec go off i =
+          if off < Bytes.length b then begin
+            let n = min (Bytes.length b - off) chunks.(i mod Array.length chunks) in
+            go (off + Unix.write tx b off n) (i + 1)
+          end
+        in
+        go 0 0;
+        Unix.close tx)
+      ()
+  in
+  let r = Server.Line_reader.create rx in
+  let rec collect () =
+    match
+      Server.Line_reader.read ~stop:(Atomic.make false) ~idle_timeout:20.
+        ~max_line:c.max_line r
+    with
+    | Server.Line_reader.Line _ as l -> l :: collect ()
+    | ended -> [ ended ]
+  in
+  let got = collect () in
+  (* let the writer finish before closing its peer *)
+  let sink = Bytes.create 65536 in
+  while Unix.read rx sink 0 (Bytes.length sink) > 0 do () done;
+  Thread.join writer;
+  Unix.close rx;
+  got
+
+let show_read = function
+  | Server.Line_reader.Line l ->
+    if String.length l <= 20 then Printf.sprintf "Line %S" l
+    else Printf.sprintf "Line <%d bytes>" (String.length l)
+  | Eof -> "Eof"
+  | Timeout -> "Timeout"
+  | Oversized -> "Oversized"
+  | Stopped -> "Stopped"
+
+let gen_reader_case =
+  let open QCheck.Gen in
+  let text n = string_size ~gen:(oneofl [ 'a'; 'z'; ' '; '{'; '"' ]) (return n) in
+  (* empty lines, short ones, and ones longer than one 64 KiB read *)
+  let line =
+    frequency
+      [ (2, return ""); (12, int_range 1 200 >>= text);
+        (1, int_range 65_537 80_000 >>= text) ]
+  in
+  list_size (int_range 0 12) line >>= fun lines ->
+  (frequency [ (1, return ""); (1, line) ] >>= fun fragment ->
+   list_size (int_range 1 6)
+     (frequency [ (1, return 1); (2, int_range 2 100); (2, int_range 100 100_000) ])
+   >>= fun chunks ->
+   let lengths = List.map String.length (fragment :: lines) in
+   (* the bound sits on a line's length, one below it, or above all *)
+   frequency
+     [ (1, return max_int);
+       (2, oneofl lengths >>= fun n -> oneofl [ n; max 1 (n - 1) ]);
+       (1, int_range 1 300) ]
+   >|= fun max_line -> { lines; fragment; chunks; max_line })
+
+let prop_line_reader =
+  QCheck.Test.make ~count:120 ~name:"line reader returns the sent lines, bounded"
+    (QCheck.make gen_reader_case ~print:(fun c ->
+         Printf.sprintf "lines %s, fragment %d bytes, chunks [%s], max_line %d"
+           (String.concat ";" (List.map (fun l -> string_of_int (String.length l)) c.lines))
+           (String.length c.fragment)
+           (String.concat ";" (List.map string_of_int c.chunks))
+           c.max_line))
+    (fun c ->
+      let want = expected_reads c and got = reads_through_socketpair c in
+      want = got
+      || QCheck.Test.fail_reportf "want [%s]@ got [%s]"
+           (String.concat "; " (List.map show_read want))
+           (String.concat "; " (List.map show_read got)))
+
+(* A line one byte over the bound is refused before its newline
+   arrives, and one at the bound waits for it: the reader decides on
+   the unframed bytes, with the peer still connected. *)
+let test_reader_bound_before_newline () =
+  let read_open ~max_line data =
+    let tx, rx = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close tx; Unix.close rx)
+      (fun () ->
+        send_all tx data;
+        let t0 = Unix.gettimeofday () in
+        let r =
+          Server.Line_reader.read ~stop:(Atomic.make false) ~idle_timeout:0.3
+            ~max_line (Server.Line_reader.create rx)
+        in
+        (r, Unix.gettimeofday () -. t0))
+  in
+  let r, dt = read_open ~max_line:100 (String.make 101 'x') in
+  check_str "max_line + 1 bytes, no newline" "Oversized" (show_read r);
+  check_bool "refused without waiting" true (dt < 0.25);
+  let r, _ = read_open ~max_line:100 (String.make 100 'x') in
+  check_str "max_line bytes, no newline" "Timeout" (show_read r);
+  let r, _ = read_open ~max_line:100 (String.make 100 'x' ^ "\n") in
+  check_str "max_line bytes and newline" (show_read (Line (String.make 100 'x')))
+    (show_read r)
+
+(* Read [n] lines, waiting at most [timeout] seconds for each read. *)
+let recv_n_lines ~timeout fd n =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  let buf = Buffer.create 4096 and scratch = Bytes.create 4096 in
+  let count () =
+    String.fold_left (fun k c -> if c = '\n' then k + 1 else k) 0 (Buffer.contents buf)
+  in
+  while count () < n do
+    match Unix.read fd scratch 0 (Bytes.length scratch) with
+    | 0 -> Alcotest.failf "connection closed after %d of %d lines" (count ()) n
+    | k -> Buffer.add_subbytes buf scratch 0 k
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.failf "%d of %d lines within %.1f s" (count ()) n timeout
+  done;
+  String.split_on_char '\n' (Buffer.contents buf) |> List.filter (( <> ) "")
+
+(* One batch whose responses outgrow the connection's initial output
+   buffer arrives whole, in order, while the client still holds the
+   connection open. *)
+let test_server_large_batch () =
+  let requests =
+    List.init 64 (fun i ->
+        Printf.sprintf {|{"op":"eval","id":%d,"model":"%s","buffer":"%dKB"}|} i
+          (if i mod 2 = 0 then "bert" else "gpt-2")
+          (256 lsl (i mod 3)))
+  in
+  let golden = Engine.handle_lines (Engine.create (Engine.default_config ())) requests in
+  check_bool "every answer ok, and the batch outgrows 4 KiB" true
+    (List.for_all
+       (fun l -> Json.member "ok" (Result.get_ok (Json.parse l)) = Some (Json.Bool true))
+       golden
+    && List.fold_left (fun n l -> n + String.length l + 1) 0 golden > 4096);
+  with_server ~batch:64 (fun ~engine:_ ~path ->
+      let fd = connect path in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          send_all fd (String.concat "\n" requests ^ "\n");
+          Alcotest.(check (list string)) "one batch, byte-equal" golden
+            (recv_n_lines ~timeout:20. fd 64)))
+
+(* A peer that never reads is dropped by the stall deadline even when
+   one batch of answers (1,024 evals, about 800 KB) is more than the
+   socket buffer holds: the write waits in [select], not in [write]. *)
+let test_server_drops_reader_of_large_batch () =
+  with_server ~batch:1024
+    ~config:{ quick_config with Server.idle_timeout = 0.5 }
+    (fun ~engine ~path ->
+      let fd = connect path in
+      send_all fd
+        (String.concat ""
+           (List.init 1024 (fun i ->
+                Printf.sprintf {|{"op":"eval","id":%d,"model":"bert","buffer":"512KB"}|} i
+                ^ "\n")));
+      let closed () = Metrics.get (Engine.metrics engine) "conns_closed" >= 1 in
+      let rec wait n = if n > 0 && not (closed ()) then (Thread.delay 0.05; wait (n - 1)) in
+      wait 200;
+      let was_closed = closed () in
+      (* closing our end also frees a thread stuck in [write] *)
+      Unix.close fd;
+      check_bool "connection closed within 10 s" true was_closed)
+
+(* A full batch is answered without waiting for more input. *)
+let test_server_batch_answered_open () =
+  with_server ~batch:2 (fun ~engine:_ ~path ->
+      let fd = connect path in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let requests = [ List.nth fault_requests 1; List.nth fault_requests 7 ] in
+          let t0 = Unix.gettimeofday () in
+          send_all fd (String.concat "\n" requests ^ "\n");
+          let lines = recv_n_lines ~timeout:1. fd 2 in
+          check_bool "within one second" true (Unix.gettimeofday () -. t0 < 1.);
+          Alcotest.(check (list string)) "both answers"
+            (Engine.handle_lines (Engine.create (Engine.default_config ())) requests)
+            lines))
+
+(* Stdin mode runs the same connection loop on a pair of descriptors. *)
+let test_serve_fds_matches_golden () =
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  let engine = Engine.create (Engine.default_config ()) in
+  let server =
+    Thread.create
+      (fun () ->
+        Server.serve_fds engine in_r out_w;
+        Unix.close out_w)
+      ()
+  in
+  send_all in_w (String.concat "\n" fault_requests ^ "\n");
+  Unix.close in_w;
+  let lines = recv_lines out_r in
+  Thread.join server;
+  Unix.close in_r;
+  Unix.close out_r;
+  Alcotest.(check (list string)) "golden" (fault_golden ()) lines
+
+(* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
 let test_metrics () =
@@ -2051,7 +2278,19 @@ let () =
           Alcotest.test_case "in-band shutdown unlinks" `Quick
             test_server_inband_shutdown_unlinks;
           Alcotest.test_case "non-socket path rejected" `Quick
-            test_server_rejects_non_socket_path ] );
+            test_server_rejects_non_socket_path;
+          Alcotest.test_case "batch outgrowing the output buffer" `Quick
+            test_server_large_batch;
+          Alcotest.test_case "full batch answered on an open connection"
+            `Quick test_server_batch_answered_open;
+          Alcotest.test_case "stalled reader of a large batch dropped" `Quick
+            test_server_drops_reader_of_large_batch;
+          Alcotest.test_case "stdin mode matches golden" `Quick
+            test_serve_fds_matches_golden ] );
+      ( "line reader",
+        [ Alcotest.test_case "bound decided before the newline" `Quick
+            test_reader_bound_before_newline ]
+        @ qcheck [ prop_line_reader ] );
       ( "metrics",
         [ Alcotest.test_case "counters" `Quick test_metrics;
           Alcotest.test_case "histogram bucket boundaries" `Quick

@@ -485,6 +485,37 @@ let prop_json_float_roundtrip =
         | exception Invalid_argument _ -> true
         | _ -> false)
 
+(* [Json.float_repr] as it was written with [Printf]: calling the C
+   formatter directly must not move a byte. *)
+let printf_float_repr f =
+  let s =
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15 else Printf.sprintf "%.17g" f
+  in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+  else s ^ ".0"
+
+let prop_json_float_printf =
+  let open QCheck in
+  let finite =
+    Gen.(
+      frequency
+        [ (2, map float_of_int int);
+          (2, map2 (fun a b -> float_of_int a /. float_of_int b)
+                (int_range (-1000) 1000) (int_range 1 1000));
+          (* subnormals *)
+          (1, map (fun m -> Float.ldexp (float_of_int m) (-1074))
+                (int_range 1 ((1 lsl 52) - 1)));
+          (1, map3 (fun neg m big ->
+                  let x = m *. if big then 1e300 else 1e-300 in
+                  if neg then -.x else x)
+                bool (float_range 1. 10.) bool);
+          (2, map (fun f -> if Float.is_finite f then f else 0.) float) ])
+  in
+  Test.make ~count:2000 ~name:"json float prints as Printf %g"
+    (make ~print:Print.float finite)
+    (fun f -> Json.print (Json.Float f) = printf_float_repr f)
+
 let prop_json_int_roundtrip =
   QCheck.Test.make ~count:1000 ~name:"json int round-trip"
     QCheck.(frequency [ (4, int); (1, oneofl [ max_int; min_int; 0; -1 ]) ])
@@ -496,6 +527,7 @@ let qsuite = List.map
     prop_geomean_le_mean;
     prop_units_roundtrip; prop_units_pp_parse_roundtrip;
     prop_units_parse_non_negative; prop_json_float_roundtrip;
+    prop_json_float_printf;
     prop_json_int_roundtrip ]
 
 (* Pinned vectors: the store's record framing (CRC-32) and the cache /
