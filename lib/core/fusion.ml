@@ -62,7 +62,7 @@ let l_m_k = Dim.(order ~outer:L ~mid:M ~inner:K)
    dimension's lattice. *)
 let seeds lat base extra =
   let raw = base :: (extra @ List.map (fun w -> base + w) wiggle) in
-  Arith.dedup_sorted (List.map (fun t -> Mode.quantize lat (max t 1)) raw)
+  Arith.dedup_sorted (List.map (fun t -> Mode.quantize lat (Int.max t 1)) raw)
 
 (* The enumerator of the patterns' candidates, in their order: it calls
    [yield pattern tm tk1 tl tl2 o1 o2 traffic] for each fused dataflow
@@ -223,24 +223,38 @@ let plan_pair ?(mode = Mode.Exact) ?(strategy = By_principle) pair buf =
       (* The first strict minimum of the candidate stream: the first
          minimum of [candidates], whose filter only drops repeats, and a
          repeat cannot displace its first occurrence. Only the winner
-         gets a [Fused.t]. *)
+         gets a [Fused.t]. The fold stops at the fused floor
+         [|A1| + |B1| + |D| + |E|], which no candidate goes below and
+         so none displaces (DESIGN.md Sec. 4d); no exit if it
+         saturates. *)
       let lm, ll = lattices mode pair in
       let b =
         { found = false; pattern = P_block; tm = 0; tk1 = 0; tl = 0; tl2 = 0; o1 = 0;
           o2 = 0; traffic = 0 }
       in
-      enumerate ~lm ~ll pair buf all_patterns (fun p tm tk1 tl tl2 o1 o2 traffic ->
-          if (not b.found) || traffic < b.traffic then begin
-            b.found <- true;
-            b.pattern <- p;
-            b.tm <- tm;
-            b.tk1 <- tk1;
-            b.tl <- tl;
-            b.tl2 <- tl2;
-            b.o1 <- o1;
-            b.o2 <- o2;
-            b.traffic <- traffic
-          end);
+      let floor =
+        Arith.(
+          add_sat
+            (add_sat (mul_sat op1.m op1.k) (mul_sat op1.k op1.l))
+            (add_sat (mul_sat op2.k op2.l) (mul_sat op2.m op2.l)))
+      in
+      let stop = floor < max_int in
+      let exception Floor in
+      let visit p tm tk1 tl tl2 o1 o2 traffic =
+        if (not b.found) || traffic < b.traffic then begin
+          b.found <- true;
+          b.pattern <- p;
+          b.tm <- tm;
+          b.tk1 <- tk1;
+          b.tl <- tl;
+          b.tl2 <- tl2;
+          b.o1 <- o1;
+          b.o2 <- o2;
+          b.traffic <- traffic;
+          if stop && traffic = floor then raise_notrace Floor
+        end
+      in
+      (try enumerate ~lm ~ll pair buf all_patterns visit with Floor -> ());
       if not b.found then no_fuse "no feasible fused dataflow"
       else if b.traffic <= unfused_traffic then
         Fuse

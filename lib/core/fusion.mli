@@ -100,6 +100,8 @@ val plan_pair : ?mode:Mode.t -> ?strategy:strategy -> Fused.pair -> Buffer.t
     infeasible. The fused candidate is the first traffic minimum of
     {!candidates}, found by folding the candidate stream without the
     list or its filter (a repeat cannot displace its first occurrence);
-    only the winner's {!Fused.t} is built. *)
+    only the winner's {!Fused.t} is built. The fold stops once its
+    incumbent moves [|A1| + |B1| + |D| + |E|], the fused lower bound,
+    which no later candidate goes below (DESIGN.md Sec. 4d). *)
 
 val pp_decision : Format.formatter -> decision -> unit

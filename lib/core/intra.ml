@@ -1,5 +1,6 @@
 open Fusecu_tensor
 open Fusecu_loopnest
+open Fusecu_util
 
 type plan = {
   op : Matmul.t;
@@ -27,24 +28,37 @@ let optimize ?(mode = Mode.Exact) (op : Matmul.t) buf =
   (* Fold the candidate stream into its first minimum by (total,
      footprint), priced on the revisit table; no list and no dedup, as
      a repeated candidate cannot displace its first occurrence. Only
-     the winner gets a schedule and a [Cost.t]. *)
+     the winner gets a schedule and a [Cost.t]. The fold stops at the
+     floor: traffic [MK + KL + ML] leaves at most one dimension with
+     more than one trip, so its footprint is at least
+     [Regime.three_min_footprint], and nothing later displaces an
+     incumbent at both (DESIGN.md Sec. 4d). No exit if either
+     saturates. *)
   let b = { found = false; total = 0; footprint = 0; m = 0; k = 0; l = 0; order = 0 } in
-  Principles.iter ~distinct:false mode op buf (fun _ m k l order ->
-      let total =
-        Cost.table_total op (Cost.trip op.m m) (Cost.trip op.k k) (Cost.trip op.l l) order
-      in
-      let footprint = (m * k) + (k * l) + (m * l) in
-      if
-        (not b.found) || total < b.total || (total = b.total && footprint < b.footprint)
-      then begin
-        b.found <- true;
-        b.total <- total;
-        b.footprint <- footprint;
-        b.m <- m;
-        b.k <- k;
-        b.l <- l;
-        b.order <- order
-      end);
+  let floor_total =
+    Arith.(add_sat (add_sat (mul_sat op.m op.k) (mul_sat op.k op.l)) (mul_sat op.m op.l))
+  and floor_footprint = Regime.three_min_footprint op in
+  let stop = floor_total < max_int && floor_footprint < max_int in
+  let exception Floor in
+  let visit _ m k l order =
+    let total =
+      Cost.table_total op (Cost.trip op.m m) (Cost.trip op.k k) (Cost.trip op.l l) order
+    in
+    let footprint = (m * k) + (k * l) + (m * l) in
+    if (not b.found) || total < b.total || (total = b.total && footprint < b.footprint)
+    then begin
+      b.found <- true;
+      b.total <- total;
+      b.footprint <- footprint;
+      b.m <- m;
+      b.k <- k;
+      b.l <- l;
+      b.order <- order;
+      if stop && total = floor_total && footprint = floor_footprint then
+        raise_notrace Floor
+    end
+  in
+  (try Principles.iter ~distinct:false mode op buf visit with Floor -> ());
   if not b.found then
     Error
       (Format.asprintf "no feasible dataflow for %a within %a" Matmul.pp op

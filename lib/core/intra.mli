@@ -28,8 +28,12 @@ val optimize : ?mode:Mode.t -> Matmul.t -> Buffer.t -> (plan, string) result
     pricing each candidate's integer tiles on {!Cost.table_total},
     without a list or the builders' first-occurrence filters (a
     repeated candidate cannot displace its first occurrence); only the
-    winner's {!Schedule.t} and {!Cost.t} are built. [Error] when no
-    candidate fits the buffer (capacity below 3 elements). *)
+    winner's {!Schedule.t} and {!Cost.t} are built. The fold stops once
+    its incumbent moves [MK + KL + ML] with footprint
+    {!Regime.three_min_footprint}: nothing later can displace it
+    (DESIGN.md Sec. 4d), so the answer is the same as the full scan's.
+    [Error] when no candidate fits the buffer (capacity below 3
+    elements). *)
 
 val optimize_exn : ?mode:Mode.t -> Matmul.t -> Buffer.t -> plan
 

@@ -17,7 +17,7 @@ let lattice mode size =
   { mode; size; points }
 
 (* The index of the largest point <= target; points.(0) = 1 <= target. *)
-let floor_index points target =
+let floor_index points (target : int) =
   let lo = ref 0 and hi = ref (Array.length points) in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in

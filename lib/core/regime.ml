@@ -27,7 +27,7 @@ let three_min_footprint op =
     (fun acc operand ->
       let d1, d2 = Operand.dims operand in
       let s1 = Matmul.dim op d1 and s2 = Matmul.dim op d2 in
-      min acc (Arith.add_sat (Arith.mul_sat s1 s2) (Arith.add_sat s1 s2)))
+      Int.min acc (Arith.add_sat (Arith.mul_sat s1 s2) (Arith.add_sat s1 s2)))
     max_int Operand.all
 
 let thresholds op =

@@ -111,9 +111,13 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
     if on_lattice && Buffer.fits buf (Nest.footprint nest s) && Nest.valid nest s
     then begin
       let trips = Nest.trips_of nest s.Nest.tiles in
+      let order = s.Nest.order in
       let rec rank_of r = function
         | [] -> None
-        | o :: tl -> if o = s.Nest.order then Some r else rank_of (r + 1) tl
+        | o :: tl ->
+          if Array.length o = Array.length order && Array.for_all2 Int.equal o order
+          then Some r
+          else rank_of (r + 1) tl
       in
       match rank_of 0 (Search.orders sp ~trips) with
       | None -> ()

@@ -64,7 +64,7 @@ let swap p a b =
 
 (* Steps [p] to its lexicographic successor in place; false when [p]
    was the last (decreasing) permutation. *)
-let next_permutation p =
+let next_permutation (p : int array) =
   let i = ref (Array.length p - 2) in
   while !i >= 0 && p.(!i) > p.(!i + 1) do
     decr i
@@ -118,7 +118,7 @@ type result = {
    candidate replaces the incumbent only when strictly smaller. Shared
    by the exhaustive scan and Nest_bnb's leaves so both return the same
    schedule bit-for-bit. *)
-let beats best ~total ~ti ~rank =
+let beats best ~total ~(ti : int) ~(rank : int) =
   match best with
   | None -> true
   | Some ((bc : Nest.cost), bti, brank, _) ->

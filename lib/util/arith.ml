@@ -2,7 +2,7 @@ let ceil_div a b =
   assert (a >= 0 && b > 0);
   (a + b - 1) / b
 
-let clamp ~lo ~hi x =
+let clamp ~lo ~hi (x : int) =
   assert (lo <= hi);
   if x < lo then lo else if x > hi then hi else x
 
@@ -84,9 +84,9 @@ let range lo hi = List.init (max 0 (hi - lo + 1)) (fun i -> lo + i)
 let sum = List.fold_left ( + ) 0
 
 let dedup_sorted xs =
-  let sorted = List.sort compare xs in
+  let sorted = List.sort Int.compare xs in
   let rec uniq = function
-    | a :: (b :: _ as rest) -> if a = b then uniq rest else a :: uniq rest
+    | a :: (b :: _ as rest) -> if Int.equal a b then uniq rest else a :: uniq rest
     | short -> short
   in
   uniq sorted

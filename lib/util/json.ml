@@ -134,6 +134,8 @@ let parse s =
   let pos = ref 0 in
   let fail msg = raise (Fail (!pos, msg)) in
   let peek () = if !pos < n then Some s.[!pos] else None in
+  (* [peek () = Some c] as a char compare, not a polymorphic one *)
+  let at c = !pos < n && Char.equal s.[!pos] c in
   let advance () = incr pos in
   let skip_ws () =
     while
@@ -245,7 +247,7 @@ let parse s =
   let parse_number () =
     let start = !pos in
     let is_digit c = c >= '0' && c <= '9' in
-    if peek () = Some '-' then advance ();
+    if at '-' then advance ();
     let digits () =
       let d0 = !pos in
       while (match peek () with Some c when is_digit c -> true | _ -> false) do
@@ -293,7 +295,7 @@ let parse s =
     | Some '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
+      if at '}' then begin advance (); Obj [] end
       else begin
         let rec members acc =
           skip_ws ();
@@ -312,7 +314,7 @@ let parse s =
     | Some '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin advance (); List [] end
+      if at ']' then begin advance (); List [] end
       else begin
         let rec elems acc =
           let v = parse_value () in

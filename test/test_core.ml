@@ -766,11 +766,46 @@ let prop_lattice_rounding =
       Mode.quantize lat t = Ref.quantize mode op Dim.M t
       && Mode.snap lat t = Ref.snap mode op Dim.M t)
 
+(* The properties above hold the folds to [Ref], which never stops
+   early, so they cover both sides of the floor exits only if the
+   generators draw both: at least 10% of the intra cases must have
+   [Ref]'s winner at (MK + KL + ML, F_min) and at least 10% must not,
+   and the same for the fuse cases and the fused floor under
+   [Best_of_both]. *)
+let test_floor_both_sides () =
+  let rand = Random.State.make [| 20251017 |] and n = 1000 in
+  let both what at =
+    check_bool (Printf.sprintf "%s: %d of %d at the floor, >= 10%%" what at n) true
+      (10 * at >= n);
+    check_bool (Printf.sprintf "%s: %d of %d above it, >= 10%%" what (n - at) n) true
+      (10 * (n - at) >= n)
+  in
+  let count at cases = List.length (List.filter at cases) in
+  both "intra"
+    (count
+       (fun (mode, op, bytes) ->
+         match Ref.optimize mode op (Buffer.make bytes) with
+         | Ok plan ->
+           plan.cost.Cost.total = Matmul.ideal_ma op
+           && Schedule.footprint plan.schedule = Regime.three_min_footprint op
+         | Error _ -> false)
+       (QCheck.Gen.generate ~rand ~n gen_diff_intra));
+  both "fuse"
+    (count
+       (fun (mode, (pair : Fused.pair), bytes) ->
+         let { Fused.op1; op2 } = pair in
+         match Ref.plan_pair mode Fusion.Best_of_both pair (Buffer.make bytes) with
+         | Ok (Fusion.Fuse { traffic; _ }) ->
+           traffic = (op1.m * op1.k) + (op1.k * op1.l) + (op2.k * op2.l) + (op2.m * op2.l)
+         | Ok (Fusion.No_fuse _) | Error _ -> false)
+       (QCheck.Gen.generate ~rand ~n gen_diff_pair))
+
 let builders_reference_suite =
   List.map
     (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20251017 |]))
     [ prop_lattice_rounding; prop_builders_intra; prop_builders_fusion;
       prop_builders_chain ]
+  @ [ Alcotest.test_case "floor drawn on both sides" `Quick test_floor_both_sides ]
 
 (* Extreme sizes stay one-shot on the default lattice: the builders walk
    each dimension's divisors (41 for 2^40), not its O(sqrt D) trip
@@ -871,6 +906,81 @@ let test_max_int_buffer () =
           (Multi_fusion.traffic_of_decision d)
       | Error e -> Alcotest.fail e)
     [ Mode.Exact; Mode.Divisors; Mode.Pow2 ]
+
+(* ------------------------------------------------------------------ *)
+(* The floors [Intra.optimize] and [Fusion.plan_pair] stop at          *)
+
+(* Every schedule of every matmul with dims 1..7, priced on
+   [Cost.eval]: none that moves exactly [MK + KL + ML] has a footprint
+   below [F_min] ([Regime.three_min_footprint]), and every shape has
+   one at [F_min], so the intra exit neither fires early nor is out of
+   reach. *)
+let test_intra_floor () =
+  let below = ref 0 and attained = ref 0 in
+  for m = 1 to 7 do
+    for k = 1 to 7 do
+      for l = 1 to 7 do
+        let op = Matmul.make ~m ~k ~l () in
+        let ideal = Matmul.ideal_ma op and f_min = Regime.three_min_footprint op in
+        let least = ref max_int in
+        for tm = 1 to m do
+          for tk = 1 to k do
+            for tl = 1 to l do
+              let tiling = Tiling.make op ~m:tm ~k:tk ~l:tl in
+              List.iter
+                (fun o ->
+                  let s = Schedule.make tiling o in
+                  if (Cost.eval op s).total = ideal then
+                    least := Int.min !least (Schedule.footprint s))
+                Order.all
+            done
+          done
+        done;
+        if !least < f_min then incr below;
+        if !least = f_min then incr attained
+      done
+    done
+  done;
+  check_int "shapes with a schedule at MK + KL + ML below F_min" 0 !below;
+  check_int "shapes attaining F_min" 343 !attained
+
+(* Every fused pair with dims 1..5, every (tm, tk1, tl, tl2) and all 36
+   order pairs on an unbounded buffer: no valid dataflow moves less
+   than [|A1| + |B1| + |D| + |E|]. *)
+let test_fused_floor () =
+  let below = ref 0 and valid = ref 0 in
+  for m = 1 to 5 do
+    for k = 1 to 5 do
+      for l = 1 to 5 do
+        for l2 = 1 to 5 do
+          let pair =
+            Fused.make_pair_exn (Matmul.make ~m ~k ~l ()) (Matmul.make ~m ~k:l ~l:l2 ())
+          in
+          let floor = (m * k) + (k * l) + (l * l2) + (m * l2) in
+          for tm = 1 to m do
+            for tk1 = 1 to k do
+              for tl = 1 to l do
+                for tl2 = 1 to l2 do
+                  for o = 0 to 35 do
+                    let traffic =
+                      Fused.eval_tiles pair ~tm ~tk1 ~tl ~tl2 ~capacity:max_int (o / 6)
+                        (o mod 6)
+                    in
+                    if traffic >= 0 then begin
+                      incr valid;
+                      if traffic < floor then incr below
+                    end
+                  done
+                done
+              done
+            done
+          done
+        done
+      done
+    done
+  done;
+  check_int "valid fused dataflows below |A1| + |B1| + |D| + |E|" 0 !below;
+  check_int "valid fused dataflows checked" 512_500 !valid
 
 (* ------------------------------------------------------------------ *)
 (* Optimality: principles == exhaustive search                         *)
@@ -1453,6 +1563,10 @@ let () =
           Alcotest.test_case "max_int buffer meets the bound" `Quick
             test_max_int_buffer ] );
       ("builders = ref", builders_reference_suite);
+      ( "floor",
+        [ Alcotest.test_case "intra: MK + KL + ML leaves F_min" `Quick test_intra_floor;
+          Alcotest.test_case "fused: nothing below the fused bound" `Quick
+            test_fused_floor ] );
       ( "optimizer",
         [ Alcotest.test_case "large buffer hits bound" `Quick
             test_large_buffer_hits_lower_bound;
