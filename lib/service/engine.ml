@@ -32,9 +32,40 @@ let default_config () =
     slow_log_ms = None;
     mapper = Mapper_principles }
 
+(* A cached plan and, once a hit asks for them, its printed result
+   members ([Protocol.result_members]) in the canonical and in the
+   M<->L-transposed orientation; [""] until then. The texts are a pure
+   function of the outcome and the orientation and are written only in
+   the sequential phases, so a reply is the same bytes whether its
+   members were printed now or kept from an earlier hit. A miss keeps
+   no text: most plans are never hit, and their text would only take
+   memory. *)
+type entry = {
+  outcome : Protocol.outcome;  (** canonical orientation *)
+  mutable canonical : string;
+  mutable transposed : string;
+}
+
+let entry outcome = { outcome; canonical = ""; transposed = "" }
+
+(* Only an intra plan changes under the M<->L transform
+   ([Protocol.apply_transform]), so every other outcome has one text
+   for both orientations. *)
+let members e (transform : Protocol.transform) =
+  match (transform, e.outcome) with
+  | Transpose_ml, R_intra _ ->
+    if String.length e.transposed = 0 then
+      e.transposed <-
+        Protocol.result_members (Protocol.apply_transform transform e.outcome);
+    e.transposed
+  | _ ->
+    if String.length e.canonical = 0 then
+      e.canonical <- Protocol.result_members e.outcome;
+    e.canonical
+
 type t = {
   config : config;
-  cache : Protocol.outcome Cache.t;
+  cache : entry Cache.t;
   store : Store.t option;
   metrics : Metrics.t;
   ticks : int Atomic.t;
@@ -57,7 +88,7 @@ let create ?metrics ?store config =
   (match store with
   | Some s when config.cache_enabled ->
     List.iter
-      (fun (key, outcome) -> Cache.add cache key outcome)
+      (fun (key, outcome) -> Cache.add cache key (entry outcome))
       (Store.recovered s).Store.entries
   | _ -> ());
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
@@ -65,18 +96,24 @@ let create ?metrics ?store config =
   { config; cache; store; metrics; ticks = Atomic.make 0; seq = Atomic.make 0 }
 
 (* Persist a plan the moment it enters the cache: both sites run in the
-   engine's sequential phases, and [Store.append] only enqueues for the
-   write-behind flusher, so the hot path never touches disk. *)
-let cache_insert t key outcome =
-  Cache.add t.cache key outcome;
-  match t.store with Some s -> Store.append s key outcome | None -> ()
+   engine's sequential phases, and the store only enqueues for the
+   write-behind flusher, so the hot path never touches disk. [e] is the
+   caller's entry for the new plan, through which its replies print it
+   too; the cache gets an entry of its own, which keeps no text. *)
+let cache_insert t key e =
+  Cache.add t.cache key (entry e.outcome);
+  match t.store with
+  | Some s ->
+    Store.append_members s key ~op:(Protocol.outcome_op e.outcome)
+      (members e Identity)
+  | None -> ()
 
 let metrics t = t.metrics
 
 let store t = t.store
 
 let cache_snapshot t =
-  Cache.fold_entries t.cache (fun k v acc -> (k, v) :: acc) []
+  Cache.fold_entries t.cache (fun k e acc -> (k, e.outcome) :: acc) []
 
 let cache_stats t = Cache.stats t.cache
 
@@ -251,11 +288,11 @@ and plan_model_impl t ~use_cache (call : Protocol.call) :
         let cached = if use_cache then Cache.find t.cache key else None in
         let outcome =
           match cached with
-          | Some outcome -> Ok outcome
+          | Some e -> Ok e.outcome
           | None -> (
             match compute t canonical with
             | Ok outcome ->
-              if use_cache then cache_insert t key outcome;
+              if use_cache then cache_insert t key (entry outcome);
               Ok outcome
             | Error (_, msg) -> Error msg)
         in
@@ -332,7 +369,7 @@ type slot =
       tc : string option;
       call : Protocol.call;  (** original orientation, for the echo *)
       transform : Protocol.transform;
-      outcome : Protocol.outcome;  (** canonical orientation *)
+      entry : entry;  (** canonical orientation *)
     }
   | Pending of {
       id : Json.t;
@@ -382,151 +419,191 @@ let prometheus t =
   Metrics.set_gauge t.metrics "uptime_ticks" (float_of_int (uptime_ticks t));
   Metrics.to_prometheus t.metrics
 
+(* "requests_" ^ op_name, spelled out so that counting a request
+   allocates no name. *)
+let requests_counter : Protocol.call -> string = function
+  | Intra _ -> "requests_intra"
+  | Fuse _ -> "requests_fuse"
+  | Regime _ -> "requests_regime"
+  | Eval _ -> "requests_eval"
+  | Chain _ -> "requests_chain"
+  | Plan_model _ -> "requests_plan_model"
+  | Nest _ -> "requests_nest"
+
+(* The unique computes of one flush, in first-request order. *)
+type work = {
+  mutable calls : (Protocol.call * string) list;
+      (** canonical call and its cache key, newest first *)
+  mutable count : int;
+  by_key : (string, int) Hashtbl.t;  (** index of each key, for coalescing *)
+}
+
+let enqueue t work ~cache_on canonical key =
+  match Hashtbl.find_opt work.by_key key with
+  | Some i when cache_on ->
+    Metrics.incr t.metrics "cache_coalesced";
+    i
+  | _ ->
+    let i = work.count in
+    work.calls <- (canonical, key) :: work.calls;
+    work.count <- i + 1;
+    if cache_on then Hashtbl.replace work.by_key key i;
+    i
+
+let lookup t work ~cache_on id tc call =
+  let canonical, transform = Protocol.canonicalize call in
+  let key = Protocol.cache_key canonical in
+  match if cache_on then Cache.find t.cache key else None with
+  | Some entry -> Hit { id; tc; call; transform; entry }
+  | None ->
+    Pending { id; tc; call; transform; work = enqueue t work ~cache_on canonical key }
+
+(* phase 1 for one request: sequential, request order *)
+let slot_of t work ~cache_on ~trace_id = function
+  | Error (reject : Protocol.reject) ->
+    Metrics.incr t.metrics "rejects";
+    Ready (Protocol.reject_response reject)
+  | Ok (id, tc, call) ->
+    Metrics.incr t.metrics "requests";
+    Metrics.incr t.metrics (requests_counter call);
+    if Trace.is_enabled () then
+      Trace.with_span ~cat:"service"
+        ~args:
+          (("op", Json.String (Protocol.op_name call))
+          :: ("trace", Json.Int trace_id)
+          :: tc_args tc)
+        "engine.cache"
+        (fun () -> lookup t work ~cache_on id tc call)
+    else lookup t work ~cache_on id tc call
+
+(* phase 2 for one unique miss: on a worker domain *)
+let compute_one t ~trace_id (canonical, key) =
+  let op = Protocol.op_name canonical in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    if Trace.is_enabled () then
+      Trace.with_span ~cat:"evaluate"
+        ~args:[ ("op", Json.String op); ("trace", Json.Int trace_id) ]
+        "engine.compute"
+        (fun () -> compute t canonical)
+    else compute t canonical
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  Metrics.observe t.metrics ("latency_" ^ op) dt;
+  (match t.config.slow_log_ms with
+  | Some ms when dt *. 1000. >= ms ->
+    Log.warn
+      ~fields:
+        [ ("trace", Json.Int trace_id);
+          ("op", Json.String op);
+          ("key", Json.String key);
+          ("ms", Json.Float (dt *. 1000.)) ]
+      "slow request"
+  | _ -> ());
+  r
+
+(* The worker domains are taken only when a flush has two computes or
+   more: [parallel_map] runs a single item inline, and an idle domain
+   still joins every stop-the-world minor collection. *)
+let pool_for t computes =
+  match t.config.pool with
+  | Some p -> p
+  | None when computes >= 2 -> Pool.get_global ()
+  | None -> Pool.sequential
+
+(* phase 3 for one request: its line and its kind for the access log *)
+let respond t computed slot =
+  match slot with
+  | Ready line -> (line, "reject")
+  | Hit { id; call; transform; entry; _ } ->
+    (Protocol.reply ~id ~call (members entry transform), "hit")
+  | Pending { id; call; transform; work = i; _ } -> (
+    match computed.(i) with
+    | Ok e -> (Protocol.reply ~id ~call (members e transform), "computed")
+    | Error (code, message) ->
+      Metrics.incr t.metrics "compute_errors";
+      (Protocol.response_error ~id ~code ~message, "error"))
+
+let flush_batch t batch emit ~trace_id ~seq_base =
+  let cache_on = Cache.capacity t.cache > 0 in
+  let work = { calls = []; count = 0; by_key = Hashtbl.create 16 } in
+  (* phase 1: sequential lookup, request order *)
+  let slots = List.map (slot_of t work ~cache_on ~trace_id) batch in
+  (* phase 2: parallel compute of the deduplicated work list *)
+  let work = Array.of_list (List.rev work.calls) in
+  let results =
+    Pool.parallel_map
+      ~pool:(pool_for t (Array.length work))
+      ~label:"engine.compute" (compute_one t ~trace_id) work
+  in
+  (* phase 3: sequential drain — cache inserts then responses, in
+     request order. Each computed plan gets an entry for this batch, so
+     it is printed at most once per orientation for its store record
+     and every reply that shares it. *)
+  let computed = Array.map (Result.map entry) results in
+  if cache_on then
+    Array.iteri
+      (fun i result ->
+        match result with
+        | Ok e -> cache_insert t (snd work.(i)) e
+        | Error _ -> ())
+      computed;
+  let access_log = Log.enabled Log.Debug in
+  List.iteri
+    (fun idx slot ->
+      let line, kind =
+        if Trace.is_enabled () then
+          Trace.with_span ~cat:"service"
+            ~args:
+              (("trace", Json.Int trace_id)
+              :: ("seq", Json.Int (seq_base + idx))
+              :: tc_args (slot_tc slot))
+            "engine.respond"
+            (fun () -> respond t computed slot)
+        else respond t computed slot
+      in
+      if access_log then
+        Log.debug
+          ~fields:
+            [ ("trace", Json.Int trace_id);
+              ("seq", Json.Int (seq_base + idx));
+              ("kind", Json.String kind) ]
+          "response";
+      emit (Protocol.with_tc (slot_tc slot) line))
+    slots
+
 let flush t batch emit =
   match batch with
   | [] -> ()
   | batch ->
-    let pool =
-      match t.config.pool with Some p -> p | None -> Pool.get_global ()
-    in
     Metrics.incr t.metrics "batches";
     (* Request-scoped ids: one trace id per batch, one sequence number
        per request. Both live only in traces and logs — never in the
        response stream — so determinism is untouched. *)
     let trace_id = Trace.new_trace_id () in
-    let seq_base = Atomic.fetch_and_add t.seq (List.length batch) in
-    Trace.with_span ~cat:"service"
-      ~args:
-        [ ("trace", Json.Int trace_id); ("batch", Json.Int (List.length batch)) ]
-      "engine.flush"
-    @@ fun () ->
-    let cache_on = Cache.capacity t.cache > 0 in
-    let work = ref [] and work_count = ref 0 in
-    let pending_by_key = Hashtbl.create 16 in
-    let enqueue canonical =
-      let key = Protocol.cache_key canonical in
-      match Hashtbl.find_opt pending_by_key key with
-      | Some i when cache_on ->
-        Metrics.incr t.metrics "cache_coalesced";
-        i
-      | _ ->
-        let i = !work_count in
-        work := canonical :: !work;
-        incr work_count;
-        if cache_on then Hashtbl.replace pending_by_key key i;
-        i
-    in
-    (* phase 1: sequential lookup, request order *)
-    let slots =
-      List.map
-        (fun item ->
-          match item with
-          | Error (reject : Protocol.reject) ->
-            Metrics.incr t.metrics "rejects";
-            Ready (Protocol.reject_response reject)
-          | Ok (id, tc, call) ->
-            Metrics.incr t.metrics "requests";
-            Metrics.incr t.metrics ("requests_" ^ Protocol.op_name call);
-            Trace.with_span ~cat:"service"
-              ~args:
-                (("op", Json.String (Protocol.op_name call))
-                :: ("trace", Json.Int trace_id)
-                :: tc_args tc)
-              "engine.cache"
-            @@ fun () ->
-            let canonical, transform = Protocol.canonicalize call in
-            let cached =
-              if cache_on then Cache.find t.cache (Protocol.cache_key canonical)
-              else None
-            in
-            (match cached with
-            | Some outcome -> Hit { id; tc; call; transform; outcome }
-            | None ->
-              Pending { id; tc; call; transform; work = enqueue canonical }))
-        batch
-    in
-    (* phase 2: parallel compute of the deduplicated work list *)
-    let work = Array.of_list (List.rev !work) in
-    let results =
-      Pool.parallel_map ~pool ~label:"engine.compute"
-        (fun canonical ->
-          let op = Protocol.op_name canonical in
-          let t0 = Unix.gettimeofday () in
-          let r =
-            Trace.with_span ~cat:"evaluate"
-              ~args:[ ("op", Json.String op); ("trace", Json.Int trace_id) ]
-              "engine.compute"
-              (fun () -> compute t canonical)
-          in
-          let dt = Unix.gettimeofday () -. t0 in
-          Metrics.observe t.metrics ("latency_" ^ op) dt;
-          (match t.config.slow_log_ms with
-          | Some ms when dt *. 1000. >= ms ->
-            Log.warn
-              ~fields:
-                [ ("trace", Json.Int trace_id);
-                  ("op", Json.String op);
-                  ("key", Json.String (Protocol.cache_key canonical));
-                  ("ms", Json.Float (dt *. 1000.)) ]
-              "slow request"
-          | _ -> ());
-          r)
-        work
-    in
-    (* phase 3: sequential drain — cache inserts then responses, in
-       request order *)
-    if cache_on then
-      Array.iteri
-        (fun i result ->
-          match result with
-          | Ok outcome -> cache_insert t (Protocol.cache_key work.(i)) outcome
-          | Error _ -> ())
-        results;
-    let access_log = Log.enabled Log.Debug in
-    List.iteri
-      (fun idx slot ->
-        Trace.with_span ~cat:"service"
-          ~args:
-            (("trace", Json.Int trace_id)
-            :: ("seq", Json.Int (seq_base + idx))
-            :: tc_args (slot_tc slot))
-          "engine.respond"
-        @@ fun () ->
-        let line, kind, tc =
-          match slot with
-          | Ready line -> (line, "reject", None)
-          | Hit { id; tc; call; transform; outcome } ->
-            ( Protocol.response_ok ~id ~call
-                (Protocol.apply_transform transform outcome),
-              "hit", tc )
-          | Pending { id; tc; call; transform; work = i } -> (
-            match results.(i) with
-            | Ok outcome ->
-              ( Protocol.response_ok ~id ~call
-                  (Protocol.apply_transform transform outcome),
-                "computed", tc )
-            | Error (code, message) ->
-              Metrics.incr t.metrics "compute_errors";
-              (Protocol.response_error ~id ~code ~message, "error", tc))
-        in
-        if access_log then
-          Log.debug
-            ~fields:
-              [ ("trace", Json.Int trace_id);
-                ("seq", Json.Int (seq_base + idx));
-                ("kind", Json.String kind) ]
-            "response";
-        emit (Protocol.with_tc tc line))
-      slots
+    let n = List.length batch in
+    let seq_base = Atomic.fetch_and_add t.seq n in
+    if Trace.is_enabled () then
+      Trace.with_span ~cat:"service"
+        ~args:[ ("trace", Json.Int trace_id); ("batch", Json.Int n) ]
+        "engine.flush"
+        (fun () -> flush_batch t batch emit ~trace_id ~seq_base)
+    else flush_batch t batch emit ~trace_id ~seq_base
 
 type stop_reason = Drained | Shutdown
 
 let run t ?(batch = 64) ~next ~emit () =
   let batch_size = max 1 batch in
-  let pending = ref [] in
+  let pending = ref [] and pending_count = ref 0 in
   let flush_pending () =
     flush t (List.rev !pending) emit;
-    pending := []
+    pending := [];
+    pending_count := 0
+  in
+  let add item =
+    pending := item :: !pending;
+    incr pending_count;
+    if !pending_count >= batch_size then flush_pending ()
   in
   let rec loop () =
     match next () with
@@ -542,8 +619,10 @@ let run t ?(batch = 64) ~next ~emit () =
            untouched — so uptime stays invariant to batch size, domain
            count and cache settings. *)
         let parsed =
-          Trace.with_span ~cat:"service" "engine.parse" (fun () ->
-              Protocol.parse_line line)
+          if Trace.is_enabled () then
+            Trace.with_span ~cat:"service" "engine.parse" (fun () ->
+                Protocol.parse_line line)
+          else Protocol.parse_line line
         in
         match parsed with
         | Ok (id, tc, Protocol.Metrics_req { quiet = true }) ->
@@ -640,12 +719,10 @@ let run t ?(batch = 64) ~next ~emit () =
             emit (Protocol.with_tc tc line);
             loop ()
           | Ok (id, tc, Protocol.Call call) ->
-            pending := Ok (id, tc, call) :: !pending;
-            if List.length !pending >= batch_size then flush_pending ();
+            add (Ok (id, tc, call));
             loop ()
           | Error reject ->
-            pending := Error reject :: !pending;
-            if List.length !pending >= batch_size then flush_pending ();
+            add (Error reject);
             loop ())
       end)
   in

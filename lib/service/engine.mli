@@ -16,17 +16,25 @@
       cache; misses are deduplicated into a unique work list (a repeat
       of an in-flight key {e coalesces} onto the first occurrence);
     + {b compute} (parallel): the unique work list runs on the pool via
-      [parallel_map], which preserves ordering. An [intra] / [fuse] /
+      [parallel_map], which preserves ordering; the process-global pool
+      is taken only for two computes or more, so an all-hit server
+      starts no worker domain. An [intra] / [fuse] /
       [chain] miss is the closed-form principle plan alone, with no
       search after it; a [nest] miss is a {!Fusecu_dse.Nest_bnb}
       search;
     + {b drain} (sequential, request order): successful outcomes are
-      inserted into the cache, every outcome is mapped back through
-      {!Protocol.apply_transform} and serialized.
+      inserted into the cache, and every outcome is mapped back through
+      {!Protocol.apply_transform} and serialized. A cache entry keeps
+      the printed result members ({!Protocol.result_members}) of each
+      orientation a hit has asked for, so a later hit in that
+      orientation writes only its id and problem echo around them; a
+      miss prints its members once for its replies and its store
+      record, and keeps none.
 
     Because the cache is only touched in the sequential phases, its
     hit/miss/eviction counters — and therefore the [stats] response —
-    are deterministic too. Control requests act as batch barriers, so a
+    are deterministic too, and so is the kept text: it is a pure
+    function of the outcome and the orientation. Control requests act as batch barriers, so a
     [stats] response reflects exactly the requests before it in the
     stream. *)
 

@@ -339,6 +339,10 @@ let parse_dump d =
   in
   Ok { counters; hists; gauges }
 
+(* [List.assoc_opt] would compare names polymorphically *)
+let find_named name =
+  List.find_map (fun (k, v) -> if String.equal k name then Some v else None)
+
 (* Family names across the whole fleet, sorted. [pick] projects the
    per-dump association list for one metric family kind. *)
 let family_names pick router shards =
@@ -369,12 +373,12 @@ let fleet_prometheus ?(prefix = "fusecu_") ~router shards =
       (fun name ->
         let n = Metrics.sanitize (prefix ^ name) in
         line "# TYPE %s %s" n kind;
-        (match List.assoc_opt name (pick router) with
+        (match find_named name (pick router) with
         | Some v -> line "%s %s" n (pp v)
         | None -> ());
         List.iteri
           (fun i d ->
-            match List.assoc_opt name (pick d) with
+            match find_named name (pick d) with
             | Some v -> line "%s{shard=\"%d\"} %s" n i (pp v)
             | None -> ())
           shards)
@@ -402,12 +406,12 @@ let fleet_prometheus ?(prefix = "fusecu_") ~router shards =
     (fun name ->
       let n = Metrics.sanitize (prefix ^ name ^ "_seconds") in
       line "# TYPE %s histogram" n;
-      (match List.assoc_opt name router.hists with
+      (match find_named name router.hists with
       | Some h -> hist_series n ~labels:"" h
       | None -> ());
       List.iteri
         (fun i d ->
-          match List.assoc_opt name d.hists with
+          match find_named name d.hists with
           | Some h -> hist_series n ~labels:(Printf.sprintf "shard=\"%d\"" i) h
           | None -> ())
         shards)

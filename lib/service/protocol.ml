@@ -5,6 +5,10 @@ module Json = Fusecu_util.Json
 module Units = Fusecu_util.Units
 module Arith = Fusecu_util.Arith
 
+(* [Buffer] is the on-chip buffer ([Fusecu_loopnest.Buffer]); replies
+   and keys are written into a [Text]. *)
+module Text = Stdlib.Buffer
+
 let version = 1
 
 type nest_kind = Fusecu_nest.Lower.kind =
@@ -89,13 +93,16 @@ let int_field ?default ?(lo = 1) ?hi obj name =
     match default with
     | Some d -> d
     | None -> fail "missing required field %S" name)
-  | Some v -> (
-    match (Json.to_int v, hi) with
-    | Error e, _ -> fail "field %S: %s" name e
-    | Ok n, Some hi when n < lo || n > hi ->
+  | Some (Json.Int n) -> (
+    match hi with
+    | Some hi when n < lo || n > hi ->
       fail "field %S must be in [%d, %d], got %d" name lo hi n
-    | Ok n, None when n < lo -> fail "field %S must be >= %d, got %d" name lo n
-    | Ok n, _ -> n)
+    | None when n < lo -> fail "field %S must be >= %d, got %d" name lo n
+    | _ -> n)
+  | Some v -> (
+    match Json.to_int v with
+    | Error e -> fail "field %S: %s" name e
+    | Ok n -> n)
 
 (* Names (models, nest kinds) match case-insensitively. *)
 let lowercase_field obj name =
@@ -162,6 +169,10 @@ let ks_field obj =
 
 let names table = String.concat ", " (List.map fst table)
 
+(* [List.assoc_opt] would compare names polymorphically *)
+let find_named name =
+  List.find_map (fun (k, v) -> if String.equal k name then Some v else None)
+
 (* Each kind reads its fields in a fixed order, which decides the field a
    reject names when several are missing or out of range. *)
 let nest_kinds =
@@ -211,7 +222,7 @@ let nest_kinds =
 
 let nest_kind_field obj =
   let kind = lowercase_field obj "kind" in
-  match List.assoc_opt kind nest_kinds with
+  match find_named kind nest_kinds with
   | Some parse -> parse obj
   | None -> fail "unknown nest kind %S (%s)" kind (names nest_kinds)
 
@@ -289,7 +300,7 @@ let ops =
     ("shutdown", fun _ -> Shutdown) ]
 
 let parse_call obj op =
-  match List.assoc_opt op ops with
+  match find_named op ops with
   | Some parse -> Ok (parse obj)
   | None ->
     Error
@@ -297,39 +308,45 @@ let parse_call obj op =
         code = Unknown_op;
         message = Printf.sprintf "unknown op %S (%s)" op (names ops) }
 
+let dispatch obj ~id ~tc =
+  match Json.member "op" obj with
+  | None ->
+    Error { id; code = Bad_request; message = "missing required field \"op\"" }
+  | Some opv -> (
+    match Json.to_string_v opv with
+    | Error e ->
+      Error
+        { id; code = Bad_request; message = Printf.sprintf "field \"op\": %s" e }
+    | Ok op -> (
+      match parse_call obj op with
+      | Ok req -> Ok (id, tc, req)
+      | Error r -> Error { r with id }
+      | exception Bad message -> Error { id; code = Bad_request; message }))
+
 let parse_line line =
   match Json.parse line with
   | Error e -> Error { id = Json.Null; code = Parse_error; message = e }
-  | Ok obj ->
-    let id = Option.value ~default:Json.Null (Json.member "id" obj) in
+  | Ok obj -> (
+    let id = match Json.member "id" obj with Some id -> id | None -> Json.Null in
     (* Trace context stamped by the router ("tc"); unknown members are
        ignored by design, so old clients and servers interoperate. *)
     let tc =
       match Json.member "tc" obj with Some (Json.String t) -> Some t | _ -> None
     in
-    let reject code message = Error { id; code; message } in
-    let dispatch () =
-      match Json.member "op" obj with
-      | None -> reject Bad_request "missing required field \"op\""
-      | Some opv -> (
-        match Json.to_string_v opv with
-        | Error e -> reject Bad_request (Printf.sprintf "field \"op\": %s" e)
-        | Ok op -> (
-          match parse_call obj op with
-          | Ok req -> Ok (id, tc, req)
-          | Error r -> Error { r with id }
-          | exception Bad m -> reject Bad_request m))
-    in
-    (match obj with
+    match obj with
     | Json.Obj _ -> (
       match Json.member "v" obj with
-      | None -> dispatch () (* no "v": treated as the current version *)
-      | Some (Json.Int v) when v = version -> dispatch ()
+      | None -> dispatch obj ~id ~tc (* no "v": treated as the current version *)
+      | Some (Json.Int v) when v = version -> dispatch obj ~id ~tc
       | Some v ->
-        reject Unsupported_version
-          (Printf.sprintf "unsupported schema version %s (this server speaks v%d)"
-             (Json.print v) version))
-    | _ -> reject Bad_request "request must be a JSON object")
+        Error
+          { id;
+            code = Unsupported_version;
+            message =
+              Printf.sprintf "unsupported schema version %s (this server speaks v%d)"
+                (Json.print v) version })
+    | _ ->
+      Error { id; code = Bad_request; message = "request must be a JSON object" })
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization                                                    *)
@@ -366,32 +383,72 @@ let nest_kind_dims = function
   | N_attention { seq_q; seq_k; d; dv } ->
     [ ("seq_q", seq_q); ("seq_k", seq_k); ("d", d); ("dv", dv) ]
 
+(* A key is its tag and its fields, each field after a '|'. *)
+let key_string b s =
+  Text.add_char b '|';
+  Text.add_string b s
+
+let key_int b n =
+  Text.add_char b '|';
+  Json.write_int b n
+
+let key_ints b ns =
+  Text.add_char b '|';
+  List.iteri
+    (fun i n ->
+      if i > 0 then Text.add_char b ',';
+      Json.write_int b n)
+    ns
+
+let key_matmul b (op : Matmul.t) =
+  key_int b op.m;
+  key_int b op.k;
+  key_int b op.l
+
 let cache_key call =
-  match call with
+  let b = Text.create 48 in
+  (match call with
   | Intra { op; buffer; mode } ->
-    Printf.sprintf "i|%s|%d|%d|%d|%d" (mode_to_string mode) op.Matmul.m
-      op.Matmul.k op.Matmul.l (Buffer.elements buffer)
+    Text.add_char b 'i';
+    key_string b (mode_to_string mode);
+    key_matmul b op;
+    key_int b (Buffer.elements buffer)
   | Fuse { op; l2; buffer; mode } ->
-    Printf.sprintf "f|%s|%d|%d|%d|%d|%d" (mode_to_string mode) op.Matmul.m
-      op.Matmul.k op.Matmul.l l2 (Buffer.elements buffer)
+    Text.add_char b 'f';
+    key_string b (mode_to_string mode);
+    key_matmul b op;
+    key_int b l2;
+    key_int b (Buffer.elements buffer)
   | Regime { op; buffer } ->
-    Printf.sprintf "r|%d|%d|%d|%d" op.Matmul.m op.Matmul.k op.Matmul.l
-      (Buffer.elements buffer)
+    Text.add_char b 'r';
+    key_matmul b op;
+    key_int b (Buffer.elements buffer)
   | Eval { model; buffer; elt_bytes; mode } ->
-    Printf.sprintf "e|%s|%s|%d|%d" (mode_to_string mode) model
-      buffer.Buffer.bytes elt_bytes
+    Text.add_char b 'e';
+    key_string b (mode_to_string mode);
+    key_string b model;
+    key_int b buffer.Buffer.bytes;
+    key_int b elt_bytes
   | Chain { m; ks; buffer; mode } ->
-    Printf.sprintf "c|%s|%d|%s|%d" (mode_to_string mode) m
-      (String.concat "," (List.map string_of_int ks))
-      (Buffer.elements buffer)
+    Text.add_char b 'c';
+    key_string b (mode_to_string mode);
+    key_int b m;
+    key_ints b ks;
+    key_int b (Buffer.elements buffer)
   | Plan_model { model; layers; buffer; elt_bytes; mode } ->
-    Printf.sprintf "pm|%s|%s|%d|%d|%d" (mode_to_string mode) model layers
-      buffer.Buffer.bytes elt_bytes
+    Text.add_string b "pm";
+    key_string b (mode_to_string mode);
+    key_string b model;
+    key_int b layers;
+    key_int b buffer.Buffer.bytes;
+    key_int b elt_bytes
   | Nest { kind; buffer; mode } ->
-    Printf.sprintf "n|%s|%s|%s|%d" (mode_to_string mode) (nest_kind_name kind)
-      (String.concat ","
-         (List.map (fun (_, v) -> string_of_int v) (nest_kind_dims kind)))
-      (Buffer.elements buffer)
+    Text.add_char b 'n';
+    key_string b (mode_to_string mode);
+    key_string b (nest_kind_name kind);
+    key_ints b (List.map snd (nest_kind_dims kind));
+    key_int b (Buffer.elements buffer));
+  Text.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes                                                            *)
@@ -843,50 +900,103 @@ let outcome_of_json j =
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
-let problem_fields call =
-  let buffer_fields (b : Buffer.t) =
-    [ ("buffer_bytes", Json.Int b.bytes); ("elt_bytes", Json.Int b.elt_bytes) ]
-  in
-  match call with
-  | Intra { op; buffer; mode } ->
-    [ ("m", Json.Int op.Matmul.m); ("k", Json.Int op.Matmul.k);
-      ("l", Json.Int op.Matmul.l) ]
-    @ buffer_fields buffer
-    @ [ ("mode", Json.String (mode_to_string mode)) ]
-  | Fuse { op; l2; buffer; mode } ->
-    [ ("m", Json.Int op.Matmul.m); ("k", Json.Int op.Matmul.k);
-      ("l", Json.Int op.Matmul.l); ("l2", Json.Int l2) ]
-    @ buffer_fields buffer
-    @ [ ("mode", Json.String (mode_to_string mode)) ]
-  | Regime { op; buffer } ->
-    [ ("m", Json.Int op.Matmul.m); ("k", Json.Int op.Matmul.k);
-      ("l", Json.Int op.Matmul.l) ]
-    @ buffer_fields buffer
-  | Eval { model; buffer; elt_bytes = _; mode } ->
-    [ ("model", Json.String model) ]
-    @ buffer_fields buffer
-    @ [ ("mode", Json.String (mode_to_string mode)) ]
-  | Chain { m; ks; buffer; mode } ->
-    [ ("m", Json.Int m);
-      ("ks", Json.List (List.map (fun k -> Json.Int k) ks)) ]
-    @ buffer_fields buffer
-    @ [ ("mode", Json.String (mode_to_string mode)) ]
-  | Plan_model { model; layers; buffer; elt_bytes = _; mode } ->
-    [ ("model", Json.String model); ("layers", Json.Int layers) ]
-    @ buffer_fields buffer
-    @ [ ("mode", Json.String (mode_to_string mode)) ]
-  | Nest { kind; buffer; mode } ->
-    (("kind", Json.String (nest_kind_name kind))
-    :: List.map (fun (n, v) -> (n, Json.Int v)) (nest_kind_dims kind))
-    @ buffer_fields buffer
-    @ [ ("mode", Json.String (mode_to_string mode)) ]
+(* A reply is written straight into one [Text]: [{"id":<id>,"ok":true,
+   "op":<op>,"result":{<echo>,<members>}}], where the echo is the
+   problem in the request's orientation and the members are
+   [result_members] of the outcome, the part a cache entry can keep.
+   Each echo field is written with the comma that follows it. *)
 
-let response_ok ~id ~call outcome =
-  Json.print
-    (Json.Obj
-       [ ("id", id); ("ok", Json.Bool true);
-         ("op", Json.String (op_name call));
-         ("result", Json.Obj (problem_fields call @ outcome_fields outcome)) ])
+let echo_name b name =
+  Text.add_char b '"';
+  Text.add_string b name;
+  Text.add_string b "\":"
+
+let echo_int b name n =
+  echo_name b name;
+  Json.write_int b n;
+  Text.add_char b ','
+
+let echo_string b name s =
+  echo_name b name;
+  Json.write_string b s;
+  Text.add_char b ','
+
+let echo_matmul b (op : Matmul.t) =
+  echo_int b "m" op.m;
+  echo_int b "k" op.k;
+  echo_int b "l" op.l
+
+let echo_buffer b (buffer : Buffer.t) =
+  echo_int b "buffer_bytes" buffer.bytes;
+  echo_int b "elt_bytes" buffer.elt_bytes
+
+let echo_mode b mode = echo_string b "mode" (mode_to_string mode)
+
+let rec echo_dims b = function
+  | [] -> ()
+  | (name, n) :: rest ->
+    echo_int b name n;
+    echo_dims b rest
+
+let write_echo b = function
+  | Intra { op; buffer; mode } ->
+    echo_matmul b op;
+    echo_buffer b buffer;
+    echo_mode b mode
+  | Fuse { op; l2; buffer; mode } ->
+    echo_matmul b op;
+    echo_int b "l2" l2;
+    echo_buffer b buffer;
+    echo_mode b mode
+  | Regime { op; buffer } ->
+    echo_matmul b op;
+    echo_buffer b buffer
+  | Eval { model; buffer; elt_bytes = _; mode } ->
+    echo_string b "model" model;
+    echo_buffer b buffer;
+    echo_mode b mode
+  | Chain { m; ks; buffer; mode } ->
+    echo_int b "m" m;
+    echo_name b "ks";
+    Json.write b (ints ks);
+    Text.add_char b ',';
+    echo_buffer b buffer;
+    echo_mode b mode
+  | Plan_model { model; layers; buffer; elt_bytes = _; mode } ->
+    echo_string b "model" model;
+    echo_int b "layers" layers;
+    echo_buffer b buffer;
+    echo_mode b mode
+  | Nest { kind; buffer; mode } ->
+    echo_string b "kind" (nest_kind_name kind);
+    echo_dims b (nest_kind_dims kind);
+    echo_buffer b buffer;
+    echo_mode b mode
+
+let result_members outcome =
+  let b = Text.create 256 in
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Text.add_char b ',';
+      Json.write_string b k;
+      Text.add_char b ':';
+      Json.write b v)
+    (outcome_fields outcome);
+  Text.contents b
+
+let reply ~id ~call members =
+  let b = Text.create (String.length members + 160) in
+  Text.add_string b "{\"id\":";
+  Json.write b id;
+  Text.add_string b ",\"ok\":true,\"op\":";
+  Json.write_string b (op_name call);
+  Text.add_string b ",\"result\":{";
+  write_echo b call;
+  Text.add_string b members;
+  Text.add_string b "}}";
+  Text.contents b
+
+let response_ok ~id ~call outcome = reply ~id ~call (result_members outcome)
 
 let response_ok_json ~id ~op ~result =
   Json.print

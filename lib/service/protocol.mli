@@ -235,6 +235,9 @@ type outcome =
   | R_plan_model of plan_model_result
   | R_nest of nest_result
 
+val outcome_op : outcome -> string
+(** The op whose outcome this is (["intra"], ["fuse"], ...). *)
+
 val outcome_to_json : outcome -> Json.t
 (** [{"op":<op>,<outcome fields>}]: the op name followed by exactly the
     outcome fields of the wire [result] ({!response_ok} puts the problem
@@ -260,7 +263,22 @@ val apply_transform : transform -> outcome -> outcome
 val response_ok : id:Json.t -> call:call -> outcome -> string
 (** One compact JSON line. The [result] payload echoes the problem
     (original orientation) and the outcome fields; field order is fixed
-    so output is byte-deterministic. *)
+    so output is byte-deterministic. It is
+    [reply ~id ~call (result_members outcome)]. *)
+
+val result_members : outcome -> string
+(** The outcome fields of a wire [result], printed compact and in their
+    fixed order, without braces: what a reply carries after its problem
+    echo, and a store record after its op. A pure function of the
+    outcome, so the text can be kept and spliced into any reply or
+    record of that outcome; a reply in a request's orientation carries
+    [result_members (apply_transform tf o)]. *)
+
+val reply : id:Json.t -> call:call -> string -> string
+(** [reply ~id ~call members]: the success line of [call] whose result
+    ends in [members] (from {!result_members}). The line is written into
+    one buffer: the id, the op, the problem echo of [call], then
+    [members]; no {!Json.t} is built. *)
 
 val response_ok_json : id:Json.t -> op:string -> result:Json.t -> string
 (** Generic success line for control operations ([stats], [shutdown]). *)

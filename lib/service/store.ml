@@ -10,7 +10,9 @@ module Log = Fusecu_util.Log
    single separating space. The outcome is [Protocol.outcome_to_json],
    the wire result's outcome fields under their op, and the payload is
    compact JSON from the deterministic printer, so a record is
-   byte-reproducible from its (key, outcome) pair. Appends go through a
+   byte-reproducible from its (key, outcome) pair. The fields are the
+   text of [Protocol.result_members], so the engine prints a computed
+   outcome once for its reply and its record. Appends go through a
    write-behind queue drained by a flusher thread — the engine's
    sequential drain phase never blocks on disk. Recovery reads records
    in order until the first damaged one (short frame, bad hex, CRC
@@ -32,7 +34,8 @@ type recovery = {
 type t = {
   path : string;
   mutable fd : Unix.file_descr;
-  queue : (string * Protocol.outcome) Queue.t;
+  queue : (string * string * string) Queue.t;
+      (* (key, op, [Protocol.result_members]) of each record to write *)
   mutex : Mutex.t;
   cond : Condition.t;  (* signalled on enqueue and on stop *)
   drained : Condition.t;  (* signalled when the queue empties *)
@@ -46,12 +49,34 @@ type t = {
          only lock order is store.mutex before metrics.mutex *)
 }
 
+let hex_digit d = String.unsafe_get "0123456789abcdef" (d land 15)
+
+(* [Printf.sprintf "%08x %s\n" (crc32 payload) payload] for
+   [payload = {"k":<key>,"o":{"op":<op>,<members>}}] *)
+let frame_members key ~op members =
+  let b = Buffer.create (String.length key + String.length members + 40) in
+  Buffer.add_string b "{\"k\":";
+  Json.write_string b key;
+  Buffer.add_string b ",\"o\":{\"op\":";
+  Json.write_string b op;
+  Buffer.add_char b ',';
+  Buffer.add_string b members;
+  Buffer.add_string b "}}";
+  let payload = Buffer.contents b in
+  let crc = Hash.crc32 payload in
+  let n = String.length payload in
+  let line = Bytes.create (n + 10) in
+  for i = 0 to 7 do
+    Bytes.unsafe_set line i (hex_digit (crc lsr (4 * (7 - i))))
+  done;
+  Bytes.unsafe_set line 8 ' ';
+  Bytes.blit_string payload 0 line 9 n;
+  Bytes.unsafe_set line (n + 9) '\n';
+  Bytes.unsafe_to_string line
+
 let frame key outcome =
-  let payload =
-    Json.print
-      (Json.Obj [ ("k", Json.String key); ("o", Protocol.outcome_to_json outcome) ])
-  in
-  Printf.sprintf "%08x %s\n" (Hash.crc32 payload) payload
+  frame_members key ~op:(Protocol.outcome_op outcome)
+    (Protocol.result_members outcome)
 
 let parse_record line =
   let n = String.length line in
@@ -145,7 +170,10 @@ let flusher_loop t =
     Mutex.unlock t.mutex;
     if not (Queue.is_empty batch) then begin
       let buf = Buffer.create 1024 in
-      Queue.iter (fun (k, o) -> Buffer.add_string buf (frame k o)) batch;
+      Queue.iter
+        (fun (key, op, members) ->
+          Buffer.add_string buf (frame_members key ~op members))
+        batch;
       let t0 = Unix.gettimeofday () in
       write_string t.fd (Buffer.contents buf);
       let dt = Unix.gettimeofday () -. t0 in
@@ -222,10 +250,10 @@ let set_metrics t m =
   if r.dropped_bytes > 0 then
     Metrics.incr ~by:r.dropped_bytes m "store_torn_tail_bytes"
 
-let append t key outcome =
+let append_members t key ~op members =
   Mutex.lock t.mutex;
   if not t.stop then begin
-    Queue.add (key, outcome) t.queue;
+    Queue.add (key, op, members) t.queue;
     Condition.signal t.cond
   end;
   let depth = Queue.length t.queue in
@@ -233,6 +261,10 @@ let append t key outcome =
   match t.metrics with
   | Some m -> Metrics.set_gauge m "store_queue_depth" (float_of_int depth)
   | None -> ()
+
+let append t key outcome =
+  append_members t key ~op:(Protocol.outcome_op outcome)
+    (Protocol.result_members outcome)
 
 let flush t =
   Mutex.lock t.mutex;

@@ -68,10 +68,21 @@ val set_metrics : t -> Metrics.t -> unit
     response path except the non-golden [metrics] dump, so
     instrumentation cannot perturb transcripts. *)
 
+val frame : string -> Protocol.outcome -> string
+(** [frame key outcome]: the record line of [(key, outcome)], newline
+    included, as {!append} and {!compact} write it. *)
+
 val append : t -> string -> Protocol.outcome -> unit
 (** Enqueue one record for the flusher; never blocks on disk. Silently
     dropped after {!close} (shutdown races are benign: the store is a
-    cache of recomputable plans, not a system of record). *)
+    cache of recomputable plans, not a system of record). The outcome
+    is printed ({!Protocol.result_members}) on the caller's thread; the
+    flusher adds the key, the CRC and the newline. *)
+
+val append_members : t -> string -> op:string -> string -> unit
+(** [append_members t key ~op members] is {!append} of an outcome of op
+    [op] already printed as [members] by {!Protocol.result_members}: a
+    caller that also replies with the outcome prints it once. *)
 
 val flush : t -> unit
 (** Block until every enqueued record has been written to the fd. *)

@@ -38,6 +38,17 @@ val print : t -> string
     [Invalid_argument] on NaN or infinite floats — JSON cannot represent
     them. *)
 
+val write : Buffer.t -> t -> unit
+(** [write buf v] appends [print v] to [buf]. *)
+
+val write_string : Buffer.t -> string -> unit
+(** [write_string buf s] appends [print (String s)]: the quoted,
+    escaped literal. *)
+
+val write_int : Buffer.t -> int -> unit
+(** [write_int buf n] appends [print (Int n)], the bytes of
+    [string_of_int n]. *)
+
 val print_hum : t -> string
 (** Two-space-indented rendering for humans (metrics dumps). Same
     escaping rules as {!print}. *)
@@ -47,7 +58,9 @@ val print_hum : t -> string
 val parse : string -> (t, string) result
 (** Parse exactly one JSON value (leading/trailing whitespace allowed;
     anything else after the value is an error). Errors carry the byte
-    offset, e.g. ["byte 7: unterminated string"]. *)
+    offset, e.g. ["byte 7: unterminated string"]. Allocates the returned
+    tree and little else: strings without escapes and integers of up to
+    18 digits are read in place. *)
 
 (** {1 Accessors}
 
