@@ -11,9 +11,13 @@ type 'a node =
       mutable next : 'a node;  (** less recent *)
     }
 
+(* Keys hash and compare as strings, never through the polymorphic
+   compare. *)
+module Tbl = Hashtbl.Make (String)
+
 type 'a shard = {
   mutex : Mutex.t;
-  table : (string, 'a node) Hashtbl.t;
+  table : 'a node Tbl.t;
   mutable head : 'a node;
   mutable tail : 'a node;
   mutable hits : int;
@@ -30,7 +34,7 @@ let create ?(shards = 8) ~capacity () =
   { shards =
       Array.init shards (fun _ ->
           { mutex = Mutex.create ();
-            table = Hashtbl.create 64;
+            table = Tbl.create 64;
             head = Nil;
             tail = Nil;
             hits = 0;
@@ -48,10 +52,6 @@ let capacity t = t.capacity
    placement, routing, and persistence all agree on one stable function. *)
 let shard_of t key =
   t.shards.(Fusecu_util.Hash.fnv1a64_positive key mod Array.length t.shards)
-
-let with_lock shard f =
-  Mutex.lock shard.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock shard.mutex) f
 
 let unlink s = function
   | Nil -> ()
@@ -77,8 +77,8 @@ let touch s node =
 
 let find t key =
   let s = shard_of t key in
-  with_lock s (fun () ->
-      match Hashtbl.find_opt s.table key with
+  Mutex.protect s.mutex (fun () ->
+      match Tbl.find_opt s.table key with
       | Some (Node n as node) ->
         touch s node;
         s.hits <- s.hits + 1;
@@ -90,22 +90,22 @@ let find t key =
 let add t key value =
   if t.per_shard > 0 then
     let s = shard_of t key in
-    with_lock s (fun () ->
-        match Hashtbl.find_opt s.table key with
+    Mutex.protect s.mutex (fun () ->
+        match Tbl.find_opt s.table key with
         | Some (Node n as node) ->
           n.value <- value;
           touch s node
         | Some Nil | None ->
-          (if Hashtbl.length s.table >= t.per_shard then
+          (if Tbl.length s.table >= t.per_shard then
              match s.tail with
              | Node victim as node ->
                unlink s node;
-               Hashtbl.remove s.table victim.key;
+               Tbl.remove s.table victim.key;
                s.evictions <- s.evictions + 1
              | Nil -> ());
           let node = Node { key; value; prev = Nil; next = Nil } in
           push_front s node;
-          Hashtbl.replace s.table key node)
+          Tbl.replace s.table key node)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
@@ -127,19 +127,19 @@ let stats t =
           { hits = acc.hits + s.hits;
             misses = acc.misses + s.misses;
             evictions = acc.evictions + s.evictions;
-            entries = acc.entries + Hashtbl.length s.table })
+            entries = acc.entries + Tbl.length s.table })
         { hits = 0; misses = 0; evictions = 0; entries = 0 }
         t.shards)
 
 let shard_occupancy t =
   with_all_locked t (fun () ->
-      Array.to_list (Array.map (fun s -> Hashtbl.length s.table) t.shards))
+      Array.to_list (Array.map (fun s -> Tbl.length s.table) t.shards))
 
 let fold_entries t f init =
   with_all_locked t (fun () ->
       Array.fold_left
         (fun acc s ->
-          Hashtbl.fold
+          Tbl.fold
             (fun k node acc -> match node with Node n -> f k n.value acc | Nil -> acc)
             s.table acc)
         init t.shards)

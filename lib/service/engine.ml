@@ -3,7 +3,6 @@ open Fusecu_loopnest
 open Fusecu_core
 open Fusecu_util
 module Partition = Fusecu_planner.Partition
-module Pgroup = Fusecu_planner.Group
 module Wgraph = Fusecu_workloads.Graph
 
 type mapper = Mapper_principles
@@ -32,36 +31,29 @@ let default_config () =
     slow_log_ms = None;
     mapper = Mapper_principles }
 
-(* A cached plan and, once a hit asks for them, its printed result
-   members ([Protocol.result_members]) in the canonical and in the
-   M<->L-transposed orientation; [""] until then. The texts are a pure
-   function of the outcome and the orientation and are written only in
-   the sequential phases, so a reply is the same bytes whether its
-   members were printed now or kept from an earlier hit. A miss keeps
-   no text: most plans are never hit, and their text would only take
-   memory. *)
+(* A cached answer (canonical orientation) and, once a hit or a reply
+   of its batch asks for it, its M<->L-transposed form
+   ([Protocol.apply_transform]), which only an intra answer differs in.
+   The transposed text is a pure function of the canonical one and is
+   written only in the sequential phases, so a reply is the same bytes
+   whether it was relabelled now or kept from an earlier hit. The entry
+   a miss puts in the cache starts without it: most plans are never
+   hit. *)
 type entry = {
-  outcome : Protocol.outcome;  (** canonical orientation *)
-  mutable canonical : string;
-  mutable transposed : string;
+  outcome : Protocol.outcome;
+  mutable transposed : Protocol.outcome option;
 }
 
-let entry outcome = { outcome; canonical = ""; transposed = "" }
+let entry outcome = { outcome; transposed = None }
 
-(* Only an intra plan changes under the M<->L transform
-   ([Protocol.apply_transform]), so every other outcome has one text
-   for both orientations. *)
-let members e (transform : Protocol.transform) =
-  match (transform, e.outcome) with
-  | Transpose_ml, R_intra _ ->
-    if String.length e.transposed = 0 then
-      e.transposed <-
-        Protocol.result_members (Protocol.apply_transform transform e.outcome);
-    e.transposed
-  | _ ->
-    if String.length e.canonical = 0 then
-      e.canonical <- Protocol.result_members e.outcome;
-    e.canonical
+let answer e (transform : Protocol.transform) =
+  match (transform, e.transposed) with
+  | Identity, _ -> e.outcome
+  | Transpose_ml, Some o -> o
+  | Transpose_ml, None ->
+    let o = Protocol.apply_transform transform e.outcome in
+    e.transposed <- Some o;
+    o
 
 type t = {
   config : config;
@@ -97,16 +89,11 @@ let create ?metrics ?store config =
 
 (* Persist a plan the moment it enters the cache: both sites run in the
    engine's sequential phases, and the store only enqueues for the
-   write-behind flusher, so the hot path never touches disk. [e] is the
-   caller's entry for the new plan, through which its replies print it
-   too; the cache gets an entry of its own, which keeps no text. *)
-let cache_insert t key e =
-  Cache.add t.cache key (entry e.outcome);
-  match t.store with
-  | Some s ->
-    Store.append_members s key ~op:(Protocol.outcome_op e.outcome)
-      (members e Identity)
-  | None -> ()
+   write-behind flusher, so the hot path never touches disk. The cache
+   gets an entry of its own, which keeps no transposed text. *)
+let cache_insert t key outcome =
+  Cache.add t.cache key (entry outcome);
+  Option.iter (fun s -> Store.append s key outcome) t.store
 
 let metrics t = t.metrics
 
@@ -138,7 +125,7 @@ let rec compute t (call : Protocol.call) :
   match call with
   | Intra { op; buffer; mode } -> (
     match Intra.optimize ~mode op buffer with
-    | Ok plan -> Ok (Protocol.R_intra (Protocol.intra_result_of_plan plan))
+    | Ok plan -> Ok (Protocol.intra_outcome plan)
     | Error e -> Error (Protocol.Infeasible, e))
   | Fuse { op; l2; buffer; mode } -> (
     let op2 =
@@ -146,26 +133,10 @@ let rec compute t (call : Protocol.call) :
     in
     let pair = Fused.make_pair_exn op op2 in
     match Fusion.plan_pair ~mode pair buffer with
-    | Error e -> Error (Protocol.Infeasible, e)
-    | Ok (Fusion.Fuse { pattern; fused; traffic }) ->
-      Ok
-        (Protocol.R_fuse
-           (Protocol.Fused { pattern; nra = Fusion.fused_nra pair fused; traffic }))
-    | Ok (Fusion.No_fuse { plan1; plan2; traffic; why }) ->
-      Ok
-        (Protocol.R_fuse
-           (Protocol.Not_fused
-              { why;
-                traffic;
-                producer = Nra.class_of plan1.Intra.dataflow;
-                consumer = Nra.class_of plan2.Intra.dataflow })))
+    | Ok decision -> Ok (Protocol.fuse_outcome pair decision)
+    | Error e -> Error (Protocol.Infeasible, e))
   | Regime { op; buffer } ->
-    let regime = Regime.classify op buffer in
-    Ok
-      (Protocol.R_regime
-         { regime;
-           thresholds = Regime.thresholds op;
-           classes = Regime.expected_classes regime })
+    Ok (Protocol.regime_outcome (Regime.classify op buffer) (Regime.thresholds op))
   | Eval { model; buffer; elt_bytes; mode } -> (
     match Fusecu_workloads.Zoo.find model with
     | None -> unknown_model model
@@ -174,47 +145,15 @@ let rec compute t (call : Protocol.call) :
       (* one row per platform; the nested per-layer parallelism of
          eval_workload is forced sequential — the engine already runs
          whole requests on worker domains *)
-      let rows =
-        List.map
-          (fun (p : Fusecu_arch.Platform.t) ->
-            match
-              Fusecu_arch.Perf.eval_workload ~mode ~elt_bytes
-                ~pool:Pool.sequential p buffer w
-            with
-            | Ok e ->
-              { Protocol.platform = p.name;
-                cells =
-                  Ok
-                    { Protocol.traffic = e.traffic;
-                      traffic_bytes = e.traffic_bytes;
-                      macs = e.macs;
-                      cycles = e.cycles;
-                      utilization = e.utilization } }
-            | Error e -> { Protocol.platform = p.name; cells = Error e })
-          Fusecu_arch.Platform.all
+      let eval p =
+        Fusecu_arch.Perf.eval_workload ~mode ~elt_bytes ~pool:Pool.sequential p buffer w
       in
-      Ok (Protocol.R_eval rows))
+      Ok (Protocol.eval_outcome (List.map (fun p -> (p, eval p)) Fusecu_arch.Platform.all)))
   | Chain { m; ks; buffer; mode } -> (
     let chain = Chain.of_dims ~name:"chain" ~m ks in
     match Multi_fusion.plan ~mode chain buffer with
-    | Error e -> Error (Protocol.Infeasible, e)
-    | Ok (Multi_fusion.Full_fusion { traffic; _ }) ->
-      Ok
-        (Protocol.R_chain
-           (Protocol.Full_fusion
-              { traffic; fused_bound = Chain.ideal_ma_fused chain }))
-    | Ok (Multi_fusion.Fallback plan) ->
-      let segments =
-        List.map
-          (function
-            | Planner.Solo p -> Protocol.Solo_seg (Intra.ma p)
-            | Planner.Fused_pair { pattern; traffic; _ } ->
-              Protocol.Fused_seg (Fusion.pattern_name pattern, traffic))
-          plan.Planner.segments
-      in
-      Ok
-        (Protocol.R_chain
-           (Protocol.Pairwise { traffic = plan.Planner.traffic; segments })))
+    | Ok decision -> Ok (Protocol.chain_outcome chain decision)
+    | Error e -> Error (Protocol.Infeasible, e))
   | Nest { kind; buffer; mode } -> (
     let nest = Protocol.nest_of_kind kind in
     let lattice =
@@ -224,34 +163,21 @@ let rec compute t (call : Protocol.call) :
       | Mode.Pow2 -> Fusecu_nest.Search.Pow2
     in
     match Fusecu_dse.Nest_bnb.search ~lattice nest buffer with
+    | Some r -> Ok (Protocol.nest_outcome nest r)
     | None ->
       Error
         ( Protocol.Infeasible,
           Printf.sprintf
             "no feasible schedule: buffer (%d elements) cannot hold one tile \
              per tensor"
-            (Buffer.elements buffer) )
-    | Some r ->
-      let module Nest = Fusecu_nest.Nest in
-      let s = r.Fusecu_nest.Search.schedule in
-      let axes = Array.to_list nest.Nest.axes in
-      Ok
-        (Protocol.R_nest
-           { Protocol.n_axes = axes;
-             n_extents = Array.to_list nest.Nest.extents;
-             n_tiles = Array.to_list s.Nest.tiles;
-             n_order =
-               List.map (fun i -> nest.Nest.axes.(i)) (Array.to_list s.Nest.order);
-             n_traffic = r.Fusecu_nest.Search.cost.Nest.total;
-             n_ideal = Fusecu_nest.Bound.ideal nest;
-             n_footprint = Nest.footprint nest s;
-             n_points = Nest.points nest;
-             n_evaluated = r.Fusecu_nest.Search.evaluated }))
+            (Buffer.elements buffer) ))
   | Plan_model _ ->
     (* reachable only through direct [compute] callers (benchmarks);
        [run] intercepts plan_model before batching so the cache-backed
        variant below stays on the sequential path *)
-    plan_model_impl t ~use_cache:false call
+    Result.map
+      (fun (graph, p) -> Protocol.plan_model_outcome graph p)
+      (partition t ~use_cache:false call)
 
 (* Whole-model partitioning. Each fusion group the partitioner probes
    becomes an ordinary [intra] (single operator) or [chain] (merged
@@ -263,8 +189,8 @@ let rec compute t (call : Protocol.call) :
    The response bytes are cache-independent: a hit returns exactly what
    [compute] would have produced, because a compute is a pure function
    of the canonical call. *)
-and plan_model_impl t ~use_cache (call : Protocol.call) :
-    (Protocol.outcome, Protocol.error_code * string) result =
+and partition t ~use_cache (call : Protocol.call) :
+    (Wgraph.t * Partition.t, Protocol.error_code * string) result =
   match call with
   | Plan_model { model; layers; buffer; elt_bytes = _; mode } -> (
     match Fusecu_workloads.Zoo.find model with
@@ -285,24 +211,14 @@ and plan_model_impl t ~use_cache (call : Protocol.call) :
         in
         let canonical, _ = Protocol.canonicalize sub in
         let key = Protocol.cache_key canonical in
-        let cached = if use_cache then Cache.find t.cache key else None in
-        let outcome =
-          match cached with
-          | Some e -> Ok e.outcome
-          | None -> (
-            match compute t canonical with
-            | Ok outcome ->
-              if use_cache then cache_insert t key (entry outcome);
-              Ok outcome
-            | Error (_, msg) -> Error msg)
-        in
-        match outcome with
-        | Error e -> Error e
-        | Ok (Protocol.R_intra r) -> Ok r.Protocol.ma
-        | Ok (Protocol.R_chain (Protocol.Full_fusion { traffic; _ }))
-        | Ok (Protocol.R_chain (Protocol.Pairwise { traffic; _ })) ->
-          Ok traffic
-        | Ok _ -> Error "plan_model: unexpected sub-call outcome"
+        match if use_cache then Cache.find t.cache key else None with
+        | Some e -> Protocol.traffic e.outcome
+        | None -> (
+          match compute t canonical with
+          | Ok outcome ->
+            if use_cache then cache_insert t key outcome;
+            Protocol.traffic outcome
+          | Error (_, msg) -> Error msg)
       in
       match Partition.plan ~evaluator graph buffer with
       | Error e -> Error (Protocol.Infeasible, e)
@@ -314,46 +230,8 @@ and plan_model_impl t ~use_cache (call : Protocol.call) :
           (float_of_int s.Partition.bnb_pruned);
         Metrics.observe t.metrics "planner_groups"
           (float_of_int (List.length p.Partition.groups));
-        let name_of id = (Wgraph.find graph id).Wgraph.name in
-        let plan_groups =
-          List.map
-            (fun (g : Partition.group) ->
-              { Protocol.members =
-                  List.map
-                    (fun (n : Wgraph.node) -> n.Wgraph.name)
-                    g.Partition.members;
-                count = g.Partition.count;
-                ops =
-                  List.fold_left
-                    (fun a n -> a + List.length (Pgroup.ops n))
-                    0 g.Partition.members;
-                group_traffic = g.Partition.traffic;
-                group_hidden = g.Partition.hidden })
-            p.Partition.groups
-        in
-        let fused_edges =
-          List.map
-            (fun (e : Partition.edge) ->
-              Printf.sprintf "%s->%s" (name_of e.Partition.src)
-                (name_of e.Partition.dst))
-            p.Partition.selected
-        in
-        Ok
-          (Protocol.R_plan_model
-             { Protocol.nodes = List.length (Wgraph.nodes graph);
-               plan_groups;
-               fused_edges;
-               traffic = p.Partition.traffic;
-               hidden = p.Partition.hidden;
-               effective = p.Partition.effective;
-               unfused_traffic = p.Partition.unfused_traffic;
-               unfused_effective = p.Partition.unfused_effective;
-               candidate_edges = s.Partition.candidate_edges;
-               components = s.Partition.components;
-               dp_states = s.Partition.dp_states;
-               bnb_nodes = s.Partition.bnb_nodes;
-               bnb_pruned = s.Partition.bnb_pruned })))
-  | _ -> Error (Protocol.Bad_request, "plan_model_impl: not a plan_model call")
+        Ok (graph, p)))
+  | _ -> Error (Protocol.Bad_request, "partition: not a plan_model call")
 
 (* ------------------------------------------------------------------ *)
 (* Batch execution                                                     *)
@@ -516,10 +394,10 @@ let respond t computed slot =
   match slot with
   | Ready line -> (line, "reject")
   | Hit { id; call; transform; entry; _ } ->
-    (Protocol.reply ~id ~call (members entry transform), "hit")
+    (Protocol.response_ok ~id ~call (answer entry transform), "hit")
   | Pending { id; call; transform; work = i; _ } -> (
     match computed.(i) with
-    | Ok e -> (Protocol.reply ~id ~call (members e transform), "computed")
+    | Ok e -> (Protocol.response_ok ~id ~call (answer e transform), "computed")
     | Error (code, message) ->
       Metrics.incr t.metrics "compute_errors";
       (Protocol.response_error ~id ~code ~message, "error"))
@@ -538,14 +416,14 @@ let flush_batch t batch emit ~trace_id ~seq_base =
   in
   (* phase 3: sequential drain — cache inserts then responses, in
      request order. Each computed plan gets an entry for this batch, so
-     it is printed at most once per orientation for its store record
-     and every reply that shares it. *)
+     a transposed answer is relabelled at most once for every reply
+     that shares it. *)
   let computed = Array.map (Result.map entry) results in
   if cache_on then
     Array.iteri
       (fun i result ->
         match result with
-        | Ok e -> cache_insert t (snd work.(i)) e
+        | Ok e -> cache_insert t (snd work.(i)) e.outcome
         | Error _ -> ())
       computed;
   let access_log = Log.enabled Log.Debug in
@@ -666,7 +544,7 @@ let run t ?(batch = 64) ~next ~emit () =
                  (Protocol.response_ok_json ~id ~op:"shutdown"
                     ~result:(Json.Obj [ ("stopping", Json.Bool true) ])));
             Shutdown
-          | Ok (id, tc, Protocol.Call (Protocol.Plan_model _ as call)) ->
+          | Ok (id, tc, Protocol.Call (Protocol.Plan_model { model; layers; _ } as call)) ->
             (* a batch barrier, like [stats]: the partitioner reads and
                seeds the plan cache, which must only happen sequentially
                for the counters to stay deterministic *)
@@ -675,43 +553,40 @@ let run t ?(batch = 64) ~next ~emit () =
             Metrics.incr t.metrics "requests_plan_model";
             let t0 = Unix.gettimeofday () in
             let outcome =
-              plan_model_impl t ~use_cache:(Cache.capacity t.cache > 0) call
+              Result.map
+                (fun (graph, p) -> (p, Protocol.plan_model_outcome graph p))
+                (partition t ~use_cache:(Cache.capacity t.cache > 0) call)
             in
             let dt = Unix.gettimeofday () -. t0 in
             Metrics.observe t.metrics "latency_plan_model" dt;
             (* structured slow-plan record with the per-group cost
                breakdown, so slow whole-model plans are diagnosable
                from logs alone (stderr only — never the response) *)
-            (match (t.config.slow_log_ms, outcome, call) with
-            | Some ms, Ok (Protocol.R_plan_model r), Protocol.Plan_model p
-              when dt *. 1000. >= ms ->
+            (match (t.config.slow_log_ms, outcome) with
+            | Some ms, Ok ((p : Partition.t), _) when dt *. 1000. >= ms ->
+              let group (g : Partition.group) =
+                Json.Obj
+                  [ ("members",
+                     Json.List
+                       (List.map (fun (n : Wgraph.node) -> Json.String n.name) g.members));
+                    ("traffic", Json.Int g.traffic);
+                    ("hidden", Json.Int g.hidden) ]
+              in
               Log.warn
                 ~fields:
                   (("op", Json.String "plan_model")
-                  :: ("model", Json.String p.model)
-                  :: ("layers", Json.Int p.layers)
+                  :: ("model", Json.String model)
+                  :: ("layers", Json.Int layers)
                   :: ("ms", Json.Float (dt *. 1000.))
-                  :: ("traffic", Json.Int r.Protocol.traffic)
-                  :: ("hidden", Json.Int r.Protocol.hidden)
+                  :: ("traffic", Json.Int p.traffic)
+                  :: ("hidden", Json.Int p.hidden)
                   :: tc_args tc
-                  @ [ ("groups",
-                       Json.List
-                         (List.map
-                            (fun (g : Protocol.plan_group) ->
-                              Json.Obj
-                                [ ("members",
-                                   Json.List
-                                     (List.map
-                                        (fun n -> Json.String n)
-                                        g.Protocol.members));
-                                  ("traffic", Json.Int g.Protocol.group_traffic);
-                                  ("hidden", Json.Int g.Protocol.group_hidden) ])
-                            r.Protocol.plan_groups)) ])
+                  @ [ ("groups", Json.List (List.map group p.groups)) ])
                 "slow plan"
             | _ -> ());
             let line =
               match outcome with
-              | Ok outcome -> Protocol.response_ok ~id ~call outcome
+              | Ok (_, outcome) -> Protocol.response_ok ~id ~call outcome
               | Error (code, message) ->
                 Metrics.incr t.metrics "compute_errors";
                 Protocol.response_error ~id ~code ~message

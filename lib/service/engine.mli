@@ -23,20 +23,26 @@
       search after it; a [nest] miss is a {!Fusecu_dse.Nest_bnb}
       search;
     + {b drain} (sequential, request order): successful outcomes are
-      inserted into the cache, and every outcome is mapped back through
-      {!Protocol.apply_transform} and serialized. A cache entry keeps
-      the printed result members ({!Protocol.result_members}) of each
-      orientation a hit has asked for, so a later hit in that
-      orientation writes only its id and problem echo around them; a
-      miss prints its members once for its replies and its store
-      record, and keeps none.
+      inserted into the cache and the store, and every outcome is
+      mapped back through {!Protocol.apply_transform} and replied.
+
+    An answer is computed as its printed text ({!Protocol.outcome}):
+    {!compute} runs the planner and hands its result to the op's
+    builder in {!Protocol} ({!Protocol.intra_outcome} and the others),
+    which prints the wire [result] members once. A cache entry holds
+    that text,
+    whether it was computed or recovered from the store, and a reply
+    splices it after the request's id and problem echo. A transposed
+    [intra] reply relabels the text ({!Protocol.apply_transform}); the
+    entry keeps the relabelled text once a hit has asked for it, and a
+    miss relabels it at most once for the replies of its batch.
 
     Because the cache is only touched in the sequential phases, its
     hit/miss/eviction counters — and therefore the [stats] response —
     are deterministic too, and so is the kept text: it is a pure
-    function of the outcome and the orientation. Control requests act as batch barriers, so a
-    [stats] response reflects exactly the requests before it in the
-    stream. *)
+    function of the outcome and the orientation. Control requests act
+    as batch barriers, so a [stats] response reflects exactly the
+    requests before it in the stream. *)
 
 open Fusecu_util
 
@@ -111,8 +117,10 @@ val prometheus : t -> string
 
 val compute : t -> Protocol.call
   -> (Protocol.outcome, Protocol.error_code * string) result
-(** Run one (already canonical) call against the planners. Exposed for
-    the benchmark harness; normal traffic goes through {!run}. *)
+(** Run one (already canonical) call against the planners; the answer
+    is the planner's result printed by the op's builder in {!Protocol}.
+    Exposed for the benchmark harness; normal traffic goes through
+    {!run}. *)
 
 type stop_reason =
   | Drained  (** [next] returned [None] (end of input) *)

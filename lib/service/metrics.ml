@@ -9,33 +9,33 @@ type histogram = {
   bins : int array;  (** [bins.(i)]: observations in [[2^i, 2^(i+1)) µs] *)
 }
 
+(* Names hash and compare as strings, never through the polymorphic
+   compare. *)
+module Tbl = Hashtbl.Make (String)
+
 type t = {
   mutex : Mutex.t;
-  counters : (string, int ref) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
+  counters : int ref Tbl.t;
+  histograms : histogram Tbl.t;
+  gauges : float ref Tbl.t;
 }
 
 let create () =
   { mutex = Mutex.create ();
-    counters = Hashtbl.create 32;
-    histograms = Hashtbl.create 8;
-    gauges = Hashtbl.create 8 }
-
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+    counters = Tbl.create 32;
+    histograms = Tbl.create 8;
+    gauges = Tbl.create 8 }
 
 let incr ?(by = 1) t name =
   if by < 0 then invalid_arg "Metrics.incr: counters are monotonic";
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.counters name with
+  Mutex.protect t.mutex (fun () ->
+      match Tbl.find_opt t.counters name with
       | Some r -> r := !r + by
-      | None -> Hashtbl.replace t.counters name (ref by))
+      | None -> Tbl.replace t.counters name (ref by))
 
 let get t name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
+  Mutex.protect t.mutex (fun () ->
+      match Tbl.find_opt t.counters name with Some r -> !r | None -> 0)
 
 let bucket_of_seconds s =
   let us = s *. 1e6 in
@@ -46,13 +46,13 @@ let bucket_of_seconds s =
 
 let observe t name seconds =
   let seconds = Float.max 0. seconds in
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let h =
-        match Hashtbl.find_opt t.histograms name with
+        match Tbl.find_opt t.histograms name with
         | Some h -> h
         | None ->
           let h = { count = 0; total_s = 0.; bins = Array.make buckets 0 } in
-          Hashtbl.replace t.histograms name h;
+          Tbl.replace t.histograms name h;
           h
       in
       h.count <- h.count + 1;
@@ -61,24 +61,24 @@ let observe t name seconds =
       h.bins.(b) <- h.bins.(b) + 1)
 
 let set_gauge t name v =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.gauges name with
+  Mutex.protect t.mutex (fun () ->
+      match Tbl.find_opt t.gauges name with
       | Some r -> r := v
-      | None -> Hashtbl.replace t.gauges name (ref v))
+      | None -> Tbl.replace t.gauges name (ref v))
 
 (* Callers must hold [t.mutex]. *)
 let gauges_locked t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.gauges []
+  Tbl.fold (fun k r acc -> (k, !r) :: acc) t.gauges []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let gauges t = with_lock t (fun () -> gauges_locked t)
+let gauges t = Mutex.protect t.mutex (fun () -> gauges_locked t)
 
 (* Callers must hold [t.mutex]. *)
 let counters_locked t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
+  Tbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let counters t = with_lock t (fun () -> counters_locked t)
+let counters t = Mutex.protect t.mutex (fun () -> counters_locked t)
 
 let counters_json t =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t))
@@ -105,9 +105,9 @@ let histogram_json ~count ~total_s bins =
    family would let an update land between the reads and produce a torn
    dump (e.g. a request counted whose latency is missing). *)
 let snapshot t =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       ( counters_locked t,
-        Hashtbl.fold
+        Tbl.fold
           (fun k h acc -> (k, { h with bins = Array.copy h.bins }) :: acc)
           t.histograms []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b),

@@ -4,6 +4,7 @@ open Fusecu_core
 module Json = Fusecu_util.Json
 module Units = Fusecu_util.Units
 module Arith = Fusecu_util.Arith
+module Partition = Fusecu_planner.Partition
 
 (* [Buffer] is the on-chip buffer ([Fusecu_loopnest.Buffer]); replies
    and keys are written into a [Text]. *)
@@ -451,460 +452,252 @@ let cache_key call =
   Text.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Outcomes                                                            *)
+(* Answers                                                             *)
 
-type intra_result = {
-  ma : int;
-  redundancy : float;
-  footprint : int;
-  tile_m : int;
-  tile_k : int;
-  tile_l : int;
-  order : Dim.t list;
-  nra : Nra.t;
-  dataflow : Nra.dataflow;
-  regime : Regime.t;
-}
+(* An answer is printed once, here, from its planner result: the
+   members of its wire [result], in their fixed order. Replies, store
+   records and cache entries splice the text. *)
 
-let intra_result_of_plan (plan : Intra.plan) =
-  let s = plan.schedule in
-  { ma = Intra.ma plan;
-    redundancy = Intra.redundancy plan;
-    footprint = Schedule.footprint s;
-    tile_m = Tiling.get s.tiling Dim.M;
-    tile_k = Tiling.get s.tiling Dim.K;
-    tile_l = Tiling.get s.tiling Dim.L;
-    order = Order.dims s.order;
-    nra = Nra.class_of plan.dataflow;
-    dataflow = plan.dataflow;
-    regime = plan.regime }
+type outcome = { op : string; members : string }
 
-type fuse_result =
-  | Fused of { pattern : Fusion.pattern; nra : Nra.t; traffic : int }
-  | Not_fused of {
-      why : string;
-      traffic : int;
-      producer : Nra.t;
-      consumer : Nra.t;
-    }
+let outcome op fields =
+  let b = Text.create 256 in
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Text.add_char b ',';
+      Json.write_string b k;
+      Text.add_char b ':';
+      Json.write b v)
+    fields;
+  { op; members = Text.contents b }
 
-type regime_result = {
-  regime : Regime.t;
-  thresholds : Regime.thresholds;
-  classes : Nra.t list;
-}
-
-type eval_cells = {
-  traffic : int;
-  traffic_bytes : int;
-  macs : int;
-  cycles : int;
-  utilization : float;
-}
-
-type eval_row = { platform : string; cells : (eval_cells, string) result }
-
-type chain_segment = Solo_seg of int | Fused_seg of string * int
-
-type chain_result =
-  | Full_fusion of { traffic : int; fused_bound : int }
-  | Pairwise of { traffic : int; segments : chain_segment list }
-
-type plan_group = {
-  members : string list;
-  count : int;
-  ops : int;
-  group_traffic : int;
-  group_hidden : int;
-}
-
-type plan_model_result = {
-  nodes : int;
-  plan_groups : plan_group list;
-  fused_edges : string list;
-  traffic : int;
-  hidden : int;
-  effective : int;
-  unfused_traffic : int;
-  unfused_effective : int;
-  candidate_edges : int;
-  components : int;
-  dp_states : int;
-  bnb_nodes : int;
-  bnb_pruned : int;
-}
-
-type nest_result = {
-  n_axes : string list;  (** axis names, rank order *)
-  n_extents : int list;
-  n_tiles : int list;  (** winning tile per axis, rank order *)
-  n_order : string list;  (** axis names, outermost first *)
-  n_traffic : int;
-  n_ideal : int;  (** unbounded-buffer communication lower bound *)
-  n_footprint : int;
-  n_points : int;
-  n_evaluated : int;  (** schedules cost-evaluated by the mapper *)
-}
-
-type outcome =
-  | R_intra of intra_result
-  | R_fuse of fuse_result
-  | R_regime of regime_result
-  | R_eval of eval_row list
-  | R_chain of chain_result
-  | R_plan_model of plan_model_result
-  | R_nest of nest_result
-
-(* Relabel canonical-frame results for the original (transposed)
-   request: the canonical computation ran on [transpose op], whose A is
-   the original B^T, B the original A^T, M the original L.  Counts
-   (traffic, footprint, regime, class) are invariant — see DESIGN.md §5. *)
-let swap_dim = function Dim.M -> Dim.L | Dim.L -> Dim.M | Dim.K -> Dim.K
-
-let swap_operand = function
-  | Operand.A -> Operand.B
-  | Operand.B -> Operand.A
-  | Operand.C -> Operand.C
-
-let transpose_dataflow = function
-  | Nra.Single_nra { stationary } ->
-    Nra.Single_nra { stationary = swap_operand stationary }
-  | Nra.Two_nra { untiled; redundant } ->
-    Nra.Two_nra { untiled = swap_dim untiled; redundant = swap_operand redundant }
-  | Nra.Three_nra { resident } ->
-    Nra.Three_nra { resident = swap_operand resident }
-
-let apply_transform tf outcome =
-  match (tf, outcome) with
-  | Identity, o -> o
-  | Transpose_ml, R_intra r ->
-    R_intra
-      { r with
-        tile_m = r.tile_l;
-        tile_l = r.tile_m;
-        order = List.map swap_dim r.order;
-        dataflow = transpose_dataflow r.dataflow }
-  | Transpose_ml, o -> o
-
-(* ------------------------------------------------------------------ *)
-(* Outcome codec                                                       *)
-
-(* The wire [result] fields of each outcome variant, each followed by
-   its inverse. Inside one op the variants are told apart by ["fuse"],
-   ["decision"] or an ["error"] member, so with the op known the wire
-   shape decodes exactly; the plan store keeps [{"op":..., fields}]. *)
-
-let ( let* ) = Result.bind
-
-let get name decode j =
-  match Json.member name j with
-  | Some v -> decode v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let list decode v =
-  let* vs = Json.to_list v in
-  List.fold_right
-    (fun x acc ->
-      let* acc = acc in
-      let* y = decode x in
-      Ok (y :: acc))
-    vs (Ok [])
-
-let ints l = Json.List (List.map (fun n -> Json.Int n) l)
 let strings l = Json.List (List.map (fun s -> Json.String s) l)
 
-(* Each table maps every label of a closed variant list back to its
-   value; built once, so decoding never re-prints the labels. *)
-let label ~what to_string all =
-  let table = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace table (to_string v) v) all;
-  fun v ->
-    let* s = Json.to_string_v v in
-    match Hashtbl.find_opt table s with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "unknown %s %S" what s)
+let ints l = Json.List (List.map (fun n -> Json.Int n) l)
 
-let dim_label = label ~what:"dim" Dim.to_string Dim.all
-let class_label = label ~what:"class" Nra.to_string Nra.all
-let dataflow_label = label ~what:"dataflow" Nra.dataflow_to_string Nra.all_dataflows
+let class_name dataflow = Json.String (Nra.to_string (Nra.class_of dataflow))
 
-let regime_label =
-  label ~what:"regime" Regime.to_string Regime.[ Tiny; Small; Medium; Large ]
+let intra_outcome (plan : Intra.plan) =
+  let s = plan.schedule in
+  let tile d = Json.Int (Tiling.get s.tiling d) in
+  outcome "intra"
+    [ ("ma", Json.Int (Intra.ma plan));
+      ("redundancy", Json.Float (Intra.redundancy plan));
+      ("footprint", Json.Int (Schedule.footprint s));
+      ("tiles", Json.Obj [ ("m", tile Dim.M); ("k", tile Dim.K); ("l", tile Dim.L) ]);
+      ("order", strings (List.map Dim.to_string (Order.dims s.order)));
+      ("class", class_name plan.dataflow);
+      ("dataflow", Json.String (Nra.dataflow_to_string plan.dataflow));
+      ("regime", Json.String (Regime.to_string plan.regime)) ]
 
-let pattern_label = label ~what:"pattern" Fusion.pattern_name Fusion.all_patterns
+let fuse_outcome pair = function
+  | Fusion.Fuse { pattern; fused; traffic } ->
+    outcome "fuse"
+      [ ("fuse", Json.Bool true);
+        ("pattern", Json.String (Fusion.pattern_name pattern));
+        ("class", Json.String (Nra.to_string (Fusion.fused_nra pair fused)));
+        ("traffic", Json.Int traffic) ]
+  | Fusion.No_fuse { plan1; plan2; traffic; why } ->
+    outcome "fuse"
+      [ ("fuse", Json.Bool false);
+        ("why", Json.String why);
+        ("producer_class", class_name plan1.dataflow);
+        ("consumer_class", class_name plan2.dataflow);
+        ("traffic", Json.Int traffic) ]
 
-let intra_fields r =
-  [ ("ma", Json.Int r.ma);
-    ("redundancy", Json.Float r.redundancy);
-    ("footprint", Json.Int r.footprint);
-    ("tiles",
-     Json.Obj
-       [ ("m", Json.Int r.tile_m); ("k", Json.Int r.tile_k);
-         ("l", Json.Int r.tile_l) ]);
-    ("order", strings (List.map Dim.to_string r.order));
-    ("class", Json.String (Nra.to_string r.nra));
-    ("dataflow", Json.String (Nra.dataflow_to_string r.dataflow));
-    ("regime", Json.String (Regime.to_string r.regime)) ]
+let regime_outcome regime (th : Regime.thresholds) =
+  outcome "regime"
+    [ ("regime", Json.String (Regime.to_string regime));
+      ("thresholds",
+       Json.Obj
+         [ ("tiny_max", Json.Int th.tiny_max);
+           ("small_max", Json.Int th.small_max);
+           ("medium_max", Json.Int th.medium_max) ]);
+      ("classes", strings (List.map Nra.to_string (Regime.expected_classes regime))) ]
 
-let intra_of_json j =
-  let* ma = get "ma" Json.to_int j in
-  let* redundancy = get "redundancy" Json.to_float j in
-  let* footprint = get "footprint" Json.to_int j in
-  let* tiles = get "tiles" Result.ok j in
-  let* tile_m = get "m" Json.to_int tiles in
-  let* tile_k = get "k" Json.to_int tiles in
-  let* tile_l = get "l" Json.to_int tiles in
-  let* order = get "order" (list dim_label) j in
-  let* nra = get "class" class_label j in
-  let* dataflow = get "dataflow" dataflow_label j in
-  let* regime = get "regime" regime_label j in
-  Ok
-    { ma; redundancy; footprint; tile_m; tile_k; tile_l; order; nra; dataflow;
-      regime }
+let eval_outcome rows =
+  let row ((p : Fusecu_arch.Platform.t), cells) =
+    Json.Obj
+      (("name", Json.String p.name)
+      ::
+      (match cells with
+      | Ok (e : Fusecu_arch.Perf.eval) ->
+        [ ("traffic", Json.Int e.traffic);
+          ("traffic_bytes", Json.Int e.traffic_bytes);
+          ("macs", Json.Int e.macs);
+          ("cycles", Json.Int e.cycles);
+          ("utilization", Json.Float e.utilization) ]
+      | Error e -> [ ("error", Json.String e) ]))
+  in
+  outcome "eval" [ ("platforms", Json.List (List.map row rows)) ]
 
-let fuse_fields = function
-  | Fused { pattern; nra; traffic } ->
-    [ ("fuse", Json.Bool true);
-      ("pattern", Json.String (Fusion.pattern_name pattern));
-      ("class", Json.String (Nra.to_string nra));
-      ("traffic", Json.Int traffic) ]
-  | Not_fused { why; traffic; producer; consumer } ->
-    [ ("fuse", Json.Bool false);
-      ("why", Json.String why);
-      ("producer_class", Json.String (Nra.to_string producer));
-      ("consumer_class", Json.String (Nra.to_string consumer));
-      ("traffic", Json.Int traffic) ]
+let chain_outcome chain = function
+  | Multi_fusion.Full_fusion { traffic; _ } ->
+    outcome "chain"
+      [ ("decision", Json.String "full_fusion");
+        ("traffic", Json.Int traffic);
+        ("fused_bound", Json.Int (Chain.ideal_ma_fused chain)) ]
+  | Multi_fusion.Fallback plan ->
+    let segment = function
+      | Planner.Solo p ->
+        Json.Obj [ ("kind", Json.String "solo"); ("traffic", Json.Int (Intra.ma p)) ]
+      | Planner.Fused_pair { pattern; traffic; _ } ->
+        Json.Obj
+          [ ("kind", Json.String "fused");
+            ("pattern", Json.String (Fusion.pattern_name pattern));
+            ("traffic", Json.Int traffic) ]
+    in
+    outcome "chain"
+      [ ("decision", Json.String "pairwise");
+        ("traffic", Json.Int plan.traffic);
+        ("segments", Json.List (List.map segment plan.segments)) ]
 
-let fuse_of_json j =
-  let* fused = get "fuse" Json.to_bool j in
-  let* traffic = get "traffic" Json.to_int j in
-  if fused then
-    let* pattern = get "pattern" pattern_label j in
-    let* nra = get "class" class_label j in
-    Ok (Fused { pattern; nra; traffic })
+let nest_outcome (nest : Fusecu_nest.Nest.t) (r : Fusecu_nest.Search.result) =
+  let s = r.schedule in
+  outcome "nest"
+    [ ("axes", strings (Array.to_list nest.axes));
+      ("extents", ints (Array.to_list nest.extents));
+      ("tiles", ints (Array.to_list s.tiles));
+      ("order", strings (List.map (fun i -> nest.axes.(i)) (Array.to_list s.order)));
+      ("traffic", Json.Int r.cost.total);
+      ("ideal", Json.Int (Fusecu_nest.Bound.ideal nest));
+      ("footprint", Json.Int (Fusecu_nest.Nest.footprint nest s));
+      ("points", Json.Int (Fusecu_nest.Nest.points nest));
+      ("evaluated", Json.Int r.evaluated) ]
+
+let plan_model_outcome graph (p : Partition.t) =
+  let module Graph = Fusecu_workloads.Graph in
+  let name_of id = (Graph.find graph id).name in
+  let ops members =
+    List.fold_left (fun a n -> a + List.length (Fusecu_planner.Group.ops n)) 0 members
+  in
+  let group (g : Partition.group) =
+    Json.Obj
+      [ ("members", strings (List.map (fun (n : Graph.node) -> n.name) g.members));
+        ("count", Json.Int g.count);
+        ("ops", Json.Int (ops g.members));
+        ("traffic", Json.Int g.traffic);
+        ("hidden", Json.Int g.hidden) ]
+  in
+  let edge (e : Partition.edge) = Printf.sprintf "%s->%s" (name_of e.src) (name_of e.dst) in
+  let s = p.stats in
+  outcome "plan_model"
+    [ ("nodes", Json.Int (List.length (Graph.nodes graph)));
+      ("group_count", Json.Int (List.length p.groups));
+      ("groups", Json.List (List.map group p.groups));
+      ("fused_edges", strings (List.map edge p.selected));
+      ("traffic", Json.Int p.traffic);
+      ("hidden", Json.Int p.hidden);
+      ("effective", Json.Int p.effective);
+      ("unfused_traffic", Json.Int p.unfused_traffic);
+      ("unfused_effective", Json.Int p.unfused_effective);
+      ("search",
+       Json.Obj
+         [ ("candidate_edges", Json.Int s.candidate_edges);
+           ("components", Json.Int s.components);
+           ("dp_states", Json.Int s.dp_states);
+           ("bnb_nodes", Json.Int s.bnb_nodes);
+           ("bnb_pruned", Json.Int s.bnb_pruned) ]) ]
+
+let traffic o =
+  let name = if String.equal o.op "intra" then "ma" else "traffic" in
+  match Json.parse ("{" ^ o.members ^ "}") with
+  | Ok j -> (
+    match Json.member name j with
+    | Some (Json.Int n) -> Ok n
+    | _ -> Error (Printf.sprintf "a %s answer without %S" o.op name))
+  | Error e -> Error e
+
+let planning_op name =
+  List.find_opt (String.equal name)
+    [ "intra"; "fuse"; "regime"; "eval"; "chain"; "plan_model"; "nest" ]
+
+(* Relabel a canonical-frame answer for the original (transposed)
+   request: the canonical computation ran on [transpose op], whose A is
+   the original B^T, B the original A^T, M the original L. Counts
+   (traffic, footprint, regime, class) are invariant — see DESIGN.md §5.
+   Only an intra answer names dims or operands: its tiles swap m and l,
+   its loop order M and L, and its dataflow label goes through
+   [transposed_label]. *)
+let transposed_label =
+  let swap_dim = function Dim.M -> Dim.L | Dim.L -> Dim.M | Dim.K -> Dim.K in
+  let swap = function
+    | Operand.A -> Operand.B
+    | Operand.B -> Operand.A
+    | Operand.C -> Operand.C
+  in
+  let transpose = function
+    | Nra.Single_nra { stationary } -> Nra.Single_nra { stationary = swap stationary }
+    | Nra.Two_nra { untiled; redundant } ->
+      Nra.Two_nra { untiled = swap_dim untiled; redundant = swap redundant }
+    | Nra.Three_nra { resident } -> Nra.Three_nra { resident = swap resident }
+  in
+  let table =
+    List.map
+      (fun d -> (Nra.dataflow_to_string d, Nra.dataflow_to_string (transpose d)))
+      Nra.all_dataflows
+  in
+  fun label -> Option.value (find_named label table) ~default:label
+
+(* The index of the first [pat] in [s] at or after [i]. *)
+let rec index_of s pat i =
+  let n = String.length pat in
+  if i + n > String.length s then raise Not_found
   else
-    let* why = get "why" Json.to_string_v j in
-    let* producer = get "producer_class" class_label j in
-    let* consumer = get "consumer_class" class_label j in
-    Ok (Not_fused { why; traffic; producer; consumer })
+    let rec same j = j = n || (Char.equal s.[i + j] pat.[j] && same (j + 1)) in
+    if same 0 then i else index_of s pat (i + 1)
 
-let regime_fields r =
-  [ ("regime", Json.String (Regime.to_string r.regime));
-    ("thresholds",
-     Json.Obj
-       [ ("tiny_max", Json.Int r.thresholds.Regime.tiny_max);
-         ("small_max", Json.Int r.thresholds.Regime.small_max);
-         ("medium_max", Json.Int r.thresholds.Regime.medium_max) ]);
-    ("classes", strings (List.map Nra.to_string r.classes)) ]
+(* The intra members in [intra_outcome]'s fixed layout,
+   rewritten in one pass; text in any other layout, which only a
+   hand-edited store can hold, is returned as it is. *)
+let transpose_intra s =
+  let b = Text.create (String.length s) and pos = ref 0 in
+  let past pat = index_of s pat !pos + String.length pat in
+  (* the text from [pos] up to the next [pat], which is left at [pos] *)
+  let upto pat =
+    let i = index_of s pat !pos in
+    let v = String.sub s !pos (i - !pos) in
+    pos := i;
+    v
+  in
+  (* copies the text up to and including the next [pat] *)
+  let through pat =
+    let i = past pat in
+    Text.add_substring b s !pos (i - !pos);
+    pos := i
+  in
+  match
+    through "\"tiles\":{\"m\":";
+    let m = upto ",\"k\":" in
+    let k = upto ",\"l\":" in
+    pos := past ",\"l\":";
+    Text.add_string b (upto "}");
+    Text.add_string b k;
+    Text.add_string b ",\"l\":";
+    Text.add_string b m;
+    through "\"order\":[";
+    Text.add_string b (String.map (function 'M' -> 'L' | 'L' -> 'M' | c -> c) (upto "]"));
+    through "\"dataflow\":\"";
+    Text.add_string b (transposed_label (upto "\""));
+    Text.add_substring b s !pos (String.length s - !pos)
+  with
+  | () -> Text.contents b
+  | exception Not_found -> s
 
-let regime_of_json j =
-  let* regime = get "regime" regime_label j in
-  let* th = get "thresholds" Result.ok j in
-  let* tiny_max = get "tiny_max" Json.to_int th in
-  let* small_max = get "small_max" Json.to_int th in
-  let* medium_max = get "medium_max" Json.to_int th in
-  let* classes = get "classes" (list class_label) j in
-  Ok { regime; thresholds = { Regime.tiny_max; small_max; medium_max }; classes }
-
-let eval_fields rows =
-  [ ("platforms",
-     Json.List
-       (List.map
-          (fun row ->
-            Json.Obj
-              (("name", Json.String row.platform)
-              ::
-              (match row.cells with
-              | Ok c ->
-                [ ("traffic", Json.Int c.traffic);
-                  ("traffic_bytes", Json.Int c.traffic_bytes);
-                  ("macs", Json.Int c.macs);
-                  ("cycles", Json.Int c.cycles);
-                  ("utilization", Json.Float c.utilization) ]
-              | Error e -> [ ("error", Json.String e) ])))
-          rows)) ]
-
-let eval_row_of_json row =
-  let* platform = get "name" Json.to_string_v row in
-  match Json.member "error" row with
-  | Some e ->
-    let* e = Json.to_string_v e in
-    Ok { platform; cells = Error e }
-  | None ->
-    let* traffic = get "traffic" Json.to_int row in
-    let* traffic_bytes = get "traffic_bytes" Json.to_int row in
-    let* macs = get "macs" Json.to_int row in
-    let* cycles = get "cycles" Json.to_int row in
-    let* utilization = get "utilization" Json.to_float row in
-    Ok { platform; cells = Ok { traffic; traffic_bytes; macs; cycles; utilization } }
-
-let chain_fields = function
-  | Full_fusion { traffic; fused_bound } ->
-    [ ("decision", Json.String "full_fusion");
-      ("traffic", Json.Int traffic);
-      ("fused_bound", Json.Int fused_bound) ]
-  | Pairwise { traffic; segments } ->
-    [ ("decision", Json.String "pairwise");
-      ("traffic", Json.Int traffic);
-      ("segments",
-       Json.List
-         (List.map
-            (function
-              | Solo_seg t ->
-                Json.Obj [ ("kind", Json.String "solo"); ("traffic", Json.Int t) ]
-              | Fused_seg (pattern, t) ->
-                Json.Obj
-                  [ ("kind", Json.String "fused");
-                    ("pattern", Json.String pattern);
-                    ("traffic", Json.Int t) ])
-            segments)) ]
-
-let segment_of_json seg =
-  let* traffic = get "traffic" Json.to_int seg in
-  let* kind = get "kind" Json.to_string_v seg in
-  match kind with
-  | "solo" -> Ok (Solo_seg traffic)
-  | "fused" ->
-    let* pattern = get "pattern" Json.to_string_v seg in
-    Ok (Fused_seg (pattern, traffic))
-  | k -> Error (Printf.sprintf "unknown segment kind %S" k)
-
-let chain_of_json j =
-  let* traffic = get "traffic" Json.to_int j in
-  let* decision = get "decision" Json.to_string_v j in
-  match decision with
-  | "full_fusion" ->
-    let* fused_bound = get "fused_bound" Json.to_int j in
-    Ok (Full_fusion { traffic; fused_bound })
-  | "pairwise" ->
-    let* segments = get "segments" (list segment_of_json) j in
-    Ok (Pairwise { traffic; segments })
-  | d -> Error (Printf.sprintf "unknown chain decision %S" d)
-
-(* ["group_count"] is derived from ["groups"], so decoding skips it. *)
-let plan_model_fields r =
-  [ ("nodes", Json.Int r.nodes);
-    ("group_count", Json.Int (List.length r.plan_groups));
-    ("groups",
-     Json.List
-       (List.map
-          (fun g ->
-            Json.Obj
-              [ ("members", strings g.members);
-                ("count", Json.Int g.count);
-                ("ops", Json.Int g.ops);
-                ("traffic", Json.Int g.group_traffic);
-                ("hidden", Json.Int g.group_hidden) ])
-          r.plan_groups));
-    ("fused_edges", strings r.fused_edges);
-    ("traffic", Json.Int r.traffic);
-    ("hidden", Json.Int r.hidden);
-    ("effective", Json.Int r.effective);
-    ("unfused_traffic", Json.Int r.unfused_traffic);
-    ("unfused_effective", Json.Int r.unfused_effective);
-    ("search",
-     Json.Obj
-       [ ("candidate_edges", Json.Int r.candidate_edges);
-         ("components", Json.Int r.components);
-         ("dp_states", Json.Int r.dp_states);
-         ("bnb_nodes", Json.Int r.bnb_nodes);
-         ("bnb_pruned", Json.Int r.bnb_pruned) ]) ]
-
-let plan_group_of_json g =
-  let* members = get "members" (list Json.to_string_v) g in
-  let* count = get "count" Json.to_int g in
-  let* ops = get "ops" Json.to_int g in
-  let* group_traffic = get "traffic" Json.to_int g in
-  let* group_hidden = get "hidden" Json.to_int g in
-  Ok { members; count; ops; group_traffic; group_hidden }
-
-let plan_model_of_json j =
-  let* nodes = get "nodes" Json.to_int j in
-  let* plan_groups = get "groups" (list plan_group_of_json) j in
-  let* fused_edges = get "fused_edges" (list Json.to_string_v) j in
-  let* traffic = get "traffic" Json.to_int j in
-  let* hidden = get "hidden" Json.to_int j in
-  let* effective = get "effective" Json.to_int j in
-  let* unfused_traffic = get "unfused_traffic" Json.to_int j in
-  let* unfused_effective = get "unfused_effective" Json.to_int j in
-  let* search = get "search" Result.ok j in
-  let* candidate_edges = get "candidate_edges" Json.to_int search in
-  let* components = get "components" Json.to_int search in
-  let* dp_states = get "dp_states" Json.to_int search in
-  let* bnb_nodes = get "bnb_nodes" Json.to_int search in
-  let* bnb_pruned = get "bnb_pruned" Json.to_int search in
-  Ok
-    { nodes; plan_groups; fused_edges; traffic; hidden; effective;
-      unfused_traffic; unfused_effective; candidate_edges; components;
-      dp_states; bnb_nodes; bnb_pruned }
-
-let nest_fields r =
-  [ ("axes", strings r.n_axes);
-    ("extents", ints r.n_extents);
-    ("tiles", ints r.n_tiles);
-    ("order", strings r.n_order);
-    ("traffic", Json.Int r.n_traffic);
-    ("ideal", Json.Int r.n_ideal);
-    ("footprint", Json.Int r.n_footprint);
-    ("points", Json.Int r.n_points);
-    ("evaluated", Json.Int r.n_evaluated) ]
-
-let nest_of_json j =
-  let* n_axes = get "axes" (list Json.to_string_v) j in
-  let* n_extents = get "extents" (list Json.to_int) j in
-  let* n_tiles = get "tiles" (list Json.to_int) j in
-  let* n_order = get "order" (list Json.to_string_v) j in
-  let* n_traffic = get "traffic" Json.to_int j in
-  let* n_ideal = get "ideal" Json.to_int j in
-  let* n_footprint = get "footprint" Json.to_int j in
-  let* n_points = get "points" Json.to_int j in
-  let* n_evaluated = get "evaluated" Json.to_int j in
-  Ok
-    { n_axes; n_extents; n_tiles; n_order; n_traffic; n_ideal; n_footprint;
-      n_points; n_evaluated }
-
-let outcome_op = function
-  | R_intra _ -> "intra"
-  | R_fuse _ -> "fuse"
-  | R_regime _ -> "regime"
-  | R_eval _ -> "eval"
-  | R_chain _ -> "chain"
-  | R_plan_model _ -> "plan_model"
-  | R_nest _ -> "nest"
-
-let outcome_fields = function
-  | R_intra r -> intra_fields r
-  | R_fuse r -> fuse_fields r
-  | R_regime r -> regime_fields r
-  | R_eval rows -> eval_fields rows
-  | R_chain r -> chain_fields r
-  | R_plan_model r -> plan_model_fields r
-  | R_nest r -> nest_fields r
-
-let outcome_to_json o =
-  Json.Obj (("op", Json.String (outcome_op o)) :: outcome_fields o)
-
-let outcome_of_json j =
-  let wrap f decode = Result.map f (decode j) in
-  let* op = get "op" Json.to_string_v j in
-  match op with
-  | "intra" -> wrap (fun r -> R_intra r) intra_of_json
-  | "fuse" -> wrap (fun r -> R_fuse r) fuse_of_json
-  | "regime" -> wrap (fun r -> R_regime r) regime_of_json
-  | "eval" -> wrap (fun rows -> R_eval rows) (get "platforms" (list eval_row_of_json))
-  | "chain" -> wrap (fun r -> R_chain r) chain_of_json
-  | "plan_model" -> wrap (fun r -> R_plan_model r) plan_model_of_json
-  | "nest" -> wrap (fun r -> R_nest r) nest_of_json
-  | op -> Error (Printf.sprintf "unknown op %S" op)
+let apply_transform tf o =
+  match tf with
+  | Transpose_ml when String.equal o.op "intra" ->
+    { o with members = transpose_intra o.members }
+  | Identity | Transpose_ml -> o
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
 (* A reply is written straight into one [Text]: [{"id":<id>,"ok":true,
    "op":<op>,"result":{<echo>,<members>}}], where the echo is the
-   problem in the request's orientation and the members are
-   [result_members] of the outcome, the part a cache entry can keep.
-   Each echo field is written with the comma that follows it. *)
+   problem in the request's orientation and the members are the
+   outcome's. Each echo field is written with the comma that follows
+   it. *)
 
 let echo_name b name =
   Text.add_char b '"';
@@ -973,30 +766,17 @@ let write_echo b = function
     echo_buffer b buffer;
     echo_mode b mode
 
-let result_members outcome =
-  let b = Text.create 256 in
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Text.add_char b ',';
-      Json.write_string b k;
-      Text.add_char b ':';
-      Json.write b v)
-    (outcome_fields outcome);
-  Text.contents b
-
-let reply ~id ~call members =
-  let b = Text.create (String.length members + 160) in
+let response_ok ~id ~call o =
+  let b = Text.create (String.length o.members + 160) in
   Text.add_string b "{\"id\":";
   Json.write b id;
   Text.add_string b ",\"ok\":true,\"op\":";
   Json.write_string b (op_name call);
   Text.add_string b ",\"result\":{";
   write_echo b call;
-  Text.add_string b members;
+  Text.add_string b o.members;
   Text.add_string b "}}";
   Text.contents b
-
-let response_ok ~id ~call outcome = reply ~id ~call (result_members outcome)
 
 let response_ok_json ~id ~op ~result =
   Json.print

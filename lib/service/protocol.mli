@@ -25,6 +25,13 @@
     otherwise. Error codes are a closed enum ({!error_code}) so clients
     can dispatch without string matching on messages.
 
+    An answer is held only as text: an {!outcome} is the op name and
+    the printed members of its [result], built once from the planner's
+    result by this module ({!intra_outcome} and the others), so
+    replies, store records and cache entries splice it and no decoder
+    exists. The one rewrite of an answer is {!apply_transform}'s M↔L
+    relabelling of an [intra] answer.
+
     {1 Canonicalization}
 
     [intra] and [regime] requests are canonicalized before keying the
@@ -142,143 +149,69 @@ val canonicalize : call -> call * transform
 val cache_key : call -> string
 (** Deterministic cache key of an (already canonical) call. *)
 
-(** {1 Outcomes} *)
+(** {1 Answers} *)
 
-type intra_result = {
-  ma : int;
-  redundancy : float;
-  footprint : int;
-  tile_m : int;
-  tile_k : int;
-  tile_l : int;
-  order : Dim.t list;  (** outer to inner *)
-  nra : Nra.t;
-  dataflow : Nra.dataflow;
-  regime : Regime.t;
-}
+type outcome = { op : string; members : string }
+(** An answer as the wire prints it: the planning op's name and the
+    printed members of its [result] after the problem echo, compact,
+    in their fixed order and without braces, e.g. [op = "regime"] and
+    [members = {|"regime":"large","thresholds":{...},"classes":[...]|}].
+    The builders below print it once from a planner result; a reply, a
+    store record ({!Store}) and a cache entry splice the text, and
+    nothing decodes it. *)
 
-val intra_result_of_plan : Intra.plan -> intra_result
+val outcome : string -> (string * Json.t) list -> outcome
+(** [outcome op fields]: the outcome of op [op] whose result members
+    are [fields], printed in order. Every builder below is one call of
+    it. *)
 
-type fuse_result =
-  | Fused of { pattern : Fusion.pattern; nra : Nra.t; traffic : int }
-  | Not_fused of {
-      why : string;
-      traffic : int;
-      producer : Nra.t;
-      consumer : Nra.t;
-    }
+(** The answer of each planning op, built from its planner's result.
+    These decide which fields an answer has and in which order. *)
 
-type regime_result = {
-  regime : Regime.t;
-  thresholds : Regime.thresholds;
-  classes : Nra.t list;
-}
+val intra_outcome : Intra.plan -> outcome
 
-type eval_cells = {
-  traffic : int;
-  traffic_bytes : int;
-  macs : int;
-  cycles : int;
-  utilization : float;
-}
+val fuse_outcome : Fused.pair -> Fusion.decision -> outcome
 
-type eval_row = { platform : string; cells : (eval_cells, string) result }
+val regime_outcome : Regime.t -> Regime.thresholds -> outcome
 
-type chain_segment = Solo_seg of int | Fused_seg of string * int
+val eval_outcome :
+  (Fusecu_arch.Platform.t * (Fusecu_arch.Perf.eval, string) result) list -> outcome
+(** One row per platform: its five cells, or only the error. *)
 
-type chain_result =
-  | Full_fusion of { traffic : int; fused_bound : int }
-  | Pairwise of { traffic : int; segments : chain_segment list }
+val chain_outcome : Fusecu_tensor.Chain.t -> Multi_fusion.decision -> outcome
 
-type plan_group = {
-  members : string list;  (** node names, path order *)
-  count : int;
-  ops : int;  (** matmul operators in the merged chain *)
-  group_traffic : int;
-  group_hidden : int;
-}
+val nest_outcome : Fusecu_nest.Nest.t -> Fusecu_nest.Search.result -> outcome
 
-type plan_model_result = {
-  nodes : int;
-  plan_groups : plan_group list;
-  fused_edges : string list;  (** selected edges, ["src->dst"] *)
-  traffic : int;
-  hidden : int;
-  effective : int;
-  unfused_traffic : int;
-  unfused_effective : int;
-  candidate_edges : int;
-  components : int;
-  dp_states : int;
-  bnb_nodes : int;
-  bnb_pruned : int;
-}
+val plan_model_outcome :
+  Fusecu_workloads.Graph.t -> Fusecu_planner.Partition.t -> outcome
 
-type nest_result = {
-  n_axes : string list;  (** axis names, rank order *)
-  n_extents : int list;
-  n_tiles : int list;  (** winning tile per axis, rank order *)
-  n_order : string list;  (** axis names, outermost first *)
-  n_traffic : int;
-  n_ideal : int;  (** unbounded-buffer communication lower bound *)
-  n_footprint : int;
-  n_points : int;
-  n_evaluated : int;  (** schedules cost-evaluated by the mapper *)
-}
+val traffic : outcome -> (int, string) result
+(** The traffic an [intra] answer (["ma"]) or any other answer
+    (["traffic"]) reports, read back from its text: what a
+    [plan_model] prices each fusion group by. *)
 
-type outcome =
-  | R_intra of intra_result
-  | R_fuse of fuse_result
-  | R_regime of regime_result
-  | R_eval of eval_row list
-  | R_chain of chain_result
-  | R_plan_model of plan_model_result
-  | R_nest of nest_result
-
-val outcome_op : outcome -> string
-(** The op whose outcome this is (["intra"], ["fuse"], ...). *)
-
-val outcome_to_json : outcome -> Json.t
-(** [{"op":<op>,<outcome fields>}]: the op name followed by exactly the
-    outcome fields of the wire [result] ({!response_ok} puts the problem
-    echo in front of them). It is the record payload of the persistent
-    plan store ({!Store}). *)
-
-val outcome_of_json : Json.t -> (outcome, string) result
-(** Exact inverse of {!outcome_to_json}: the op picks the variant family
-    and the ["fuse"] boolean, the ["decision"] string or an ["error"]
-    member the variant. Members it does not read are ignored, so it also
-    decodes a wire [result] with ["op"] added. [Error] on an unknown op
-    or label, or a missing or ill-typed field (a store record in another
-    format is treated as damage and dropped, never guessed at). *)
+val planning_op : string -> string option
+(** The name of a planning op ([intra], [fuse], [regime], [eval],
+    [chain], [plan_model] or [nest]) equal to the argument, as one
+    shared string, or [None] for any other text. *)
 
 val apply_transform : transform -> outcome -> outcome
 (** Map an outcome computed on the canonical call back to the request's
-    original orientation. Only {!R_intra} carries orientation-dependent
-    data (tiles, loop order, dataflow labels); every other outcome is
-    invariant. *)
+    original orientation. Only an [intra] answer carries
+    orientation-dependent members: its tiles swap [m] and [l], its loop
+    order [M] and [L], and its dataflow label is that of the transposed
+    dataflow (operands [A] and [B], untiled [M] and [L] exchanged), read
+    from a table of the 15 {!Fusecu_core.Nra.dataflow_to_string} labels.
+    The members are rewritten as text; every other outcome is
+    returned as it is. *)
 
 (** {1 Responses} *)
 
 val response_ok : id:Json.t -> call:call -> outcome -> string
-(** One compact JSON line. The [result] payload echoes the problem
-    (original orientation) and the outcome fields; field order is fixed
-    so output is byte-deterministic. It is
-    [reply ~id ~call (result_members outcome)]. *)
-
-val result_members : outcome -> string
-(** The outcome fields of a wire [result], printed compact and in their
-    fixed order, without braces: what a reply carries after its problem
-    echo, and a store record after its op. A pure function of the
-    outcome, so the text can be kept and spliced into any reply or
-    record of that outcome; a reply in a request's orientation carries
-    [result_members (apply_transform tf o)]. *)
-
-val reply : id:Json.t -> call:call -> string -> string
-(** [reply ~id ~call members]: the success line of [call] whose result
-    ends in [members] (from {!result_members}). The line is written into
-    one buffer: the id, the op, the problem echo of [call], then
-    [members]; no {!Json.t} is built. *)
+(** One compact JSON line, written into one buffer without building a
+    {!Json.t}: the id, the op, the problem echo of [call] (original
+    orientation) and then the outcome's members. Field order is fixed,
+    so output is byte-deterministic. *)
 
 val response_ok_json : id:Json.t -> op:string -> result:Json.t -> string
 (** Generic success line for control operations ([stats], [shutdown]). *)

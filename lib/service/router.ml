@@ -63,16 +63,20 @@ let default_config = { idle_timeout = 30.; max_line = 1 lsl 20; vnodes = 64 }
 (* Ring points are hashed from backend *indices*, not socket paths, so
    the ring — and therefore every key's placement — is a pure function
    of the shard count: stable across restarts and across machines. *)
-let build_ring ~vnodes n =
+type ring = (int * int) array  (* (point hash, backend), ascending *)
+
+let build_ring ~vnodes n : ring =
   let points =
     Array.init (n * vnodes) (fun i ->
         let b = i / vnodes and v = i mod vnodes in
         (Hash.fnv1a64_positive (Printf.sprintf "backend-%d-vnode-%d" b v), b))
   in
-  Array.sort compare points;
+  Array.sort
+    (fun (h, b) (h', b') -> if h <> h' then Int.compare h h' else Int.compare b b')
+    points;
   points
 
-let ring_lookup ring h =
+let ring_lookup (ring : ring) h =
   let n = Array.length ring in
   (* first point with hash >= h, wrapping to ring.(0) *)
   let rec bsearch lo hi =

@@ -4,22 +4,23 @@ module Log = Fusecu_util.Log
 
 (* On-disk format: one record per line,
 
-     CCCCCCCC {"k":<cache key>,"o":{"op":<op>,<result fields>}}\n
+     CCCCCCCC {"k":<cache key>,"o":{"op":<op>,<members>}}\n
 
    where CCCCCCCC is the lowercase %08x CRC-32 of everything after the
-   single separating space. The outcome is [Protocol.outcome_to_json],
-   the wire result's outcome fields under their op, and the payload is
-   compact JSON from the deterministic printer, so a record is
-   byte-reproducible from its (key, outcome) pair. The fields are the
-   text of [Protocol.result_members], so the engine prints a computed
-   outcome once for its reply and its record. Appends go through a
-   write-behind queue drained by a flusher thread — the engine's
+   single separating space, and the op and members are the outcome's
+   ([Protocol.outcome]): the members are the wire result's printed text,
+   spliced in as they are, so a record is byte-reproducible from its
+   (key, outcome) pair and nothing is printed twice. Appends go through
+   a write-behind queue drained by a flusher thread — the engine's
    sequential drain phase never blocks on disk. Recovery reads records
    in order until the first damaged one (short frame, bad hex, CRC
-   mismatch, unparseable payload, or a final line without its newline —
-   a torn append) and drops the rest: bytes past the first damage have
+   mismatch, unparseable payload, a payload other than a key and an
+   outcome of a planning op, or a final line without its newline — a
+   torn append) and drops the rest: bytes past the first damage have
    no trustworthy framing, and the append-only discipline means
-   everything before it is intact.
+   everything before it is intact. A recovered outcome is the record's
+   op (one shared string per op) and its members sliced out of the
+   payload; nothing is decoded.
    Later records win on duplicate keys, so re-computation after eviction
    simply supersedes the old record; compaction rewrites one record per
    live key into a temp file and atomically renames it over the log. *)
@@ -34,8 +35,7 @@ type recovery = {
 type t = {
   path : string;
   mutable fd : Unix.file_descr;
-  queue : (string * string * string) Queue.t;
-      (* (key, op, [Protocol.result_members]) of each record to write *)
+  queue : (string * Protocol.outcome) Queue.t;  (* records to write *)
   mutex : Mutex.t;
   cond : Condition.t;  (* signalled on enqueue and on stop *)
   drained : Condition.t;  (* signalled when the queue empties *)
@@ -51,16 +51,20 @@ type t = {
 
 let hex_digit d = String.unsafe_get "0123456789abcdef" (d land 15)
 
-(* [Printf.sprintf "%08x %s\n" (crc32 payload) payload] for
-   [payload = {"k":<key>,"o":{"op":<op>,<members>}}] *)
-let frame_members key ~op members =
-  let b = Buffer.create (String.length key + String.length members + 40) in
+(* [{"k":<key>,"o":{"op":<op>,]: a record's payload up to its members *)
+let header b key op =
   Buffer.add_string b "{\"k\":";
   Json.write_string b key;
   Buffer.add_string b ",\"o\":{\"op\":";
   Json.write_string b op;
-  Buffer.add_char b ',';
-  Buffer.add_string b members;
+  Buffer.add_char b ','
+
+(* [Printf.sprintf "%08x %s\n" (crc32 payload) payload] for
+   [payload = {"k":<key>,"o":{"op":<op>,<members>}}] *)
+let frame key (o : Protocol.outcome) =
+  let b = Buffer.create (String.length key + String.length o.members + 40) in
+  header b key o.op;
+  Buffer.add_string b o.members;
   Buffer.add_string b "}}";
   let payload = Buffer.contents b in
   let crc = Hash.crc32 payload in
@@ -74,9 +78,20 @@ let frame_members key ~op members =
   Bytes.unsafe_set line (n + 9) '\n';
   Bytes.unsafe_to_string line
 
-let frame key outcome =
-  frame_members key ~op:(Protocol.outcome_op outcome)
-    (Protocol.result_members outcome)
+(* A payload that parsed as a key [k] and an ["o"] object of a planning
+   op [op] with members after it: if it starts with [header k op] and
+   ends with ["}}"], what lies between is the members text [frame]
+   wrote, and it is kept as it is. *)
+let outcome_of_payload payload k op =
+  let b = Buffer.create 64 in
+  header b k op;
+  let head = Buffer.contents b in
+  let from = String.length head and n = String.length payload in
+  match Protocol.planning_op op with
+  | Some op
+    when String.starts_with ~prefix:head payload && String.ends_with ~suffix:"}}" payload ->
+    Ok (k, { Protocol.op; members = String.sub payload from (n - from - 2) })
+  | _ -> Error (Printf.sprintf "not a record of a planning op: %S" op)
 
 let parse_record line =
   let n = String.length line in
@@ -91,13 +106,12 @@ let parse_record line =
       else (
         match Json.parse payload with
         | Error e -> Error e
-        | Ok j -> (
-          match (Json.member "k" j, Json.member "o" j) with
-          | Some (Json.String k), Some o -> (
-            match Protocol.outcome_of_json o with
-            | Ok outcome -> Ok (k, outcome)
-            | Error e -> Error e)
-          | _ -> Error "payload is not {\"k\":...,\"o\":...}"))
+        | Ok
+            (Json.Obj
+              [ ("k", Json.String k); ("o", Json.Obj (("op", Json.String op) :: _ :: _)) ])
+          ->
+          outcome_of_payload payload k op
+        | Ok _ -> Error "payload is not {\"k\":...,\"o\":{\"op\":...}}")
 
 let recover path =
   if not (Sys.file_exists path) then
@@ -171,8 +185,7 @@ let flusher_loop t =
     if not (Queue.is_empty batch) then begin
       let buf = Buffer.create 1024 in
       Queue.iter
-        (fun (key, op, members) ->
-          Buffer.add_string buf (frame_members key ~op members))
+        (fun (key, outcome) -> Buffer.add_string buf (frame key outcome))
         batch;
       let t0 = Unix.gettimeofday () in
       write_string t.fd (Buffer.contents buf);
@@ -250,10 +263,10 @@ let set_metrics t m =
   if r.dropped_bytes > 0 then
     Metrics.incr ~by:r.dropped_bytes m "store_torn_tail_bytes"
 
-let append_members t key ~op members =
+let append t key outcome =
   Mutex.lock t.mutex;
   if not t.stop then begin
-    Queue.add (key, op, members) t.queue;
+    Queue.add (key, outcome) t.queue;
     Condition.signal t.cond
   end;
   let depth = Queue.length t.queue in
@@ -261,10 +274,6 @@ let append_members t key ~op members =
   match t.metrics with
   | Some m -> Metrics.set_gauge m "store_queue_depth" (float_of_int depth)
   | None -> ()
-
-let append t key outcome =
-  append_members t key ~op:(Protocol.outcome_op outcome)
-    (Protocol.result_members outcome)
 
 let flush t =
   Mutex.lock t.mutex;

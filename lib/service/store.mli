@@ -3,29 +3,37 @@
     restarts and warm instantly.
 
     {b Format.} One record per line:
-    [CCCCCCCC {"k":<cache key>,"o":{"op":<op>,<result fields>}}\n] where
+    [CCCCCCCC {"k":<cache key>,"o":{"op":<op>,<members>}}\n] where
     [CCCCCCCC] is the lowercase hex CRC-32 ({!Fusecu_util.Hash.crc32})
-    of the payload after the single separating space, and the outcome
-    is {!Protocol.outcome_to_json}: the op name followed by the outcome
-    fields of the wire [result], printed by the deterministic compact
-    JSON printer. For example
+    of the payload after the single separating space, and [<op>] and
+    [<members>] are the {!Protocol.outcome}: the op name and the printed
+    members of the wire [result], spliced in as they are. For example
     [{"k":"r|8|8|8|524288","o":{"op":"regime","regime":"large",
     "thresholds":{...},"classes":["Three-NRA"]}}].
 
+    {b Recovery decodes nothing.} A record's frame, CRC and JSON are
+    checked, and its payload must be a key and an ["o"] object that
+    starts with a planning op's ["op"] and has members after it; the
+    recovered outcome is that op (one shared string per op) and the
+    members sliced out of the payload. A reply built from it is the
+    bytes a fresh compute gives, because the record holds the text the
+    compute printed.
+
     {b Upgrade.} Stores written before the outcome payload became the
     wire shape hold tagged [{"t":...}] outcomes. Their first record
-    fails to decode, so the whole file is dropped as a damaged tail on
+    has no ["op"], so the whole file is dropped as a damaged tail on
     the first open: truncated, counted in [dropped_records] and logged
     at warn level. The store caches deterministic answers, so the only
-    cost is recomputing them; no decoder for the old format is kept.
+    cost is recomputing them.
 
     {b Recovery invariant.} Records are valid up to the first damaged
-    one (short frame, bad hex, CRC mismatch, unparseable payload, or a
-    torn final append without its newline); everything from the first
-    damage onward is dropped — append-only writing means every earlier
-    byte is intact, and framing after a damaged record cannot be
-    trusted. The damaged tail is also truncated from the file on open so
-    subsequent appends never graft onto a torn fragment. Later records
+    one (short frame, bad hex, CRC mismatch, unparseable payload, a
+    payload that is not a planning op's record, or a torn final append
+    without its newline); everything from the first damage onward is
+    dropped — append-only writing means every earlier byte is intact,
+    and framing after a damaged record cannot be trusted. The damaged
+    tail is also truncated from the file on open so subsequent appends
+    never graft onto a torn fragment. Later records
     win on duplicate keys (re-computation after LRU eviction supersedes
     the old record).
 
@@ -73,16 +81,10 @@ val frame : string -> Protocol.outcome -> string
     included, as {!append} and {!compact} write it. *)
 
 val append : t -> string -> Protocol.outcome -> unit
-(** Enqueue one record for the flusher; never blocks on disk. Silently
-    dropped after {!close} (shutdown races are benign: the store is a
-    cache of recomputable plans, not a system of record). The outcome
-    is printed ({!Protocol.result_members}) on the caller's thread; the
-    flusher adds the key, the CRC and the newline. *)
-
-val append_members : t -> string -> op:string -> string -> unit
-(** [append_members t key ~op members] is {!append} of an outcome of op
-    [op] already printed as [members] by {!Protocol.result_members}: a
-    caller that also replies with the outcome prints it once. *)
+(** Enqueue one record for the flusher; never blocks on disk and prints
+    nothing: the flusher frames the outcome's text. Silently dropped
+    after {!close} (shutdown races are benign: the store is a cache of
+    recomputable plans, not a system of record). *)
 
 val flush : t -> unit
 (** Block until every enqueued record has been written to the fd. *)

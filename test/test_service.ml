@@ -696,41 +696,49 @@ let test_no_search_beats_served () =
   let served_is_plan line served traffic =
     check_int (line ^ " served = plan") served traffic
   in
+  (* a member of the served answer, read from its text *)
+  let member name (o : Protocol.outcome) =
+    match Json.parse ("{" ^ o.members ^ "}") with
+    | Ok j -> Json.member name j
+    | Error e -> Alcotest.fail e
+  in
+  let served name o =
+    match member name o with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "answer without %S: %s" name o.Protocol.members
+  in
   List.iter
     (fun line ->
       match Protocol.parse_line line with
       | Ok (_, _, Protocol.Call call) -> (
         let call, _ = Protocol.canonicalize call in
         match (call, Engine.compute engine call) with
-        | Protocol.Intra { op; buffer; mode }, Ok (Protocol.R_intra r) ->
+        | Protocol.Intra { op; buffer; mode }, Ok o ->
           let p = Intra.optimize_exn ~mode op buffer in
-          served_is_plan line r.Protocol.ma (Intra.ma p);
+          served_is_plan line (served "ma" o) (Intra.ma p);
           solo line "intra" mode buffer p
-        | Protocol.Fuse { op; l2; buffer; mode }, Ok (Protocol.R_fuse r) -> (
+        | Protocol.Fuse { op; l2; buffer; mode }, Ok o -> (
           let op2 =
             Fusecu_tensor.Matmul.make ~name:"consumer" ~m:op.Fusecu_tensor.Matmul.m
               ~k:op.Fusecu_tensor.Matmul.l ~l:l2 ()
           in
           let pair = Fusecu_loopnest.Fused.make_pair_exn op op2 in
-          match (Fusion.plan_pair ~mode pair buffer, r) with
-          | ( Ok (Fusion.Fuse { fused = f; traffic; _ }),
-              Protocol.Fused { traffic = served; _ } ) ->
-            served_is_plan line served traffic;
+          match (Fusion.plan_pair ~mode pair buffer, member "fuse" o) with
+          | Ok (Fusion.Fuse { fused = f; traffic; _ }), Some (Json.Bool true) ->
+            served_is_plan line (served "traffic" o) traffic;
             fused line "fuse" mode buffer pair f traffic
-          | ( Ok (Fusion.No_fuse { plan1; plan2; traffic; _ }),
-              Protocol.Not_fused { traffic = served; _ } ) ->
-            served_is_plan line served traffic;
+          | Ok (Fusion.No_fuse { plan1; plan2; traffic; _ }), Some (Json.Bool false) ->
+            served_is_plan line (served "traffic" o) traffic;
             solo line "fuse" mode buffer plan1;
             solo line "fuse" mode buffer plan2
           | _ -> Alcotest.failf "%s: served decision is not the plan's" line)
-        | Protocol.Chain { m; ks; buffer; mode }, Ok (Protocol.R_chain r) -> (
+        | Protocol.Chain { m; ks; buffer; mode }, Ok o -> (
           let chain = Fusecu_tensor.Chain.of_dims ~name:"chain" ~m ks in
-          match (Multi_fusion.plan ~mode chain buffer, r) with
-          | ( Ok (Multi_fusion.Full_fusion { traffic; _ }),
-              Protocol.Full_fusion { traffic = served; _ } ) ->
-            served_is_plan line served traffic
-          | Ok (Multi_fusion.Fallback plan), Protocol.Pairwise { traffic = served; _ } ->
-            served_is_plan line served plan.Planner.traffic;
+          match (Multi_fusion.plan ~mode chain buffer, member "decision" o) with
+          | Ok (Multi_fusion.Full_fusion { traffic; _ }), Some (Json.String "full_fusion") ->
+            served_is_plan line (served "traffic" o) traffic
+          | Ok (Multi_fusion.Fallback plan), Some (Json.String "pairwise") ->
+            served_is_plan line (served "traffic" o) plan.Planner.traffic;
             List.iter
               (function
                 | Planner.Solo p -> solo line "chain" mode buffer p
@@ -1713,22 +1721,43 @@ let test_nest_cache_reuse () =
   check_bool "repeat hits" true (st2.Cache.hits > st1.Cache.hits);
   check_int "requests_nest" 2 (Metrics.get (Engine.metrics engine) "requests_nest")
 
+(* Outcomes appended to a fresh store, as a reopen recovers them. *)
+let store_roundtrip records =
+  let path = Filename.temp_file "fusecu_test" ".store" in
+  Sys.remove path;
+  let open_exn () = match Store.open_ ~path with Ok s -> s | Error e -> Alcotest.fail e in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let s = open_exn () in
+      List.iter (fun (k, o) -> Store.append s k o) records;
+      Store.close s;
+      let s = open_exn () in
+      let r = Store.recovered s in
+      Store.close s;
+      check_int "no record dropped" 0 r.Store.dropped_records;
+      r.Store.entries)
+
+(* A nest answer through the store's codec (record frame, then
+   recovery) is the same outcome, and replies with the engine's bytes. *)
 let test_nest_outcome_codec () =
-  let r =
-    Protocol.R_nest
-      { Protocol.n_axes = [ "m"; "k"; "l" ];
-        n_extents = [ 12; 8; 10 ];
-        n_tiles = [ 6; 8; 1 ];
-        n_order = [ "m"; "l"; "k" ];
-        n_traffic = 376;
-        n_ideal = 296;
-        n_footprint = 62;
-        n_points = 960;
-        n_evaluated = 44 }
-  in
-  match Protocol.outcome_of_json (Protocol.outcome_to_json r) with
-  | Ok r' -> check_bool "store codec round-trips R_nest" true (r = r')
-  | Error e -> Alcotest.fail e
+  let engine = Engine.create (Engine.default_config ()) in
+  match Protocol.parse_line nest_line with
+  | Ok (id, _, Protocol.Call call) -> (
+    let canonical, _ = Protocol.canonicalize call in
+    let key = Protocol.cache_key canonical in
+    match Engine.compute engine canonical with
+    | Error (_, e) -> Alcotest.fail e
+    | Ok o -> (
+      match store_roundtrip [ (key, o) ] with
+      | [ (k, o') ] ->
+        check_str "key" key k;
+        check_bool "store codec round-trips a nest answer" true (o = o');
+        check_str "the recovered answer replies as the engine does"
+          (List.hd (Engine.handle_lines engine [ nest_line ]))
+          (Protocol.response_ok ~id ~call o')
+      | _ -> Alcotest.fail "expected one record"))
+  | _ -> Alcotest.fail "nest_line does not parse"
 
 let test_nest_infeasible () =
   let out =
@@ -1752,90 +1781,147 @@ let test_nest_infeasible () =
   | _ -> Alcotest.fail "expected one response"
 
 (* ------------------------------------------------------------------ *)
-(* Outcome codec: the wire result and its inverse                      *)
+(* Outcome codec: answers as text, through the store                  *)
 
-(* Every ok planning line of the golden decodes to an outcome that
-   encodes back to itself and re-serializes to the golden bytes. *)
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec find i = i + n <= m && (String.sub s i n = sub || find (i + 1)) in
+  find 0
+
+(* The members of an ok reply: the text after its problem echo. *)
+let reply_members ~id ~call line =
+  let echo = Protocol.response_ok ~id ~call { Protocol.op = ""; members = "" } in
+  let head = String.sub echo 0 (String.length echo - 2) in
+  let n = String.length head in
+  if String.length line > n + 2 && String.equal (String.sub line 0 n) head then
+    String.sub line n (String.length line - n - 2)
+  else Alcotest.failf "%s does not start with its echo %s" line head
+
+(* Every ok planning line of the golden is its request's echo and the
+   members of its answer; framed as a store record and recovered, the
+   answer replies with the golden bytes. *)
 let test_outcome_codec_inverts_golden () =
   let seen = Hashtbl.create 16 in
+  let answers =
+    List.concat
+      (List.map2
+         (fun request golden ->
+           match Protocol.parse_line request with
+           | Ok (id, _, Protocol.Call call) when contains "\"ok\":true" golden ->
+             let op = Protocol.op_name call in
+             let members = reply_members ~id ~call golden in
+             Hashtbl.replace seen
+               (match op with
+               | "fuse" when contains "\"fuse\":true" members -> "fused"
+               | "fuse" -> "not_fused"
+               | "chain" when contains "\"decision\":\"full_fusion\"" members -> "full_fusion"
+               | "chain" when contains "\"kind\":\"fused\"" members -> "pairwise_fused"
+               | op -> op)
+               ();
+             [ (id, call, golden, { Protocol.op; members }) ]
+           | _ -> [])
+         (Lazy.force fixture_lines) (Lazy.force golden_lines))
+  in
+  let recovered =
+    store_roundtrip (List.mapi (fun i (_, _, _, o) -> (string_of_int i, o)) answers)
+  in
+  check_int "every answer recovered" (List.length answers) (List.length recovered);
   List.iter2
-    (fun request golden ->
-      match (Protocol.parse_line request, Json.parse golden) with
-      | Ok (id, _, Protocol.Call call), Ok g
-        when Json.member "ok" g = Some (Json.Bool true) -> (
-        let result =
-          match Json.member "result" g with
-          | Some (Json.Obj fields) -> fields
-          | _ -> Alcotest.failf "no result object in %s" golden
-        in
-        let op = Json.String (Protocol.op_name call) in
-        match Protocol.outcome_of_json (Json.Obj (("op", op) :: result)) with
-        | Error e -> Alcotest.failf "decoding %s: %s" golden e
-        | Ok o ->
-          Hashtbl.replace seen
-            (match o with
-            | Protocol.R_fuse (Protocol.Fused _) -> "fused"
-            | Protocol.R_fuse (Protocol.Not_fused _) -> "not_fused"
-            | Protocol.R_chain (Protocol.Full_fusion _) -> "full_fusion"
-            | Protocol.R_chain (Protocol.Pairwise { segments; _ })
-              when List.exists
-                     (function Protocol.Fused_seg _ -> true | _ -> false)
-                     segments ->
-              "pairwise_fused"
-            | _ -> Protocol.op_name call)
-            ();
-          check_bool ("decode (encode o) = o: " ^ golden) true
-            (Protocol.outcome_of_json (Protocol.outcome_to_json o) = Ok o);
-          check_str "response_ok reproduces the golden line" golden
-            (Protocol.response_ok ~id ~call o))
-      | _ -> ())
-    (Lazy.force fixture_lines) (Lazy.force golden_lines);
+    (fun (id, call, golden, o) (_, o') ->
+      check_bool ("recovered = stored: " ^ golden) true (o = o');
+      check_str "the recovered answer replies with the golden line" golden
+        (Protocol.response_ok ~id ~call o'))
+    answers recovered;
   List.iter
     (fun v -> check_bool ("golden covers " ^ v) true (Hashtbl.mem seen v))
     [ "intra"; "fused"; "not_fused"; "regime"; "eval"; "full_fusion";
       "pairwise_fused"; "plan_model"; "nest" ]
 
+(* An eval row whose platform cannot run the model keeps only its name
+   and the error; the others keep their five cells. *)
 let test_outcome_codec_eval_error_rows () =
-  let o =
-    Protocol.R_eval
-      [ { Protocol.platform = "tiny"; cells = Error "no feasible dataflow" };
-        { Protocol.platform = "big";
-          cells =
-            Ok
-              { Protocol.traffic = 10; traffic_bytes = 20; macs = 30; cycles = 40;
-                utilization = 0.25 } } ]
-  in
-  check_str "error row keeps only name and error"
-    "{\"op\":\"eval\",\"platforms\":[{\"name\":\"tiny\",\"error\":\"no feasible \
-     dataflow\"},{\"name\":\"big\",\"traffic\":10,\"traffic_bytes\":20,\"macs\":30,\
-     \"cycles\":40,\"utilization\":0.25}]}"
-    (Json.print (Protocol.outcome_to_json o));
-  check_bool "error rows round-trip" true
-    (Protocol.outcome_of_json (Protocol.outcome_to_json o) = Ok o)
+  let line = "{\"op\":\"eval\",\"id\":1,\"model\":\"bert\",\"buffer\":\"4KB\"}" in
+  let engine = Engine.create (Engine.default_config ()) in
+  let reply = List.hd (Engine.handle_lines engine [ line ]) in
+  match Json.parse reply with
+  | Ok r -> (
+    match Option.bind (Json.member "result" r) (Json.member "platforms") with
+    | Some (Json.List rows) ->
+      let keys = function
+        | Json.Obj kvs -> List.map fst kvs
+        | _ -> Alcotest.fail "a platform row is not an object"
+      in
+      let shapes = List.map keys rows in
+      check_bool "some rows are errors" true (List.mem [ "name"; "error" ] shapes);
+      check_bool "some rows are cells" true
+        (List.mem [ "name"; "traffic"; "traffic_bytes"; "macs"; "cycles"; "utilization" ] shapes);
+      check_bool "no other row shape" true
+        (List.for_all
+           (fun s ->
+             s = [ "name"; "error" ]
+             || s = [ "name"; "traffic"; "traffic_bytes"; "macs"; "cycles"; "utilization" ])
+           shapes)
+    | _ -> Alcotest.failf "no platforms in %s" reply)
+  | Error e -> Alcotest.fail e
 
+(* The M<->L relabelling of an intra answer over all 15 dataflow
+   labels: applied twice it is the identity, and it gives the label of
+   the transposed dataflow. Recovery keeps only records of a planning
+   op: the tagged shape the store used to write and unknown ops are
+   damage. *)
 let test_outcome_codec_dataflow_labels () =
   let open Fusecu_core in
+  let open Fusecu_tensor in
   let labels = List.map Nra.dataflow_to_string Nra.all_dataflows in
   check_int "15 dataflows" 15 (List.length Nra.all_dataflows);
   check_int "15 distinct labels" 15 (List.length (List.sort_uniq compare labels));
+  let swap_dim = function Dim.M -> Dim.L | Dim.L -> Dim.M | Dim.K -> Dim.K in
+  let swap = function Operand.A -> Operand.B | Operand.B -> Operand.A | Operand.C -> Operand.C in
+  let transpose = function
+    | Nra.Single_nra { stationary } -> Nra.Single_nra { stationary = swap stationary }
+    | Nra.Two_nra { untiled; redundant } ->
+      Nra.Two_nra { untiled = swap_dim untiled; redundant = swap redundant }
+    | Nra.Three_nra { resident } -> Nra.Three_nra { resident = swap resident }
+  in
+  let intra dataflow ~m ~l ~order =
+    Protocol.outcome "intra"
+      [ ("ma", Json.Int 1); ("redundancy", Json.Float 1.); ("footprint", Json.Int 3);
+        ("tiles", Json.Obj [ ("m", Json.Int m); ("k", Json.Int 5); ("l", Json.Int l) ]);
+        ("order", Json.List (List.map (fun d -> Json.String d) order));
+        ("class", Json.String (Nra.to_string (Nra.class_of dataflow)));
+        ("dataflow", Json.String (Nra.dataflow_to_string dataflow));
+        ("regime", Json.String "large") ]
+  in
   List.iter
     (fun dataflow ->
-      let o =
-        Protocol.R_intra
-          { Protocol.ma = 1; redundancy = 1.; footprint = 3; tile_m = 1;
-            tile_k = 1; tile_l = 1; order = Fusecu_tensor.Dim.[ M; K; L ];
-            nra = Nra.class_of dataflow; dataflow; regime = Regime.Large }
-      in
-      check_bool (Nra.dataflow_to_string dataflow) true
-        (Protocol.outcome_of_json (Protocol.outcome_to_json o) = Ok o))
+      let o = intra dataflow ~m:2 ~l:7 ~order:[ "M"; "K"; "L" ] in
+      let t = Protocol.apply_transform Protocol.Transpose_ml o in
+      let label = Nra.dataflow_to_string dataflow in
+      check_bool (label ^ ": twice is the identity") true
+        (Protocol.apply_transform Protocol.Transpose_ml t = o);
+      check_bool (label ^ ": the transposed dataflow's label") true
+        (t = intra (transpose dataflow) ~m:7 ~l:2 ~order:[ "L"; "K"; "M" ]))
     Nra.all_dataflows;
-  (* the tagged shape the store used to write is not guessed at *)
   List.iter
-    (fun j ->
-      check_bool (Json.print j) true (Result.is_error (Protocol.outcome_of_json j)))
-    [ Json.Obj [ ("t", Json.String "regime") ];
-      Json.Obj [ ("op", Json.String "warp") ];
-      Json.Obj [ ("op", Json.String "fuse"); ("fuse", Json.Bool true) ] ]
+    (fun payload ->
+      let path = Filename.temp_file "fusecu_test" ".store" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (Printf.sprintf "%08x %s\n" (Fusecu_util.Hash.crc32 payload) payload));
+      let r =
+        match Store.open_ ~path with
+        | Ok s ->
+          let r = Store.recovered s in
+          Store.close s;
+          r
+        | Error e -> Alcotest.fail e
+      in
+      Sys.remove path;
+      check_int (payload ^ " is damage") 1 r.Store.dropped_records)
+    [ "{\"k\":\"r|8|8|8|64\",\"o\":{\"t\":\"regime\",\"regime\":\"large\"}}";
+      "{\"k\":\"r|8|8|8|64\",\"o\":{\"op\":\"warp\",\"regime\":\"large\"}}";
+      "{\"k\":\"r|8|8|8|64\",\"o\":{\"op\":\"regime\"}}";
+      "{\"k\":\"r|8|8|8|64\",\"o\":{\"op\":\"regime\",\"regime\":\"large\"},\"x\":1}" ]
 
 (* ------------------------------------------------------------------ *)
 (* Trace-context envelope: splice, strip, parse                        *)

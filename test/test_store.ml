@@ -59,10 +59,7 @@ let test_roundtrip () =
       List.iter2
         (fun (k, o) (k', o') ->
           check_bool ("key " ^ k) true (k = k');
-          check_bool ("outcome of " ^ k) true
-            (Json.equal
-               (Protocol.outcome_to_json o)
-               (Protocol.outcome_to_json o')))
+          check_bool ("outcome of " ^ k) true (o = o'))
         samples r.Store.entries)
 
 let test_duplicate_keys_last_wins () =
@@ -80,9 +77,7 @@ let test_duplicate_keys_last_wins () =
       check_int "records before dedup" 3 r.Store.records;
       check_int "entries after dedup" 2 (List.length r.Store.entries);
       match List.assoc_opt k0 r.Store.entries with
-      | Some o ->
-        check_bool "later record won" true
-          (Json.equal (Protocol.outcome_to_json o) (Protocol.outcome_to_json o1))
+      | Some o -> check_bool "later record won" true (o = o1)
       | None -> Alcotest.fail "deduped key vanished")
 
 (* every proper prefix of the file is a valid crash image: recovery
@@ -336,6 +331,35 @@ let test_warm_replay_matches_golden () =
       check_bool "torn-tail warm replay matches golden" true
         (non_control torn = non_control golden))
 
+(* The store a build before answers became text wrote over the
+   fixture ([serve --store] over service_requests.ndjson, 48 records)
+   pins the format: a copy reopens whole, a warm replay from it answers
+   every planning line as the golden does, and a cold run of this build
+   over the same requests writes it byte for byte. *)
+let test_pinned_store () =
+  let pinned = file_contents "fixtures/service_requests.store" in
+  let requests = Lazy.force fixture_lines in
+  let golden = Lazy.force golden_lines in
+  with_tmp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc pinned);
+      let s = open_exn path in
+      let r = Store.recovered s in
+      check_int "no dropped records" 0 r.Store.dropped_records;
+      check_int "every record read" 48 r.Store.records;
+      let engine = Engine.create ~store:s (Engine.default_config ()) in
+      let warm = Engine.handle_lines engine requests in
+      let st = Engine.cache_stats engine in
+      Store.close s;
+      check_bool "warm planning lines match golden" true
+        (non_control warm = non_control golden);
+      check_bool "warm start raises hits" true (st.Cache.hits > st.Cache.misses));
+  with_tmp (fun path ->
+      let s = open_exn path in
+      ignore (Engine.handle_lines (Engine.create ~store:s (Engine.default_config ())) requests);
+      Store.close s;
+      check_bool "a cold run writes the pinned store" true
+        (String.equal pinned (file_contents path)))
+
 (* ------------------------------------------------------------------ *)
 (* Instrumentation: flusher gauges/histograms and recovery counters.
    All of it lives off the response path (DESIGN.md §6b): the checks
@@ -457,4 +481,6 @@ let () =
         ] );
       ( "replay",
         [ Alcotest.test_case "warm replay byte-identical to golden" `Quick
-            test_warm_replay_matches_golden ] ) ]
+            test_warm_replay_matches_golden;
+          Alcotest.test_case "pinned store: reopens, replays, rewritten" `Quick
+            test_pinned_store ] ) ]

@@ -2,10 +2,13 @@
    replaced: the reply and store-record printer must write the bytes
    that printing a [Json.t] tree wrote, the JSON reader and the
    byte-count parser must return what the old ones returned (values and
-   error texts), and a cache hit must allocate at most half of what it
-   did. The replaced printers and readers are kept here as [Ref], as
-   they were (floats through [Printf]'s "%.15g" and "%.17g", which
-   test_util holds equal to the printer's formatter). *)
+   error texts), a cached answer must reply as a fresh compute relabelled
+   on its tree does, whether it was computed or recovered from a store,
+   and a cache hit must allocate at most half of what it did. The
+   replaced printers and readers are kept here as [Ref], as they were
+   (floats through [Printf]'s "%.15g" and "%.17g", which test_util holds
+   equal to the printer's formatter), with the typed M<->L relabelling
+   the answers' text replaced. *)
 
 open Fusecu_tensor
 open Fusecu_core
@@ -396,29 +399,67 @@ module Ref = struct
     in
     first units
 
-  (* [outcome_to_json] is [{"op":..., <outcome fields>}] *)
-  let outcome_fields o =
-    match Protocol.outcome_to_json o with
-    | Json.Obj (_ :: fields) -> fields
-    | _ -> assert false
+  (* An answer's members as a tree. *)
+  let fields (o : Protocol.outcome) =
+    match parse ("{" ^ o.members ^ "}") with
+    | Ok (Obj fields) -> fields
+    | _ -> invalid_arg o.members
 
-  let response_ok ~id ~call outcome =
+  (* The relabelling of a canonical intra answer for a transposed
+     request, on its tree and through the typed dims and dataflows. *)
+  let swap_dim = function Dim.M -> Dim.L | Dim.L -> Dim.M | Dim.K -> Dim.K
+
+  let swap_operand = function
+    | Operand.A -> Operand.B
+    | Operand.B -> Operand.A
+    | Operand.C -> Operand.C
+
+  let transpose_dataflow = function
+    | Nra.Single_nra { stationary } -> Nra.Single_nra { stationary = swap_operand stationary }
+    | Nra.Two_nra { untiled; redundant } ->
+      Nra.Two_nra { untiled = swap_dim untiled; redundant = swap_operand redundant }
+    | Nra.Three_nra { resident } -> Nra.Three_nra { resident = swap_operand resident }
+
+  let transpose (tf : Protocol.transform) op fields =
+    let named to_string all s = List.find (fun x -> to_string x = s) all in
+    match tf with
+    | Transpose_ml when op = "intra" ->
+      List.map
+        (function
+          | "tiles", Obj [ (m, tm); k; (l, tl) ] -> ("tiles", Obj [ (m, tl); k; (l, tm) ])
+          | "order", List ds ->
+            ( "order",
+              List
+                (List.map
+                   (function
+                     | String d -> String (Dim.to_string (swap_dim (named Dim.to_string Dim.all d)))
+                     | v -> v)
+                   ds) )
+          | "dataflow", String s ->
+            ( "dataflow",
+              String
+                (Nra.dataflow_to_string
+                   (transpose_dataflow (named Nra.dataflow_to_string Nra.all_dataflows s))) )
+          | kv -> kv)
+        fields
+    | _ -> fields
+
+  let response_ok ~id ~call fields =
     print
       (Json.Obj
          [ ("id", id); ("ok", Json.Bool true);
            ("op", Json.String (Protocol.op_name call));
-           ("result", Json.Obj (problem_fields call @ outcome_fields outcome)) ])
+           ("result", Json.Obj (problem_fields call @ fields)) ])
 
-  let frame key outcome =
+  let frame key op fields =
     let payload =
-      print
-        (Json.Obj [ ("k", Json.String key); ("o", Protocol.outcome_to_json outcome) ])
+      print (Json.Obj [ ("k", Json.String key); ("o", Json.Obj (("op", Json.String op) :: fields)) ])
     in
     Printf.sprintf "%08x %s\n" (Hash.crc32 payload) payload
 end
 
 (* ------------------------------------------------------------------ *)
-(* Generated outcomes of every op, each with a call of its op          *)
+(* Generated calls of every op, each with answer members               *)
 
 let gen_json =
   let open QCheck.Gen in
@@ -442,6 +483,11 @@ let gen_json =
                    (fun kvs -> Json.Obj kvs)
                    (list_size (0 -- 4) (pair (string_size (0 -- 8)) (self (n / 2)))) ) ])
 
+(* A call, the members of an answer to it and the transform its reply
+   takes. An intra answer has the members [Protocol.intra_outcome]
+   writes, in its layout, from generated typed values, and is replied
+   in either orientation; any other answer is a list of generated
+   members. *)
 let gen_case =
   let open QCheck.Gen in
   let dim = 1 -- 5000 in
@@ -454,91 +500,23 @@ let gen_case =
     map2 (fun bytes e -> Buffer.make ~elt_bytes:e bytes) (1 -- max_int) (1 -- 8)
   in
   let mode = pick Mode.[ Exact; Divisors; Pow2 ] in
-  let nra = pick Nra.all in
-  let regime = pick Regime.[ Tiny; Small; Medium; Large ] in
+  let transform = pick Protocol.[ Identity; Transpose_ml ] in
   let intra =
     map
-      (fun ((ma, redundancy, footprint), (tile_m, tile_k, tile_l), (order, dataflow, regime)) ->
-        Protocol.R_intra
-          { ma; redundancy; footprint; tile_m; tile_k; tile_l; order;
-            nra = Nra.class_of dataflow; dataflow; regime })
+      (fun ((ma, redundancy, footprint), (tm, tk, tl), (order, dataflow, regime)) ->
+        [ ("ma", Json.Int ma);
+          ("redundancy", Json.Float redundancy);
+          ("footprint", Json.Int footprint);
+          ("tiles", Json.Obj [ ("m", Json.Int tm); ("k", Json.Int tk); ("l", Json.Int tl) ]);
+          ("order", Json.List (List.map (fun d -> Json.String (Dim.to_string d)) order));
+          ("class", Json.String (Nra.to_string (Nra.class_of dataflow)));
+          ("dataflow", Json.String (Nra.dataflow_to_string dataflow));
+          ("regime", Json.String (Regime.to_string regime)) ])
       (triple (triple count finite count) (triple dim dim dim)
-         (triple (shuffle_l Dim.all) (pick Nra.all_dataflows) regime))
+         (triple (shuffle_l Dim.all) (pick Nra.all_dataflows)
+            (pick Regime.[ Tiny; Small; Medium; Large ])))
   in
-  let fuse =
-    oneof
-      [ map3
-          (fun pattern nra traffic -> Protocol.R_fuse (Fused { pattern; nra; traffic }))
-          (pick Fusion.all_patterns) nra count;
-        map3
-          (fun why traffic (producer, consumer) ->
-            Protocol.R_fuse (Not_fused { why; traffic; producer; consumer }))
-          text count (pair nra nra) ]
-  in
-  let regime_o =
-    map3
-      (fun regime (tiny_max, small_max, medium_max) classes ->
-        Protocol.R_regime
-          { regime; thresholds = { Regime.tiny_max; small_max; medium_max }; classes })
-      regime (triple count count count) (list_size (0 -- 3) nra)
-  in
-  let eval =
-    map
-      (fun rows -> Protocol.R_eval rows)
-      (list_size (0 -- 3)
-         (map2
-            (fun platform cells -> { Protocol.platform; cells })
-            text
-            (oneof
-               [ map (fun e -> Error e) text;
-                 map
-                   (fun ((traffic, traffic_bytes, macs), (cycles, utilization)) ->
-                     Ok { Protocol.traffic; traffic_bytes; macs; cycles; utilization })
-                   (pair (triple count count count) (pair count finite)) ])))
-  in
-  let chain =
-    oneof
-      [ map2
-          (fun traffic fused_bound -> Protocol.R_chain (Full_fusion { traffic; fused_bound }))
-          count count;
-        map2
-          (fun traffic segments -> Protocol.R_chain (Pairwise { traffic; segments }))
-          count
-          (list_size (0 -- 4)
-             (oneof
-                [ map (fun t -> Protocol.Solo_seg t) count;
-                  map2 (fun p t -> Protocol.Fused_seg (p, t)) text count ])) ]
-  in
-  let plan_model =
-    map
-      (fun ((nodes, plan_groups, fused_edges), (traffic, hidden, effective), (u1, u2, (c, d, (b1, b2)))) ->
-        Protocol.R_plan_model
-          { nodes; plan_groups; fused_edges; traffic; hidden; effective;
-            unfused_traffic = u1; unfused_effective = u2; candidate_edges = c;
-            components = d; dp_states = c + d; bnb_nodes = b1; bnb_pruned = b2 })
-      (triple
-         (triple count
-            (list_size (0 -- 3)
-               (map3
-                  (fun members (count, ops) (group_traffic, group_hidden) ->
-                    { Protocol.members; count; ops; group_traffic; group_hidden })
-                  (list_size (0 -- 3) text) (pair count count) (pair count count)))
-            (list_size (0 -- 3) text))
-         (triple count count count)
-         (triple count count (triple count count (pair count count))))
-  in
-  let nest =
-    map
-      (fun ((axes, extents, tiles), (order, traffic, ideal), (footprint, points, evaluated)) ->
-        Protocol.R_nest
-          { n_axes = axes; n_extents = extents; n_tiles = tiles; n_order = order;
-            n_traffic = traffic; n_ideal = ideal; n_footprint = footprint;
-            n_points = points; n_evaluated = evaluated })
-      (triple
-         (triple (list_size (0 -- 4) text) (list_size (0 -- 4) count) (list_size (0 -- 4) count))
-         (triple (list_size (0 -- 4) text) count count)
-         (triple count count count))
-  in
+  let members = list_size (1 -- 6) (pair (string_size (0 -- 8)) gen_json) in
   let nest_kind =
     oneof
       [ map3 (fun m k l -> Protocol.N_matmul { m; k; l }) dim dim dim;
@@ -555,53 +533,59 @@ let gen_case =
           (fun (seq_q, seq_k) (d, dv) -> Protocol.N_attention { seq_q; seq_k; d; dv })
           (pair dim dim) (pair dim dim) ]
   in
-  let call_and_outcome =
+  let call_and_answer =
     oneof
       [ map3
-          (fun (op, buffer, mode) o tf -> (Protocol.Intra { op; buffer; mode }, o, tf))
-          (triple matmul buffer mode) intra (pick Protocol.[ Identity; Transpose_ml ]);
+          (fun (op, buffer, mode) fields tf -> (Protocol.Intra { op; buffer; mode }, fields, tf))
+          (triple matmul buffer mode) intra transform;
         map2
-          (fun (op, l2, (buffer, mode)) o -> (Protocol.Fuse { op; l2; buffer; mode }, o, Protocol.Identity))
-          (triple matmul dim (pair buffer mode)) fuse;
+          (fun (op, l2, (buffer, mode)) fields ->
+            (Protocol.Fuse { op; l2; buffer; mode }, fields, Protocol.Identity))
+          (triple matmul dim (pair buffer mode)) members;
         map3
-          (fun (op, buffer) o tf -> (Protocol.Regime { op; buffer }, o, tf))
-          (pair matmul buffer) regime_o (pick Protocol.[ Identity; Transpose_ml ]);
+          (fun (op, buffer) fields tf -> (Protocol.Regime { op; buffer }, fields, tf))
+          (pair matmul buffer) members transform;
         map2
-          (fun (model, buffer, (elt_bytes, mode)) o ->
-            (Protocol.Eval { model; buffer; elt_bytes; mode }, o, Protocol.Identity))
-          (triple text buffer (pair (1 -- 8) mode)) eval;
+          (fun (model, buffer, (elt_bytes, mode)) fields ->
+            (Protocol.Eval { model; buffer; elt_bytes; mode }, fields, Protocol.Identity))
+          (triple text buffer (pair (1 -- 8) mode)) members;
         map2
-          (fun (m, ks, (buffer, mode)) o -> (Protocol.Chain { m; ks; buffer; mode }, o, Protocol.Identity))
-          (triple dim (list_size (2 -- 5) dim) (pair buffer mode)) chain;
+          (fun (m, ks, (buffer, mode)) fields ->
+            (Protocol.Chain { m; ks; buffer; mode }, fields, Protocol.Identity))
+          (triple dim (list_size (2 -- 5) dim) (pair buffer mode)) members;
         map2
-          (fun (model, layers, (buffer, elt_bytes, mode)) o ->
-            (Protocol.Plan_model { model; layers; buffer; elt_bytes; mode }, o, Protocol.Identity))
-          (triple text (1 -- 64) (triple buffer (1 -- 8) mode)) plan_model;
+          (fun (model, layers, (buffer, elt_bytes, mode)) fields ->
+            ( Protocol.Plan_model { model; layers; buffer; elt_bytes; mode },
+              fields,
+              Protocol.Identity ))
+          (triple text (1 -- 64) (triple buffer (1 -- 8) mode)) members;
         map2
-          (fun (kind, buffer, mode) o -> (Protocol.Nest { kind; buffer; mode }, o, Protocol.Identity))
-          (triple nest_kind buffer mode) nest ]
+          (fun (kind, buffer, mode) fields ->
+            (Protocol.Nest { kind; buffer; mode }, fields, Protocol.Identity))
+          (triple nest_kind buffer mode) members ]
   in
-  pair gen_json call_and_outcome
+  pair gen_json call_and_answer
 
-let print_case (id, (call, o, tf)) =
+let print_case (id, (call, fields, tf)) =
   Printf.sprintf "id %s, %s%s: %s" (Json.print id) (Protocol.op_name call)
     (match tf with Protocol.Identity -> "" | Protocol.Transpose_ml -> " (transposed)")
-    (Json.print (Protocol.outcome_to_json o))
+    (Json.print (Json.Obj fields))
 
 (* The key of the case's call is a string to frame like any other: the
    record printer does not care which call it came from. *)
 let prop_reply_and_frame =
   QCheck.Test.make ~count:2000 ~name:"reply, key and store frame = the Printf/tree printers"
     (QCheck.make gen_case ~print:print_case)
-    (fun (id, (call, o, tf)) ->
-      let o = Protocol.apply_transform tf o in
+    (fun (id, (call, fields, tf)) ->
+      let op = Protocol.op_name call in
+      let o = Protocol.apply_transform tf (Protocol.outcome op fields) in
+      let fields = Ref.transpose tf op fields in
       let key = Protocol.cache_key call in
-      let want = Ref.response_ok ~id ~call o in
-      let got = Protocol.reply ~id ~call (Protocol.result_members o) in
-      let got_ok = Protocol.response_ok ~id ~call o in
-      let want_frame = Ref.frame key o and got_frame = Store.frame key o in
-      (String.equal want got && String.equal want got_ok
-      || QCheck.Test.fail_reportf "reply: want %s@ got  %s@ or   %s" want got got_ok)
+      let want = Ref.response_ok ~id ~call fields in
+      let got = Protocol.response_ok ~id ~call o in
+      let want_frame = Ref.frame key op fields and got_frame = Store.frame key o in
+      (String.equal want got
+      || QCheck.Test.fail_reportf "reply: want %s@ got  %s" want got)
       && (String.equal (Ref.cache_key call) key
          || QCheck.Test.fail_reportf "key: want %s got %s" (Ref.cache_key call) key)
       && (String.equal want_frame got_frame
@@ -737,16 +721,42 @@ let gen_hits =
   in
   list_size (1 -- 40) problem >|= List.concat
 
-(* Each line's answer as the tree printer gives it, from a fresh
-   compute of the canonical call mapped back to the request. *)
+(* Each line's answer as the tree printer gives it: a fresh compute of
+   the canonical call, relabelled on its tree for the request. *)
 let cold_reply engine line =
   match Protocol.parse_line line with
   | Ok (id, _, Protocol.Call call) -> (
     let canonical, tf = Protocol.canonicalize call in
     match Engine.compute engine canonical with
-    | Ok o -> Ref.response_ok ~id ~call (Protocol.apply_transform tf o)
+    | Ok o -> Ref.response_ok ~id ~call (Ref.transpose tf o.op (Ref.fields o))
     | Error (code, message) -> Protocol.response_error ~id ~code ~message)
   | _ -> invalid_arg line
+
+let engine_config entries =
+  { (Engine.default_config ()) with
+    Engine.cache_entries = entries;
+    cache_enabled = entries > 0;
+    pool = Some Pool.sequential }
+
+(* [lines] answered by an engine warm-started from a store of their
+   problems: a first engine writes the store, and the second recovers
+   its entries as text and computes nothing. Returns the replies and
+   the second engine's cache stats. *)
+let warm_replies lines =
+  let path = Filename.temp_file "fusecu_wire" ".store" in
+  Sys.remove path;
+  let open_exn () = match Store.open_ ~path with Ok s -> s | Error e -> failwith e in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let s = open_exn () in
+      ignore (Engine.handle_lines (Engine.create ~store:s (engine_config 4096)) lines);
+      Store.close s;
+      let s = open_exn () in
+      let engine = Engine.create ~store:s (engine_config 4096) in
+      let replies = Engine.handle_lines engine ~batch:3 lines in
+      Store.close s;
+      (replies, Engine.cache_stats engine))
 
 let prop_memo_matches_cold =
   QCheck.Test.make ~count:100 ~name:"hits in both orientations = a fresh compute"
@@ -755,22 +765,14 @@ let prop_memo_matches_cold =
       (* then the whole list again in reverse: every line of the
          second half hits, and so does the second line of a problem *)
       let lines = lines @ List.rev lines in
-      let engine =
-        Engine.create
-          { (Engine.default_config ()) with
-            Engine.cache_entries = 64;
-            pool = Some Pool.sequential }
-      in
-      let cold =
-        Engine.create
-          { (Engine.default_config ()) with
-            Engine.cache_entries = 0;
-            cache_enabled = false;
-            pool = Some Pool.sequential }
-      in
-      List.equal String.equal
-        (Engine.handle_lines engine ~batch:3 lines)
-        (List.map (cold_reply cold) lines))
+      let want = List.map (cold_reply (Engine.create (engine_config 0))) lines in
+      let warm, st = warm_replies lines in
+      (List.equal String.equal (Engine.handle_lines (Engine.create (engine_config 64)) ~batch:3 lines) want
+      || QCheck.Test.fail_report "a cached engine's replies differ")
+      && (List.equal String.equal warm want
+         || QCheck.Test.fail_report "a store-warmed engine's replies differ")
+      && (st.Cache.misses = 0 && st.Cache.hits = List.length lines
+         || QCheck.Test.fail_reportf "the store-warmed engine missed %d times" st.Cache.misses))
 
 (* ------------------------------------------------------------------ *)
 (* Allocation per hit                                                  *)
