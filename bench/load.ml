@@ -330,16 +330,14 @@ let routed_pass ~shards ~requests =
         children;
       let req_r, req_w = Unix.pipe ~cloexec:false () in
       let resp_r, resp_w = Unix.pipe ~cloexec:false () in
-      let input = Unix.in_channel_of_descr req_r in
-      let output = Unix.out_channel_of_descr resp_w in
       let router =
         Thread.create
           (fun () ->
             Router.run
               ~backends:
                 (List.map (fun (c : Router.child) -> c.socket) children)
-              ~input ~output ();
-            close_out output)
+              ~input:req_r ~output:resp_w ();
+            Unix.close resp_w)
           ()
       in
       let latencies = Array.make (List.length requests) 0. in
@@ -360,7 +358,7 @@ let routed_pass ~shards ~requests =
       let elapsed = Unix.gettimeofday () -. t0 in
       Unix.close req_w;
       Thread.join router;
-      close_in input;
+      Unix.close req_r;
       Unix.close resp_r;
       (transcript, latencies, elapsed))
 

@@ -99,11 +99,16 @@ let route_replay ~requests children =
     (fun () ->
       Out_channel.with_open_bin tmp_in (fun oc ->
           List.iter (fun l -> output_string oc (l ^ "\n")) requests);
-      In_channel.with_open_bin tmp_in (fun input ->
-          Out_channel.with_open_bin tmp_out (fun output ->
-              Router.run
-                ~backends:(List.map (fun (c : Router.child) -> c.socket) children)
-                ~input ~output ()));
+      let input = Unix.openfile tmp_in [ Unix.O_RDONLY ] 0 in
+      let output = Unix.openfile tmp_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close input;
+          Unix.close output)
+        (fun () ->
+          Router.run
+            ~backends:(List.map (fun (c : Router.child) -> c.socket) children)
+            ~input ~output ());
       read_lines tmp_out)
 
 let router_leg ~fixture () =

@@ -713,7 +713,7 @@ let serve_cmd =
 
 let route_cmd =
   let run shards backends socket_dir store_dir batch no_cache cache_entries
-      max_conns timeout max_line vnodes metrics_addr trace log_level =
+      max_conns timeout max_line metrics_addr trace log_level =
     with_observability ~trace:None ~log_level @@ fun () ->
     if shards < 1 then begin
       prerr_endline "route: --shards must be at least 1";
@@ -762,9 +762,7 @@ let route_cmd =
         | Error e -> Printf.eprintf "route: --trace: merge failed: %s\n" e)
     in
     let router_config =
-      { Fusecu_service.Router.idle_timeout = timeout;
-        max_line;
-        vnodes = max 1 vnodes }
+      { Fusecu_service.Router.idle_timeout = timeout; max_line }
     in
     let front backend_paths =
       let metrics =
@@ -798,7 +796,7 @@ let route_cmd =
         (fun () ->
           try
             Fusecu_service.Router.run ~config:router_config ?metrics
-              ~backends:backend_paths ~input:stdin ~output:stdout ()
+              ~backends:backend_paths ~input:Unix.stdin ~output:Unix.stdout ()
           with Failure msg | Invalid_argument msg ->
             prerr_endline msg;
             exit 1)
@@ -936,19 +934,13 @@ let route_cmd =
       value
       & opt float defaults.Fusecu_service.Server.idle_timeout
       & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Idle/read/write liveness bound, applied per backend by the \
-                router and per connection by the shards. 0 disables it.")
+          ~doc:"Idle/read/write liveness bound, applied by the router to a \
+                backend that owes answers and per connection by the shards. \
+                0 disables it.")
   in
   let max_line =
     max_line_arg
       ~doc:"Longest accepted request or response line (e.g. 64KB, 1MB)."
-  in
-  let vnodes =
-    Arg.(
-      value
-      & opt int Fusecu_service.Router.default_config.Fusecu_service.Router.vnodes
-      & info [ "vnodes" ] ~docv:"N"
-          ~doc:"Virtual nodes per backend on the consistent-hash ring.")
   in
   let metrics_addr =
     Arg.(
@@ -978,8 +970,7 @@ let route_cmd =
   let term =
     Term.(
       const run $ shards $ backends $ socket_dir $ store_dir $ batch $ no_cache
-      $ cache_entries $ max_conns $ timeout $ max_line $ vnodes
-      $ metrics_addr $ trace_dir $ log_level_arg)
+      $ cache_entries $ max_conns $ timeout $ max_line $ metrics_addr $ trace_dir $ log_level_arg)
   in
   Cmd.v
     (Cmd.info "route"

@@ -75,37 +75,46 @@ let touch s node =
     push_front s node
   end
 
+(* [find] and [add] take the shard lock without handing [Mutex.protect]
+   a closure, which would allocate on every call: nothing between the
+   lock and the unlock raises. *)
 let find t key =
   let s = shard_of t key in
-  Mutex.protect s.mutex (fun () ->
-      match Tbl.find_opt s.table key with
-      | Some (Node n as node) ->
-        touch s node;
-        s.hits <- s.hits + 1;
-        Some n.value
-      | Some Nil | None ->
-        s.misses <- s.misses + 1;
-        None)
+  Mutex.lock s.mutex;
+  let found =
+    match Tbl.find s.table key with
+    | Node n as node ->
+      touch s node;
+      s.hits <- s.hits + 1;
+      Some n.value
+    | Nil | (exception Not_found) ->
+      s.misses <- s.misses + 1;
+      None
+  in
+  Mutex.unlock s.mutex;
+  found
 
 let add t key value =
-  if t.per_shard > 0 then
+  if t.per_shard > 0 then begin
     let s = shard_of t key in
-    Mutex.protect s.mutex (fun () ->
-        match Tbl.find_opt s.table key with
-        | Some (Node n as node) ->
-          n.value <- value;
-          touch s node
-        | Some Nil | None ->
-          (if Tbl.length s.table >= t.per_shard then
-             match s.tail with
-             | Node victim as node ->
-               unlink s node;
-               Tbl.remove s.table victim.key;
-               s.evictions <- s.evictions + 1
-             | Nil -> ());
-          let node = Node { key; value; prev = Nil; next = Nil } in
-          push_front s node;
-          Tbl.replace s.table key node)
+    Mutex.lock s.mutex;
+    (match Tbl.find s.table key with
+    | Node n as node ->
+      n.value <- value;
+      touch s node
+    | Nil | (exception Not_found) ->
+      (if Tbl.length s.table >= t.per_shard then
+         match s.tail with
+         | Node victim as node ->
+           unlink s node;
+           Tbl.remove s.table victim.key;
+           s.evictions <- s.evictions + 1
+         | Nil -> ());
+      let node = Node { key; value; prev = Nil; next = Nil } in
+      push_front s node;
+      Tbl.replace s.table key node);
+    Mutex.unlock s.mutex
+  end
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

@@ -13,18 +13,15 @@ module Json = Fusecu_util.Json
 
 (** {1 Histograms} *)
 
-type hist = { count : int; total_s : float; bins : int array }
-(** A dense decoding of the sparse wire histogram; [bins] has
-    {!Metrics.buckets} slots. *)
+val empty_hist : unit -> Metrics.histogram
 
-val empty_hist : unit -> hist
+val parse_histogram : Json.t -> (Metrics.histogram, string) result
+(** Inverse of {!Metrics.histogram_json}: the dense decoding of the
+    sparse wire histogram. [Error] on a bound that is not a bin bound of
+    the shared layout, a negative count, or a bucket sum disagreeing
+    with [count]. *)
 
-val parse_histogram : Json.t -> (hist, string) result
-(** Inverse of {!Metrics.histogram_json}. [Error] on a bound that is
-    not a bin bound of the shared layout, a negative count, or a bucket
-    sum disagreeing with [count]. *)
-
-val merge_histograms : hist -> hist -> hist
+val merge_histograms : Metrics.histogram -> Metrics.histogram -> Metrics.histogram
 (** Bucket-wise sum; [count] and [total_s] add. *)
 
 (** {1 In-band fan-out merges} *)
@@ -44,15 +41,13 @@ val merge_metrics : uptime_ticks:int -> Json.t list -> (Json.t, string) result
 (** Merge per-shard {!Metrics.to_json} dumps: counters union-sum,
     latency histograms bucket-wise, gauges union-sum except
     [uptime_ticks], which is replaced by the router's count (same
-    argument as {!merge_stats}). Per-shard dumps preserved under
-    ["shards"]. *)
+    argument as {!merge_stats}). A family a dump lacks counts as empty.
+    Per-shard dumps preserved under ["shards"]. *)
 
 (** {1 Prometheus exposition} *)
 
 val fleet_prometheus :
   ?prefix:string -> router:Json.t -> Json.t list -> (string, string) result
-(** Fleet text exposition (format 0.0.4) from the router's own metrics
-    dump plus one scraped dump per shard (shard order): one [# TYPE]
-    line per family, router series unlabeled, shard series labeled
-    [{shard="i"}] (histogram buckets get [shard] and [le] labels).
-    [prefix] defaults to ["fusecu_"], as in {!Metrics.to_prometheus}. *)
+(** Fleet text exposition: {!Metrics.prometheus} of the router's own
+    metrics dump, unlabeled, and one scraped dump per shard (shard
+    order), labeled [{shard="i"}]. *)

@@ -26,12 +26,16 @@ let create () =
     histograms = Tbl.create 8;
     gauges = Tbl.create 8 }
 
+(* [incr] and [set_gauge] take the lock without handing [Mutex.protect]
+   a closure, which would allocate on every call: nothing between the
+   lock and the unlock raises. *)
 let incr ?(by = 1) t name =
   if by < 0 then invalid_arg "Metrics.incr: counters are monotonic";
-  Mutex.protect t.mutex (fun () ->
-      match Tbl.find_opt t.counters name with
-      | Some r -> r := !r + by
-      | None -> Tbl.replace t.counters name (ref by))
+  Mutex.lock t.mutex;
+  (match Tbl.find t.counters name with
+  | r -> r := !r + by
+  | exception Not_found -> Tbl.replace t.counters name (ref by));
+  Mutex.unlock t.mutex
 
 let get t name =
   Mutex.protect t.mutex (fun () ->
@@ -61,10 +65,11 @@ let observe t name seconds =
       h.bins.(b) <- h.bins.(b) + 1)
 
 let set_gauge t name v =
-  Mutex.protect t.mutex (fun () ->
-      match Tbl.find_opt t.gauges name with
-      | Some r -> r := v
-      | None -> Tbl.replace t.gauges name (ref v))
+  Mutex.lock t.mutex;
+  (match Tbl.find t.gauges name with
+  | r -> r := v
+  | exception Not_found -> Tbl.replace t.gauges name (ref v));
+  Mutex.unlock t.mutex
 
 (* Callers must hold [t.mutex]. *)
 let gauges_locked t =
@@ -101,34 +106,37 @@ let histogram_json ~count ~total_s bins =
       ("total_s", Json.Float total_s);
       ("buckets", Json.List bins) ]
 
+type snapshot = {
+  counters : (string * int) list;
+  histograms : (string * histogram) list;
+  gauges : (string * float) list;
+}
+
 (* One-lock snapshot of every metric family: taking the lock once per
    family would let an update land between the reads and produce a torn
    dump (e.g. a request counted whose latency is missing). *)
 let snapshot t =
   Mutex.protect t.mutex (fun () ->
-      ( counters_locked t,
-        Tbl.fold
-          (fun k h acc -> (k, { h with bins = Array.copy h.bins }) :: acc)
-          t.histograms []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b),
-        gauges_locked t ))
+      { counters = counters_locked t;
+        histograms =
+          Tbl.fold
+            (fun k h acc -> (k, { h with bins = Array.copy h.bins }) :: acc)
+            t.histograms []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+        gauges = gauges_locked t })
 
-let to_json t =
-  let counters, hists, gauges = snapshot t in
-  Json.Obj
-    ([ ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
-       ("latency",
-        Json.Obj
-          (List.map
-             (fun (k, h) ->
-               (k, histogram_json ~count:h.count ~total_s:h.total_s h.bins))
-             hists))
-     ]
-    @
-    if gauges = [] then []
-    else
-      [ ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) gauges))
-      ])
+let snapshot_members s =
+  [ ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.counters));
+    ("latency",
+     Json.Obj
+       (List.map
+          (fun (k, h) -> (k, histogram_json ~count:h.count ~total_s:h.total_s h.bins))
+          s.histograms)) ]
+  @
+  if s.gauges = [] then []
+  else [ ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) s.gauges)) ]
+
+let to_json t = Json.Obj (snapshot_members (snapshot t))
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition (format 0.0.4)                           *)
@@ -152,26 +160,35 @@ let pp_float f =
     let s = Printf.sprintf "%.15g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let to_prometheus ?(prefix = "fusecu_") t =
-  let counters, hists, gauges = snapshot t in
-  let b = Stdlib.Buffer.create 1024 in
+let prometheus ?(prefix = "fusecu_") own shards =
+  let b = Stdlib.Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Stdlib.Buffer.add_string b (s ^ "\n")) fmt in
-  List.iter
-    (fun (k, v) ->
-      let n = sanitize (prefix ^ k) in
-      line "# TYPE %s counter" n;
-      line "%s %d" n v)
-    counters;
-  List.iter
-    (fun (k, v) ->
-      let n = sanitize (prefix ^ k) in
-      line "# TYPE %s gauge" n;
-      line "%s %s" n (pp_float v))
-    gauges;
-  List.iter
-    (fun (k, h) ->
-      let n = sanitize (prefix ^ k ^ "_seconds") in
-      line "# TYPE %s histogram" n;
+  (* One [# TYPE] line per family, over every snapshot's names, sorted;
+     then [own]'s series unlabeled and each shard's labeled. *)
+  let families ~kind ~suffix pick series =
+    List.concat_map (fun s -> List.map fst (pick s)) (own :: shards)
+    |> List.sort_uniq String.compare
+    |> List.iter (fun name ->
+           let n = sanitize (prefix ^ name ^ suffix) in
+           line "# TYPE %s %s" n kind;
+           let find s =
+             (* [List.assoc_opt] would compare names polymorphically *)
+             List.find_map
+               (fun (k, v) -> if String.equal k name then Some v else None)
+               (pick s)
+           in
+           Option.iter (series n "") (find own);
+           List.iteri
+             (fun i s -> Option.iter (series n (Printf.sprintf "shard=\"%d\"" i)) (find s))
+             shards)
+  in
+  let braced labels = if labels = "" then "" else "{" ^ labels ^ "}" in
+  let scalar pp n labels v = line "%s%s %s" n (braced labels) (pp v) in
+  families ~kind:"counter" ~suffix:"" (fun s -> s.counters) (scalar string_of_int);
+  families ~kind:"gauge" ~suffix:"" (fun s -> s.gauges) (scalar pp_float);
+  families ~kind:"histogram" ~suffix:"_seconds" (fun s -> s.histograms)
+    (fun n labels h ->
+      let le = if labels = "" then "" else labels ^ "," in
       let cum = ref 0 in
       Array.iteri
         (fun i c ->
@@ -179,12 +196,13 @@ let to_prometheus ?(prefix = "fusecu_") t =
           (* bucket i spans [2^i, 2^(i+1)) µs; emit the cumulative count
              at each non-empty bin (sparse buckets are valid) *)
           if c > 0 && i < buckets - 1 then
-            line "%s_bucket{le=\"%s\"} %d" n
+            line "%s_bucket{%sle=\"%s\"} %d" n le
               (pp_float (float_of_int (1 lsl (i + 1)) *. 1e-6))
               !cum)
         h.bins;
-      line "%s_bucket{le=\"+Inf\"} %d" n h.count;
-      line "%s_sum %s" n (pp_float h.total_s);
-      line "%s_count %d" n h.count)
-    hists;
+      line "%s_bucket{%sle=\"+Inf\"} %d" n le h.count;
+      line "%s_sum%s %s" n (braced labels) (pp_float h.total_s);
+      line "%s_count%s %d" n (braced labels) h.count);
   Stdlib.Buffer.contents b
+
+let to_prometheus ?prefix t = prometheus ?prefix (snapshot t) []

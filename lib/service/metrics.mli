@@ -21,6 +21,12 @@ val buckets : int
     bin). Shared by every histogram, so bucket-wise merging across
     processes ({!Fleet}) is always aligned. *)
 
+type histogram = {
+  mutable count : int;
+  mutable total_s : float;
+  bins : int array;  (** {!buckets} slots; see {!bucket_of_seconds} *)
+}
+
 val bucket_of_seconds : float -> int
 (** Bin index ([0 .. buckets-1]) an observation of this many seconds
     lands in: bin [i] spans [[2^i, 2^(i+1)) µs]; the last bin is open. *)
@@ -57,27 +63,36 @@ val histogram_json : count:int -> total_s:float -> int array -> Fusecu_util.Json
     [null] for the final open bin. {!Fleet.parse_histogram} is its
     inverse. *)
 
+type snapshot = {
+  counters : (string * int) list;
+  histograms : (string * histogram) list;
+  gauges : (string * float) list;
+}
+(** Every metric family, each sorted by name. A registry's snapshot is
+    taken under one lock acquisition, so a concurrent update cannot tear
+    it (e.g. a request counted whose latency is missing). *)
+
+val snapshot_members : snapshot -> (string * Fusecu_util.Json.t) list
+(** The members of {!to_json}'s object. *)
+
 val to_json : t -> Fusecu_util.Json.t
-(** Full dump: counters, latency histograms and (when any exist) gauges,
-    snapshotted atomically (one lock acquisition covers every family, so
-    a concurrent update cannot tear the dump). Each histogram reports
-    [count], [total_s] and log2 buckets [{"le_us": upper, "n": count}]
-    covering 1 µs .. ~17 min (observations above the last bound land in
-    a final open bucket). Not deterministic — wall-clock data. *)
+(** Full dump of the {!snapshot}: counters, latency histograms and (when
+    any exist) gauges. Each histogram reports [count], [total_s] and
+    log2 buckets [{"le_us": upper, "n": count}] covering 1 µs .. ~17 min
+    (observations above the last bound land in a final open bucket).
+    Not deterministic — wall-clock data. *)
 
-val sanitize : string -> string
-(** Replace any character outside the Prometheus metric-name charset
-    ([a-zA-Z0-9_:]) with ['_']. *)
-
-val pp_float : float -> string
-(** Prometheus sample-value formatting: integral floats print without a
-    fraction; others use the shortest representation that round-trips. *)
+val prometheus : ?prefix:string -> snapshot -> snapshot list -> string
+(** Prometheus text exposition (format 0.0.4) of one process's snapshot
+    and, for a fleet, one snapshot per shard (shard order). One
+    [# TYPE] line per family over all of them: counters as counter,
+    gauges as gauge, and each latency histogram as a [_seconds]
+    histogram with cumulative [_bucket{le="..."}] lines (the log2 µs
+    bins converted to seconds; the open bin maps to [+Inf]), plus
+    [_sum] and [_count]. The first snapshot's series are unlabeled and
+    each shard's carry [{shard="i"}] (before [le] on buckets). [prefix]
+    (default ["fusecu_"]) is prepended to every metric name; names are
+    sanitized to the Prometheus charset [a-zA-Z0-9_:]. *)
 
 val to_prometheus : ?prefix:string -> t -> string
-(** Prometheus text exposition (format 0.0.4) of the same atomic
-    snapshot: counters as [# TYPE .. counter], gauges as gauge, and each
-    latency histogram as a [_seconds] histogram with cumulative
-    [_bucket{le="..."}] lines (bucket bounds are the log2 µs bins
-    converted to seconds; the open bin maps to [+Inf]), plus [_sum] and
-    [_count]. [prefix] (default ["fusecu_"]) is prepended to every
-    metric name; names are sanitized to the Prometheus charset. *)
+(** {!prometheus} of this registry's {!snapshot} alone. *)

@@ -29,36 +29,45 @@
     metrics registry is enabled anywhere in the fleet.
 
     {b Placement.} The ring hashes backend indices, not socket paths
-    ({!Fusecu_util.Hash.fnv1a64_positive}, 64 virtual nodes per backend
-    by default), so a key's shard is a pure function of the shard
+    ({!Fusecu_util.Hash.fnv1a64_positive}, a constant 64 virtual nodes
+    per backend), so a key's shard is a pure function of the shard
     count — stable across restarts, which is what lets each shard's
-    persistent store stay authoritative for its keys. *)
+    persistent store stay authoritative for its keys.
+
+    {b Plumbing.} One [select] loop on the calling thread: no threads
+    and no locks. Each backend has one buffer of unsent requests,
+    written when the backend is writable, and its answers are read in
+    every turn; the client is not read while a backend holds 64 KiB
+    unsent. Client output is written once per turn. A backend's
+    liveness deadline runs only while it owes answers; a backend that
+    closed while owing nothing (a shard's idle timeout) is reopened by
+    the next request routed to it. *)
 
 type config = {
   idle_timeout : float;
-      (** per-backend read/write liveness bound, as in
-          {!Server.socket_config} *)
+      (** how long a backend that owes answers may go without
+          delivering one; [<= 0.] disables the bound *)
   max_line : int;  (** longest accepted backend response line *)
-  vnodes : int;  (** virtual nodes per backend on the hash ring *)
 }
 
 val default_config : config
-(** 30 s, 1 MiB, 64 vnodes. *)
+(** 30 s, 1 MiB. *)
 
 val run :
   ?config:config ->
   ?metrics:Metrics.t ->
   backends:string list ->
-  input:in_channel ->
-  output:out_channel ->
+  input:Unix.file_descr ->
+  output:Unix.file_descr ->
   unit ->
   unit
-(** Connect to the backend sockets, then pump [input] to EOF (or an
-    in-band [shutdown], which is broadcast): one response line per
-    request line, in request order. A backend that dies mid-request
-    yields a [bad_request] error line for each of its outstanding
-    requests rather than wedging the stream. When [metrics] is given the
-    router maintains its own registry — [router_requests],
+(** Connect to the backend sockets, then route the lines read from
+    [input] until its end (or an in-band [shutdown], which is
+    broadcast), writing one response line per request line to [output],
+    in request order. A backend that closes or misses its deadline while
+    it owes answers yields a [bad_request] error line for each of them
+    rather than wedging the stream. When [metrics] is given the router
+    maintains its own registry — [router_requests],
     [router_routed_bytes] (total and per shard), [router_fanouts],
     [router_backend_errors] counters; per-backend
     [router_inflight_shard_i] and [router_reassembly_depth] gauges —

@@ -123,46 +123,54 @@ let rec readable fd wait =
   | _ :: _, _, _ -> true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> readable fd wait
 
-(* One line, or the reason there is none. A partial line followed by EOF
-   is returned as a line (matching [In_channel.input_line]); the idle
-   deadline covers the whole wait for one complete line, so a client
-   trickling bytes forever (slow loris) still times out. Once [stop] is
-   set the reader still serves the lines the client delivered before
-   it, reading only what is already readable ("drain in-flight"). *)
+(* The next buffered line, or the end or oversize that ends the input;
+   [None] while more input is needed. A partial line followed by EOF is
+   returned as a line (matching [In_channel.input_line]). *)
+let buffered ~max_line r =
+  match take_line r with
+  | Some line ->
+    Some (if String.length line > max_line then Oversized else Line line)
+  | None ->
+    let pending = r.stop - r.start in
+    if pending > max_line then Some Oversized
+    else if not r.at_eof then None
+    else if pending = 0 then Some Eof
+    else begin
+      let line = Bytes.sub_string r.buf r.start pending in
+      reset r;
+      Some (Line line)
+    end
+
+(* [buffered], with one read first when nothing is buffered and the
+   caller knows [r.fd] is readable. *)
+let step ~max_line ~readable r =
+  match buffered ~max_line r with
+  | None when readable ->
+    fill r;
+    buffered ~max_line r
+  | res -> res
+
+(* One line, or the reason there is none. The idle deadline covers the
+   whole wait for one complete line, so a client trickling bytes
+   forever (slow loris) still times out. Once [stop] is set the reader
+   still serves the lines the client delivered before it, reading only
+   what is already readable ("drain in-flight"). *)
 let read_line ~stop ~idle_timeout ~max_line r =
   let deadline =
     if idle_timeout > 0. then Unix.gettimeofday () +. idle_timeout
     else infinity
   in
-  let rec go () =
-    match take_line r with
-    | Some line -> if String.length line > max_line then Oversized else Line line
+  let rec go ready =
+    match step ~max_line ~readable:ready r with
+    | Some res -> res
     | None ->
-      let pending = r.stop - r.start in
-      if pending > max_line then Oversized
-      else if r.at_eof then
-        if pending > 0 then begin
-          let line = Bytes.sub_string r.buf r.start pending in
-          reset r;
-          Line line
-        end
-        else Eof
-      else if Atomic.get stop then
-        if readable r.fd 0. then begin
-          fill r;
-          go ()
-        end
-        else Stopped
-      else begin
+      if Atomic.get stop then if readable r.fd 0. then go true else Stopped
+      else
         let now = Unix.gettimeofday () in
         if now >= deadline then Timeout
-        else begin
-          if readable r.fd (Float.min poll_slice (deadline -. now)) then fill r;
-          go ()
-        end
-      end
+        else go (readable r.fd (Float.min poll_slice (deadline -. now)))
   in
-  go ()
+  go false
 
 (* Write [b.[0, len)] with a liveness bound: a peer that stops reading
    cannot wedge the connection thread past [idle_timeout]. On a
@@ -199,8 +207,8 @@ let write_all ~idle_timeout fd s =
   write_prefix ~idle_timeout fd (Bytes.unsafe_of_string s) (String.length s)
 
 (* Re-export the transport primitives for other line-protocol front
-   ends (the {!Router}): same select-sliced reads, idle deadlines,
-   line bounds and stalled-write protection as server connections. *)
+   ends (the {!Router}): same reads, line bounds and stalled-write
+   protection as server connections. *)
 module Line_reader = struct
   type t = reader
 
@@ -212,7 +220,8 @@ module Line_reader = struct
     | Stopped
 
   let create = reader_of_fd
-  let read = read_line
+  let step = step
+  let read ?(stop = Atomic.make false) = read_line ~stop
 end
 
 (* ------------------------------------------------------------------ *)

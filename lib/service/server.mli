@@ -14,7 +14,7 @@
     [conn_idle_timeouts], [conn_oversized_lines], [conn_client_drops]).
 
     Both modes run one connection loop: requests come through
-    {!Line_reader}, and the responses of a batch collect in one buffer
+    {!Line_reader.read}, and the responses of a batch collect in one buffer
     that is written with one {!write_all} before the next read and once
     more at end of input, so a batch costs one write and no response
     waits for more input.
@@ -61,10 +61,10 @@ val serve_socket :
 
 (** {1 Line transport primitives}
 
-    The server's select-based bounded line reader and stall-protected
-    writer, re-exported so other line-protocol front ends (the
-    {!Router}) reuse the exact timeout/backpressure machinery instead of
-    reimplementing it. *)
+    The server's bounded line reader and stall-protected writer,
+    re-exported for other line-protocol front ends: the {!Router}'s one
+    [select] loop reads its client and every backend through
+    {!Line_reader.step} and writes its client with {!write_all}. *)
 
 module Line_reader : sig
   type t
@@ -85,15 +85,21 @@ module Line_reader : sig
 
   val create : Unix.file_descr -> t
 
+  val step : max_line:int -> readable:bool -> t -> result option
+  (** The non-blocking step: the next buffered line, or the [Eof] or
+      [Oversized] that ends the input. When none is buffered and
+      [readable] says [select] reported the descriptor readable, one
+      [read] first. [None]: nothing more without waiting. A partial
+      line at EOF is returned as a line; a line longer than [max_line]
+      bytes is [Oversized], whether or not its newline has arrived. *)
+
   val read :
-    stop:bool Atomic.t -> idle_timeout:float -> max_line:int -> t -> result
-  (** One line, or the reason there is none. A partial line at EOF is
-      returned as a line; the idle deadline covers the whole wait for
-      one complete line (slow-loris-proof); [idle_timeout <= 0.]
-      disables the deadline. A line longer than [max_line] bytes is
-      [Oversized], whether or not its newline has arrived. Once [stop]
-      is set, lines already readable are still returned, and then
-      [Stopped]. *)
+    ?stop:bool Atomic.t -> idle_timeout:float -> max_line:int -> t -> result
+  (** One line, or the reason there is none: {!step} until it answers,
+      waiting in [select] slices between steps. The idle deadline
+      covers the whole wait for one complete line (slow-loris-proof);
+      [idle_timeout <= 0.] disables the deadline. Once [stop] is set,
+      lines already readable are still returned, and then [Stopped]. *)
 end
 
 exception Write_stalled

@@ -2015,11 +2015,12 @@ let test_router_single_shard_stats_identity () =
               (fun l -> output_string oc (l ^ "\n"))
               routed_identity_requests;
             close_out oc;
-            let input = open_in req and output = open_out resp in
+            let input = Unix.openfile req [ Unix.O_RDONLY ] 0
+            and output = Unix.openfile resp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
             Fun.protect
               ~finally:(fun () ->
-                close_in_noerr input;
-                close_out_noerr output)
+                Unix.close input;
+                Unix.close output)
               (fun () -> Router.run ~backends:[ path ] ~input ~output ());
             let ic = open_in resp in
             let rec lines acc =
@@ -2038,10 +2039,263 @@ let test_router_single_shard_stats_identity () =
     (List.combine direct routed)
 
 (* ------------------------------------------------------------------ *)
+(* Router: placement, dead backends, pipelining, idle pauses           *)
+
+(* [Router.run] from the client's request descriptor to its response
+   descriptor. *)
+let route ?config ~backends input output =
+  Router.run ?config ~backends ~input ~output ()
+
+(* Everything readable from [fd] until end of file, or a failure once
+   [seconds] have passed. *)
+let read_all_within fd ~seconds =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let buf = Buffer.create 65536 and chunk = Bytes.create 65536 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then Alcotest.fail "no end of output within the time bound";
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> go ()
+    | _ -> (
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Buffer.contents buf
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ())
+  in
+  go ()
+
+let lines_of text = String.split_on_char '\n' text |> List.filter (( <> ) "")
+
+(* The service fixture, then 96 distinct small [intra] calls (the
+   fixture caches 48 distinct keys), replayed through a router in
+   front of [shards] in-process servers: one character per line, the
+   index of the backend whose cache then holds the line's canonical key
+   ('-' for a line that is no call, '?' for a call no backend cached,
+   '*' for one that several did). A key must stay on the shard whose
+   --store-dir store holds it, so this may change only with the ring. *)
+let routed_placement shards =
+  let engines =
+    List.init shards (fun _ -> Engine.create (Engine.default_config ()))
+  in
+  let paths = List.init shards (fun _ -> sock_path ()) in
+  let servers = List.map2 (fun e p -> start_server e p) engines paths in
+  let lines =
+    Lazy.force fixture_lines
+    @ List.init 96 (fun i ->
+          Printf.sprintf
+            "{\"op\":\"intra\",\"id\":%d,\"m\":%d,\"k\":%d,\"l\":%d,\"buffer\":\"4KB\"}"
+            (1000 + i) (4 + (i mod 12)) (8 + i) (20 + (i mod 7)))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p ->
+          try ignore (exchange p [ "{\"op\":\"shutdown\"}" ])
+          with Unix.Unix_error _ -> ())
+        paths;
+      List.iter Thread.join servers;
+      List.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ()) paths)
+    (fun () ->
+      let req = Filename.temp_file "fusecu_place" ".ndjson" in
+      Out_channel.with_open_bin req (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      let input = Unix.openfile req [ Unix.O_RDONLY ] 0 in
+      let output = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close input;
+          Unix.close output;
+          Sys.remove req)
+        (fun () -> route ~backends:paths input output);
+      let held = List.map (fun e -> List.map fst (Engine.cache_snapshot e)) engines in
+      String.concat ""
+        (List.map
+           (fun line ->
+             match Protocol.parse_line line with
+             | Ok (_, _, Protocol.Call c) -> (
+               let key = Protocol.cache_key (fst (Protocol.canonicalize c)) in
+               match
+                 List.filter_map Fun.id
+                   (List.mapi (fun i keys -> if List.mem key keys then Some i else None) held)
+               with
+               | [] -> "?"
+               | [ i ] -> string_of_int i
+               | _ -> "*")
+             | _ -> "-")
+           lines))
+
+let test_router_placement_pinned () =
+  check_str "2 shards"
+    "1111111110011111011000011111111100111110110000----??--1111111110011111011000011111111100111110110000?????--10110-?-111111110111001111111101111111111111111100111111010111111111111011011110111111111101110110101111111010111101111111"
+    (routed_placement 2);
+  check_str "3 shards"
+    "1111111112211111211222211111111122111112112222----??--1111111112211111211222211111111122111112112222?????--12122-?-121111112211221121111121122111112111221102111111212111111111211011012122211111112222210112101211111212121121112212"
+    (routed_placement 3)
+
+(* A fake backend answers its first request, then closes with two
+   requests outstanding: the client still gets one line per request, in
+   order, and the router returns at end of input. *)
+let test_router_dead_backend () =
+  let requests = List.filteri (fun i _ -> i < 3) fault_requests in
+  let answer = "{\"id\":1,\"ok\":true,\"op\":\"intra\",\"result\":{}}" in
+  let path = sock_path () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let fake =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listener in
+        let chunk = Bytes.create 4096 in
+        (* read until [n] request lines have arrived in all *)
+        let rec await n seen =
+          if seen < n then
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | k ->
+              let nl = ref 0 in
+              Bytes.iter (fun c -> if c = '\n' then incr nl) (Bytes.sub chunk 0 k);
+              await n (seen + !nl)
+        in
+        await 1 0;
+        send_all fd (answer ^ "\n");
+        await 2 0;
+        Unix.close fd)
+      ()
+  in
+  let req = Filename.temp_file "fusecu_dead" ".ndjson" in
+  Out_channel.with_open_bin req (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) requests);
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let input = Unix.openfile req [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ input; resp_r; listener ];
+      Sys.remove req;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      route
+        ~config:{ Router.default_config with Router.idle_timeout = 10. }
+        ~backends:[ path ] input resp_w;
+      Unix.close resp_w;
+      Thread.join fake;
+      let lost =
+        Protocol.response_error ~id:Json.Null ~code:Protocol.Bad_request
+          ~message:"router: backend 0 closed before responding"
+      in
+      Alcotest.(check (list string))
+        "the answer, then one error line per outstanding request"
+        [ answer; lost; lost ]
+        (lines_of (read_all_within resp_r ~seconds:10.)))
+
+(* A client that writes 20,000 requests from one thread while another
+   reads the answers, through a router to a server at batch 64: each
+   direction carries more bytes than the socket buffers hold, so a
+   router that stops reading one side while it blocks writing the
+   other deadlocks. *)
+let test_router_pipelined_stream () =
+  let requests =
+    List.init 20_000 (fun i -> List.nth fault_requests (i mod List.length fault_requests))
+  in
+  let expected = Engine.handle_lines (Engine.create (Engine.default_config ())) requests in
+  let request_text = String.concat "" (List.map (fun l -> l ^ "\n") requests) in
+  let buffered =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let n = Unix.getsockopt_int a Unix.SO_SNDBUF + Unix.getsockopt_int b Unix.SO_RCVBUF in
+    Unix.close a;
+    Unix.close b;
+    n
+  in
+  check_bool "requests outgrow the socket buffers" true
+    (String.length request_text > buffered);
+  with_server ~batch:64 (fun ~engine:_ ~path ->
+      let req_r, req_w = Unix.pipe ~cloexec:true () in
+      let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+      let router =
+        Thread.create
+          (fun () ->
+            route ~backends:[ path ] req_r resp_w;
+            Unix.close resp_w)
+          ()
+      in
+      let writer =
+        Thread.create
+          (fun () ->
+            send_all req_w request_text;
+            Unix.close req_w)
+          ()
+      in
+      let text = read_all_within resp_r ~seconds:60. in
+      Thread.join writer;
+      Thread.join router;
+      Unix.close req_r;
+      Unix.close resp_r;
+      check_bool "responses outgrow the socket buffers" true
+        (String.length text > buffered);
+      let got = lines_of text in
+      check_int "one response per request" (List.length expected) (List.length got);
+      check_bool "responses equal Engine.handle_lines" true (got = expected))
+
+(* A routed session that pauses past both idle timeouts: the shard
+   closes the idle connection, and the next request still gets its
+   answer. *)
+let test_router_idle_pause () =
+  let requests = List.filteri (fun i _ -> i < 2) fault_requests in
+  let expected = Engine.handle_lines (Engine.create (Engine.default_config ())) requests in
+  with_server ~batch:1
+    ~config:{ quick_config with Server.idle_timeout = 0.3 }
+    (fun ~engine:_ ~path ->
+      let req_r, req_w = Unix.pipe ~cloexec:true () in
+      let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+      let router =
+        Thread.create
+          (fun () ->
+            route
+              ~config:{ Router.default_config with Router.idle_timeout = 0.3 }
+              ~backends:[ path ] req_r resp_w;
+            Unix.close resp_w)
+          ()
+      in
+      let pending = Buffer.create 1024 and chunk = Bytes.create 4096 in
+      let rec next_line () =
+        let s = Buffer.contents pending in
+        match String.index_opt s '\n' with
+        | Some i ->
+          Buffer.clear pending;
+          Buffer.add_string pending (String.sub s (i + 1) (String.length s - i - 1));
+          String.sub s 0 i
+        | None -> (
+          match Unix.select [ resp_r ] [] [] 10. with
+          | [], _, _ -> Alcotest.fail "no answer within 10 s"
+          | _ -> (
+            match Unix.read resp_r chunk 0 (Bytes.length chunk) with
+            | 0 -> Alcotest.fail "router closed its output"
+            | n ->
+              Buffer.add_subbytes pending chunk 0 n;
+              next_line ()))
+      in
+      let ask line =
+        send_all req_w (line ^ "\n");
+        next_line ()
+      in
+      let first = ask (List.nth requests 0) in
+      Thread.delay 0.6;
+      let second = ask (List.nth requests 1) in
+      Unix.close req_w;
+      Thread.join router;
+      Unix.close req_r;
+      Unix.close resp_r;
+      Alcotest.(check (list string)) "both answers" expected [ first; second ])
+
+(* ------------------------------------------------------------------ *)
 (* Fleet: histogram codec and metric merging                           *)
 
 let test_fleet_histogram_codec () =
   let open Fleet in
+  let open Metrics in
   (* empty histogram round-trips through the sparse encoding *)
   let encode h =
     Metrics.histogram_json ~count:h.count ~total_s:h.total_s h.bins
@@ -2138,16 +2392,16 @@ let test_fleet_merge_metrics_sums () =
         | None -> Alcotest.failf "histogram %s missing from merge" name)
       | _ -> Alcotest.fail "merged dump has no latency family"
     in
-    check_int "histogram counts add" 3 (hist "latency_intra").Fleet.count;
+    check_int "histogram counts add" 3 (hist "latency_intra").Metrics.count;
     check_int "one-sided histogram unions in" 1
-      (hist "latency_chain").Fleet.count;
+      (hist "latency_chain").Metrics.count;
     (* bucket-wise, not count-wise: 1.5 ms and 2 ms share a log2 bin,
        0.5 s lands elsewhere *)
     let h = hist "latency_intra" in
     check_int "shared bin holds both sides" 2
-      h.Fleet.bins.(Metrics.bucket_of_seconds 0.002);
+      h.Metrics.bins.(Metrics.bucket_of_seconds 0.002);
     check_int "distant bin unmerged" 1
-      h.Fleet.bins.(Metrics.bucket_of_seconds 0.5);
+      h.Metrics.bins.(Metrics.bucket_of_seconds 0.5);
     let gauge name =
       match Json.member "gauges" merged with
       | Some g -> Json.member name g
@@ -2171,6 +2425,73 @@ let test_fleet_merge_metrics_sums () =
                   Json.Obj [ ("shard", Json.Int i); ("result", d) ])
                 [ d0; d1 ]))
       | None -> false)
+
+(* The fleet exposition of a router dump and two shard dumps, text
+   pinned: router series unlabeled, shard series labeled, and families
+   that only one process has (a counter, a gauge, histograms). *)
+let test_fleet_prometheus_pinned () =
+  let dump f =
+    let m = Metrics.create () in
+    f m;
+    Metrics.to_json m
+  in
+  let router =
+    dump (fun m ->
+        Metrics.incr ~by:5 m "router_requests";
+        Metrics.set_gauge m "router_inflight_shard_0" 2.;
+        Metrics.set_gauge m "uptime_ticks" 5.;
+        Metrics.observe m "hop" 3e-6)
+  in
+  let shard0 =
+    dump (fun m ->
+        Metrics.incr ~by:3 m "requests";
+        Metrics.observe m "latency_intra" 3e-6;
+        Metrics.observe m "latency_intra" 0.5;
+        Metrics.set_gauge m "uptime_ticks" 3.)
+  in
+  let shard1 =
+    dump (fun m ->
+        Metrics.incr ~by:2 m "requests";
+        Metrics.incr m "compute-errors";
+        Metrics.observe m "latency_chain" 1e-3;
+        Metrics.set_gauge m "uptime_ticks" 2.5)
+  in
+  match Fleet.fleet_prometheus ~router [ shard0; shard1 ] with
+  | Error e -> Alcotest.fail e
+  | Ok text ->
+    check_str "fleet exposition"
+      (String.concat "\n"
+        [ "# TYPE fusecu_compute_errors counter";
+          "fusecu_compute_errors{shard=\"1\"} 1";
+          "# TYPE fusecu_requests counter";
+          "fusecu_requests{shard=\"0\"} 3";
+          "fusecu_requests{shard=\"1\"} 2";
+          "# TYPE fusecu_router_requests counter";
+          "fusecu_router_requests 5";
+          "# TYPE fusecu_router_inflight_shard_0 gauge";
+          "fusecu_router_inflight_shard_0 2";
+          "# TYPE fusecu_uptime_ticks gauge";
+          "fusecu_uptime_ticks 5";
+          "fusecu_uptime_ticks{shard=\"0\"} 3";
+          "fusecu_uptime_ticks{shard=\"1\"} 2.5";
+          "# TYPE fusecu_hop_seconds histogram";
+          "fusecu_hop_seconds_bucket{le=\"4e-06\"} 1";
+          "fusecu_hop_seconds_bucket{le=\"+Inf\"} 1";
+          "fusecu_hop_seconds_sum 3e-06";
+          "fusecu_hop_seconds_count 1";
+          "# TYPE fusecu_latency_chain_seconds histogram";
+          "fusecu_latency_chain_seconds_bucket{shard=\"1\",le=\"0.001024\"} 1";
+          "fusecu_latency_chain_seconds_bucket{shard=\"1\",le=\"+Inf\"} 1";
+          "fusecu_latency_chain_seconds_sum{shard=\"1\"} 0.001";
+          "fusecu_latency_chain_seconds_count{shard=\"1\"} 1";
+          "# TYPE fusecu_latency_intra_seconds histogram";
+          "fusecu_latency_intra_seconds_bucket{shard=\"0\",le=\"4e-06\"} 1";
+          "fusecu_latency_intra_seconds_bucket{shard=\"0\",le=\"0.524288\"} 2";
+          "fusecu_latency_intra_seconds_bucket{shard=\"0\",le=\"+Inf\"} 2";
+          "fusecu_latency_intra_seconds_sum{shard=\"0\"} 0.500003";
+          "fusecu_latency_intra_seconds_count{shard=\"0\"} 2";
+          "" ])
+      text
 
 (* Property: for arbitrary well-formed shard dumps, the fleet merge is
    exactly the element-wise sum — counters counter-wise, histograms
@@ -2249,13 +2570,13 @@ let prop_fleet_merge_is_sum =
               match hist_of merged name with
               | None -> parts = []
               | Some m ->
-                m.Fleet.count
-                = List.fold_left (fun acc h -> acc + h.Fleet.count) 0 parts
+                m.Metrics.count
+                = List.fold_left (fun acc h -> acc + h.Metrics.count) 0 parts
                 && Array.for_all Fun.id
                      (Array.init Metrics.buckets (fun b ->
-                          m.Fleet.bins.(b)
+                          m.Metrics.bins.(b)
                           = List.fold_left
-                              (fun acc h -> acc + h.Fleet.bins.(b))
+                              (fun acc h -> acc + h.Metrics.bins.(b))
                               0 parts)))
             hist_names
         in
@@ -2400,8 +2721,18 @@ let () =
         [ Alcotest.test_case "histogram codec" `Quick
             test_fleet_histogram_codec;
           Alcotest.test_case "metrics merge sums" `Quick
-            test_fleet_merge_metrics_sums ]
+            test_fleet_merge_metrics_sums;
+          Alcotest.test_case "prometheus exposition pinned" `Quick
+            test_fleet_prometheus_pinned ]
         @ qcheck [ prop_fleet_merge_is_sum ] );
       ( "router",
         [ Alcotest.test_case "1-shard stats byte-identity" `Quick
-            test_router_single_shard_stats_identity ] ) ]
+            test_router_single_shard_stats_identity;
+          Alcotest.test_case "placement pinned at 2 and 3 shards" `Quick
+            test_router_placement_pinned;
+          Alcotest.test_case "dead backend owes error lines" `Quick
+            test_router_dead_backend;
+          Alcotest.test_case "pipelined stream" `Quick
+            test_router_pipelined_stream;
+          Alcotest.test_case "session survives an idle pause" `Quick
+            test_router_idle_pause ] ) ]
