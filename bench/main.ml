@@ -1,138 +1,8 @@
-(* Benchmark harness: regenerates every table and figure of the paper.
-
-   Usage:
-     dune exec bench/main.exe                 -- run everything
-     dune exec bench/main.exe -- --only fig10 -- one experiment
-     dune exec bench/main.exe -- --buffer 2MB -- override the Fig.10/11 buffer
-     dune exec bench/main.exe -- --quick      -- trim the slow sweeps
-     dune exec bench/main.exe -- --json       -- time the DSE engine
-                                                 (seq vs parallel) and
-                                                 write BENCH_dse.json
-     dune exec bench/main.exe -- --smoke      -- tiny-op smoke of the
-                                                 bench machinery (also
-                                                 `dune build @bench-smoke`)
-     dune exec bench/main.exe -- --service    -- replay the service
-                                                 fixture (cache on vs
-                                                 off), run the socket
-                                                 fault drill, and write
-                                                 BENCH_service.json
-     dune exec bench/main.exe -- --socket-smoke -- socket fault drill
-                                                 only: concurrent
-                                                 clients + slow loris +
-                                                 mid-batch disconnect
-                                                 against the live
-                                                 daemon (also part of
-                                                 `dune build
-                                                 @service-smoke`)
-     dune exec bench/main.exe -- --bnb-smoke   -- branch-and-bound vs
-                                                 exhaustive on the
-                                                 paper fixtures: fails
-                                                 if B&B ever misses the
-                                                 optimum or spends more
-                                                 than 10% of the
-                                                 enumeration's cost
-                                                 evaluations (also part
-                                                 of `dune build
-                                                 @bench-smoke`)
-     dune exec bench/main.exe -- --nest-smoke -- projective-nest mapper
-                                                 vs exhaustive on the
-                                                 beyond-matmul zoo
-                                                 (conv2d, batched MM,
-                                                 GQA, attention pair):
-                                                 fails if B&B misses
-                                                 the optimum or stops
-                                                 pruning (also part of
-                                                 `dune build
-                                                 @nest-smoke`)
-     dune exec bench/main.exe -- --model      -- whole-model planner
-                                                 bench: fixtures vs
-                                                 exhaustive + a random
-                                                 graph soak, results to
-                                                 BENCH_model.json
-     dune exec bench/main.exe -- --model-smoke -- short strict version
-                                                 (also `dune build
-                                                 @model-smoke`)
-     dune exec bench/main.exe -- --load       -- load generator against
-                                                 the live socket server:
-                                                 closed-loop p50/p99
-                                                 latency, streaming
-                                                 throughput, and the
-                                                 warm-vs-cold store hit
-                                                 rate, merged into
-                                                 BENCH_service.json
-     dune exec bench/main.exe -- --load-smoke -- short strict version of
-                                                 --load (cold/warm
-                                                 byte-identity + hit-rate
-                                                 gates only; part of
-                                                 `dune build
-                                                 @store-smoke`)
-     dune exec bench/main.exe -- --obs-smoke  -- observability drill:
-                                                 2-shard routed replay
-                                                 with tracing, debug
-                                                 logging and a live
-                                                 fleet Prometheus
-                                                 exporter — transcripts
-                                                 must stay
-                                                 byte-identical, the
-                                                 per-process traces
-                                                 must merge into one
-                                                 valid timeline, and
-                                                 the fleet metrics
-                                                 response must equal
-                                                 the shard-wise merge
-                                                 (also `dune build
-                                                 @obs-smoke`)
-     dune exec bench/main.exe -- --store-smoke -- persistence drill:
-                                                 1-shard router fleet
-                                                 with a store, kill -9,
-                                                 warm restart, 2-shard
-                                                 replay, plus torn-tail
-                                                 and CRC-corruption
-                                                 recovery — all held to
-                                                 the golden transcript
-                                                 (also `dune build
-                                                 @store-smoke`)
-     dune exec bench/main.exe -- --oracle      -- differential-oracle
-                                                 soak: 5000 seeded
-                                                 cases (1000 with
-                                                 --quick), results to
-                                                 BENCH_oracle.json
-                                                 (short version: `dune
-                                                 build @oracle-smoke`)
-
-   Experiments: table1 table2 table3 example fig9 fig10 fig11 fig12
-   energy ablation softmax hierarchy contention gqa chains speed;
-   --csv DIR exports figure data *)
-
-let usage () =
-  print_endline
-    "usage: main.exe [--only \
-     table1|table2|table3|example|fig4|fig9|fig10|fig11|fig12|energy|ablation|softmax|hierarchy|speed] [--buffer \
-     <size>] [--quick] [--json] [--smoke] [--service] [--socket-smoke] \
-     [--bnb-smoke] [--nest-smoke] [--oracle] [--model] [--model-smoke] \
-     [--load] [--load-smoke] [--store-smoke] [--obs-smoke] [--trace FILE]";
-  exit 1
-
-type options = {
-  only : string option;
-  buffer : Fusecu_loopnest.Buffer.t;
-  quick : bool;
-  csv_dir : string option;
-  json : bool;
-  smoke : bool;
-  service : bool;
-  socket_smoke : bool;
-  bnb_smoke : bool;
-  nest_smoke : bool;
-  oracle : bool;
-  model : bool;
-  model_smoke : bool;
-  load : bool;
-  load_smoke : bool;
-  store_smoke : bool;
-  obs_smoke : bool;
-  trace : string option;
-}
+(* Benchmark harness: with no mode, regenerates every table and figure
+   of the paper (`dune exec bench/main.exe`, optionally `--only TAG`,
+   `--buffer SIZE`, `--quick`, `--csv DIR`); a mode flag runs one mode
+   of [modes] instead. `--trace FILE` profiles whatever runs and writes
+   a Chrome trace on exit. `main.exe --help` lists the modes. *)
 
 (* --oracle: a long differential-conformance soak (much larger than the
    @oracle-smoke alias), with the run parameters and outcome written to
@@ -176,188 +46,119 @@ let oracle_soak ~quick () =
   print_endline "wrote BENCH_oracle.json";
   if not (Oracle.ok report) then exit 1
 
-let parse_args () =
-  let only = ref None and buffer = ref Experiments.default_buffer in
-  let quick = ref false and csv_dir = ref None in
-  let json = ref false and smoke = ref false and service = ref false in
-  let socket_smoke = ref false and bnb_smoke = ref false in
-  let nest_smoke = ref false in
-  let oracle = ref false in
-  let model = ref false and model_smoke = ref false in
-  let load = ref false and load_smoke = ref false in
-  let store_smoke = ref false and obs_smoke = ref false in
-  let trace = ref None in
-  let rec loop = function
+(* The paper's tables and figures, by --only tag. *)
+let experiments ~buffer ~quick =
+  [ ("table1", Experiments.table1);
+    ("table2", Experiments.table2);
+    ("table3", Experiments.table3);
+    ("example", Experiments.example);
+    ("fig4", Experiments.fig4);
+    ("fig9", fun () -> if quick then Experiments.run_fig9_quick () else Experiments.fig9 ());
+    ("fig10", fun () -> Experiments.fig10 ~buf:buffer ());
+    ("fig11", fun () -> Experiments.fig11 ~buf:buffer ());
+    ("fig12", Experiments.fig12);
+    ("energy", fun () -> Experiments.energy ~buf:buffer ());
+    ("ablation", fun () -> Experiments.ablation ~buf:buffer ());
+    ("softmax", fun () -> Experiments.softmax ~buf:buffer ());
+    ("hierarchy", Experiments.hierarchy);
+    ("contention", fun () -> Experiments.contention ~buf:buffer ());
+    ("gqa", fun () -> Experiments.gqa ~buf:buffer ());
+    ("chains", fun () -> Experiments.chains ~buf:buffer ());
+    ("speed", fun () -> if not quick then Speed.run ()) ]
+
+(* (flag, what it does, action): one mode per run. The fleet drills
+   fork shard processes, so they run before anything in this process
+   starts a domain pool. *)
+let modes : (string * string * (quick:bool -> unit)) list =
+  [ ( "--json",
+      "time the DSE engine, sequential vs parallel; writes BENCH_dse.json",
+      fun ~quick:_ ->
+        Speed.write_json ~nest:(List.map Nest_bench.row_json (Nest_bench.rows ())) () );
+    ("--smoke", "tiny-op smoke of the bench machinery: parallel = sequential", fun ~quick:_ -> Speed.smoke ());
+    ( "--bnb-smoke",
+      "B&B = exhaustive on the paper fixtures, within 10% of its evaluations",
+      fun ~quick:_ -> Speed.bnb_smoke () );
+    ( "--nest-smoke",
+      "nest B&B = exhaustive on the beyond-matmul zoo, pruning",
+      fun ~quick:_ -> Nest_bench.smoke () );
+    ( "--model",
+      "whole-model planner vs exhaustive and a graph soak; writes BENCH_model.json",
+      fun ~quick -> Model_bench.write_json ~quick () );
+    ("--model-smoke", "short strict version of --model", fun ~quick:_ -> Model_bench.smoke ());
+    ( "--oracle",
+      "5,000-case differential soak (1,000 with --quick); writes BENCH_oracle.json",
+      fun ~quick -> oracle_soak ~quick () );
+    ( "--socket-smoke",
+      "concurrent clients, slow loris and mid-batch disconnect vs the golden",
+      fun ~quick:_ -> Socket_drill.run () );
+    ( "--store-smoke",
+      "kill -9 and warm restart of a stored shard; torn-tail and CRC recovery",
+      fun ~quick:_ -> Store_drill.run () );
+    ( "--obs-smoke",
+      "traced, logged, scraped 2-shard replay: same bytes, one trace, merged metrics",
+      fun ~quick:_ -> Obs_drill.run () );
+    ( "--determinism-smoke",
+      "the seeded corpus once per matrix cell: every answer = the reference cell's",
+      fun ~quick:_ -> Determinism.run () ) ]
+
+let usage () =
+  print_endline
+    "usage: main.exe [MODE] [--only TAG] [--buffer SIZE] [--quick] [--csv DIR] [--trace FILE]";
+  Printf.printf "With no MODE, the paper's experiments; --only TAG is one of:\n  %s\nModes:\n"
+    (String.concat " "
+       (List.map fst (experiments ~buffer:Experiments.default_buffer ~quick:false)));
+  List.iter (fun (flag, doc, _) -> Printf.printf "  %-20s %s\n" flag doc) modes;
+  exit 1
+
+let () =
+  let mode = ref None and only = ref None and buffer = ref Experiments.default_buffer in
+  let quick = ref false and csv_dir = ref None and trace = ref None in
+  let rec parse = function
     | [] -> ()
     | "--only" :: tag :: rest ->
       only := Some tag;
-      loop rest
+      parse rest
     | "--buffer" :: size :: rest ->
       (match Fusecu_util.Units.parse_bytes size with
       | Ok bytes -> buffer := Fusecu_loopnest.Buffer.make bytes
       | Error e ->
         prerr_endline e;
         usage ());
-      loop rest
+      parse rest
     | "--quick" :: rest ->
       quick := true;
-      loop rest
-    | "--json" :: rest ->
-      json := true;
-      loop rest
-    | "--smoke" :: rest ->
-      smoke := true;
-      loop rest
-    | "--service" :: rest ->
-      service := true;
-      loop rest
-    | "--socket-smoke" :: rest ->
-      socket_smoke := true;
-      loop rest
-    | "--bnb-smoke" :: rest ->
-      bnb_smoke := true;
-      loop rest
-    | "--nest-smoke" :: rest ->
-      nest_smoke := true;
-      loop rest
-    | "--oracle" :: rest ->
-      oracle := true;
-      loop rest
-    | "--model" :: rest ->
-      model := true;
-      loop rest
-    | "--model-smoke" :: rest ->
-      model_smoke := true;
-      loop rest
-    | "--load" :: rest ->
-      load := true;
-      loop rest
-    | "--load-smoke" :: rest ->
-      load_smoke := true;
-      loop rest
-    | "--store-smoke" :: rest ->
-      store_smoke := true;
-      loop rest
-    | "--obs-smoke" :: rest ->
-      obs_smoke := true;
-      loop rest
+      parse rest
     | "--csv" :: dir :: rest ->
       csv_dir := Some dir;
-      loop rest
+      parse rest
     | "--trace" :: file :: rest ->
       trace := Some file;
-      loop rest
-    | "--help" :: _ | "-h" :: _ -> usage ()
+      parse rest
+    | arg :: rest when List.exists (fun (flag, _, _) -> flag = arg) modes ->
+      mode := Some arg;
+      parse rest
+    | ("--help" | "-h") :: _ -> usage ()
     | arg :: _ ->
       Printf.eprintf "unknown argument %S\n" arg;
       usage ()
   in
-  loop (List.tl (Array.to_list Sys.argv));
-  { only = !only; buffer = !buffer; quick = !quick; csv_dir = !csv_dir;
-    json = !json; smoke = !smoke; service = !service;
-    socket_smoke = !socket_smoke; bnb_smoke = !bnb_smoke;
-    nest_smoke = !nest_smoke; oracle = !oracle;
-    model = !model; model_smoke = !model_smoke; load = !load;
-    load_smoke = !load_smoke; store_smoke = !store_smoke;
-    obs_smoke = !obs_smoke; trace = !trace }
-
-let () =
-  let { only; buffer; quick; csv_dir; json; smoke; service; socket_smoke;
-        bnb_smoke; nest_smoke; oracle; model; model_smoke; load; load_smoke;
-        store_smoke; obs_smoke; trace } =
-    parse_args ()
-  in
+  parse (List.tl (Array.to_list Sys.argv));
   (* --trace FILE: profile whatever runs below and write a Chrome
      trace-event JSON on exit (at_exit covers every early-exit path).
      [Speed.write_json] manages its own collection window, so --json
      runs also get a file without double-starting. *)
-  (match trace with
-  | None -> ()
-  | Some file ->
-    if not json then Fusecu_util.Trace.start ();
-    at_exit (fun () ->
-        Fusecu_util.Trace.stop ();
-        Fusecu_util.Trace.export file));
-  if smoke then begin
-    Speed.smoke ();
-    exit 0
-  end;
-  if socket_smoke then begin
-    Service_replay.socket_smoke ();
-    exit 0
-  end;
-  if bnb_smoke then begin
-    Speed.bnb_smoke ();
-    exit 0
-  end;
-  if nest_smoke then begin
-    Nest_bench.smoke ();
-    exit 0
-  end;
-  if oracle then begin
-    oracle_soak ~quick ();
-    exit 0
-  end;
-  if model then begin
-    Model_bench.write_json ~quick ();
-    exit 0
-  end;
-  if model_smoke then begin
-    Model_bench.smoke ();
-    exit 0
-  end;
-  if store_smoke then begin
-    (* must run before anything touches the global domain pool: the
-       drill forks a shard fleet, and forking a process with live
-       worker domains is undefined *)
-    Store_drill.run ~fixture:(Service_replay.resolve_fixture ()) ();
-    exit 0
-  end;
-  if obs_smoke then begin
-    (* forks fleets too: same before-the-pool rule as --store-smoke *)
-    Obs_drill.run ~fixture:(Service_replay.resolve_fixture ()) ();
-    exit 0
-  end;
-  if load_smoke then begin
-    Load.smoke ();
-    exit 0
-  end;
-  if load then begin
-    let rows = Load.run ~quick () in
-    Service_replay.write_json ~load:rows ();
-    exit 0
-  end;
-  if service then begin
-    Service_replay.write_json ();
-    exit 0
-  end;
-  if json then begin
-    Speed.write_json
-      ~nest:(List.map Nest_bench.row_json (Nest_bench.rows ()))
-      ();
-    exit 0
-  end;
-  let run tag f =
-    match only with
-    | Some t when t <> tag -> ()
-    | _ -> f ()
-  in
-  run "table1" Experiments.table1;
-  run "table2" Experiments.table2;
-  run "table3" Experiments.table3;
-  run "example" Experiments.example;
-  run "fig4" Experiments.fig4;
-  run "fig9" (fun () ->
-      if quick then Experiments.run_fig9_quick () else Experiments.fig9 ());
-  run "fig10" (fun () -> Experiments.fig10 ~buf:buffer ());
-  run "fig11" (fun () -> Experiments.fig11 ~buf:buffer ());
-  run "fig12" Experiments.fig12;
-  run "energy" (fun () -> Experiments.energy ~buf:buffer ());
-  run "ablation" (fun () -> Experiments.ablation ~buf:buffer ());
-  run "softmax" (fun () -> Experiments.softmax ~buf:buffer ());
-  run "hierarchy" Experiments.hierarchy;
-  run "contention" (fun () -> Experiments.contention ~buf:buffer ());
-  run "gqa" (fun () -> Experiments.gqa ~buf:buffer ());
-  run "chains" (fun () -> Experiments.chains ~buf:buffer ());
-  run "speed" (fun () -> if not quick then Speed.run ());
-  Option.iter (fun dir -> Experiments.export_csv ~buf:buffer ~dir ()) csv_dir
+  Option.iter
+    (fun file ->
+      if !mode <> Some "--json" then Fusecu_util.Trace.start ();
+      at_exit (fun () ->
+          Fusecu_util.Trace.stop ();
+          Fusecu_util.Trace.export file))
+    !trace;
+  match !mode with
+  | Some flag ->
+    List.iter (fun (f, _, action) -> if f = flag then action ~quick:!quick) modes
+  | None ->
+    List.iter
+      (fun (tag, run) -> if Option.fold ~none:true ~some:(String.equal tag) !only then run ())
+      (experiments ~buffer:!buffer ~quick:!quick);
+    Option.iter (fun dir -> Experiments.export_csv ~buf:!buffer ~dir ()) !csv_dir

@@ -20,27 +20,13 @@
 open Fusecu_util
 open Fusecu_service
 
-let read_lines path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
-let golden_path = "test/fixtures/service_responses.golden"
-
-let resolve p = if Sys.file_exists p then p else Filename.concat ".." p
-
 let response_op line =
   match Json.parse line with
   | Ok r -> (
     match Json.member "op" r with Some (Json.String op) -> Some op | _ -> None)
   | Error _ -> None
 
-let is_control line =
-  match response_op line with
-  | Some ("stats" | "metrics" | "shutdown") -> true
-  | _ -> false
-
-let non_control = List.filter (fun l -> not (is_control l))
+let non_control = Drill.non_control
 
 (* Out-of-band quiet scrapes move no tick and no request counter, but
    they are real connections: the servers' conns_accepted/conns_closed
@@ -62,65 +48,7 @@ let normalize_stats line =
   | Ok j -> Json.print (strip_conns j)
   | Error _ -> line
 
-let check what expected actual =
-  if expected <> actual then begin
-    List.iteri
-      (fun i (e, a) ->
-        if e <> a then
-          Printf.eprintf "obs drill: %s line %d:\n  expected %s\n  got      %s\n"
-            what i e a)
-      (try List.combine expected actual with Invalid_argument _ -> []);
-    failwith
-      (Printf.sprintf "obs drill: %s diverged (%d vs %d lines)" what
-         (List.length expected) (List.length actual))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Fleet plumbing                                                      *)
-
-let spawn_fleet ~dir ~shards ~trace =
-  let make_engine _ = Engine.create (Engine.default_config ()) in
-  let server_config =
-    { Server.max_conns = 16; idle_timeout = 30.; max_line = 1 lsl 20 }
-  in
-  List.init shards (fun i ->
-      let trace_file =
-        if trace then
-          Some (Filename.concat dir (Printf.sprintf "shard-%d.json" i))
-        else None
-      in
-      Router.spawn_shard ?trace:trace_file ~make_engine
-        ~socket:(Filename.concat dir (Printf.sprintf "shard-%d.sock" i))
-        ~server_config i)
-
-let await_fleet children =
-  List.iter
-    (fun (c : Router.child) ->
-      if not (Router.wait_for_socket c.socket) then
-        failwith ("obs drill: shard socket never appeared: " ^ c.socket))
-    children
-
-let route_replay ?metrics ~requests children =
-  let tmp_in = Filename.temp_file "fusecu_obs" ".in" in
-  let tmp_out = Filename.temp_file "fusecu_obs" ".out" in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove tmp_in with Sys_error _ -> ());
-      try Sys.remove tmp_out with Sys_error _ -> ())
-    (fun () ->
-      Out_channel.with_open_bin tmp_in (fun oc ->
-          List.iter (fun l -> output_string oc (l ^ "\n")) requests);
-      let input = Unix.openfile tmp_in [ Unix.O_RDONLY ] 0 in
-      let output = Unix.openfile tmp_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
-      Fun.protect
-        ~finally:(fun () ->
-          Unix.close input;
-          Unix.close output)
-        (fun () ->
-          Router.run ?metrics
-            ~backends:(List.map (fun (c : Router.child) -> c.socket) children)
-            ~input ~output ());
-      read_lines tmp_out)
+let check = Drill.check ~drill:"obs"
 
 (* ------------------------------------------------------------------ *)
 (* Merged-trace validation                                             *)
@@ -287,27 +215,16 @@ let scrape_exporter port =
       in
       drain ())
 
-let run ~fixture () =
-  let requests = read_lines fixture @ [ "{\"op\":\"metrics\",\"id\":990}" ] in
-  let golden = read_lines (resolve golden_path) in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fusecu_obs_%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+let run () =
+  let requests = Drill.fixture () @ [ "{\"op\":\"metrics\",\"id\":990}" ] in
+  let golden = Drill.golden () in
+  Drill.with_temp_dir "fusecu_obs" @@ fun dir ->
   Fun.protect
-    ~finally:(fun () ->
-      Log.set_level None;
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> Log.set_level None)
     (fun () ->
       (* pass A: plain 2-shard replay, nothing instrumented *)
-      let fleet_a = spawn_fleet ~dir ~shards:2 ~trace:false in
-      await_fleet fleet_a;
-      let plain = route_replay ~requests fleet_a in
+      let fleet_a = Drill.spawn_fleet ~dir ~shards:2 () in
+      let plain = Drill.route_replay ~requests (Drill.sockets fleet_a) in
       Router.stop_children fleet_a;
       check "plain 2-shard vs golden (non-control)" (non_control golden)
         (non_control plain);
@@ -315,9 +232,8 @@ let run ~fixture () =
          fork so the children inherit it; spawn_shard tags their
          records with the shard index. *)
       Log.set_level (Some Log.Debug);
-      let fleet_b = spawn_fleet ~dir ~shards:2 ~trace:true in
-      await_fleet fleet_b;
-      let sockets = List.map (fun (c : Router.child) -> c.socket) fleet_b in
+      let fleet_b = Drill.spawn_fleet ~trace:true ~dir ~shards:2 () in
+      let sockets = Drill.sockets fleet_b in
       Trace.start ();
       let router_metrics = Metrics.create () in
       let exporter =
@@ -346,7 +262,7 @@ let run ~fixture () =
             Thread.join scraper;
             Server.stop_metrics_exporter exporter)
           (fun () ->
-            let out = route_replay ~metrics:router_metrics ~requests fleet_b in
+            let out = Drill.route_replay ~metrics:router_metrics ~requests sockets in
             (* one guaranteed scrape while the fleet is still up *)
             scrapes := scrape_exporter port :: !scrapes;
             out)

@@ -50,13 +50,27 @@ let default_config = { idle_timeout = 30.; max_line = 1 lsl 20 }
    value can move keys away from the shard whose store holds them. *)
 let vnodes = 64
 
+(* FNV-1a's last multiply barely reaches the top bits, so points whose
+   names differ only in their last characters sort together and the
+   ring degenerates into one arc per backend. SplitMix64's finalizer
+   spreads every input bit over the whole word; both ring points and
+   keys go through it. *)
+let mix h =
+  let open Int64 in
+  let z = of_int h in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  to_int (shift_right_logical (logxor z (shift_right_logical z 31)) 1)
+
+let point s = mix (Hash.fnv1a64_positive s)
+
 type ring = (int * int) array  (* (point hash, backend), ascending *)
 
 let build_ring n : ring =
   let points =
     Array.init (n * vnodes) (fun i ->
         let b = i / vnodes and v = i mod vnodes in
-        (Hash.fnv1a64_positive (Printf.sprintf "backend-%d-vnode-%d" b v), b))
+        (point (Printf.sprintf "backend-%d-vnode-%d" b v), b))
   in
   Array.sort
     (fun (h, b) (h', b') -> if h <> h' then Int.compare h h' else Int.compare b b')
@@ -75,30 +89,31 @@ let ring_lookup (ring : ring) h =
   let i = bsearch 0 n in
   snd ring.(if i = n then 0 else i)
 
-(* Where a raw request line goes. Calls route by canonical cache key —
-   the same string that keys the plan cache and the store, so one key's
-   repeats always land on the shard that cached it. Rejects route by the
-   raw line (any backend computes identical reject bytes; hashing just
-   spreads the load). [stats]/[metrics] fan out to every backend for the
-   fleet merge; [shutdown] broadcasts so every backend stops. *)
+let shard_of_key ~shards =
+  let ring = build_ring shards in
+  fun key -> ring_lookup ring (point key)
+
+(* Where a raw request line goes, given where a key goes ([shard_of_key]).
+   Calls route by canonical cache key — the same string that keys the
+   plan cache and the store, so one key's repeats always land on the
+   shard that cached it. Rejects route by the raw line (any backend
+   computes identical reject bytes; hashing just spreads the load).
+   [stats]/[metrics] fan out to every backend for the fleet merge;
+   [shutdown] broadcasts so every backend stops. *)
 type routing =
   | To of { backend : int; stamp : bool }  (** forward to one backend *)
   | Fanout of { op : string }  (** stats/metrics: ask everyone, merge *)
   | Broadcast  (** shutdown: every backend must stop *)
 
-let route_line ring line =
+let route_line place line =
   match Protocol.parse_line line with
   | Ok (_, _, Protocol.Call c) ->
     let canonical, _ = Protocol.canonicalize c in
-    To
-      { backend =
-          ring_lookup ring (Hash.fnv1a64_positive (Protocol.cache_key canonical));
-        stamp = true }
+    To { backend = place (Protocol.cache_key canonical); stamp = true }
   | Ok (_, _, Protocol.Stats) -> Fanout { op = "stats" }
   | Ok (_, _, Protocol.Metrics_req _) -> Fanout { op = "metrics" }
   | Ok (_, _, Protocol.Shutdown) -> Broadcast
-  | Error _ ->
-    To { backend = ring_lookup ring (Hash.fnv1a64_positive line); stamp = false }
+  | Error _ -> To { backend = place line; stamp = false }
 
 (* ------------------------------------------------------------------ *)
 (* The loop                                                            *)
@@ -174,7 +189,7 @@ let run ?(config = default_config) ?metrics ~backends ~input ~output () =
          backends)
   in
   let n = Array.length barr in
-  let ring = build_ring n in
+  let place = shard_of_key ~shards:n in
   let patience =
     if config.idle_timeout > 0. then config.idle_timeout else infinity
   in
@@ -241,7 +256,7 @@ let run ?(config = default_config) ?metrics ~backends ~input ~output () =
       @@ fun () ->
       match
         Trace.with_span ~cat:"router" "router.route" (fun () ->
-            route_line ring line)
+            route_line place line)
       with
       | To { backend = i; stamp } ->
         let tc =

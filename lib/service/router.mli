@@ -29,10 +29,11 @@
     metrics registry is enabled anywhere in the fleet.
 
     {b Placement.} The ring hashes backend indices, not socket paths
-    ({!Fusecu_util.Hash.fnv1a64_positive}, a constant 64 virtual nodes
-    per backend), so a key's shard is a pure function of the shard
-    count — stable across restarts, which is what lets each shard's
-    persistent store stay authoritative for its keys.
+    ({!Fusecu_util.Hash.fnv1a64_positive} through SplitMix64's 64-bit
+    finalizer, a constant 64 virtual nodes per backend), so a key's
+    shard is a pure function of the shard count ({!shard_of_key}) —
+    stable across restarts, which is what lets each shard's persistent
+    store stay authoritative for its keys.
 
     {b Plumbing.} One [select] loop on the calling thread: no threads
     and no locks. Each backend has one buffer of unsent requests,
@@ -73,6 +74,11 @@ val run :
     [router_inflight_shard_i] and [router_reassembly_depth] gauges —
     all off the response path. Raises [Failure] when a backend socket
     cannot be connected, [Invalid_argument] on an empty backend list. *)
+
+val shard_of_key : shards:int -> string -> int
+(** [shard_of_key ~shards key] is the index of the backend that a
+    [shards]-backend router sends a call whose canonical cache key is
+    [key] ({!Protocol.cache_key}). *)
 
 (** {1 Out-of-band scraping} *)
 

@@ -277,6 +277,112 @@ let test_soak_fingerprints () =
     ~sums:[ ("candidate edges", 104); ("cases with fusion", 31) ]
     (Oracle.run Graph_check.oracle ~cases:40 ~seed:5)
 
+(* The determinism drill's corpus (seed 1, 600 lines after the service
+   fixture), pinned like the soaks above: a change to the generator
+   shows up here as a deliberate re-pin. Ops, lattices and nest kinds
+   are counted through [Protocol.parse_line]; reject codes on a fresh
+   engine's answers, since unknown_model and infeasible come from the
+   planners, not the parser. *)
+let test_corpus_fingerprint () =
+  let module P = Fusecu_service.Protocol in
+  let fixture = In_channel.with_open_text "fixtures/service_requests.ndjson" In_channel.input_lines in
+  let corpus = Corpus.make ~prefix:fixture ~seed:1 ~size:600 in
+  check_bool "starts with the service fixture" true
+    (List.filteri (fun i _ -> i < List.length fixture) corpus = fixture);
+  check_int "digest" (-3998442865370804245) (Fusecu_util.Hash.fnv1a64 (String.concat "\n" corpus));
+  let tally keys =
+    List.map
+      (fun k -> (k, List.length (List.filter (String.equal k) keys)))
+      (List.sort_uniq String.compare keys)
+  in
+  let calls =
+    List.filter_map
+      (fun line ->
+        match P.parse_line line with
+        | Ok (_, _, P.Call c) -> Some (line, c)
+        | _ -> None)
+      corpus
+  in
+  let ops =
+    List.map (fun (_, c) -> P.op_name c) calls
+    @ List.filter_map
+        (fun l -> match P.parse_line l with Ok (_, _, P.Stats) -> Some "stats" | _ -> None)
+        corpus
+  in
+  let lattices =
+    List.filter_map
+      (fun (line, c) ->
+        let written = Option.bind (Result.to_option (Fusecu_util.Json.parse line)) (Fusecu_util.Json.member "mode") in
+        let name (mode : Mode.t) =
+          match (written, mode) with
+          | None, _ -> "default"
+          | Some _, Exact -> "exact"
+          | Some _, Divisors -> "divisors"
+          | Some _, Pow2 -> "pow2"
+        in
+        match c with
+        | P.Intra { mode; _ } | Fuse { mode; _ } | Eval { mode; _ } | Chain { mode; _ }
+        | Plan_model { mode; _ } | Nest { mode; _ } ->
+          Some (P.op_name c ^ "/" ^ name mode)
+        | Regime _ -> None)
+      calls
+  in
+  let kinds =
+    List.filter_map (function _, P.Nest { kind; _ } -> Some (P.nest_kind_name kind) | _ -> None) calls
+  in
+  let rejects =
+    Fusecu_service.Engine.handle_lines
+      (Fusecu_service.Engine.create (Fusecu_service.Engine.default_config ()))
+      corpus
+    |> List.filter_map (fun answer ->
+           match Fusecu_util.Json.parse answer with
+           | Ok j -> (
+             match Option.bind (Fusecu_util.Json.member "error" j) (Fusecu_util.Json.member "code") with
+             | Some (Fusecu_util.Json.String code) -> Some code
+             | _ -> None)
+           | Error _ -> None)
+  in
+  let each what expected keys =
+    List.iter
+      (fun k -> check_bool (Printf.sprintf "%s %s occurs" what k) true (List.mem k keys))
+      expected
+  in
+  let mode_ops = [ "intra"; "fuse"; "eval"; "chain"; "plan_model"; "nest" ] in
+  each "op" ("regime" :: "stats" :: mode_ops) ops;
+  each "lattice"
+    (List.concat_map
+       (fun op -> List.map (fun l -> op ^ "/" ^ l) [ "default"; "exact"; "divisors"; "pow2" ])
+       mode_ops)
+    lattices;
+  each "kind" [ "matmul"; "conv2d"; "batched_mm"; "grouped_mm"; "attention" ] kinds;
+  each "reject"
+    [ "parse_error"; "bad_request"; "unsupported_version"; "unknown_op"; "unknown_model";
+      "infeasible" ]
+    rejects;
+  let pin what expected keys =
+    Alcotest.(check (list (pair string int))) what expected (tally keys)
+  in
+  pin "ops"
+    [ ("chain", 106); ("eval", 63); ("fuse", 91); ("intra", 207); ("nest", 131);
+      ("plan_model", 43); ("regime", 57); ("stats", 12) ]
+    ops;
+  pin "lattices"
+    [ ("chain/default", 29); ("chain/divisors", 32); ("chain/exact", 23); ("chain/pow2", 22);
+      ("eval/default", 25); ("eval/divisors", 13); ("eval/exact", 12); ("eval/pow2", 13);
+      ("fuse/default", 26); ("fuse/divisors", 25); ("fuse/exact", 22); ("fuse/pow2", 18);
+      ("intra/default", 87); ("intra/divisors", 41); ("intra/exact", 37); ("intra/pow2", 42);
+      ("nest/default", 40); ("nest/divisors", 35); ("nest/exact", 29); ("nest/pow2", 27);
+      ("plan_model/default", 14); ("plan_model/divisors", 10); ("plan_model/exact", 10);
+      ("plan_model/pow2", 9) ]
+    lattices;
+  pin "kinds"
+    [ ("attention", 29); ("batched_mm", 23); ("conv2d", 27); ("grouped_mm", 25); ("matmul", 27) ]
+    kinds;
+  pin "rejects"
+    [ ("bad_request", 9); ("infeasible", 4); ("parse_error", 6); ("unknown_model", 4);
+      ("unknown_op", 4); ("unsupported_version", 4) ]
+    rejects
+
 let test_check_spec_matches_run () =
   let p = problem_of_spec "m=6,k=1,l=5,l2=4,bs=16" in
   match Oracle.check_spec matmul "m=6,k=1,l=5,l2=4,bs=16" with
@@ -453,6 +559,8 @@ let () =
             test_check_spec_matches_run;
           Alcotest.test_case "soak fingerprints pinned" `Slow
             test_soak_fingerprints ] );
+      ( "corpus",
+        [ Alcotest.test_case "fingerprint pinned" `Quick test_corpus_fingerprint ] );
       ( "graph-planner",
         [ Alcotest.test_case "corpus stays fixed" `Quick test_graph_corpus;
           Alcotest.test_case "spec round-trip" `Quick

@@ -2127,11 +2127,39 @@ let routed_placement shards =
 
 let test_router_placement_pinned () =
   check_str "2 shards"
-    "1111111110011111011000011111111100111110110000----??--1111111110011111011000011111111100111110110000?????--10110-?-111111110111001111111101111111111111111100111111010111111111111011011110111111111101110110101111111010111101111111"
+    "1110000110011000000100011100001100110000001000----??--1110000110011000000100011100001100110000001000?????--11111-?-110001111110100101100111010110011101000101100100101100101100000110101110111111110111100001110111001010010000110001"
     (routed_placement 2);
   check_str "3 shards"
-    "1111111112211111211222211111111122111112112222----??--1111111112211111211222211111111122111112112222?????--12122-?-121111112211221121111121122111112111221102111111212111111111211011012122211111112222210112101211111212121121112212"
+    "1110000112222222000120011100001122222220001200----??--1110000112222222000120011100001122222220001200?????--22111-?-110221212110120121120211020212011201202101200100122100121120002210221112111111110111120201110121221212222000110021"
     (routed_placement 3)
+
+(* 1,000 distinct canonical keys of the seeded corpus spread evenly:
+   at 2, 3 and 4 backends each holds between 0.7/N and 1.3/N of them. *)
+let test_router_ring_balance () =
+  let keys =
+    Fusecu_oracle.Corpus.make ~prefix:[] ~seed:1 ~size:2000
+    |> List.filter_map (fun line ->
+           match Protocol.parse_line line with
+           | Ok (_, _, Protocol.Call c) ->
+             Some (Protocol.cache_key (fst (Protocol.canonicalize c)))
+           | _ -> None)
+    |> List.sort_uniq String.compare
+  in
+  check_bool "at least 1,000 distinct keys" true (List.length keys >= 1000);
+  let keys = List.filteri (fun i _ -> i < 1000) keys in
+  List.iter
+    (fun shards ->
+      let place = Router.shard_of_key ~shards in
+      let held = Array.make shards 0 in
+      List.iter (fun key -> held.(place key) <- held.(place key) + 1) keys;
+      Array.iteri
+        (fun b n ->
+          let fair = 1000. /. float_of_int shards in
+          if float_of_int n < 0.7 *. fair || float_of_int n > 1.3 *. fair then
+            Alcotest.failf "%d shards: backend %d holds %d of 1,000 keys (%s)" shards b n
+              (String.concat "/" (Array.to_list (Array.map string_of_int held))))
+        held)
+    [ 2; 3; 4 ]
 
 (* A fake backend answers its first request, then closes with two
    requests outstanding: the client still gets one line per request, in
@@ -2735,4 +2763,6 @@ let () =
           Alcotest.test_case "pipelined stream" `Quick
             test_router_pipelined_stream;
           Alcotest.test_case "session survives an idle pause" `Quick
-            test_router_idle_pause ] ) ]
+            test_router_idle_pause;
+          Alcotest.test_case "ring spreads keys evenly" `Quick
+            test_router_ring_balance ] ) ]
