@@ -496,13 +496,13 @@ let area_cmd =
 (* Service pieces (shared by serve, route)                             *)
 
 (* The engine behind 'serve' and behind every shard 'route' forks. *)
-let engine_config ~no_cache ~cache_entries ?slow_ms () =
+let engine_config ~cache_entries ?slow_ms () =
   let default = Fusecu_service.Engine.default_config () in
   let cache_entries =
     match cache_entries with Some n -> max 0 n | None -> default.cache_entries
   in
   { default with
-    cache_enabled = (not no_cache) && cache_entries > 0;
+    cache_enabled = cache_entries > 0;
     cache_entries;
     slow_log_ms = slow_ms }
 
@@ -527,10 +527,10 @@ let max_line_arg ~doc =
 (* serve                                                               *)
 
 let serve_cmd =
-  let run socket store_path batch no_cache cache_entries metrics_file
+  let run socket store_path batch cache_entries metrics_file
       metrics_addr slow_ms max_conns timeout max_line trace log_level =
     with_observability ~trace ~log_level @@ fun () ->
-    let config = engine_config ~no_cache ~cache_entries ?slow_ms () in
+    let config = engine_config ~cache_entries ?slow_ms () in
     let store =
       match store_path with
       | None -> None
@@ -604,10 +604,10 @@ let serve_cmd =
       & info [ "store" ] ~docv:"FILE"
           ~doc:"Persist the plan cache to an append-only, CRC-framed NDJSON \
                 store at FILE (created if absent) and warm-load it at \
-                startup. Writes are flushed behind the request path, so the \
-                hot path never blocks on disk; recovery after a crash drops \
-                only a damaged tail. Responses are byte-identical with or \
-                without the store — it only changes how much is recomputed.")
+                startup. A batch's records are written right after its \
+                replies; recovery after a crash drops only a damaged tail, \
+                and a failed write stops the store, never the server. \
+                Responses are byte-identical with or without the store.")
   in
   let batch =
     Arg.(
@@ -617,20 +617,15 @@ let serve_cmd =
                 parallel on the domain pool; responses always come back in \
                 request order.")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Disable the plan cache (responses are bit-identical either way; \
-                this only changes how much work is recomputed).")
-  in
   let cache_entries =
     Arg.(
       value
       & opt (some int) None
       & info [ "cache-entries" ] ~docv:"N"
           ~doc:"Plan-cache capacity in entries (default: \
-                \\$FUSECU_CACHE_ENTRIES or 4096; 0 disables the cache).")
+                \\$FUSECU_CACHE_ENTRIES or 4096; 0 disables the cache: \
+                answers are identical either way, only how much is \
+                recomputed changes).")
   in
   let metrics_file =
     Arg.(
@@ -691,7 +686,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ socket $ store_path $ batch $ no_cache $ cache_entries
+      const run $ socket $ store_path $ batch $ cache_entries
       $ metrics_file $ metrics_addr $ slow_ms $ max_conns $ timeout $ max_line
       $ trace_file_arg $ log_level_arg)
   in
@@ -712,7 +707,7 @@ let serve_cmd =
 (* route                                                               *)
 
 let route_cmd =
-  let run shards backends socket_dir store_dir batch no_cache cache_entries
+  let run shards backends socket_dir store_dir batch cache_entries
       max_conns timeout max_line metrics_addr trace log_level =
     with_observability ~trace:None ~log_level @@ fun () ->
     if shards < 1 then begin
@@ -808,7 +803,7 @@ let route_cmd =
       front backends
     | [] ->
       (* own the fleet: fork one serve-socket child per shard *)
-      let engine_config = engine_config ~no_cache ~cache_entries () in
+      let engine_config = engine_config ~cache_entries () in
       let dir =
         match socket_dir with
         | Some d ->
@@ -908,18 +903,13 @@ let route_cmd =
       value & opt int 64
       & info [ "batch" ] ~docv:"N" ~doc:"Per-shard request batch size.")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Disable the shards' plan caches.")
-  in
   let cache_entries =
     Arg.(
       value
       & opt (some int) None
       & info [ "cache-entries" ] ~docv:"N"
           ~doc:"Per-shard plan-cache capacity (default: \
-                \\$FUSECU_CACHE_ENTRIES or 4096).")
+                \\$FUSECU_CACHE_ENTRIES or 4096; 0 disables the caches).")
   in
   let defaults = Fusecu_service.Server.default_socket_config in
   let max_conns =
@@ -969,7 +959,7 @@ let route_cmd =
   in
   let term =
     Term.(
-      const run $ shards $ backends $ socket_dir $ store_dir $ batch $ no_cache
+      const run $ shards $ backends $ socket_dir $ store_dir $ batch
       $ cache_entries $ max_conns $ timeout $ max_line $ metrics_addr $ trace_dir $ log_level_arg)
   in
   Cmd.v

@@ -68,6 +68,13 @@ let push_front s = function
     (match s.head with Nil -> s.tail <- node | Node h -> h.prev <- node);
     s.head <- node
 
+let push_back s = function
+  | Nil -> ()
+  | Node n as node ->
+    n.prev <- s.tail;
+    (match s.tail with Nil -> s.head <- node | Node x -> x.next <- node);
+    s.tail <- node
+
 (* Most recent first: what a hit or an insert does to its entry. *)
 let touch s node =
   if s.head != node then begin
@@ -143,6 +150,24 @@ let stats t =
 let shard_occupancy t =
   with_all_locked t (fun () ->
       Array.to_list (Array.map (fun s -> Tbl.length s.table) t.shards))
+
+(* An LRU that only inserts holds, per shard, the [per_shard] keys added
+   last, most recent first, each with its last value. So the entries are
+   walked newest first, down an array (a word each: a warm start holds
+   the recovered store already), and each key its shard has not seen
+   goes to the shard's back while it has room, through [f]. *)
+let load t f entries =
+  with_all_locked t (fun () ->
+      let entries = Array.of_list entries in
+      for i = Array.length entries - 1 downto 0 do
+        let key, value = entries.(i) in
+        let s = shard_of t key in
+        if Tbl.length s.table < t.per_shard && not (Tbl.mem s.table key) then begin
+          let node = Node { key; value = f value; prev = Nil; next = Nil } in
+          push_back s node;
+          Tbl.replace s.table key node
+        end
+      done)
 
 let fold_entries t f init =
   with_all_locked t (fun () ->

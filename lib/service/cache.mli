@@ -39,6 +39,13 @@ val add : 'a t -> string -> 'a -> unit
 (** Insert or overwrite; evicts the shard's LRU entry first when the
     shard is full. A no-op when [capacity = 0]. *)
 
+val load : 'a t -> ('b -> 'a) -> (string * 'b) list -> unit
+(** [load t f entries] on an empty [t] leaves what [add t k (f v)] of
+    every entry in order leaves — per shard, the newest entries while
+    the shard has room, in the same recency order — and counts no
+    eviction, hit or miss; entries {!add} would evict are skipped, and
+    [f] sees only the kept ones. *)
+
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 val stats : 'a t -> stats
@@ -57,8 +64,7 @@ val shard_occupancy : 'a t -> int list
 
 val fold_entries : 'a t -> (string -> 'a -> 'acc -> 'acc) -> 'acc -> 'acc
 (** Fold over every (key, value) pair under the all-shards snapshot, in
-    unspecified order. Used by the persistent store to capture a
-    consistent image for compaction. *)
+    unspecified order. *)
 
 val hit_rate : stats -> float
 (** [hits / (hits + misses)]; 0 when no lookups have happened. *)

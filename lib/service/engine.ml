@@ -72,25 +72,24 @@ let create ?metrics ?store config =
       ~capacity:(if config.cache_enabled then config.cache_entries else 0)
       ()
   in
-  (* Warm-load recovered plans straight into the cache. Only [add] is
-     used (no [find]), so the hit/miss counters stay zero and the
-     response stream is byte-identical to a cold start — warm state only
-     changes which computes are skipped, and cache on/off is already
-     proven response-invariant. *)
+  (* Warm-load recovered plans straight into the cache. [Cache.load]
+     counts no hit, miss or eviction, so the response stream is
+     byte-identical to a cold start — warm state only changes which
+     computes are skipped, and cache on/off is already proven
+     response-invariant. *)
   (match store with
   | Some s when config.cache_enabled ->
-    List.iter
-      (fun (key, outcome) -> Cache.add cache key (entry outcome))
-      (Store.recovered s).Store.entries
+    Cache.load cache entry (Store.recovered s).Store.entries
   | _ -> ());
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   (match store with Some s -> Store.set_metrics s metrics | None -> ());
   { config; cache; store; metrics; ticks = Atomic.make 0; seq = Atomic.make 0 }
 
 (* Persist a plan the moment it enters the cache: both sites run in the
-   engine's sequential phases, and the store only enqueues for the
-   write-behind flusher, so the hot path never touches disk. The cache
-   gets an entry of its own, which keeps no transposed text. *)
+   engine's sequential phases, and the store only records the pair until
+   the connection flushes it after writing the batch's replies, so the
+   hot path never touches disk. The cache gets an entry of its own,
+   which keeps no transposed text. *)
 let cache_insert t key outcome =
   Cache.add t.cache key (entry outcome);
   Option.iter (fun s -> Store.append s key outcome) t.store
@@ -98,9 +97,6 @@ let cache_insert t key outcome =
 let metrics t = t.metrics
 
 let store t = t.store
-
-let cache_snapshot t =
-  Cache.fold_entries t.cache (fun k e acc -> (k, e.outcome) :: acc) []
 
 let cache_stats t = Cache.stats t.cache
 

@@ -75,18 +75,15 @@ type t
 
 val create : ?metrics:Metrics.t -> ?store:Store.t -> config -> t
 (** When [store] is given and the cache is enabled, its recovered
-    entries ({!Store.recovered}) warm-load the cache — via [add] only,
-    so hit/miss counters start at zero and responses stay byte-identical
-    to a cold start — and every plan inserted into the cache thereafter
-    is also appended to the store (write-behind; the sequential drain
-    phase never blocks on disk). The engine does not own the store's
-    lifecycle: the caller closes it after the engine stops. *)
+    entries ({!Store.recovered}) warm-load the cache through
+    {!Cache.load}, which counts nothing, so responses stay byte-identical
+    to a cold start; and every plan inserted into the cache thereafter is
+    also appended to the store. The engine writes nothing: the server
+    flushes the store after each write of a batch's replies, and an
+    in-process caller ({!handle_lines}) closes it after the engine stops,
+    which writes what is pending. *)
 
 val store : t -> Store.t option
-
-val cache_snapshot : t -> (string * Protocol.outcome) list
-(** Consistent (key, outcome) image of the live cache
-    ({!Cache.fold_entries}), for {!Store.compact}. *)
 
 val metrics : t -> Metrics.t
 

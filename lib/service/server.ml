@@ -232,14 +232,18 @@ end
    one buffer for the life of the connection, grown when a batch
    outgrows it; it is written before every read, so a batch costs one
    write and no response waits for more input, and a batch-1 closed
-   loop makes one write and one read per request. The reader turns
-   timeout / oversize / shutdown into end of input (reported to
-   [on_close] as it happens), so [Engine.run] always drains the pending
-   batch before returning: responses for requests received so far are
-   written even when the connection is about to be closed for cause. *)
+   loop makes one write and one read per request. The store's records
+   are written right after the replies, so no reply waits for the store
+   and a batch's records are in the file before the connection reads
+   again. The reader turns timeout / oversize / shutdown into end of
+   input (reported to [on_close] as it happens), so [Engine.run] always
+   drains the pending batch before returning: responses for requests
+   received so far are written even when the connection is about to be
+   closed for cause. *)
 let serve_connection engine ?batch ~stop ~idle_timeout ~max_line
     ?(on_close = ignore) input output =
   let reader = reader_of_fd input in
+  let store = Engine.store engine in
   let out = ref (Bytes.create 4096) and used = ref 0 in
   let emit line =
     let len = String.length line in
@@ -257,7 +261,8 @@ let serve_connection engine ?batch ~stop ~idle_timeout ~max_line
     if !used > 0 then begin
       let len = !used in
       used := 0;
-      write_prefix ~idle_timeout output !out len
+      write_prefix ~idle_timeout output !out len;
+      Option.iter Store.flush store
     end
   in
   let oversized = ref false in

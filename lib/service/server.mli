@@ -17,7 +17,11 @@
     {!Line_reader.read}, and the responses of a batch collect in one buffer
     that is written with one {!write_all} before the next read and once
     more at end of input, so a batch costs one write and no response
-    waits for more input.
+    waits for more input. Right after each such write the loop flushes
+    the engine's {!Store} ({!Store.flush}), so no reply waits for the
+    store and a batch's records are in the file before the connection
+    reads again; every forked shard of a [route] tier runs the same
+    loop.
 
     Shutdown is graceful on SIGINT, SIGTERM, or an in-band [shutdown]
     request: the listener stops accepting and is closed, the socket

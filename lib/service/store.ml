@@ -10,9 +10,10 @@ module Log = Fusecu_util.Log
    single separating space, and the op and members are the outcome's
    ([Protocol.outcome]): the members are the wire result's printed text,
    spliced in as they are, so a record is byte-reproducible from its
-   (key, outcome) pair and nothing is printed twice. Appends go through
-   a write-behind queue drained by a flusher thread — the engine's
-   sequential drain phase never blocks on disk. Recovery reads records
+   (key, outcome) pair and nothing is printed twice. An append only
+   records the pair; [flush] frames the pending records and writes them
+   at once, and the server calls it after each write of a batch's
+   replies. Recovery reads records
    in order until the first damaged one (short frame, bad hex, CRC
    mismatch, unparseable payload, a payload other than a key and an
    outcome of a planning op, or a final line without its newline — a
@@ -22,8 +23,7 @@ module Log = Fusecu_util.Log
    op (one shared string per op) and its members sliced out of the
    payload; nothing is decoded.
    Later records win on duplicate keys, so re-computation after eviction
-   simply supersedes the old record; compaction rewrites one record per
-   live key into a temp file and atomically renames it over the log. *)
+   simply supersedes the old record; nothing compacts the log. *)
 
 type recovery = {
   entries : (string * Protocol.outcome) list;  (** file order, deduped *)
@@ -34,19 +34,14 @@ type recovery = {
 
 type t = {
   path : string;
-  mutable fd : Unix.file_descr;
-  queue : (string * Protocol.outcome) Queue.t;  (* records to write *)
-  mutex : Mutex.t;
-  cond : Condition.t;  (* signalled on enqueue and on stop *)
-  drained : Condition.t;  (* signalled when the queue empties *)
-  mutable stop : bool;
-  mutable flusher : Thread.t option;
-  mutable appended : int;
+  fd : Unix.file_descr;
+  lock : Mutex.t;  (* guards [pending] and [writable]; held for no write *)
+  writing : Mutex.t;  (* held through a flush, so writes keep append order *)
+  mutable pending : (string * Protocol.outcome) list;  (* newest first *)
+  mutable writable : bool;  (* false after a failed write or [close] *)
+  mutable appended : int;  (* records written; changed under [writing] *)
   recovery : recovery;
-  mutable metrics : Metrics.t option;
-      (* instrumentation sink ([set_metrics]); never read while holding
-         [mutex] is required — metrics calls happen after unlock, so the
-         only lock order is store.mutex before metrics.mutex *)
+  mutable metrics : Metrics.t option;  (* instrumentation sink ([set_metrics]) *)
 }
 
 let hex_digit d = String.unsafe_get "0123456789abcdef" (d land 15)
@@ -163,59 +158,19 @@ let recover path =
       dropped_bytes }
   end
 
-let write_string fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write fd b !written (n - !written)
-  done
-
-let flusher_loop t =
-  let running = ref true in
-  while !running do
-    Mutex.lock t.mutex;
-    while Queue.is_empty t.queue && not t.stop do
-      Condition.wait t.cond t.mutex
-    done;
-    let batch = Queue.create () in
-    Queue.transfer t.queue batch;
-    if t.stop && Queue.is_empty batch then running := false;
-    Mutex.unlock t.mutex;
-    if not (Queue.is_empty batch) then begin
-      let buf = Buffer.create 1024 in
-      Queue.iter
-        (fun (key, outcome) -> Buffer.add_string buf (frame key outcome))
-        batch;
-      let t0 = Unix.gettimeofday () in
-      write_string t.fd (Buffer.contents buf);
-      let dt = Unix.gettimeofday () -. t0 in
-      Mutex.lock t.mutex;
-      t.appended <- t.appended + Queue.length batch;
-      Condition.broadcast t.drained;
-      let depth = Queue.length t.queue in
-      Mutex.unlock t.mutex;
-      match t.metrics with
-      | Some m ->
-        Metrics.observe m "store_flush_batch"
-          (float_of_int (Queue.length batch));
-        Metrics.observe m "store_append_seconds" (Float.max 0. dt);
-        Metrics.set_gauge m "store_queue_depth" (float_of_int depth)
-      | None -> ()
-    end
-  done;
-  Mutex.lock t.mutex;
-  Condition.broadcast t.drained;
-  Mutex.unlock t.mutex
-
-let open_append path =
-  Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
+(* [Unix.single_write] makes one system call, so an interrupted write
+   is retried from a known offset. *)
+let rec write_from fd b off =
+  if off < Bytes.length b then
+    match Unix.single_write fd b off (Bytes.length b - off) with
+    | n -> write_from fd b (off + n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_from fd b off
 
 let open_ ~path =
   match recover path with
   | exception Sys_error e -> Error (Printf.sprintf "store %s: %s" path e)
   | recovery ->
-    (match open_append path with
+    (match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 with
     | exception Unix.Unix_error (err, _, _) ->
       Error (Printf.sprintf "store %s: %s" path (Unix.error_message err))
     | fd ->
@@ -232,21 +187,16 @@ let open_ ~path =
               ("dropped_records", Json.Int recovery.dropped_records);
               ("dropped_bytes", Json.Int recovery.dropped_bytes) ]
       end;
-      let t =
+      Ok
         { path;
           fd;
-          queue = Queue.create ();
-          mutex = Mutex.create ();
-          cond = Condition.create ();
-          drained = Condition.create ();
-          stop = false;
-          flusher = None;
+          lock = Mutex.create ();
+          writing = Mutex.create ();
+          pending = [];
+          writable = true;
           appended = 0;
           recovery;
-          metrics = None }
-      in
-      t.flusher <- Some (Thread.create flusher_loop t);
-      Ok t)
+          metrics = None })
 
 let recovered t = t.recovery
 
@@ -264,81 +214,49 @@ let set_metrics t m =
     Metrics.incr ~by:r.dropped_bytes m "store_torn_tail_bytes"
 
 let append t key outcome =
-  Mutex.lock t.mutex;
-  if not t.stop then begin
-    Queue.add (key, outcome) t.queue;
-    Condition.signal t.cond
-  end;
-  let depth = Queue.length t.queue in
-  Mutex.unlock t.mutex;
-  match t.metrics with
-  | Some m -> Metrics.set_gauge m "store_queue_depth" (float_of_int depth)
-  | None -> ()
+  Mutex.lock t.lock;
+  if t.writable then t.pending <- (key, outcome) :: t.pending;
+  Mutex.unlock t.lock
+
+(* One write of [batch], oldest first. A failed write may have left a
+   torn record, so nothing is written after it: the store stops taking
+   records, and the next [open_] truncates the tail. *)
+let write_batch t batch =
+  let b = Buffer.create 4096 in
+  List.iter (fun (key, outcome) -> Buffer.add_string b (frame key outcome)) batch;
+  let t0 = Unix.gettimeofday () in
+  match write_from t.fd (Buffer.to_bytes b) 0 with
+  | () -> (
+    let n = List.length batch in
+    t.appended <- t.appended + n;
+    match t.metrics with
+    | Some m ->
+      Metrics.observe m "store_flush_batch" (float_of_int n);
+      Metrics.observe m "store_append_seconds"
+        (Float.max 0. (Unix.gettimeofday () -. t0))
+    | None -> ())
+  | exception Unix.Unix_error (err, _, _) ->
+    Mutex.protect t.lock (fun () ->
+        t.writable <- false;
+        t.pending <- []);
+    Log.warn "store write failed; dropping this and every later record"
+      ~fields:
+        [ ("path", Json.String t.path);
+          ("error", Json.String (Unix.error_message err)) ];
+    Option.iter (fun m -> Metrics.incr m "store_write_errors") t.metrics
 
 let flush t =
-  Mutex.lock t.mutex;
-  while not (Queue.is_empty t.queue) do
-    Condition.wait t.drained t.mutex
-  done;
-  Mutex.unlock t.mutex
+  Mutex.lock t.writing;
+  Mutex.lock t.lock;
+  let batch = t.pending in
+  t.pending <- [];
+  Mutex.unlock t.lock;
+  (match batch with [] -> () | batch -> write_batch t (List.rev batch));
+  Mutex.unlock t.writing
 
-let appended t =
-  Mutex.lock t.mutex;
-  let n = t.appended in
-  Mutex.unlock t.mutex;
-  n
-
-(* fsync a directory so a rename inside it survives a crash; best
-   effort where directories cannot be opened/synced (some filesystems
-   return EINVAL) *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dfd ->
-    (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-    Unix.close dfd
-
-let compact t entries =
-  flush t;
-  let tmp = t.path ^ ".tmp" in
-  (* a stale temp file from a compact that crashed mid-write must not
-     poison this one: truncate it via open_out_bin, never append *)
-  match
-    let oc = open_out_bin tmp in
-    List.iter (fun (k, o) -> output_string oc (frame k o)) entries;
-    (* durability order: temp contents on disk before the rename
-       publishes them, parent directory entry on disk after — without
-       the first fsync a crash soon after the rename can leave the log
-       pointing at zero-length or partial data; without the second the
-       rename itself can vanish (the old log is gone either way on
-       journalled-metadata filesystems) *)
-    Stdlib.flush oc;
-    Unix.fsync (Unix.descr_of_out_channel oc);
-    close_out oc;
-    Sys.rename tmp t.path;
-    fsync_dir (Filename.dirname t.path)
-  with
-  | exception (Sys_error _ | Unix.Unix_error _ as exn) ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    let msg =
-      match exn with
-      | Sys_error e -> e
-      | Unix.Unix_error (err, fn, _) ->
-        Printf.sprintf "%s: %s" fn (Unix.error_message err)
-      | _ -> assert false
-    in
-    Error (Printf.sprintf "store compact %s: %s" t.path msg)
-  | () ->
-    (* the append fd still points at the old inode; reopen on the new *)
-    Unix.close t.fd;
-    t.fd <- open_append t.path;
-    Ok ()
+let appended t = t.appended
 
 let close t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mutex;
-  (match t.flusher with Some th -> Thread.join th | None -> ());
-  t.flusher <- None;
+  flush t;
+  Mutex.protect t.lock (fun () -> t.writable <- false);
   Unix.close t.fd

@@ -37,15 +37,25 @@
     win on duplicate keys (re-computation after LRU eviction supersedes
     the old record).
 
-    {b Write-behind.} {!append} only enqueues; a dedicated flusher
-    thread batches frames to the append-mode fd, so the engine's
-    sequential drain phase never blocks on disk. {!flush} waits for the
-    queue to empty (tests and compaction); {!close} drains and joins.
+    {b Write point.} {!append} only records the pair and never waits on
+    a disk write. {!flush} frames every pending record and writes them
+    with one [write]; flushes are serialized, so the file keeps append
+    order. The server flushes right after each write of a batch's
+    replies, before its connection reads again: no reply waits for the
+    store, a batch's records are in the file before its connection reads
+    another request, and a kill -9 loses at most the records of the
+    batches whose replies were being written. {!close} flushes too, which
+    covers in-process callers such as {!Engine.handle_lines}.
 
-    {b Compaction.} {!compact} writes one record per live entry to
-    [path ^ ".tmp"] and atomically renames it over the log, then reopens
-    the append fd on the new inode — a reader or a crash sees either the
-    old log or the new one, never a half-written file. *)
+    {b A failed write} logs one warn line (path and error), counts
+    [store_write_errors], and drops that write's records and every later
+    append; {!flush} and {!close} return normally. Nothing is appended
+    after a possibly torn write, so the next {!open_} truncates it like
+    any torn tail.
+
+    {b No compaction.} The log grows by one record per recompute (a plan
+    evicted from the cache and asked for again); recovery keeps the last
+    record per key. *)
 
 type t
 
@@ -58,11 +68,10 @@ type recovery = {
 }
 
 val open_ : path:string -> (t, string) result
-(** Recover [path] (created if absent), truncate any damaged tail, and
-    start the flusher thread. *)
+(** Recover [path] (created if absent) and truncate any damaged tail. *)
 
 val recovered : t -> recovery
-(** What {!open_} found — feed [entries] to {!Cache.add} to warm-load. *)
+(** What {!open_} found — hand [entries] to {!Cache.load} to warm-load. *)
 
 val set_metrics : t -> Metrics.t -> unit
 (** Attach an instrumentation sink (the engine wires its own registry at
@@ -70,31 +79,25 @@ val set_metrics : t -> Metrics.t -> unit
     [store_records_loaded], [store_dropped_records] and
     [store_torn_tail_bytes] — {e only} the nonzero ones, so a cold fresh
     store leaves the deterministic counter set (and with it the golden
-    [stats] line) untouched — and makes the flusher maintain the
-    [store_queue_depth] gauge plus [store_flush_batch] /
-    [store_append_seconds] histograms. None of these appear on any
-    response path except the non-golden [metrics] dump, so
-    instrumentation cannot perturb transcripts. *)
+    [stats] line) untouched. Each write then adds one observation to the
+    [store_flush_batch] and [store_append_seconds] histograms, and a
+    failed write counts [store_write_errors], which a working store never
+    registers. *)
 
 val frame : string -> Protocol.outcome -> string
 (** [frame key outcome]: the record line of [(key, outcome)], newline
-    included, as {!append} and {!compact} write it. *)
+    included, as {!flush} writes it. *)
 
 val append : t -> string -> Protocol.outcome -> unit
-(** Enqueue one record for the flusher; never blocks on disk and prints
-    nothing: the flusher frames the outcome's text. Silently dropped
-    after {!close} (shutdown races are benign: the store is a cache of
-    recomputable plans, not a system of record). *)
+(** Record one pair for the next {!flush}; never waits on a disk write.
+    Dropped after a failed write or {!close}. *)
 
 val flush : t -> unit
-(** Block until every enqueued record has been written to the fd. *)
+(** Write every pending record, framed, with one [write]; waits for a
+    flush already writing. Raises nothing on a failed write. *)
 
 val appended : t -> int
-(** Records written by the flusher since {!open_}. *)
-
-val compact : t -> (string * Protocol.outcome) list -> (unit, string) result
-(** Atomically replace the log with exactly [entries] (e.g. from
-    {!Cache.fold_entries}). Drains the queue first. *)
+(** Records written since {!open_}. *)
 
 val close : t -> unit
-(** Drain, join the flusher, close the fd. *)
+(** {!flush}, then close the file. *)

@@ -305,6 +305,49 @@ let prop_cache_matches_stamp_scan =
              = Ref_cache.entries r)
         ops)
 
+(* [Cache.load] leaves what adding every entry (repeated keys included)
+   leaves, and counts nothing: after the load, and after every step of
+   a following find/add sequence (which also checks the recency order,
+   since it decides each later eviction), both caches hold the same
+   entries per shard and answer alike with the same hits and misses,
+   and the loaded one's evictions are the sequence's alone. *)
+let prop_cache_load_matches_adds =
+  let key = QCheck.Gen.(map (Printf.sprintf "k%d") (int_range 0 23)) in
+  QCheck.Test.make ~count:500 ~name:"load = add of every entry, counting nothing"
+    QCheck.(
+      make
+        ~print:Print.(quad int int (list (pair string int)) (list (pair string (option int))))
+        Gen.(
+          quad (int_range 1 8) (int_range 0 40)
+            (list_size (int_range 0 60) (pair key (int_range 0 99)))
+            (list_size (int_range 0 100) (pair key (opt (int_range 0 99))))))
+    (fun (shards, capacity, entries, ops) ->
+      let loaded = Cache.create ~shards ~capacity ()
+      and added = Cache.create ~shards ~capacity () in
+      Cache.load loaded Fun.id entries;
+      List.iter (fun (k, v) -> Cache.add added k v) entries;
+      let load_evictions = (Cache.stats added).Cache.evictions in
+      let view c =
+        ( Cache.shard_occupancy c,
+          List.sort compare (Cache.fold_entries c (fun k v acc -> (k, v) :: acc) []) )
+      in
+      let same () =
+        let b = Cache.stats added in
+        Cache.stats loaded = { b with Cache.evictions = b.Cache.evictions - load_evictions }
+        && view loaded = view added
+      in
+      same ()
+      && List.for_all
+           (fun (k, v) ->
+             (match v with
+              | None -> Cache.find loaded k = Cache.find added k
+              | Some v ->
+                Cache.add loaded k v;
+                Cache.add added k v;
+                true)
+             && same ())
+           ops)
+
 (* [stats] must be a consistent snapshot — all shard locks held at
    once. The old shard-at-a-time read could observe an [add] between
    shards and return an [entries] total exceeding the capacity bound,
@@ -554,15 +597,8 @@ let test_engine_max_int_buffer () =
 
 let fixture_lines =
   lazy
-    (let ic = open_in "fixtures/service_requests.ndjson" in
-     let rec go acc =
-       match In_channel.input_line ic with
-       | Some l -> go (l :: acc)
-       | None ->
-         close_in ic;
-         List.rev acc
-     in
-     go [])
+    (In_channel.with_open_bin "fixtures/service_requests.ndjson"
+       In_channel.input_lines)
 
 let is_stats_response line =
   match Json.parse line with
@@ -1186,19 +1222,22 @@ let test_reader_bound_before_newline () =
   check_str "max_line bytes and newline" (show_read (Line (String.make 100 'x')))
     (show_read r)
 
-(* Read [n] lines, waiting at most [timeout] seconds for each read. *)
+(* Read [n] lines from a socket or a pipe within [timeout] seconds. *)
 let recv_n_lines ~timeout fd n =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  let deadline = Unix.gettimeofday () +. timeout in
   let buf = Buffer.create 4096 and scratch = Bytes.create 4096 in
   let count () =
     String.fold_left (fun k c -> if c = '\n' then k + 1 else k) 0 (Buffer.contents buf)
   in
   while count () < n do
-    match Unix.read fd scratch 0 (Bytes.length scratch) with
-    | 0 -> Alcotest.failf "connection closed after %d of %d lines" (count ()) n
-    | k -> Buffer.add_subbytes buf scratch 0 k
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Alcotest.failf "%d of %d lines within %.1f s" (count ()) n timeout
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then Alcotest.failf "%d of %d lines within %.1f s" (count ()) n timeout;
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> ()
+    | _ -> (
+      match Unix.read fd scratch 0 (Bytes.length scratch) with
+      | 0 -> Alcotest.failf "connection closed after %d of %d lines" (count ()) n
+      | k -> Buffer.add_subbytes buf scratch 0 k)
   done;
   String.split_on_char '\n' (Buffer.contents buf) |> List.filter (( <> ) "")
 
@@ -1282,6 +1321,50 @@ let test_serve_fds_matches_golden () =
   Unix.close in_r;
   Unix.close out_r;
   Alcotest.(check (list string)) "golden" (fault_golden ()) lines
+
+(* The store's write point: a batch's records are in the file before
+   its connection reads again. A closed-loop client at batch 1 reads
+   the answer to a miss, sends the same request (a hit, which appends
+   nothing) and reads its answer; the store then holds the miss's
+   record exactly as [Store.frame] prints it. Over a socket and over
+   [Server.serve_fds] on pipes. *)
+let test_store_written_before_next_read () =
+  let request = {|{"op":"intra","id":1,"m":64,"k":48,"l":36,"buffer":"64KB"}|} in
+  let call =
+    match Protocol.parse_line request with
+    | Ok (_, _, Protocol.Call c) -> fst (Protocol.canonicalize c)
+    | _ -> Alcotest.fail "not a planning call"
+  in
+  let outcome = Engine.compute (Engine.create (Engine.default_config ())) call in
+  let record = Store.frame (Protocol.cache_key call) (Result.get_ok outcome) in
+  let check_point transport serve =
+    let path = Filename.temp_file "fusecu_point" ".store" in
+    let store = Result.get_ok (Store.open_ ~path) in
+    serve (Engine.create ~store (Engine.default_config ())) (fun to_server from_server ->
+        for _ = 1 to 2 do
+          send_all to_server (request ^ "\n");
+          ignore (recv_n_lines ~timeout:5. from_server 1)
+        done;
+        check_str (transport ^ ": the miss's record, before the second read") record
+          (In_channel.with_open_bin path In_channel.input_all));
+    Store.close store;
+    Sys.remove path
+  in
+  check_point "socket" (fun engine client ->
+      let path = sock_path () in
+      let th = start_server ~batch:1 engine path in
+      let fd = connect path in
+      client fd fd;
+      Unix.close fd;
+      ignore (exchange path [ {|{"op":"shutdown"}|} ]);
+      Thread.join th);
+  check_point "pipes" (fun engine client ->
+      let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+      let th = Thread.create (fun () -> Server.serve_fds engine ~batch:1 in_r out_w) () in
+      client in_w out_r;
+      Unix.close in_w;
+      Thread.join th;
+      List.iter Unix.close [ in_r; out_r; out_w ])
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -2069,14 +2152,19 @@ let lines_of text = String.split_on_char '\n' text |> List.filter (( <> ) "")
 
 (* The service fixture, then 96 distinct small [intra] calls (the
    fixture caches 48 distinct keys), replayed through a router in
-   front of [shards] in-process servers: one character per line, the
-   index of the backend whose cache then holds the line's canonical key
-   ('-' for a line that is no call, '?' for a call no backend cached,
-   '*' for one that several did). A key must stay on the shard whose
-   --store-dir store holds it, so this may change only with the ring. *)
+   front of [shards] in-process servers with stores: one character per
+   line, the index of the backend whose store then holds the line's
+   canonical key ('-' for a line that is no call, '?' for a call no
+   backend stored, '*' for one that several did). A key must stay on
+   the shard whose --store-dir store holds it, so this may change only
+   with the ring. *)
 let routed_placement shards =
+  let stores = List.init shards (fun _ -> Filename.temp_file "fusecu_place" ".store") in
   let engines =
-    List.init shards (fun _ -> Engine.create (Engine.default_config ()))
+    List.map
+      (fun path ->
+        Engine.create ~store:(Result.get_ok (Store.open_ ~path)) (Engine.default_config ()))
+      stores
   in
   let paths = List.init shards (fun _ -> sock_path ()) in
   let servers = List.map2 (fun e p -> start_server e p) engines paths in
@@ -2095,7 +2183,9 @@ let routed_placement shards =
           with Unix.Unix_error _ -> ())
         paths;
       List.iter Thread.join servers;
-      List.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ()) paths)
+      List.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ()) paths;
+      List.iter (fun e -> Option.iter Store.close (Engine.store e)) engines;
+      List.iter Sys.remove stores)
     (fun () ->
       let req = Filename.temp_file "fusecu_place" ".ndjson" in
       Out_channel.with_open_bin req (fun oc ->
@@ -2108,7 +2198,16 @@ let routed_placement shards =
           Unix.close output;
           Sys.remove req)
         (fun () -> route ~backends:paths input output);
-      let held = List.map (fun e -> List.map fst (Engine.cache_snapshot e)) engines in
+      (* records precede their answers: after the last, flush writes all *)
+      List.iter (fun e -> Option.iter Store.flush (Engine.store e)) engines;
+      let held =
+        List.map
+          (fun path ->
+            let s = Result.get_ok (Store.open_ ~path) in
+            Store.close s;
+            List.map fst (Store.recovered s).Store.entries)
+          stores
+      in
       String.concat ""
         (List.map
            (fun line ->
@@ -2650,7 +2749,10 @@ let () =
             test_cache_snapshot_consistent_under_load;
           Alcotest.test_case "shard balance (full-string hash)" `Quick
             test_cache_shard_balance ]
-        @ qcheck [ prop_cache_never_exceeds_capacity; prop_cache_matches_stamp_scan ] );
+        @ qcheck
+            [ prop_cache_never_exceeds_capacity;
+              prop_cache_matches_stamp_scan;
+              prop_cache_load_matches_adds ] );
       ( "protocol",
         [ Alcotest.test_case "parse" `Quick test_protocol_parse;
           Alcotest.test_case "rejects" `Quick test_protocol_rejects;
@@ -2721,7 +2823,9 @@ let () =
           Alcotest.test_case "stalled reader of a large batch dropped" `Quick
             test_server_drops_reader_of_large_batch;
           Alcotest.test_case "stdin mode matches golden" `Quick
-            test_serve_fds_matches_golden ] );
+            test_serve_fds_matches_golden;
+          Alcotest.test_case "store written before the next read" `Quick
+            test_store_written_before_next_read ] );
       ( "line reader",
         [ Alcotest.test_case "bound decided before the newline" `Quick
             test_reader_bound_before_newline ]

@@ -1,6 +1,6 @@
 (* Persistent plan store: framing, recovery from every kind of damaged
-   tail, duplicate-key resolution, compaction, and warm-replay
-   byte-identity against the checked-in golden transcript. *)
+   tail, duplicate-key resolution, a failed write contained, and
+   warm-replay byte-identity against the checked-in golden transcript. *)
 
 open Fusecu_util
 open Fusecu_service
@@ -202,88 +202,18 @@ let test_old_format_dropped () =
       check_int "no damage after the upgrade" 0 r.Store.dropped_bytes;
       check_bool "same outcomes" true (r.Store.entries = samples))
 
-let test_compact_atomic_and_equivalent () =
-  let samples = Lazy.force sample_outcomes in
-  with_tmp (fun path ->
-      let s = open_exn path in
-      (* three generations of the same key plus live entries *)
-      List.iter (fun (k, o) -> Store.append s k o) samples;
-      List.iter (fun (k, o) -> Store.append s k o) samples;
-      Store.flush s;
-      (match Store.compact s samples with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      (* post-compact appends land in the new file *)
-      let k0, o0 = List.hd samples in
-      Store.append s ("fresh|" ^ k0) o0;
-      Store.close s;
-      check_bool "no tmp file left behind" false (Sys.file_exists (path ^ ".tmp"));
-      let s = open_exn path in
-      let r = Store.recovered s in
-      Store.close s;
-      check_int "compacted + post-compact append"
-        (List.length samples + 1)
-        r.Store.records;
-      check_int "no damage" 0 r.Store.dropped_bytes)
-
-(* crash-window durability: a compact that died before its rename
-   leaves a stale .tmp behind; the next open must recover the original
-   log untouched, and the next compact must truncate (not trust, not
-   append to) the leftover before publishing *)
-let test_compact_crash_window () =
-  let samples = Lazy.force sample_outcomes in
-  with_tmp (fun path ->
-      let s = open_exn path in
-      List.iter (fun (k, o) -> Store.append s k o) samples;
-      Store.flush s;
-      Store.close s;
-      let original = file_contents path in
-      (* simulated crash mid-compact: a partial, torn temp file *)
-      Out_channel.with_open_bin (path ^ ".tmp") (fun oc ->
-          Out_channel.output_string oc "deadbeef {\"k\":\"torn");
-      let s = open_exn path in
-      let r = Store.recovered s in
-      check_int "stale tmp invisible to recovery" (List.length samples)
-        r.Store.records;
-      check_int "log undamaged" 0 r.Store.dropped_bytes;
-      check_bool "log bytes untouched" true (file_contents path = original);
-      (match Store.compact s samples with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      Store.close s;
-      check_bool "tmp cleaned up" false (Sys.file_exists (path ^ ".tmp"));
-      let s = open_exn path in
-      let r = Store.recovered s in
-      Store.close s;
-      check_int "compact output clean" (List.length samples) r.Store.records;
-      check_int "no torn bytes leaked in" 0 r.Store.dropped_bytes)
-
 (* the end-to-end bar: an engine warm-loaded from a store (even one
    with a torn tail) must replay the fixture byte-identically to the
    cold golden on every planning line *)
 let fixture_lines =
   lazy
-    (let ic = open_in "fixtures/service_requests.ndjson" in
-     let rec go acc =
-       match In_channel.input_line ic with
-       | Some l -> go (l :: acc)
-       | None ->
-         close_in ic;
-         List.rev acc
-     in
-     go [])
+    (In_channel.with_open_bin "fixtures/service_requests.ndjson"
+       In_channel.input_lines)
 
 let golden_lines =
   lazy
-    (let ic = open_in "fixtures/service_responses.golden" in
-     let rec go acc =
-       match In_channel.input_line ic with
-       | Some l -> go (l :: acc)
-       | None ->
-         close_in ic;
-         List.rev acc
-     in
-     go [])
+    (In_channel.with_open_bin "fixtures/service_responses.golden"
+       In_channel.input_lines)
 
 let is_stats_response line =
   match Json.parse line with
@@ -361,7 +291,7 @@ let test_pinned_store () =
         (String.equal pinned (file_contents path)))
 
 (* ------------------------------------------------------------------ *)
-(* Instrumentation: flusher gauges/histograms and recovery counters.
+(* Instrumentation: flush histograms and recovery counters.
    All of it lives off the response path (DESIGN.md §6b): the checks
    here pin down that a fresh store registers nothing — so the golden
    stats line is untouched — while flush traffic and recovered damage
@@ -376,7 +306,9 @@ let hist_count metrics name =
     | None -> 0)
   | _ -> 0
 
-let test_flusher_instrumentation () =
+(* Each write adds one observation to each histogram before [flush]
+   returns; a flush with nothing pending writes nothing. *)
+let test_flush_instrumentation () =
   let samples = Lazy.force sample_outcomes in
   with_tmp (fun path ->
       let m = Metrics.create () in
@@ -385,39 +317,19 @@ let test_flusher_instrumentation () =
       (* a fresh store registers no recovery counters *)
       check_int "no recovery counters on a fresh store" 0
         (List.length (Metrics.counters m));
+      let check_obs what n =
+        Alcotest.(check (pair int int)) what (n, n)
+          (hist_count m "store_flush_batch", hist_count m "store_append_seconds")
+      in
       List.iter (fun (k, o) -> Store.append s k o) samples;
       Store.flush s;
-      (* the flusher's metrics writes land just after `flush` returns
-         (they happen outside the store lock), hence the polls *)
-      let rec await what cond n =
-        if cond () then ()
-        else if n = 0 then Alcotest.failf "timed out awaiting %s" what
-        else begin
-          Thread.delay 0.02;
-          await what cond (n - 1)
-        end
-      in
-      await "queue depth gauge to drain"
-        (fun () ->
-          List.assoc_opt "store_queue_depth" (Metrics.gauges m) = Some 0.)
-        100;
-      await "flush batches" (fun () -> hist_count m "store_flush_batch" >= 1) 100;
-      await "append latencies"
-        (fun () -> hist_count m "store_append_seconds" >= 1)
-        100;
-      let batches = hist_count m "store_flush_batch" in
-      let appends = hist_count m "store_append_seconds" in
-      (* more traffic only ever pushes the histograms forward: both
-         record once per flushed batch, so a second flushed round adds
-         at least one observation to each *)
+      check_obs "one write" 1;
+      Store.flush s;
+      check_obs "an empty flush writes nothing" 1;
       List.iter (fun (k, o) -> Store.append s ("again|" ^ k) o) samples;
       Store.flush s;
-      await "flush-batch histogram growth"
-        (fun () -> hist_count m "store_flush_batch" > batches)
-        100;
-      await "append histogram growth"
-        (fun () -> hist_count m "store_append_seconds" > appends)
-        100;
+      check_obs "a second write" 2;
+      check_int "every record written" (2 * List.length samples) (Store.appended s);
       Store.close s)
 
 let test_recovery_counters () =
@@ -454,6 +366,44 @@ let test_recovery_counters () =
         (Metrics.get m "store_records_loaded");
       Store.close s)
 
+(* A store whose writes fail (ENOSPC on Linux's /dev/full) is
+   contained: nothing raises, the one failed write is counted, later
+   appends are dropped without another write, and a server over it
+   answers as the golden does, its stats line counting the failure. *)
+let test_failed_write_contained () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let samples = Lazy.force sample_outcomes in
+  let m = Metrics.create () in
+  let s = open_exn "/dev/full" in
+  Store.set_metrics s m;
+  List.iter (fun (k, o) -> Store.append s k o) samples;
+  Store.flush s;
+  check_int "one write error" 1 (Metrics.get m "store_write_errors");
+  List.iter (fun (k, o) -> Store.append s k o) samples;
+  Store.close s;
+  check_int "later appends dropped, never written" 1
+    (Metrics.get m "store_write_errors");
+  check_int "nothing written" 0 (Store.appended s);
+  with_tmp (fun output ->
+      let s = open_exn "/dev/full" in
+      let input = Unix.openfile "fixtures/service_requests.ndjson" [ Unix.O_RDONLY ] 0 in
+      let out = Unix.openfile output [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+      Server.serve_fds (Engine.create ~store:s (Engine.default_config ())) input out;
+      List.iter Unix.close [ input; out ];
+      Store.close s;
+      let answers = In_channel.with_open_bin output In_channel.input_lines in
+      check_bool "planning lines match golden" true
+        (non_control answers = non_control (Lazy.force golden_lines));
+      let write_errors line =
+        let ( let* ) = Option.bind in
+        let* result = Json.member "result" (Result.get_ok (Json.parse line)) in
+        let* counters = Json.member "counters" result in
+        Json.member "store_write_errors" counters
+      in
+      check_bool "the stats line counts the failed write" true
+        (List.filter_map write_errors (List.filter is_stats_response answers)
+        = [ Json.Int 1 ]))
+
 let () =
   Alcotest.run "fusecu-store"
     [ ( "framing",
@@ -468,15 +418,12 @@ let () =
           Alcotest.test_case "bad hex / short / junk frames" `Quick
             test_bad_hex_and_short_frames;
           Alcotest.test_case "old record format dropped, appends recover"
-            `Quick test_old_format_dropped ] );
-      ( "compaction",
-        [ Alcotest.test_case "atomic rename, appends continue" `Quick
-            test_compact_atomic_and_equivalent;
-          Alcotest.test_case "crash window: stale tmp, durable publish"
-            `Quick test_compact_crash_window ] );
+            `Quick test_old_format_dropped;
+          Alcotest.test_case "failed write contained (/dev/full)" `Quick
+            test_failed_write_contained ] );
       ( "instrumentation",
-        [ Alcotest.test_case "flusher gauges and histograms" `Quick
-            test_flusher_instrumentation;
+        [ Alcotest.test_case "flush histograms" `Quick
+            test_flush_instrumentation;
           Alcotest.test_case "recovery counters" `Quick test_recovery_counters
         ] );
       ( "replay",
