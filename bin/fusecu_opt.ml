@@ -613,9 +613,10 @@ let serve_cmd =
     Arg.(
       value & opt int 64
       & info [ "batch" ] ~docv:"N"
-          ~doc:"Requests per batch: cache-miss work inside a batch runs in \
-                parallel on the domain pool; responses always come back in \
-                request order.")
+          ~doc:"At most N request lines per batch; a batch never waits for \
+                lines that have not arrived. Cache-miss work inside a batch \
+                runs in parallel on the domain pool; responses always come \
+                back in request order.")
   in
   let cache_entries =
     Arg.(
@@ -901,7 +902,9 @@ let route_cmd =
   let batch =
     Arg.(
       value & opt int 64
-      & info [ "batch" ] ~docv:"N" ~doc:"Per-shard request batch size.")
+      & info [ "batch" ] ~docv:"N"
+          ~doc:"Per shard, at most N request lines per batch; a batch never \
+                waits for lines that have not arrived.")
   in
   let cache_entries =
     Arg.(

@@ -17,8 +17,9 @@
     and the element traffic is [revisit X * size X] — exact even for
     ragged (non-dividing) tile sizes, because every fetch sweep touches
     each element of [X] exactly once. This reproduces the paper's Eq. 1
-    and Eq. 3 and is validated against the mechanical simulator in
-    {!Sim}. *)
+    and Eq. 3 and is validated against the resident-tile simulator
+    [Fusecu_nest.Nsim] on the matmul lowering (test_loopnest and the
+    oracle's simulation checks). *)
 
 open Fusecu_tensor
 

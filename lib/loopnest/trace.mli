@@ -1,6 +1,7 @@
 (** Tile-event traces of a schedule's execution.
 
-    Where {!Cost} gives totals and {!Sim} validates them, [Trace] emits
+    Where {!Cost} gives totals and the nest simulator
+    ([Fusecu_nest.Nsim]) validates them, [Trace] emits
     the actual sequence of buffer events — which tile of which operand
     is fetched before which computation — for debugging dataflows,
     driving downstream simulators, and rendering the movement diagrams

@@ -12,7 +12,7 @@ open Fusecu_util
 
    Matmul is the 3-index instance with the [Point]-projected operands
    A(m,k), B(k,l), C(m,l); on it every function in this module is
-   bit-identical to lib/loopnest's Cost/Sim (test_nest.ml locks the
+   bit-identical to lib/loopnest's Tiling/Cost (test_nest.ml locks the
    reduction over the whole schedule space).
 
    A tensor marked [internal] is a fused intermediate in the sense of

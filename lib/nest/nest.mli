@@ -6,10 +6,10 @@
     conv2d input pattern: dimension coordinate
     [outer*stride + kernel*dilation], so consecutive tiles overlap by
     the halo). The paper's matmul model is the 3-index instance with
-    operands A(m,k), B(k,l), C(m,l); on it, [footprint], [eval] and
-    the simulator are bit-identical to [Fusecu_loopnest]'s
-    [Tiling.footprint]/[Cost.eval]/[Sim.eval] (locked by
-    test_nest.ml).
+    operands A(m,k), B(k,l), C(m,l); on it, [footprint] and [eval]
+    are bit-identical to [Fusecu_loopnest]'s
+    [Tiling.footprint]/[Cost.eval] (locked by test_nest.ml), and
+    {!Nsim} on it is the simulator [Cost.eval] is checked against.
 
     A tensor marked [internal] is a Principle-4 fused intermediate: it
     contributes no memory traffic, occupies buffer space, and renders

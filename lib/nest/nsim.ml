@@ -1,8 +1,8 @@
-(* Resident-tile simulator for arbitrary nests — the generalization of
-   lib/loopnest/sim.ml's fixed 3-deep walk. One resident tile per
-   external tensor, keyed by the tile coordinates of the axes the
-   tensor's projection uses; whenever the key changes the whole
-   (edge-clipped) tile is fetched. The oracle holds Nest.eval to these
+(* Resident-tile simulator for arbitrary nests: an odometer over the
+   loop order. One resident tile per external tensor, keyed by the tile
+   coordinates of the axes the tensor's projection uses; whenever the
+   key changes the whole (edge-clipped) tile is fetched. The oracle
+   holds Nest.eval, and Cost.eval on the matmul lowering, to these
    numbers on every schedule it samples. *)
 
 let points t (s : Nest.schedule) =

@@ -1,7 +1,9 @@
-(** Resident-tile simulation of a nest schedule, generalizing
-    [Fusecu_loopnest.Sim] to arbitrary rank and to window (halo)
-    projections. Cost is O({!points}); callers bound it before
-    simulating large problems. *)
+(** Resident-tile simulation of a nest schedule, of any rank and with
+    window (halo) projections. On the matmul lowering
+    ({!Lower.of_matmul}) it is the simulator [Fusecu_loopnest.Cost] is
+    checked against ([Fusecu_oracle.Check.simulate]). Cost is
+    O({!points}); callers bound it before simulating large
+    problems. *)
 
 val points : Nest.t -> Nest.schedule -> int
 

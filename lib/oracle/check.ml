@@ -27,11 +27,23 @@ let operand_cost_equal a b =
 let pp_op_cost (c : Cost.per_operand) =
   Printf.sprintf "t=%d f=%d r=%d" c.Cost.traffic c.Cost.fetches c.Cost.revisit
 
+let simulate op (s : Schedule.t) : Cost.t =
+  let nest = Fusecu_nest.Lower.of_matmul op in
+  let sim =
+    Fusecu_nest.Nsim.eval nest
+      (Fusecu_nest.Lower.schedule_of_mm nest ~tiling:s.tiling ~order:s.order)
+  in
+  let per i =
+    let { Fusecu_nest.Nest.fetches; traffic; revisit } = sim.per.(i) in
+    { Cost.fetches; traffic; revisit }
+  in
+  { Cost.a = per 0; b = per 1; c = per 2; total = sim.total }
+
 (* Analytic cost model vs the loop-nest simulator on one schedule,
    per operand, including ragged edges. *)
 let sim_vs_cost ctx ~name op schedule =
   let analytic = Cost.eval op schedule in
-  let simulated = Sim.eval op schedule in
+  let simulated = simulate op schedule in
   check ctx name
     (analytic.Cost.total = simulated.Cost.total
     && List.for_all
@@ -148,8 +160,8 @@ let ragged_checks ctx rng tag op =
   done
 
 let fused_sim_traffic pair (f : Fused.t) =
-  let p = Sim.eval pair.Fused.op1 f.Fused.producer in
-  let c = Sim.eval pair.Fused.op2 f.Fused.consumer in
+  let p = simulate pair.Fused.op1 f.Fused.producer in
+  let c = simulate pair.Fused.op2 f.Fused.consumer in
   p.Cost.a.Cost.traffic + p.Cost.b.Cost.traffic + c.Cost.b.Cost.traffic
   + c.Cost.c.Cost.traffic
 
@@ -310,7 +322,7 @@ let chain_checks ctx { mode; infix; _ } chain buf =
         List.fold_left ( + ) 0
           (List.mapi
              (fun i (op, s) ->
-               let c = Sim.eval op s in
+               let c = simulate op s in
                let b = c.Cost.b.Cost.traffic in
                if i = 0 then c.Cost.a.Cost.traffic + b
                else if i = last then b + c.Cost.c.Cost.traffic

@@ -4,7 +4,7 @@
     - {e principles vs exhaustive}: the one-shot principle plan must hit
       the exhaustive-search optimum over the full tiling space (and
       agree on feasibility);
-    - {e analytic vs simulated}: [Cost.eval] must equal [Sim.eval]
+    - {e analytic vs simulated}: [Cost.eval] must equal {!simulate}
       per operand (traffic, fetches, revisit) on the chosen plan and on
       random ragged schedules;
     - {e vs lower bounds}: traffic never below the unbounded bound, and
@@ -36,6 +36,14 @@ type mapper =
           exhaustive optimum bit-for-bit (feasibility, traffic and
           schedule), both intra-operator ([opN/bnb-exact]) and fused
           ([fuse/bnb-exact]) *)
+
+val simulate :
+  Fusecu_tensor.Matmul.t -> Fusecu_loopnest.Schedule.t -> Fusecu_loopnest.Cost.t
+(** The nest simulator ({!Fusecu_nest.Nsim.eval}) on the operator's
+    matmul lowering ({!Fusecu_nest.Lower.of_matmul}, the schedule
+    translated by {!Fusecu_nest.Lower.schedule_of_mm}), in {!Cost.eval}'s
+    shape: its tensors A, B and C are the operands [a], [b] and [c]. It
+    walks every tile iteration, so use it on small operators only. *)
 
 val oracle : mapper -> Problem.t Oracle.t
 (** The default [check] oracle: problems from {!Gen.problem} (dimensions

@@ -61,8 +61,8 @@ type t = {
   store : Store.t option;
   metrics : Metrics.t;
   ticks : int Atomic.t;
-      (* logical clock: one tick per flushed batch and per control
-         request — deterministic "uptime", unlike wall time *)
+      (* logical clock: one tick per request line — deterministic
+         "uptime", unlike wall time *)
   seq : int Atomic.t;  (* next request sequence number, for log lines *)
 }
 
@@ -169,7 +169,7 @@ let rec compute t (call : Protocol.call) :
             (Buffer.elements buffer) ))
   | Plan_model _ ->
     (* reachable only through direct [compute] callers (benchmarks);
-       [run] intercepts plan_model before batching so the cache-backed
+       [answer] takes plan_model out of the batch so the cache-backed
        variant below stays on the sequential path *)
     Result.map
       (fun (graph, p) -> Protocol.plan_model_outcome graph p)
@@ -466,149 +466,127 @@ let flush t batch emit =
 
 type stop_reason = Drained | Shutdown
 
-let run t ?(batch = 64) ~next ~emit () =
-  let batch_size = max 1 batch in
-  let pending = ref [] and pending_count = ref 0 in
+(* A [plan_model] reply. The partitioner reads and seeds the plan cache,
+   so it runs between batches, on the sequential path, for the counters
+   to stay deterministic. *)
+let plan_model t ~id ~tc ~model ~layers call =
+  Metrics.incr t.metrics "requests";
+  Metrics.incr t.metrics "requests_plan_model";
+  let t0 = Unix.gettimeofday () in
+  let outcome =
+    Result.map
+      (fun (graph, p) -> (p, Protocol.plan_model_outcome graph p))
+      (partition t ~use_cache:(Cache.capacity t.cache > 0) call)
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  Metrics.observe t.metrics "latency_plan_model" dt;
+  (* structured slow-plan record with the per-group cost breakdown, so
+     slow whole-model plans are diagnosable from logs alone (stderr
+     only — never the response) *)
+  (match (t.config.slow_log_ms, outcome) with
+  | Some ms, Ok ((p : Partition.t), _) when dt *. 1000. >= ms ->
+    let group (g : Partition.group) =
+      Json.Obj
+        [ ("members",
+           Json.List
+             (List.map (fun (n : Wgraph.node) -> Json.String n.name) g.members));
+          ("traffic", Json.Int g.traffic);
+          ("hidden", Json.Int g.hidden) ]
+    in
+    Log.warn
+      ~fields:
+        (("op", Json.String "plan_model")
+        :: ("model", Json.String model)
+        :: ("layers", Json.Int layers)
+        :: ("ms", Json.Float (dt *. 1000.))
+        :: ("traffic", Json.Int p.traffic)
+        :: ("hidden", Json.Int p.hidden)
+        :: tc_args tc
+        @ [ ("groups", Json.List (List.map group p.groups)) ])
+      "slow plan"
+  | _ -> ());
+  match outcome with
+  | Ok (_, outcome) -> Protocol.response_ok ~id ~call outcome
+  | Error (code, message) ->
+    Metrics.incr t.metrics "compute_errors";
+    Protocol.response_error ~id ~code ~message
+
+let answer t ~emit lines =
+  let pending = ref [] in
   let flush_pending () =
     flush t (List.rev !pending) emit;
-    pending := [];
-    pending_count := 0
+    pending := []
   in
-  let add item =
-    pending := item :: !pending;
-    incr pending_count;
-    if !pending_count >= batch_size then flush_pending ()
+  (* A control reply is a batch barrier, so it reflects exactly the
+     lines before it. A quiet metrics scrape counts nothing. *)
+  let control ~id ~tc ~op ?counter result =
+    flush_pending ();
+    Option.iter
+      (fun counter ->
+        Metrics.incr t.metrics "requests";
+        Metrics.incr t.metrics counter)
+      counter;
+    emit (Protocol.with_tc tc (Protocol.response_ok_json ~id ~op ~result:(result t)))
   in
-  let rec loop () =
-    match next () with
-    | None ->
+  let rec go = function
+    | [] ->
       flush_pending ();
       Drained
-    | Some line -> (
-      if String.trim line = "" then loop ()
-      else begin
-        (* Parse first, then tick: every non-empty line still advances
-           the logical clock exactly once — except a quiet metrics
-           scrape, which by contract leaves all deterministic state
-           untouched — so uptime stays invariant to batch size, domain
-           count and cache settings. *)
-        let parsed =
-          if Trace.is_enabled () then
-            Trace.with_span ~cat:"service" "engine.parse" (fun () ->
-                Protocol.parse_line line)
-          else Protocol.parse_line line
-        in
+    | line :: rest when String.trim line = "" -> go rest
+    | line :: rest -> (
+      let parsed =
+        if Trace.is_enabled () then
+          Trace.with_span ~cat:"service" "engine.parse" (fun () ->
+              Protocol.parse_line line)
+        else Protocol.parse_line line
+      in
+      match parsed with
+      | Ok (id, tc, Protocol.Metrics_req { quiet = true }) ->
+        (* an out-of-band scrape (Prometheus exporter, fleet merge) by
+           contract leaves all deterministic state untouched: no tick *)
+        control ~id ~tc ~op:"metrics" metrics_result;
+        go rest
+      | _ -> (
+        (* every other non-empty line advances the logical clock once,
+           so uptime is invariant to batch size, domain count and cache
+           settings *)
+        tick t;
         match parsed with
-        | Ok (id, tc, Protocol.Metrics_req { quiet = true }) ->
-          (* out-of-band scrape (Prometheus exporter, fleet merge):
-             still a batch barrier for snapshot ordering, but no tick
-             and no counter movement, so scraping cannot perturb the
-             golden counters *)
+        | Ok (id, tc, Protocol.Stats) ->
+          control ~id ~tc ~op:"stats" ~counter:"requests_stats" stats_result;
+          go rest
+        | Ok (id, tc, Protocol.Metrics_req _) ->
+          control ~id ~tc ~op:"metrics" ~counter:"requests_metrics" metrics_result;
+          go rest
+        | Ok (id, tc, Protocol.Shutdown) ->
+          control ~id ~tc ~op:"shutdown" ~counter:"requests_shutdown" (fun _ ->
+              Json.Obj [ ("stopping", Json.Bool true) ]);
+          Shutdown
+        | Ok (id, tc, Protocol.Call (Protocol.Plan_model { model; layers; _ } as call))
+          ->
           flush_pending ();
-          emit
-            (Protocol.with_tc tc
-               (Protocol.response_ok_json ~id ~op:"metrics"
-                  ~result:(metrics_result t)));
-          loop ()
-        | _ -> (
-          tick t;
-          match parsed with
-          | Ok (id, tc, Protocol.Stats) ->
-            flush_pending ();
-            Metrics.incr t.metrics "requests";
-            Metrics.incr t.metrics "requests_stats";
-            emit
-              (Protocol.with_tc tc
-                 (Protocol.response_ok_json ~id ~op:"stats"
-                    ~result:(stats_result t)));
-            loop ()
-          | Ok (id, tc, Protocol.Metrics_req _) ->
-            flush_pending ();
-            Metrics.incr t.metrics "requests";
-            Metrics.incr t.metrics "requests_metrics";
-            emit
-              (Protocol.with_tc tc
-                 (Protocol.response_ok_json ~id ~op:"metrics"
-                    ~result:(metrics_result t)));
-            loop ()
-          | Ok (id, tc, Protocol.Shutdown) ->
-            flush_pending ();
-            Metrics.incr t.metrics "requests";
-            Metrics.incr t.metrics "requests_shutdown";
-            emit
-              (Protocol.with_tc tc
-                 (Protocol.response_ok_json ~id ~op:"shutdown"
-                    ~result:(Json.Obj [ ("stopping", Json.Bool true) ])));
-            Shutdown
-          | Ok (id, tc, Protocol.Call (Protocol.Plan_model { model; layers; _ } as call)) ->
-            (* a batch barrier, like [stats]: the partitioner reads and
-               seeds the plan cache, which must only happen sequentially
-               for the counters to stay deterministic *)
-            flush_pending ();
-            Metrics.incr t.metrics "requests";
-            Metrics.incr t.metrics "requests_plan_model";
-            let t0 = Unix.gettimeofday () in
-            let outcome =
-              Result.map
-                (fun (graph, p) -> (p, Protocol.plan_model_outcome graph p))
-                (partition t ~use_cache:(Cache.capacity t.cache > 0) call)
-            in
-            let dt = Unix.gettimeofday () -. t0 in
-            Metrics.observe t.metrics "latency_plan_model" dt;
-            (* structured slow-plan record with the per-group cost
-               breakdown, so slow whole-model plans are diagnosable
-               from logs alone (stderr only — never the response) *)
-            (match (t.config.slow_log_ms, outcome) with
-            | Some ms, Ok ((p : Partition.t), _) when dt *. 1000. >= ms ->
-              let group (g : Partition.group) =
-                Json.Obj
-                  [ ("members",
-                     Json.List
-                       (List.map (fun (n : Wgraph.node) -> Json.String n.name) g.members));
-                    ("traffic", Json.Int g.traffic);
-                    ("hidden", Json.Int g.hidden) ]
-              in
-              Log.warn
-                ~fields:
-                  (("op", Json.String "plan_model")
-                  :: ("model", Json.String model)
-                  :: ("layers", Json.Int layers)
-                  :: ("ms", Json.Float (dt *. 1000.))
-                  :: ("traffic", Json.Int p.traffic)
-                  :: ("hidden", Json.Int p.hidden)
-                  :: tc_args tc
-                  @ [ ("groups", Json.List (List.map group p.groups)) ])
-                "slow plan"
-            | _ -> ());
-            let line =
-              match outcome with
-              | Ok (_, outcome) -> Protocol.response_ok ~id ~call outcome
-              | Error (code, message) ->
-                Metrics.incr t.metrics "compute_errors";
-                Protocol.response_error ~id ~code ~message
-            in
-            emit (Protocol.with_tc tc line);
-            loop ()
-          | Ok (id, tc, Protocol.Call call) ->
-            add (Ok (id, tc, call));
-            loop ()
-          | Error reject ->
-            add (Error reject);
-            loop ())
-      end)
+          emit (Protocol.with_tc tc (plan_model t ~id ~tc ~model ~layers call));
+          go rest
+        | Ok (id, tc, Protocol.Call call) ->
+          pending := Ok (id, tc, call) :: !pending;
+          go rest
+        | Error reject ->
+          pending := Error reject :: !pending;
+          go rest))
   in
-  loop ()
+  go lines
 
-let handle_lines t ?batch lines =
-  let input = ref lines in
+let handle_lines t ?(batch = 64) lines =
   let out = ref [] in
-  let next () =
-    match !input with
-    | [] -> None
-    | l :: rest ->
-      input := rest;
-      Some l
-  in
   let emit line = out := line :: !out in
-  ignore (run t ?batch ~next ~emit ());
+  let rec split n taken = function
+    | line :: rest when n > 0 -> split (n - 1) (line :: taken) rest
+    | rest -> (List.rev taken, rest)
+  in
+  let rec go lines =
+    match split (max 1 batch) [] lines with
+    | [], _ -> ()
+    | now, later -> ( match answer t ~emit now with Drained -> go later | Shutdown -> ())
+  in
+  go lines;
   List.rev !out

@@ -1,6 +1,6 @@
 (** The batched planning executor behind the [serve] subcommand.
 
-    The engine drains newline-delimited {!Protocol} requests, serves
+    The engine answers newline-delimited {!Protocol} requests, serves
     repeats out of the canonicalizing plan {!Cache}, fans uncached work
     across {!Fusecu_util.Pool} worker domains, and emits one response
     line per request {e in request order}, so the output stream is
@@ -8,9 +8,13 @@
     cache configuration (see DESIGN.md §5 for why canonicalization
     preserves this).
 
-    Batch lifecycle: requests accumulate until the batch is full, a
-    control request ([stats] / [shutdown]) arrives, or the input ends;
-    a flush then runs three phases —
+    A batch is the list of lines a caller hands to {!answer}: the
+    engine keeps no batch size and no state between calls. The server
+    hands it the lines that have arrived, at most [--batch] of them, so
+    no request waits for input that has not arrived. Within the list, a
+    control request ([stats] / [metrics] / [shutdown]) or a
+    [plan_model] first flushes the requests before it; a flush runs
+    three phases —
 
     + {b lookup} (sequential, request order): canonicalize, probe the
       cache; misses are deduplicated into a unique work list (a repeat
@@ -39,10 +43,13 @@
 
     Because the cache is only touched in the sequential phases, its
     hit/miss/eviction counters — and therefore the [stats] response —
-    are deterministic too, and so is the kept text: it is a pure
-    function of the outcome and the orientation. Control requests act
-    as batch barriers, so a [stats] response reflects exactly the
-    requests before it in the stream. *)
+    are a function of the request lines and of where the batches end,
+    and the kept text is a pure function of the outcome and the
+    orientation. On a pipe or a socket the batches end where the input
+    paused, so [stats] stays outside the determinism contract
+    (DESIGN.md §6c). Control requests act as batch barriers, so a
+    [stats] response reflects exactly the requests before it in the
+    stream. *)
 
 open Fusecu_util
 
@@ -117,24 +124,20 @@ val compute : t -> Protocol.call
 (** Run one (already canonical) call against the planners; the answer
     is the planner's result printed by the op's builder in {!Protocol}.
     Exposed for the benchmark harness; normal traffic goes through
-    {!run}. *)
+    {!answer}. *)
 
 type stop_reason =
-  | Drained  (** [next] returned [None] (end of input) *)
+  | Drained  (** every line was answered *)
   | Shutdown  (** an in-band [shutdown] request was served *)
 
-val run :
-  t ->
-  ?batch:int ->
-  next:(unit -> string option) ->
-  emit:(string -> unit) ->
-  unit ->
-  stop_reason
-(** Drain request lines from [next] (until it returns [None] or a
-    [shutdown] request) and hand each response line to [emit]. [batch]
-    (default 64, min 1) bounds how many requests a flush covers. The
-    return value says {e why} the loop stopped, so transports can react
-    to an in-band [shutdown] without re-parsing emitted responses. *)
+val answer : t -> emit:(string -> unit) -> string list -> stop_reason
+(** Answer [lines] as one batch, handing each response line to [emit]
+    before returning, unless an in-band [shutdown] stops it: the lines
+    after that one are not answered. The return value says {e why} it
+    stopped, so transports can react to a [shutdown] without re-parsing
+    emitted responses. Blank lines get no response. *)
 
 val handle_lines : t -> ?batch:int -> string list -> string list
-(** Convenience wrapper over {!run} for tests and fixture replay. *)
+(** {!answer} over [lines] [batch] lines at a time (default 64, min 1),
+    as the server cuts input that arrives whole; for tests and fixture
+    replay. *)

@@ -420,9 +420,9 @@ let run ?(config = default_config) ?metrics ~backends ~input ~output () =
       (fun b -> if b.owed > 0 && !now >= b.deadline then close_backend b)
       barr;
     if !input_done then
-      (* Half-close each backend once its requests are out: the server
-         sees EOF, flushes its final partial batch, responds and closes —
-         exactly the drain an ordinary client disconnect gets. *)
+      (* Half-close each backend once its requests are out, to tell the
+         shard that no more requests are coming: it has answered every
+         line as it arrived, and now closes its end. *)
       Array.iter
         (fun b ->
           match b.conn with

@@ -1,15 +1,16 @@
 (* Transport layer for the planning daemon.
 
    Stdin mode and socket mode run one connection loop
-   ([serve_connection]): a select-based bounded line reader feeds
-   [Engine.run], and response lines collect in one output buffer that
-   is written once per batch. Socket mode adds a concurrent accept
-   loop: every connection gets its own systhread, with a connection cap
-   (backpressure: the accept loop stops accepting while the cap is
-   reached), per-connection idle/read timeouts, an input line-length
-   bound, and graceful shutdown (SIGINT / SIGTERM / in-band [shutdown])
-   that stops accepting, drains in-flight batches, closes the listener
-   and unlinks the socket path.
+   ([serve_connection]): a select-based bounded line reader hands the
+   lines that have arrived to [Engine.answer], and response lines
+   collect in one output buffer that is written once per batch. Socket
+   mode adds a concurrent accept loop: every connection gets its own
+   systhread, with a connection cap (backpressure: the accept loop
+   stops accepting while the cap is reached), per-connection idle/read
+   timeouts, an input line-length bound, and graceful shutdown (SIGINT
+   / SIGTERM / in-band [shutdown]) that stops accepting, answers the
+   lines already received, closes the listener and unlinks the socket
+   path.
 
    Sharing one [Engine] across connection threads is safe: the cache and
    metrics registry are mutex-guarded, and concurrent [Pool] regions
@@ -228,19 +229,19 @@ end
 (* The connection loop                                                 *)
 
 (* Serve requests read from [input] until end of input, writing the
-   responses to [output]. Response lines collect in [out.[0, used)],
-   one buffer for the life of the connection, grown when a batch
-   outgrows it; it is written before every read, so a batch costs one
-   write and no response waits for more input, and a batch-1 closed
-   loop makes one write and one read per request. The store's records
-   are written right after the replies, so no reply waits for the store
-   and a batch's records are in the file before the connection reads
-   again. The reader turns timeout / oversize / shutdown into end of
-   input (reported to [on_close] as it happens), so [Engine.run] always
-   drains the pending batch before returning: responses for requests
-   received so far are written even when the connection is about to be
-   closed for cause. *)
-let serve_connection engine ?batch ~stop ~idle_timeout ~max_line
+   responses to [output]. The loop waits for one complete line, takes
+   at most [batch - 1] more of the complete lines the reader already
+   holds, with no further read, and hands them to the engine as one
+   batch, so no request waits for input that has not arrived. Response
+   lines collect in [out.[0, used)], one buffer for the life of the
+   connection, grown when a batch outgrows it; it is written once per
+   batch, before the next read, so a closed loop makes one read and one
+   write per request. The store's records are written right after the
+   replies, so no reply waits for the store and a batch's records are
+   in the file before the connection reads again. The reader turns
+   timeout / oversize / shutdown into end of input (reported to
+   [on_close]) after the lines received before it. *)
+let serve_connection engine ?(batch = 64) ~stop ~idle_timeout ~max_line
     ?(on_close = ignore) input output =
   let reader = reader_of_fd input in
   let store = Engine.store engine in
@@ -265,29 +266,38 @@ let serve_connection engine ?batch ~stop ~idle_timeout ~max_line
       Option.iter Store.flush store
     end
   in
-  let oversized = ref false in
-  let next () =
-    flush ();
-    match read_line ~stop ~idle_timeout ~max_line reader with
-    | Line l -> Some l
-    | ended ->
-      oversized := ended = Oversized;
-      on_close ended;
-      None
+  (* up to [n] more buffered lines, and the end of input if it is
+     buffered right after them *)
+  let rec take n lines =
+    match if n > 0 then buffered ~max_line reader else None with
+    | Some (Line l) -> take (n - 1) (l :: lines)
+    | ended -> (List.rev lines, ended)
   in
-  let outcome = Engine.run engine ?batch ~next ~emit () in
-  if !oversized then
-    (* tell the client why it is being dropped (best effort — it may
-       already be gone) *)
-    emit
-      (Protocol.response_error ~id:Fusecu_util.Json.Null
-         ~code:Protocol.Bad_request
-         ~message:
-           (Printf.sprintf
-              "input line exceeds max-line (%d bytes); closing connection"
-              max_line));
-  flush ();
-  outcome
+  let rec serve = function
+    | Line l -> (
+      let lines, ended = take (max 1 batch - 1) [ l ] in
+      let outcome = Engine.answer engine ~emit lines in
+      flush ();
+      match (outcome, ended) with
+      | Engine.Shutdown, _ -> Engine.Shutdown
+      | Engine.Drained, Some ended -> serve ended
+      | Engine.Drained, None -> serve (read_line ~stop ~idle_timeout ~max_line reader))
+    | ended ->
+      on_close ended;
+      if ended = Oversized then
+        (* tell the client why it is being dropped (best effort — it
+           may already be gone) *)
+        emit
+          (Protocol.response_error ~id:Fusecu_util.Json.Null
+             ~code:Protocol.Bad_request
+             ~message:
+               (Printf.sprintf
+                  "input line exceeds max-line (%d bytes); closing connection"
+                  max_line));
+      flush ();
+      Engine.Drained
+  in
+  serve (read_line ~stop ~idle_timeout ~max_line reader)
 
 let serve_fds engine ?batch input output =
   ignore
@@ -391,7 +401,7 @@ let serve_socket engine ?batch ?(config = default_socket_config) ~path () =
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (try Unix.unlink path with Unix.Unix_error _ -> ());
       (* Drain: connection threads see the stop flag at their next read
-         boundary, flush their pending batch, and exit. *)
+         boundary, answer the lines already readable, and exit. *)
       let conns = Mutex.protect srv.lock (fun () -> srv.conns) in
       List.iter (fun c -> Thread.join c.thread) conns;
       List.iter (fun (s, behavior) -> Sys.set_signal s behavior) saved)

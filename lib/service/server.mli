@@ -13,21 +13,24 @@
     {!Metrics} counter ([conns_accepted], [conns_closed],
     [conn_idle_timeouts], [conn_oversized_lines], [conn_client_drops]).
 
-    Both modes run one connection loop: requests come through
-    {!Line_reader.read}, and the responses of a batch collect in one buffer
-    that is written with one {!write_all} before the next read and once
-    more at end of input, so a batch costs one write and no response
-    waits for more input. Right after each such write the loop flushes
-    the engine's {!Store} ({!Store.flush}), so no reply waits for the
-    store and a batch's records are in the file before the connection
-    reads again; every forked shard of a [route] tier runs the same
-    loop.
+    Both modes run one connection loop: it waits for one complete
+    request line, takes at most [batch - 1] more of the complete lines
+    its reader already holds (no further read), and hands them to
+    {!Engine.answer} as one batch. A batch therefore ends at [batch]
+    lines (default 64), at a control line, or where the input paused,
+    and no request waits for input that has not arrived. The batch's
+    responses collect in one buffer that is written with one
+    {!write_all} before the next read. Right after each such write the
+    loop flushes the engine's {!Store} ({!Store.flush}), so no reply
+    waits for the store and a batch's records are in the file before
+    the connection reads again; every forked shard of a [route] tier
+    runs the same loop.
 
     Shutdown is graceful on SIGINT, SIGTERM, or an in-band [shutdown]
     request: the listener stops accepting and is closed, the socket
-    path is unlinked, and in-flight connections drain their pending
-    batch (every request already received gets its response) before
-    their threads are joined. *)
+    path is unlinked, and in-flight connections answer the lines
+    already readable (every request already received gets its
+    response) before their threads are joined. *)
 
 type socket_config = {
   max_conns : int;

@@ -138,7 +138,7 @@ let prop_cost_matches_sim =
   QCheck.Test.make ~count:800 ~name:"closed-form traffic == simulated traffic"
     arb_case (fun (op, s) ->
       let analytic = Cost.eval op s in
-      let simulated = Sim.eval op s in
+      let simulated = Fusecu_oracle.Check.simulate op s in
       analytic.a.traffic = simulated.a.traffic
       && analytic.b.traffic = simulated.b.traffic
       && analytic.c.traffic = simulated.c.traffic)
@@ -147,7 +147,7 @@ let prop_fetches_match_sim =
   QCheck.Test.make ~count:800 ~name:"closed-form fetches == simulated fetches"
     arb_case (fun (op, s) ->
       let analytic = Cost.eval op s in
-      let simulated = Sim.eval op s in
+      let simulated = Fusecu_oracle.Check.simulate op s in
       analytic.a.fetches = simulated.a.fetches
       && analytic.b.fetches = simulated.b.fetches
       && analytic.c.fetches = simulated.c.fetches)
@@ -156,14 +156,10 @@ let prop_revisit_matches_sim =
   QCheck.Test.make ~count:500 ~name:"revisit factor == max simulated refetch"
     arb_case (fun (op, s) ->
       let analytic = Cost.eval op s in
-      let simulated = Sim.eval op s in
+      let simulated = Fusecu_oracle.Check.simulate op s in
       analytic.a.revisit = simulated.a.revisit
       && analytic.b.revisit = simulated.b.revisit
       && analytic.c.revisit = simulated.c.revisit)
-
-let prop_sim_macs_exact =
-  QCheck.Test.make ~count:500 ~name:"simulated nest covers all MACs" arb_case
-    (fun (op, s) -> Sim.macs op s = Matmul.macs op)
 
 let prop_traffic_lower_bound =
   QCheck.Test.make ~count:500 ~name:"traffic >= ideal lower bound" arb_case
@@ -559,7 +555,7 @@ let qsuite =
   List.map
     (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250704 |]))
     [ prop_cost_matches_sim; prop_fetches_match_sim; prop_revisit_matches_sim;
-      prop_sim_macs_exact; prop_traffic_lower_bound;
+      prop_traffic_lower_bound;
       prop_best_orders_matches_brute_force; prop_trip_kernel_matches_eval;
       prop_revisit_table_matches_rule; prop_eval_tiles_matches_eval ]
 

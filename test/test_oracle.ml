@@ -418,7 +418,7 @@ let prop_sim_equals_cost =
       let tiling = Tiling.make op ~m:tm ~k:tk ~l:tl in
       let schedule = Schedule.make tiling (List.nth Order.all oi) in
       let analytic = Cost.eval op schedule in
-      let simulated = Sim.eval op schedule in
+      let simulated = Check.simulate op schedule in
       analytic.Cost.total = simulated.Cost.total
       && List.for_all
            (fun x ->

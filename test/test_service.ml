@@ -852,8 +852,8 @@ let recv_lines fd =
   |> List.filter (fun l -> l <> "")
 
 (* One well-behaved exchange: send every line, half-close the write
-   side (the server sees EOF and flushes), read responses until the
-   server closes. *)
+   side (the server answers what arrived, sees EOF and closes), read
+   responses until the server closes. *)
 let exchange path lines =
   let fd = connect path in
   Fun.protect
@@ -1043,8 +1043,9 @@ let test_server_sigterm_drains () =
   let path = sock_path () in
   let th = start_server engine path in
   let fd = connect path in
-  (* requests are in flight (batch 64 means nothing flushed yet) when
-     the signal lands *)
+  (* the requests are answered as they arrive; the signal then lands
+     while the connection waits for its next line, and must end it with
+     every answer delivered *)
   send_all fd (String.concat "\n" requests ^ "\n");
   Thread.delay 0.15;
   Unix.kill (Unix.getpid ()) Sys.sigterm;
@@ -1303,31 +1304,69 @@ let test_server_batch_answered_open () =
             (Engine.handle_lines (Engine.create (Engine.default_config ())) requests)
             lines))
 
-(* Stdin mode runs the same connection loop on a pair of descriptors. *)
-let test_serve_fds_matches_golden () =
-  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+(* [Server.serve_fds] from [input] to a pipe, in a thread, while
+   [feed] writes the input; its response lines. *)
+let serve_fds_lines ?batch input feed =
+  let out_r, out_w = Unix.pipe () in
   let engine = Engine.create (Engine.default_config ()) in
   let server =
     Thread.create
       (fun () ->
-        Server.serve_fds engine in_r out_w;
+        Server.serve_fds engine ?batch input out_w;
         Unix.close out_w)
       ()
   in
-  send_all in_w (String.concat "\n" fault_requests ^ "\n");
-  Unix.close in_w;
+  feed ();
   let lines = recv_lines out_r in
   Thread.join server;
-  Unix.close in_r;
   Unix.close out_r;
-  Alcotest.(check (list string)) "golden" (fault_golden ()) lines
+  lines
+
+(* Stdin mode runs the same connection loop on a pair of descriptors.
+   Three inputs: the requests in one write; the same requests written
+   in random small chunks with short pauses, so batches end where the
+   input paused; and the service fixture, [stats] line included, read
+   from its file, which arrives whole and so is cut into batches as
+   [Engine.handle_lines] cuts it, byte for byte. *)
+let test_serve_fds_matches_golden () =
+  let piped feed =
+    let in_r, in_w = Unix.pipe () in
+    let lines =
+      serve_fds_lines in_r (fun () ->
+          feed in_w;
+          Unix.close in_w)
+    in
+    Unix.close in_r;
+    lines
+  in
+  let text = String.concat "\n" fault_requests ^ "\n" in
+  Alcotest.(check (list string)) "golden" (fault_golden ())
+    (piped (fun fd -> send_all fd text));
+  let rng = Random.State.make [| 30 |] in
+  let rec trickle fd off =
+    if off < String.length text then begin
+      let n = min (1 + Random.State.int rng 40) (String.length text - off) in
+      send_all fd (String.sub text off n);
+      Thread.delay (Random.State.float rng 0.003);
+      trickle fd (off + n)
+    end
+  in
+  Alcotest.(check (list string)) "chunked with pauses" (fault_golden ())
+    (piped (fun fd -> trickle fd 0));
+  let fixture = Unix.openfile "fixtures/service_requests.ndjson" [ Unix.O_RDONLY ] 0 in
+  let served = serve_fds_lines ~batch:7 fixture ignore in
+  Unix.close fixture;
+  Alcotest.(check (list string)) "fixture at batch 7 = Engine.handle_lines"
+    (Engine.handle_lines (Engine.create (Engine.default_config ())) ~batch:7
+       (Lazy.force fixture_lines))
+    served
 
 (* The store's write point: a batch's records are in the file before
-   its connection reads again. A closed-loop client at batch 1 reads
-   the answer to a miss, sends the same request (a hit, which appends
-   nothing) and reads its answer; the store then holds the miss's
-   record exactly as [Store.frame] prints it. Over a socket and over
-   [Server.serve_fds] on pipes. *)
+   its connection reads again. A closed-loop client at the default
+   batch reads the answer to a miss, sends the same request (a hit,
+   which appends nothing) and reads its answer; the store then holds
+   the miss's record exactly as [Store.frame] prints it. Over a socket
+   and over [Server.serve_fds] on pipes. *)
 let test_store_written_before_next_read () =
   let request = {|{"op":"intra","id":1,"m":64,"k":48,"l":36,"buffer":"64KB"}|} in
   let call =
@@ -1352,7 +1391,7 @@ let test_store_written_before_next_read () =
   in
   check_point "socket" (fun engine client ->
       let path = sock_path () in
-      let th = start_server ~batch:1 engine path in
+      let th = start_server engine path in
       let fd = connect path in
       client fd fd;
       Unix.close fd;
@@ -1360,7 +1399,7 @@ let test_store_written_before_next_read () =
       Thread.join th);
   check_point "pipes" (fun engine client ->
       let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
-      let th = Thread.create (fun () -> Server.serve_fds engine ~batch:1 in_r out_w) () in
+      let th = Thread.create (fun () -> Server.serve_fds engine in_r out_w) () in
       client in_w out_r;
       Unix.close in_w;
       Thread.join th;
@@ -2366,13 +2405,14 @@ let test_router_pipelined_stream () =
       check_int "one response per request" (List.length expected) (List.length got);
       check_bool "responses equal Engine.handle_lines" true (got = expected))
 
-(* A routed session that pauses past both idle timeouts: the shard
-   closes the idle connection, and the next request still gets its
-   answer. *)
+(* A routed closed-loop session at the default batch that pauses past
+   both idle timeouts: each request is answered before the next is
+   sent, the shard closes the idle connection, and the next request
+   still gets its answer. *)
 let test_router_idle_pause () =
   let requests = List.filteri (fun i _ -> i < 2) fault_requests in
   let expected = Engine.handle_lines (Engine.create (Engine.default_config ())) requests in
-  with_server ~batch:1
+  with_server
     ~config:{ quick_config with Server.idle_timeout = 0.3 }
     (fun ~engine:_ ~path ->
       let req_r, req_w = Unix.pipe ~cloexec:true () in
