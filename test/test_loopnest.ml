@@ -161,6 +161,20 @@ let prop_revisit_matches_sim =
       && analytic.b.revisit = simulated.b.revisit
       && analytic.c.revisit = simulated.c.revisit)
 
+(* The three properties above simulate the matmul's lowering: its
+   iteration space must be the matmul's MACs, and the translated
+   schedule must walk the matmul's tile grid, axis by axis. *)
+let prop_lowering_walks_tile_grid =
+  QCheck.Test.make ~count:500 ~name:"lowered nest covers all MACs on the tile grid"
+    arb_case (fun (op, s) ->
+      let open Fusecu_nest in
+      let nest = Lower.of_matmul op in
+      let ns = Lower.schedule_of_mm nest ~tiling:s.tiling ~order:s.order in
+      let trips d = Tiling.trips op s.tiling d in
+      Nest.points nest = Matmul.macs op
+      && List.for_all (fun d -> Nest.trips nest ns (Lower.dim_axis d) = trips d) Dim.all
+      && Nsim.points nest ns = trips Dim.M * trips Dim.K * trips Dim.L)
+
 let prop_traffic_lower_bound =
   QCheck.Test.make ~count:500 ~name:"traffic >= ideal lower bound" arb_case
     (fun (op, s) -> (Cost.eval op s).total >= Matmul.ideal_ma op)
@@ -555,7 +569,7 @@ let qsuite =
   List.map
     (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20250704 |]))
     [ prop_cost_matches_sim; prop_fetches_match_sim; prop_revisit_matches_sim;
-      prop_traffic_lower_bound;
+      prop_lowering_walks_tile_grid; prop_traffic_lower_bound;
       prop_best_orders_matches_brute_force; prop_trip_kernel_matches_eval;
       prop_revisit_table_matches_rule; prop_eval_tiles_matches_eval ]
 
