@@ -1,7 +1,7 @@
-(* Plumbing shared by the service drills (socket, store, obs and
-   determinism): the checked-in fixture and golden, transcript
-   comparison, Unix-socket clients, in-process servers, forked shard
-   fleets, and a routed replay through [Router.run]. *)
+(* Plumbing shared by the service drills (store, obs and determinism):
+   the checked-in fixture and golden, transcript comparison, Unix-socket
+   clients, in-process servers, forked shard fleets, and a routed replay
+   through [Router.run]. *)
 
 open Fusecu_util
 open Fusecu_service

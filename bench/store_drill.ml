@@ -1,27 +1,18 @@
-(* The @store-smoke drill: persistence against the golden transcript.
-
-   Kill leg (real processes, forked before any domain pool exists): a
-   1-shard router fleet with a persistent store replays the fixture, is
-   killed with SIGKILL, restarted on the same store, and replayed
-   again — the warm transcript must match the cold one byte for byte
-   on every non-control line (stats counters legitimately differ warm:
-   recovered entries turn misses into hits), and the restarted shard
-   must report the records it recovered.
-
-   Store leg (in-process, deterministic damage): the fixture replayed
-   through an engine with a store; then the store file is truncated at
-   arbitrary byte positions — every torn tail a kill -9 could leave —
-   and recovery must keep a clean prefix of records and still replay
-   the golden bytes. A corrupted CRC likewise severs the tail. *)
+(* The @store-smoke drill: persistence across a real crash. A 1-shard
+   router fleet with a persistent store (forked before any domain pool
+   exists) replays the fixture, is killed with SIGKILL, restarted on the
+   same store, and replayed again. The warm transcript must match the
+   cold one byte for byte on every non-control line (stats counters
+   legitimately differ warm: recovered entries turn misses into hits),
+   and the restarted shard must report the records it recovered.
+   Recovery from torn tails and CRC damage at chosen offsets is
+   [test_store]'s "warm replay byte-identical to golden". *)
 
 open Fusecu_util
 open Fusecu_service
 
 let check = Drill.check ~drill:"store"
 let non_control = Drill.non_control
-
-(* ------------------------------------------------------------------ *)
-(* Kill leg                                                            *)
 
 let kill_leg ~requests ~golden () =
   Drill.with_temp_dir "fusecu_drill" @@ fun dir ->
@@ -72,93 +63,6 @@ let kill_leg ~requests ~golden () =
       rec_.Store.records rec_.Store.dropped_records
       (List.length (non_control golden))
 
-(* ------------------------------------------------------------------ *)
-(* Deterministic damage leg                                            *)
-
-let replay_with_store ~requests store_path =
-  let store =
-    match Store.open_ ~path:store_path with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let engine = Engine.create ~store (Engine.default_config ()) in
-  let responses = Engine.handle_lines engine requests in
-  let recovered = List.length (Store.recovered store).Store.entries in
-  Store.close store;
-  (responses, recovered)
-
-let damage_leg ~requests ~golden () =
-  let store_path = Filename.temp_file "fusecu_drill" ".store" in
-  Sys.remove store_path;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove store_path with Sys_error _ -> ())
-    (fun () ->
-      let cold, recovered0 = replay_with_store ~requests store_path in
-      if recovered0 <> 0 then failwith "store drill: fresh store not empty";
-      check "engine cold vs golden" golden cold;
-      let pristine =
-        In_channel.with_open_bin store_path In_channel.input_all
-      in
-      let total = String.length pristine in
-      if total = 0 then failwith "store drill: cold run wrote nothing";
-      let write_store s =
-        Out_channel.with_open_bin store_path (fun oc ->
-            Out_channel.output_string oc s)
-      in
-      let count_records () =
-        match Store.open_ ~path:store_path with
-        | Error e -> failwith e
-        | Ok s ->
-          let n = List.length (Store.recovered s).Store.entries in
-          Store.close s;
-          n
-      in
-      let full = count_records () in
-      (* torn tails: truncate at every prefix length across the last
-         two records plus a spread over the whole file — recovery must
-         never lose more than the damaged tail, and the warm replay
-         must stay golden byte for byte (stats excluded: warm hits). *)
-      let cuts =
-        List.filter
-          (fun c -> c > 0 && c < total)
-          (List.concat
-             [ List.init 40 (fun i -> total - 1 - (i * 7));
-               List.init 10 (fun i -> (i + 1) * total / 11) ])
-      in
-      List.iter
-        (fun cut ->
-          write_store (String.sub pristine 0 cut);
-          let n = count_records () in
-          if n > full then
-            failwith "store drill: truncation grew the store?";
-          let warm, recovered = replay_with_store ~requests store_path in
-          if recovered <> n then
-            failwith "store drill: warm load does not match recovery count";
-          check
-            (Printf.sprintf "warm-after-truncate@%d vs golden (non-control)" cut)
-            (non_control golden) (non_control warm))
-        cuts;
-      (* corrupted CRC in the middle: the damaged record and everything
-         after it are dropped; the clean prefix still warms golden *)
-      let mid = total / 2 in
-      let flipped = Bytes.of_string pristine in
-      Bytes.set flipped mid
-        (Char.chr (Char.code (Bytes.get flipped mid) lxor 0x01));
-      write_store (Bytes.to_string flipped);
-      let n_corrupt = count_records () in
-      if n_corrupt >= full then
-        failwith "store drill: CRC corruption went undetected";
-      let warm, _ = replay_with_store ~requests store_path in
-      check "warm-after-corruption vs golden (non-control)"
-        (non_control golden) (non_control warm);
-      Printf.printf
-        "store drill: %d truncations + 1 CRC flip recovered cleanly (%d \
-         records intact -> %d after mid-file corruption)\n"
-        (List.length cuts) full n_corrupt)
-
 let run () =
-  let requests = Drill.fixture () and golden = Drill.golden () in
-  (* fork the fleet before anything touches the global domain pool *)
-  kill_leg ~requests ~golden ();
-  damage_leg ~requests ~golden ();
+  kill_leg ~requests:(Drill.fixture ()) ~golden:(Drill.golden ()) ();
   print_endline "store drill: ok"

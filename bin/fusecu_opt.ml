@@ -623,10 +623,9 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "cache-entries" ] ~docv:"N"
-          ~doc:"Plan-cache capacity in entries (default: \
-                \\$FUSECU_CACHE_ENTRIES or 4096; 0 disables the cache: \
-                answers are identical either way, only how much is \
-                recomputed changes).")
+          ~doc:"Plan-cache capacity in entries (default 4096; 0 disables \
+                the cache: answers are identical either way, only how much \
+                is recomputed changes).")
   in
   let metrics_file =
     Arg.(
@@ -911,8 +910,8 @@ let route_cmd =
       value
       & opt (some int) None
       & info [ "cache-entries" ] ~docv:"N"
-          ~doc:"Per-shard plan-cache capacity (default: \
-                \\$FUSECU_CACHE_ENTRIES or 4096; 0 disables the caches).")
+          ~doc:"Per-shard plan-cache capacity (default 4096; 0 disables \
+                the caches).")
   in
   let defaults = Fusecu_service.Server.default_socket_config in
   let max_conns =

@@ -56,11 +56,3 @@ let method_name = function
   | Keep_stationary -> "stationary"
   | Untile_dimension -> "untiled dim"
   | Hold_entirely -> "entire tensor"
-
-let pp_arrow fmt a =
-  Format.fprintf fmt "%s(%s) -> %s(%s): %s"
-    (Nra.to_string a.producer_class)
-    (method_name a.producer_method)
-    (Nra.to_string a.consumer_class)
-    (method_name a.consumer_method)
-    (if a.profitable then "profitable" else "fusable, not profitable")

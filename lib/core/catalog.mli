@@ -45,5 +45,3 @@ val mapping_for : arrow -> [ `Tile_fusion | `Column_fusion ] option
     untiled-dimension intermediates as column fusion. *)
 
 val method_name : method_ -> string
-
-val pp_arrow : Format.formatter -> arrow -> unit

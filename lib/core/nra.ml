@@ -40,14 +40,6 @@ let pp_dataflow fmt = function
 
 let dataflow_to_string d = Format.asprintf "%a" pp_dataflow d
 
-let equal_dataflow a b =
-  match (a, b) with
-  | Single_nra x, Single_nra y -> Operand.equal x.stationary y.stationary
-  | Two_nra x, Two_nra y ->
-    Dim.equal x.untiled y.untiled && Operand.equal x.redundant y.redundant
-  | Three_nra x, Three_nra y -> Operand.equal x.resident y.resident
-  | (Single_nra _ | Two_nra _ | Three_nra _), _ -> false
-
 let classify op (s : Schedule.t) =
   let nra = Cost.nra_operands op s in
   let untiled_dims = List.filter (fun d -> Tiling.untiled op s.tiling d) Dim.all in

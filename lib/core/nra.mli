@@ -35,8 +35,6 @@ val pp_dataflow : Format.formatter -> dataflow -> unit
 
 val dataflow_to_string : dataflow -> string
 
-val equal_dataflow : dataflow -> dataflow -> bool
-
 val classify : Matmul.t -> Schedule.t -> dataflow
 (** Recover the dataflow shape of an arbitrary schedule from its access
     behaviour: the NRA count gives the class, the untiled dimensions and

@@ -14,7 +14,7 @@
     is the least recently used entry. A hit relinks its node and
     allocates nothing, and an insert into a full shard unlinks the back:
     eviction is O(1), whatever the shard size (capacity comes from
-    [FUSECU_CACHE_ENTRIES]).
+    [--cache-entries]).
 
     Determinism: hit/miss/eviction behaviour depends only on the
     sequence of [find]/[add] calls. The service engine performs all

@@ -19,13 +19,8 @@ type config = {
 let default_cache_entries = 4096
 
 let default_config () =
-  let entries =
-    match Sys.getenv_opt "FUSECU_CACHE_ENTRIES" with
-    | Some s -> ( match int_of_string_opt s with Some n -> max 0 n | None -> default_cache_entries)
-    | None -> default_cache_entries
-  in
-  { cache_enabled = entries > 0;
-    cache_entries = entries;
+  { cache_enabled = true;
+    cache_entries = default_cache_entries;
     cache_shards = 8;
     pool = None;
     slow_log_ms = None;

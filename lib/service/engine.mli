@@ -75,8 +75,9 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Cache on, capacity from [FUSECU_CACHE_ENTRIES] (default 4096,
-    clamped to [>= 0]), 8 shards, global pool, slow log off. *)
+(** Cache on with 4096 entries, 8 shards, global pool, slow log off.
+    It reads no environment variable: [serve --cache-entries] and
+    [route --cache-entries] override the capacity. *)
 
 type t
 

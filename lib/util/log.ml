@@ -41,13 +41,6 @@ let file = ref (None : out_channel option)
 
 let custom_sink = ref (None : (string -> unit) option)
 
-let close_file_locked () =
-  match !file with
-  | Some oc ->
-    (try close_out oc with Sys_error _ -> ());
-    file := None
-  | None -> ()
-
 let init_locked () =
   if not !initialized then begin
     initialized := true;
@@ -84,12 +77,6 @@ let enabled lvl =
   match current_level () with
   | None -> false
   | Some min -> severity lvl >= severity min
-
-let set_file path =
-  with_lock (fun () ->
-      init_locked ();
-      close_file_locked ();
-      file := Some (open_out_gen [ Open_append; Open_creat ] 0o644 path))
 
 let set_sink sink =
   with_lock (fun () ->

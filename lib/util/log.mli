@@ -2,9 +2,10 @@
 
     Every record is one JSON object on one line —
     [{"ts":…,"level":"info","msg":…,…fields}] — written to stderr by
-    default or to a file ({!set_file}); never to stdout, so enabling
-    logging cannot perturb the byte-deterministic response stream of the
-    planning service or the golden CLI transcripts (DESIGN.md §6b).
+    default or to the file [FUSECU_LOG_FILE] names; never to stdout, so
+    enabling logging cannot perturb the byte-deterministic response
+    stream of the planning service or the golden CLI transcripts
+    (DESIGN.md §6b).
 
     The level starts from the [FUSECU_LOG] environment variable
     ([debug], [info], [warn], [error] or [off]; unset means off) and can
@@ -31,10 +32,6 @@ val current_level : unit -> level option
 
 val enabled : level -> bool
 (** Would a record at this level be emitted? *)
-
-val set_file : string -> unit
-(** Append records to a file instead of stderr (opened lazily, flushed
-    per record; the previous file, if any, is closed). *)
 
 val set_sink : (string -> unit) -> unit
 (** Redirect complete NDJSON lines to an arbitrary consumer (tests). *)

@@ -259,30 +259,3 @@ let stats t =
   let jobs = t.jobs in
   Mutex.unlock t.mutex;
   (jobs, s)
-
-let reset_stats t =
-  Mutex.lock t.mutex;
-  t.jobs <- 0;
-  Array.iter
-    (fun (c : worker_cell) ->
-      c.chunks <- 0;
-      c.run_s <- 0.;
-      c.wait_s <- 0.)
-    t.cells;
-  Mutex.unlock t.mutex
-
-let stats_json t =
-  let jobs, workers = stats t in
-  Json.Obj
-    [ ("size", Json.Int t.size);
-      ("jobs", Json.Int jobs);
-      ( "workers",
-        Json.List
-          (List.map
-             (fun w ->
-               Json.Obj
-                 [ ("worker", Json.Int w.worker);
-                   ("chunks", Json.Int w.chunks);
-                   ("run_s", Json.Float w.run_s);
-                   ("wait_s", Json.Float w.wait_s) ])
-             workers) ) ]

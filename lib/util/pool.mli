@@ -101,11 +101,5 @@ val parallel_map :
 type worker_stat = { worker : int; chunks : int; run_s : float; wait_s : float }
 
 val stats : t -> int * worker_stat list
-(** [(jobs, per-worker)] since creation or the last {!reset_stats};
-    [jobs] counts parallel regions (inline fallbacks included). *)
-
-val reset_stats : t -> unit
-
-val stats_json : t -> Json.t
-(** [{"size", "jobs", "workers": [{"worker","chunks","run_s","wait_s"}]}]
-    — embedded in bench reports. *)
+(** [(jobs, per-worker)] since creation; [jobs] counts parallel regions
+    (inline fallbacks included). *)

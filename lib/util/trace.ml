@@ -8,20 +8,14 @@ type event = {
   args : (string * Json.t) list;
 }
 
-type cat_summary = { cat : string; total_s : float; count : int }
-
-type cat_total = { mutable total_us : float; mutable n : int }
-
-(* The ring plus the eviction-proof per-category accumulators. [head]
-   is the next write slot; once [filled = capacity] the ring wraps and
-   [dropped] counts the overwritten events. *)
+(* The ring: [head] is the next write slot; once [filled = capacity]
+   the ring wraps and [dropped] counts the overwritten events. *)
 type state = {
   mutable ring : event array;
   mutable capacity : int;
   mutable head : int;
   mutable filled : int;
   mutable dropped : int;
-  totals : (string, cat_total) Hashtbl.t;
 }
 
 let default_capacity = 65536
@@ -34,8 +28,7 @@ let state =
     capacity = 0;
     head = 0;
     filled = 0;
-    dropped = 0;
-    totals = Hashtbl.create 8 }
+    dropped = 0 }
 
 let mutex = Mutex.create ()
 
@@ -57,8 +50,7 @@ let clear_locked () =
   state.head <- 0;
   state.filled <- 0;
   state.dropped <- 0;
-  Array.fill state.ring 0 (Array.length state.ring) dummy;
-  Hashtbl.reset state.totals
+  Array.fill state.ring 0 (Array.length state.ring) dummy
 
 let clear () = with_lock clear_locked
 
@@ -81,13 +73,7 @@ let record ev =
         state.head <- (state.head + 1) mod state.capacity;
         if state.filled < state.capacity then state.filled <- state.filled + 1
         else state.dropped <- state.dropped + 1
-      end;
-      match Hashtbl.find_opt state.totals ev.cat with
-      | Some t ->
-        t.total_us <- t.total_us +. ev.dur_us;
-        t.n <- t.n + 1
-      | None ->
-        Hashtbl.replace state.totals ev.cat { total_us = ev.dur_us; n = 1 })
+      end)
 
 (* Per-domain nesting depth; each domain only touches its own cell. *)
 let depth_key = Domain.DLS.new_key (fun () -> ref 0)
@@ -125,14 +111,6 @@ let events () =
           state.ring.((oldest + i) mod state.capacity)))
 
 let dropped () = with_lock (fun () -> state.dropped)
-
-let summary () =
-  with_lock (fun () ->
-      Hashtbl.fold
-        (fun cat t acc ->
-          { cat; total_s = t.total_us /. 1e6; count = t.n } :: acc)
-        state.totals [])
-  |> List.sort (fun a b -> String.compare a.cat b.cat)
 
 let event_json ~pid ev =
   Json.Obj

@@ -10,16 +10,13 @@
     profile is being recorded (DESIGN.md §6b).
 
     Spans are recorded at completion into a fixed-capacity ring (oldest
-    events are overwritten; {!dropped} counts the overwritten ones) plus
-    per-category duration accumulators that are {e not} subject to ring
-    eviction, so {!summary} stays exact over arbitrarily long runs. All
+    events are overwritten; {!dropped} counts the overwritten ones). All
     recording is mutex-serialized, so spans closed concurrently on
     several pool domains cannot tear the buffer.
 
     The timebase is a pluggable clock returning seconds ({!set_clock}).
-    The default is [Unix.gettimeofday]; benchmarks install a monotonic
-    clock, and tests install a synthetic counter to get deterministic
-    golden output. *)
+    The default is [Unix.gettimeofday]; tests install a synthetic
+    counter to get deterministic golden output. *)
 
 type event = {
   name : string;
@@ -35,8 +32,8 @@ type event = {
 
 val start : ?capacity:int -> unit -> unit
 (** Enable collection into a fresh ring of [capacity] events (default
-    65536, clamped to [>= 1]). Resets previously collected events,
-    category totals and the drop count. *)
+    65536, clamped to [>= 1]). Resets previously collected events and
+    the drop count. *)
 
 val stop : unit -> unit
 (** Disable collection. Already-recorded events remain readable. *)
@@ -44,8 +41,7 @@ val stop : unit -> unit
 val is_enabled : unit -> bool
 
 val clear : unit -> unit
-(** Drop all recorded events and category totals (collection state is
-    unchanged). *)
+(** Drop all recorded events (collection state is unchanged). *)
 
 val set_clock : (unit -> float) -> unit
 (** Replace the collector clock (seconds since an arbitrary epoch). The
@@ -78,12 +74,6 @@ val events : unit -> event list
 
 val dropped : unit -> int
 (** Events overwritten by ring wrap-around since {!start}/{!clear}. *)
-
-type cat_summary = { cat : string; total_s : float; count : int }
-
-val summary : unit -> cat_summary list
-(** Total recorded span time and span count per category, sorted by
-    category name. Exact regardless of ring capacity. *)
 
 (** {1 Export} *)
 

@@ -41,8 +41,3 @@ let nest_cases =
      Lower.grouped_mm ~name:"gqa-scores" ~groups:8 ~heads:8 ~m:64 ~k:64 ~l:64 ());
     ("attn-pair",
      Lower.attention_pair ~name:"attn-pair" ~seq_q:64 ~seq_k:64 ~d:64 ()) ]
-
-let find_nest name =
-  let target = String.lowercase_ascii name in
-  Option.map snd
-    (List.find_opt (fun (n, _) -> String.lowercase_ascii n = target) nest_cases)

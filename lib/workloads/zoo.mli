@@ -25,6 +25,3 @@ val nest_cases : (string * Fusecu_nest.Nest.t) list
     scores, and a fused attention score x value pair. Scaled-down
     shapes, sized so the exhaustive Divisors-lattice ground truth
     stays enumerable in benches and tests. *)
-
-val find_nest : string -> Fusecu_nest.Nest.t option
-(** Case-insensitive lookup in {!nest_cases}. *)

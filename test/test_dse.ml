@@ -214,6 +214,47 @@ let test_parallel_fused_search_deterministic () =
           | _ -> Alcotest.fail "fused feasibility disagrees")
         [ 200; 1024; 4000 ])
 
+let test_parallel_buffer_sweep_deterministic () =
+  with_pool 4 (fun pool ->
+      List.iter
+        (fun (m, k, l, from_bytes, to_bytes) ->
+          let op = Matmul.make ~m ~k ~l () in
+          let bytes =
+            Buffer_sweep.geometric ~from_bytes ~to_bytes ~steps_per_octave:2 ()
+          in
+          let seq = Buffer_sweep.run ~pool:Fusecu_util.Pool.sequential op ~bytes in
+          let par = Buffer_sweep.run ~pool op ~bytes in
+          check_bool "points found" true (List.length seq > 4);
+          check_bool
+            (Printf.sprintf "same points at %dx%dx%d" m k l)
+            true (seq = par))
+        [ (64, 48, 36, 256, 4096); (1024, 768, 768, 32 * 1024, 8 * 1024 * 1024) ])
+
+let test_parallel_workload_eval_deterministic () =
+  let open Fusecu_arch in
+  with_pool 4 (fun pool ->
+      List.iter
+        (fun (model, bytes) ->
+          let workload = Fusecu_workloads.Workload.of_model model in
+          let buf = Buffer.make bytes in
+          let eval pool =
+            match Perf.eval_workload ~pool Platform.fusecu buf workload with
+            | Ok e -> e
+            | Error e -> Alcotest.fail e
+          in
+          let seq = eval Fusecu_util.Pool.sequential and par = eval pool in
+          let tag = Fusecu_workloads.Model.(model.name) in
+          check_bool (tag ^ ": several segments") true
+            (List.length seq.Perf.segments > 1);
+          check_bool (tag ^ ": same segments") true
+            (seq.Perf.segments = par.Perf.segments);
+          check_int (tag ^ ": same traffic") seq.Perf.traffic par.Perf.traffic;
+          check_int (tag ^ ": same cycles") seq.Perf.cycles par.Perf.cycles)
+        [ ( Fusecu_workloads.Model.make ~name:"tiny" ~batch:1 ~heads:2 ~seq:32
+              ~hidden:32 (),
+            2048 );
+          (Fusecu_workloads.Zoo.bert, 512 * 1024) ])
+
 (* the GA never touches the pool: a fixed seed must reproduce the same
    answer whatever the global domain count is *)
 let test_genetic_ignores_domains () =
@@ -411,6 +452,65 @@ let test_bnb_prunes_hard_when_seeded () =
       (10 * b.explored <= e.explored)
   | _ -> Alcotest.fail "search failed"
 
+(* The paper fixtures: BERT's 1024x768x768 projection at three buffer
+   sizes, each seeded from the principle plan, and the attention
+   score x value pair (unseeded) at 64 KiB, all on the default lattice.
+   B&B must reach the exhaustive traffic with at most a tenth of its
+   evaluations, and its search tree is pinned. *)
+let test_bnb_paper_fixtures () =
+  let bert = Matmul.make ~name:"bert-proj" ~m:1024 ~k:768 ~l:768 () in
+  let sequential = Fusecu_util.Pool.sequential in
+  (* (B&B traffic, B&B stats, exhaustive traffic, enumerated) *)
+  let intra kib =
+    let buf = Buffer.of_kib kib in
+    let seed = Result.to_option (Intra.optimize bert buf) in
+    match
+      ( Bnb.search_with_stats
+          ?seed:(Option.map (fun (p : Intra.plan) -> p.schedule) seed)
+          bert buf,
+        Exhaustive.search ~pool:sequential bert buf )
+    with
+    | (Some b, stats), Some e ->
+      (b.Exhaustive.cost.Cost.total, stats, e.Exhaustive.cost.Cost.total,
+       e.Exhaustive.explored)
+    | _ -> Alcotest.failf "bert at %d KiB: no schedule" kib
+  in
+  let fused kib =
+    let pair = attention_pair ~m:1024 ~dh:64 and buf = Buffer.of_kib kib in
+    match
+      ( Bnb.search_fused_with_stats pair buf,
+        Fused_search.exhaustive ~pool:sequential pair buf )
+    with
+    | (Some b, stats), Some e ->
+      (b.Fused_search.traffic, stats, e.Fused_search.traffic,
+       e.Fused_search.explored)
+    | _ -> Alcotest.failf "attention pair at %d KiB: no dataflow" kib
+  in
+  List.iter
+    (fun (name, run, traffic, explored, enumerated, nodes, pruned_bound,
+          pruned_infeasible) ->
+      let bnb_traffic, (stats : Bnb.stats), ex_traffic, ex_enumerated = run () in
+      check_int (name ^ ": B&B traffic = exhaustive") ex_traffic bnb_traffic;
+      check_bool
+        (Printf.sprintf "%s: %d evaluations within 10%% of the %d enumerated"
+           name stats.Bnb.explored ex_enumerated)
+        true
+        (10 * stats.Bnb.explored <= ex_enumerated);
+      check_int (name ^ " traffic") traffic bnb_traffic;
+      check_int (name ^ " explored") explored stats.Bnb.explored;
+      check_int (name ^ " enumerated") enumerated ex_enumerated;
+      check_int (name ^ " nodes") nodes stats.Bnb.nodes;
+      check_int (name ^ " pruned by bound") pruned_bound stats.Bnb.pruned_bound;
+      check_int (name ^ " pruned infeasible") pruned_infeasible
+        stats.Bnb.pruned_infeasible)
+    [ (* name, search, traffic, explored, enumerated, nodes, pruned by
+         bound, pruned infeasible *)
+      ("bert-512k", (fun () -> intra 512), 2752512, 7, 20988, 12, 197, 0);
+      ("bert-64k", (fun () -> intra 64), 6094848, 7, 17328, 10, 160, 3);
+      ("bert-8k", (fun () -> intra 8), 16318464, 666, 10956, 130, 198, 25);
+      ("attention-fused-64k", (fun () -> fused 64), 655360, 6528, 77796, 57, 142, 11)
+    ]
+
 let check_bnb_fused_matches ?seed tag lattice pair buf =
   let ex = Fused_search.exhaustive ~lattice pair buf in
   let bnb = Bnb.search_fused ~lattice ?seed pair buf in
@@ -581,13 +681,16 @@ let test_nest_bnb_seeds () =
   check_nest_bnb_matches "off-lattice seed" NSearch.Divisors nest buf ~seed:off
     ()
 
-(* The B&B tree on the beyond-matmul zoo at bench/nest_bench.ml's
-   capacities, pinned: nodes, evaluations and prunes, the winner's
-   (total, tiling index, order rank), and the enumeration's
-   evaluations. The values are BENCH_dse.json's "nest" rows. A change
-   to the cost, validity or bound kernels that keeps the answers but
-   moves any of these has changed the search, and with it the wire's
-   [evaluated] field. *)
+(* The B&B tree on the beyond-matmul zoo, pinned: nodes, evaluations
+   and prunes, the winner's (total, tiling index, order rank), and the
+   enumeration's evaluations. Buffers are in elements; the strided conv
+   gets a tighter one so that feasibility pruning binds, and the
+   attention pair a larger one. A change to the cost, validity or bound
+   kernels that keeps the answers but moves any of these has changed
+   the search, and with it the wire's [evaluated] field. Apart from the
+   pins, the B&B winner must be the exhaustive winner, its traffic must
+   not undercut [Bound.ideal], and it must evaluate no more schedules
+   than the enumeration. *)
 let nest_tree_pins =
   [ (* name, capacity, nodes, evaluated, pruned by bound, pruned
        infeasible, total, tiling index, order rank, enumerated *)
@@ -608,6 +711,19 @@ let test_nest_bnb_tree_pinned () =
       let nest = List.assoc name Fusecu_workloads.Zoo.nest_cases in
       let r, stats = Nest_bnb.search_with_stats nest (Buffer.make capacity) in
       let r = Option.get r in
+      let e =
+        match NSearch.exhaustive nest ~capacity with
+        | Some e -> e
+        | None -> Alcotest.fail (name ^ ": exhaustive found nothing")
+      in
+      Alcotest.(check (triple int int int))
+        (name ^ ": B&B winner = exhaustive winner")
+        (e.NSearch.cost.NNest.total, e.NSearch.tiling_index, e.NSearch.order_rank)
+        (r.NSearch.cost.NNest.total, r.NSearch.tiling_index, r.NSearch.order_rank);
+      check_bool (name ^ ": traffic >= ideal") true
+        (r.NSearch.cost.NNest.total >= Fusecu_nest.Bound.ideal nest);
+      check_bool (name ^ ": evaluated <= enumerated") true
+        (r.NSearch.evaluated <= e.NSearch.evaluated);
       check_int (name ^ " nodes") nodes stats.Bnb.nodes;
       check_int (name ^ " explored") evaluated stats.Bnb.explored;
       check_int (name ^ " pruned by bound") pruned_bound stats.Bnb.pruned_bound;
@@ -617,9 +733,7 @@ let test_nest_bnb_tree_pinned () =
       check_int (name ^ " tiling index") ti r.NSearch.tiling_index;
       check_int (name ^ " order rank") rank r.NSearch.order_rank;
       check_int (name ^ " evaluated") evaluated r.NSearch.evaluated;
-      match NSearch.exhaustive nest ~capacity with
-      | None -> Alcotest.fail (name ^ ": exhaustive found nothing")
-      | Some e -> check_int (name ^ " enumerated") enumerated e.NSearch.evaluated)
+      check_int (name ^ " enumerated") enumerated e.NSearch.evaluated)
     nest_tree_pins
 
 let () =
@@ -642,6 +756,10 @@ let () =
             test_parallel_best_per_class_deterministic;
           Alcotest.test_case "parallel fused search = sequential" `Quick
             test_parallel_fused_search_deterministic;
+          Alcotest.test_case "parallel buffer sweep = sequential" `Quick
+            test_parallel_buffer_sweep_deterministic;
+          Alcotest.test_case "parallel workload eval = sequential" `Quick
+            test_parallel_workload_eval_deterministic;
           Alcotest.test_case "genetic ignores FUSECU_DOMAINS" `Quick
             test_genetic_ignores_domains ] );
       ( "genetic",
@@ -661,6 +779,8 @@ let () =
             test_bnb_fused_matches_exhaustive;
           Alcotest.test_case "PR 5 counterexamples" `Quick
             test_bnb_pr5_counterexamples;
+          Alcotest.test_case "paper fixtures pinned" `Quick
+            test_bnb_paper_fixtures;
           QCheck_alcotest.to_alcotest bnb_qcheck_prop ] );
       ( "nest-bnb",
         [ Alcotest.test_case "matches nest exhaustive" `Quick

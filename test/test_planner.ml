@@ -88,15 +88,63 @@ let agree_with_exhaustive ?overlap ?evaluator g buf =
       "selection" (edge_pairs b) (edge_pairs p);
     p
 
+let stacked model layers = Graph.stack (Graph.of_model model) ~layers
+
 let test_bert_matches_exhaustive () =
-  let g1 = Graph.stack (Graph.of_model Zoo.bert) ~layers:1 in
-  let g2 = Graph.stack (Graph.of_model Zoo.bert) ~layers:2 in
   List.iter
-    (fun bytes ->
-      let buf = Buffer.make bytes in
-      ignore (agree_with_exhaustive g1 buf);
-      ignore (agree_with_exhaustive g2 buf))
-    [ 512 * 1024; 8 * 1024 * 1024 ]
+    (fun (model, layers, bytes) ->
+      ignore (agree_with_exhaustive (stacked model layers) (Buffer.make bytes)))
+    [ (Zoo.bert, 1, 512 * 1024);
+      (Zoo.bert, 2, 512 * 1024);
+      (Zoo.bert, 1, 8 * 1024 * 1024);
+      (Zoo.bert, 2, 8 * 1024 * 1024);
+      (Zoo.bert, 4, 8 * 1024 * 1024);
+      (Zoo.llama2, 1, 2 * 1024 * 1024);
+      (Zoo.llama2, 2, 2 * 1024 * 1024) ]
+
+(* The partitioner's work and result on the model fixtures, pinned: a
+   change that keeps every cost but moves a count has changed the
+   search, and with it [plan_model]'s wire [search] object; one that
+   picks another of two equal-cost edges has changed the plan. *)
+let model_pins =
+  [ (* model, layers, buffer, groups, fused edges, candidate edges,
+       dp_states, bnb_nodes, exhaustive partitions, traffic, effective,
+       unfused effective *)
+    (Zoo.bert, 1, 512 * 1024, 6, [], 1, 3, 0, 2, 455344128, 379846656, 379846656);
+    (Zoo.bert, 1, 8 * 1024 * 1024, 5, [ (4, 5) ], 1, 3, 0, 2, 158072832, 95158272,
+     107741184);
+    (Zoo.bert, 2, 512 * 1024, 12, [], 5, 3, 21, 32, 910688256, 759693312, 759693312);
+    (Zoo.bert, 2, 8 * 1024 * 1024, 9, [ (4, 5); (5, 8); (10, 11) ], 5, 3, 21, 32,
+     303562752, 177733632, 215482368);
+    (Zoo.bert, 4, 8 * 1024 * 1024, 17,
+     [ (4, 5); (5, 8); (10, 11); (11, 14); (16, 17); (17, 20); (22, 23) ], 13, 3, 63,
+     8192, 594542592, 342884352, 430964736);
+    (Zoo.llama2, 1, 2 * 1024 * 1024, 6, [], 1, 3, 0, 2, 26910654464, 25300041728,
+     25300041728);
+    (Zoo.llama2, 2, 2 * 1024 * 1024, 12, [], 5, 3, 21, 32, 53821308928, 50600083456,
+     50600083456) ]
+
+let test_model_fixtures_pinned () =
+  List.iter
+    (fun (model, layers, bytes, groups, fused, candidates, dp_states, bnb_nodes,
+          partitions, traffic, effective, unfused_effective) ->
+      let g = stacked model layers and buf = Buffer.make bytes in
+      let tag = Printf.sprintf "%s/%d/%d" model.Model.name layers bytes in
+      let p = plan_exn g buf in
+      let s = p.Partition.stats in
+      check_int (tag ^ " groups") groups (List.length p.Partition.groups);
+      Alcotest.(check (list (pair int int))) (tag ^ " fused edges") fused (edge_pairs p);
+      check_int (tag ^ " candidate edges") candidates s.Partition.candidate_edges;
+      check_int (tag ^ " dp_states") dp_states s.Partition.dp_states;
+      check_int (tag ^ " bnb_nodes") bnb_nodes s.Partition.bnb_nodes;
+      check_int (tag ^ " traffic") traffic p.Partition.traffic;
+      check_int (tag ^ " effective") effective p.Partition.effective;
+      check_int (tag ^ " unfused effective") unfused_effective
+        p.Partition.unfused_effective;
+      match Partition.exhaustive g buf with
+      | Ok ex -> check_int (tag ^ " exhaustive partitions") partitions ex.Partition.partitions
+      | Error e -> Alcotest.fail e)
+    model_pins
 
 (* ------------------------------------------------------------------ *)
 (* Search structure                                                    *)
@@ -209,6 +257,8 @@ let () =
             test_bert_overlap_declines_marginal_fusion;
           Alcotest.test_case "matches exhaustive" `Quick
             test_bert_matches_exhaustive;
+          Alcotest.test_case "model fixtures pinned" `Quick
+            test_model_fixtures_pinned;
           Alcotest.test_case "unfused baseline" `Quick test_unfused_baseline ] );
       ( "search",
         [ Alcotest.test_case "chains use the DP" `Quick test_pure_chain_uses_dp;

@@ -161,12 +161,10 @@ let test_shutdown_idempotent () =
   Pool.shutdown pool;
   check_int "size still reported" 3 (Pool.size pool)
 
-(* Worker stats: chunk counts must add up to the chunks submitted, jobs
-   count the regions (including inline fallbacks), and reset zeroes
-   everything. *)
+(* Worker stats: chunk counts must add up to the chunks submitted, and
+   jobs count the regions (including inline fallbacks). *)
 let test_stats () =
   with_pool 4 (fun pool ->
-      Pool.reset_stats pool;
       let chunks = 16 in
       ignore
         (Pool.parallel_fold ~pool ~chunks ~lo:0 ~hi:160
@@ -192,28 +190,7 @@ let test_stats () =
                ~merge:( + ) 0)
            ~merge:( + ) 0);
       let jobs, _ = Pool.stats pool in
-      check_bool "outer + inline inner regions counted" true (jobs >= 3);
-      Pool.reset_stats pool;
-      let jobs, workers = Pool.stats pool in
-      check_int "jobs reset" 0 jobs;
-      List.iter
-        (fun (w : Pool.worker_stat) ->
-          check_int "chunks reset" 0 w.chunks;
-          check_bool "times reset" true (w.run_s = 0. && w.wait_s = 0.))
-        workers)
-
-let test_stats_json_shape () =
-  with_pool 2 (fun pool ->
-      ignore
-        (Pool.parallel_fold ~pool ~chunks:4 ~lo:0 ~hi:8
-           ~fold:(fun lo hi -> hi - lo)
-           ~merge:( + ) 0);
-      let j = Pool.stats_json pool in
-      check_bool "size" true (Json.member "size" j = Some (Json.Int 2));
-      check_bool "jobs" true (Json.member "jobs" j = Some (Json.Int 1));
-      match Json.member "workers" j with
-      | Some (Json.List ws) -> check_int "one entry per worker" 2 (List.length ws)
-      | _ -> Alcotest.fail "workers list missing")
+      check_bool "outer + inline inner regions counted" true (jobs >= 3))
 
 let () =
   Alcotest.run "pool"
@@ -237,6 +214,5 @@ let () =
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent ] );
       ( "stats",
-        [ Alcotest.test_case "chunks and jobs accounted" `Quick test_stats;
-          Alcotest.test_case "stats_json shape" `Quick test_stats_json_shape ]
-      ) ]
+        [ Alcotest.test_case "chunks and jobs accounted" `Quick test_stats ] )
+    ]

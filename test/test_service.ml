@@ -914,32 +914,62 @@ let fault_requests =
 let fault_golden () =
   Engine.handle_lines (Engine.create (Engine.default_config ())) fault_requests
 
+(* Four clients at [max_conns] 2, which exercises accept backpressure,
+   each get the sequential transcript. Two inputs: [fault_requests], and
+   the fixture's planning lines with two faults connected before the
+   clients: a slow loris (an incomplete line, then silence), which the
+   idle timeout must evict, and a client that sends two requests and
+   disconnects without reading. *)
 let test_server_concurrent_clients_deterministic () =
-  let golden = fault_golden () in
-  (* max_conns below the client count exercises accept backpressure *)
-  with_server
-    ~config:{ quick_config with Server.max_conns = 2 }
-    (fun ~engine:_ ~path ->
-      let n = 4 in
-      let results = Array.make n [] in
-      let clients =
-        List.init n (fun i ->
-            Thread.create
-              (fun () -> results.(i) <- exchange path fault_requests)
-              ())
-      in
-      List.iter Thread.join clients;
-      Array.iteri
-        (fun i lines ->
-          check_int (Printf.sprintf "client %d response count" i)
-            (List.length golden) (List.length lines);
-          List.iteri
-            (fun j (g, o) ->
-              if g <> o then
-                Alcotest.failf "client %d response %d differs:\n  %s\n  %s" i j
-                  g o)
-            (List.combine golden lines))
-        results)
+  let clients ~config ~faults requests =
+    let golden =
+      Engine.handle_lines (Engine.create (Engine.default_config ())) requests
+    in
+    with_server ~config (fun ~engine ~path ->
+        let loris =
+          if not faults then None
+          else begin
+            let loris = connect path in
+            send_all loris "{\"op\":\"intra\",";
+            let dropper = connect path in
+            send_all dropper
+              (String.concat "\n" (List.filteri (fun i _ -> i < 2) requests) ^ "\n");
+            Unix.close dropper;
+            Some loris
+          end
+        in
+        let n = 4 in
+        let results = Array.make n [] in
+        let clients =
+          List.init n (fun i ->
+              Thread.create (fun () -> results.(i) <- exchange path requests) ())
+        in
+        List.iter Thread.join clients;
+        Array.iteri
+          (fun i lines ->
+            check_int (Printf.sprintf "client %d response count" i)
+              (List.length golden) (List.length lines);
+            List.iteri
+              (fun j (g, o) ->
+                if g <> o then
+                  Alcotest.failf "client %d response %d differs:\n  %s\n  %s" i j
+                    g o)
+              (List.combine golden lines))
+          results;
+        Option.iter
+          (fun loris ->
+            Alcotest.(check (list string)) "loris got nothing" [] (recv_lines loris);
+            Unix.close loris;
+            check_bool "loris timed out" true
+              (Metrics.get (Engine.metrics engine) "conn_idle_timeouts" >= 1))
+          loris)
+  in
+  clients ~config:{ quick_config with Server.max_conns = 2 } ~faults:false
+    fault_requests;
+  clients
+    ~config:{ quick_config with Server.max_conns = 2; idle_timeout = 0.5 }
+    ~faults:true
+    (List.filter (fun l -> not (is_stats_response l)) (Lazy.force fixture_lines))
 
 let test_server_half_closed_client () =
   with_server (fun ~engine:_ ~path ->

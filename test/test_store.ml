@@ -203,8 +203,8 @@ let test_old_format_dropped () =
       check_bool "same outcomes" true (r.Store.entries = samples))
 
 (* the end-to-end bar: an engine warm-loaded from a store (even one
-   with a torn tail) must replay the fixture byte-identically to the
-   cold golden on every planning line *)
+   with a torn tail or a corrupted record) must replay the fixture
+   byte-identically to the cold golden on every planning line *)
 let fixture_lines =
   lazy
     (In_channel.with_open_bin "fixtures/service_requests.ndjson"
@@ -247,19 +247,58 @@ let test_warm_replay_matches_golden () =
         (non_control warm = non_control golden);
       check_bool "warm start raises hits" true
         (warm_stats.Cache.hits > warm_stats.Cache.misses);
-      (* tear the tail off and replay again: still golden *)
+      (* damage the file and replay warm from what recovery keeps: still
+         golden, and the warm load takes exactly the recovered records *)
       let pristine = file_contents path in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (String.sub pristine 0 (String.length pristine - 9)));
-      let s = open_exn path in
-      let torn =
-        Engine.handle_lines (Engine.create ~store:s (Engine.default_config ()))
-          requests
+      let total = String.length pristine in
+      let write_store contents =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
       in
-      Store.close s;
-      check_bool "torn-tail warm replay matches golden" true
-        (non_control torn = non_control golden))
+      let records () =
+        let s = open_exn path in
+        let n = List.length (Store.recovered s).Store.entries in
+        Store.close s;
+        n
+      in
+      let full = records () in
+      let warm_replay what =
+        let n = records () in
+        let s = open_exn path in
+        let warm =
+          Engine.handle_lines (Engine.create ~store:s (Engine.default_config ()))
+            requests
+        in
+        let loaded = List.length (Store.recovered s).Store.entries in
+        Store.close s;
+        check_int (what ^ ": warm load = recovered records") n loaded;
+        check_bool (what ^ ": warm replay matches golden") true
+          (non_control warm = non_control golden);
+        n
+      in
+      (* torn tails: 9 bytes off the end, every 7th byte back from the
+         end over the last records, and a spread over the whole file *)
+      let cuts =
+        List.filter
+          (fun c -> c > 0 && c < total)
+          ((total - 9)
+          :: List.init 40 (fun i -> total - 1 - (i * 7))
+          @ List.init 10 (fun i -> (i + 1) * total / 11))
+      in
+      check_int "every cut inside the file" 51 (List.length cuts);
+      List.iter
+        (fun cut ->
+          write_store (String.sub pristine 0 cut);
+          let n = warm_replay (Printf.sprintf "torn at %d" cut) in
+          check_bool "a cut never adds records" true (n <= full))
+        cuts;
+      (* a flipped bit mid-file fails that record's CRC: it and every
+         record after it are dropped *)
+      let flipped = Bytes.of_string pristine in
+      Bytes.set flipped (total / 2)
+        (Char.chr (Char.code (Bytes.get flipped (total / 2)) lxor 0x01));
+      write_store (Bytes.to_string flipped);
+      check_bool "CRC flip severs the tail" true
+        (warm_replay "CRC flipped mid-file" < full))
 
 (* The store a build before answers became text wrote over the
    fixture ([serve --store] over service_requests.ndjson, 48 records)
