@@ -11,12 +11,17 @@ open Fusecu_nest
      tile 1, first overflow rules out the rest of the level);
    - [Bound.penalized_in] at every partial assignment, the bound
      compiled once per search and fed one reused array of per-axis
-     trip-count lower bounds (exact trips once an axis is assigned).
+     trip-count lower bounds (exact trips once an axis is assigned; an
+     open axis's from its largest fitting tile, which
+     [Search.largest_fit] finds from the node's own footprint and the
+     footprint's slope in that axis).
 
    Leaves replay [Search.eval_tiling], so the incumbent ordering is
    exactly the exhaustive scan's (total, tiling index, order rank)
    first-seen minimum and the returned result is bit-identical to
-   [Search.exhaustive_in] on the same space (locked by test_dse.ml). *)
+   [Search.exhaustive_in] on the same space (locked by test_dse.ml).
+   The space and the bound are compiled per search and hold its
+   scratch, so nothing is shared between searches or domains. *)
 
 type counters = {
   mutable c_nodes : int;
@@ -43,43 +48,22 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
      minimal completion. *)
   let idx = Array.make n (-1) in
   let tiles = Array.make n 1 in
-  (* Does candidate [j] of [axis] fit with every other open axis at
-     tile 1? *)
-  let fits axis j =
-    tiles.(axis) <- (Search.candidates sp axis).(j);
-    let fp = Nest.footprint_tiles nest tiles in
-    tiles.(axis) <- 1;
-    fp <= capacity
-  in
-  (* largest candidate index of [axis] that [fits], or -1 (binary
-     search on the monotone footprint) *)
-  let max_feasible_cand axis =
-    let len = Array.length (Search.candidates sp axis) in
-    if len = 0 || not (fits axis 0) then -1
-    else begin
-      let lo = ref 0 and hi = ref len in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if fits axis mid then lo := mid else hi := mid
-      done;
-      !lo
-    end
-  in
-  (* Fewest trips the axis can make anywhere in this subtree. *)
-  let trips_lb axis =
+  (* Fewest trips the axis can make anywhere in this subtree, given
+     the node's footprint [fp] (every open axis at tile 1). *)
+  let trips_lb ~fp axis =
     let e = nest.Nest.extents.(axis) in
     if idx.(axis) >= 0 then Arith.ceil_div e tiles.(axis)
     else begin
-      let j = max_feasible_cand axis in
+      let j = Search.largest_fit sp ~tiles ~base:fp axis in
       if j < 0 then e
       else Arith.ceil_div e (Search.candidates sp axis).(j)
     end
   in
   let bound = Bound.compile nest in
   let lb_trips = Array.make n 1 in
-  let lower_bound () =
+  let lower_bound ~fp =
     for axis = 0 to n - 1 do
-      lb_trips.(axis) <- trips_lb axis
+      lb_trips.(axis) <- trips_lb ~fp axis
     done;
     Bound.penalized_in bound ~trips:lb_trips
   in
@@ -166,11 +150,12 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
       while !live && !j < len do
         idx.(axis) <- !j;
         tiles.(axis) <- a.(!j);
-        if Nest.footprint_tiles nest tiles > capacity then begin
+        let fp = Nest.footprint_tiles nest tiles in
+        if fp > capacity then begin
           c.c_pruned_infeasible <- c.c_pruned_infeasible + (len - !j);
           live := false
         end
-        else if prunable (lower_bound ()) then
+        else if prunable (lower_bound ~fp) then
           c.c_pruned_bound <- c.c_pruned_bound + 1
         else begin
           c.c_nodes <- c.c_nodes + 1;

@@ -4,12 +4,16 @@
     Admissible cuts: monotone-footprint block-skips per level, and
     [Fusecu_nest.Bound.penalized_in] (the conflict-graph generalization
     of the pairwise-exclusion bound, compiled once per search) at every
-    partial assignment. Leaves
-    replay [Fusecu_nest.Search.eval_tiling], so the result — schedule,
-    cost, tiling index and order rank — is {e bit-for-bit} the one
-    [Fusecu_nest.Search.exhaustive] returns on the same lattice and
-    capacity; only the visit counters differ. An off-lattice or invalid
-    [seed] is discarded rather than trusted. *)
+    partial assignment, each open axis's trips bounded through
+    [Fusecu_nest.Search.largest_fit] (the footprint is affine in one
+    axis's tile). Leaves replay [Fusecu_nest.Search.eval_tiling], which
+    prices a tiling once per loop-order class, so the result —
+    schedule, cost, tiling index and order rank — is {e bit-for-bit}
+    the one [Fusecu_nest.Search.exhaustive] returns on the same lattice
+    and capacity; only the visit counters differ. An off-lattice or
+    invalid [seed] is discarded rather than trusted. Each search
+    compiles its own space and bound, so concurrent searches share no
+    state. *)
 
 open Fusecu_loopnest
 open Fusecu_nest

@@ -38,12 +38,13 @@ let min_sweep t x =
 
 (* A nest's bound, compiled once: per external tensor (in [tensors]
    order, internals skipped), its used and free axis masks and its
-   minimal sweep. *)
+   minimal sweep; [pen] is scratch for one call's penalties. *)
 type t = {
   ideal : int;
   used : int array;
   free : int array;
   min_sweeps : int array;
+  pen : int array;
 }
 
 let compile nest =
@@ -58,7 +59,8 @@ let compile nest =
   { ideal = Array.fold_left ( + ) 0 min_sweeps;
     used;
     free = Array.map (fun u -> all land lnot u) used;
-    min_sweeps }
+    min_sweeps;
+    pen = Array.make (Array.length used) 0 }
 
 let ideal t = (compile t).ideal
 
@@ -84,10 +86,11 @@ let conflict b ~hot x y =
 
 (* Largest total penalty an independent set of [cand] (a mask of
    externals, none below [x]) can avoid: exact branching on [x] —
-   leave it out, or keep it and drop its neighbours. *)
-let rec saved b ~trips ~hot x cand =
+   leave it out, or keep it and drop its neighbours. Reads the
+   members' penalties from [b.pen]. *)
+let rec saved b ~hot x cand =
   if cand = 0 then 0
-  else if cand land (1 lsl x) = 0 then saved b ~trips ~hot (x + 1) cand
+  else if cand land (1 lsl x) = 0 then saved b ~hot (x + 1) cand
   else begin
     let rest = cand lxor (1 lsl x) in
     let nbrs = ref 0 in
@@ -95,10 +98,8 @@ let rec saved b ~trips ~hot x cand =
       if rest land (1 lsl y) <> 0 && conflict b ~hot x y then
         nbrs := !nbrs lor (1 lsl y)
     done;
-    let skip = saved b ~trips ~hot (x + 1) rest in
-    let keep =
-      penalty b ~trips x + saved b ~trips ~hot (x + 1) (rest land lnot !nbrs)
-    in
+    let skip = saved b ~hot (x + 1) rest in
+    let keep = b.pen.(x) + saved b ~hot (x + 1) (rest land lnot !nbrs) in
     if keep > skip then keep else skip
   end
 
@@ -106,11 +107,7 @@ let rec saved b ~trips ~hot x cand =
    make the bound exact at leaves). Admissible: every schedule whose
    actual trip counts dominate [trips] costs at least the result. *)
 let penalized_in b ~trips =
-  let hot = ref 0 in
-  for i = 0 to Array.length trips - 1 do
-    if trips.(i) > 1 then hot := !hot lor (1 lsl i)
-  done;
-  let hot = !hot in
+  let hot = Nest.active_mask trips in
   (* Tensors that certainly revisit-or-pay: some tiled free axis (the
      potential violator) and some tiled used axis (so a violator
      actually forces a refetch). *)
@@ -118,10 +115,11 @@ let penalized_in b ~trips =
   for x = 0 to Array.length b.used - 1 do
     if b.free.(x) land hot <> 0 && b.used.(x) land hot <> 0 then begin
       members := !members lor (1 lsl x);
-      total := !total + penalty b ~trips x
+      b.pen.(x) <- penalty b ~trips x;
+      total := !total + b.pen.(x)
     end
   done;
   if !members = 0 then b.ideal
-  else b.ideal + (!total - saved b ~trips ~hot 0 !members)
+  else b.ideal + (!total - saved b ~hot 0 !members)
 
 let penalized t ~trips = penalized_in (compile t) ~trips

@@ -198,17 +198,31 @@ let ntensors t = Array.length t.code.used
 
 let used_mask t x = t.code.used.(x)
 
-let trips_of t tiles =
-  let n = rank t in
-  let trips = Array.make n 1 in
-  for i = 0 to n - 1 do
+let fill_trips t tiles trips =
+  for i = 0 to rank t - 1 do
     trips.(i) <- Arith.ceil_div t.extents.(i) tiles.(i)
-  done;
+  done
+
+let trips_of t tiles =
+  let trips = Array.make (rank t) 1 in
+  fill_trips t tiles trips;
   trips
+
+(* The active (tiled, trips > 1) axes: only their relative order moves
+   any cost. *)
+let active_mask trips =
+  let m = ref 0 in
+  for i = 0 to Array.length trips - 1 do
+    if trips.(i) > 1 then m := !m lor (1 lsl i)
+  done;
+  !m
 
 (* Buffer residency of one tile per tensor (internal ones included:
    the fused intermediate lives in the buffer). On the matmul instance
-   this is Tiling.footprint: tm*tk + tk*tl + tm*tl. *)
+   this is Tiling.footprint: tm*tk + tk*tl + tm*tl. A tensor reads an
+   axis in at most one dim, and a dim's extent is affine in each of its
+   tiles, so with the other tiles held the footprint is affine in one
+   axis's tile. *)
 let footprint_tiles t tiles =
   let fp = ref 0 in
   for x = 0 to ntensors t - 1 do
@@ -232,8 +246,9 @@ let footprint t (s : schedule) = footprint_tiles t s.tiles
 (* ------------------------------------------------------------------ *)
 (* Analytic cost: traffic = revisit x per-sweep traffic. The sweep
    depends on the trip counts alone, the revisit factor on the loop
-   order too, so a search computes [sweeps] once per tiling and only
-   [revisit] per order.                                                *)
+   order too, but only through each tensor's [revisit_mask]; so a
+   search computes [sweeps] once per tiling and, per class of orders
+   with equal masks, one product of trips per tensor.                  *)
 
 type per_tensor = { fetches : int; traffic : int; revisit : int }
 
@@ -248,8 +263,7 @@ let window_sweep ~eo ~ek ~stride ~dilation ~no ~nk =
 (* Traffic of one full sweep over each tensor's tile grid. [Point]
    dimensions partition exactly (ragged tiles sum to the extent);
    [Window] dimensions overlap by the halo. *)
-let sweeps t ~trips =
-  let out = Array.make (ntensors t) 0 in
+let fill_sweeps t ~trips out =
   for x = 0 to ntensors t - 1 do
     let flat = t.code.flat.(x) in
     let s = ref 1 in
@@ -265,26 +279,40 @@ let sweeps t ~trips =
             ~dilation:flat.(d + 3) ~no:trips.(a) ~nk:trips.(b)
     done;
     out.(x) <- !s
-  done;
+  done
+
+let sweeps t ~trips =
+  let out = Array.make (ntensors t) 0 in
+  fill_sweeps t ~trips out;
   out
 
-(* Number of sweeps over tensor [x]. Each time a tiled free loop
-   ordered outside the innermost tiled used loop advances, the inner
-   used loops have cycled through the tensor's tile grid, so the next
-   sweep refetches it. Walking the order from the innermost loop
-   outward, the first tiled used loop met is that innermost one, and
-   every tiled free loop met after it multiplies in its trip count.
-   This is exactly lib/loopnest's Cost.revisit on the MM instance
-   (where each operand has a single free index). *)
-let revisit t x ~trips ~order =
+(* The axes whose trip counts multiply into the number of sweeps over
+   tensor [x]. Each time a tiled free loop ordered outside the
+   innermost tiled used loop advances, the inner used loops have cycled
+   through the tensor's tile grid, so the next sweep refetches it.
+   Walking the order from the innermost loop outward, the first active
+   used loop met is that innermost one, and every active free loop met
+   after it is in the mask. A loop order's cost depends on it only
+   through these masks. *)
+let revisit_mask t x ~active ~order =
   let used = t.code.used.(x) in
-  let r = ref 1 and inside = ref false in
+  let m = ref 0 and inside = ref false in
   for p = Array.length order - 1 downto 0 do
-    let i = order.(p) in
-    let k = trips.(i) in
-    if k > 1 then
-      if used land (1 lsl i) <> 0 then inside := true
-      else if !inside then r := !r * k
+    let bit = 1 lsl order.(p) in
+    if active land bit <> 0 then
+      if used land bit <> 0 then inside := true
+      else if !inside then m := !m lor bit
+  done;
+  !m
+
+(* The product of the trips over [revisit_mask]: exactly lib/loopnest's
+   Cost.revisit on the MM instance (where each operand has a single
+   free index). *)
+let revisit t x ~trips ~order =
+  let m = revisit_mask t x ~active:(active_mask trips) ~order in
+  let r = ref 1 in
+  for i = 0 to Array.length trips - 1 do
+    if m land (1 lsl i) <> 0 then r := !r * trips.(i)
   done;
   !r
 
@@ -292,22 +320,13 @@ let revisit t x ~trips ~order =
    is revisit-free: its tile is fully produced and consumed within one
    residency. This is the generalization of Fused.validate's
    "producer C non-redundant" requirement. *)
-let revisit_free t ~trips ~order =
+let revisit_free t ~active ~order =
   let intern = t.code.intern in
   let j = ref 0 in
-  while !j < Array.length intern && revisit t intern.(!j) ~trips ~order = 1 do
+  while !j < Array.length intern && revisit_mask t intern.(!j) ~active ~order = 0 do
     incr j
   done;
   !j = Array.length intern
-
-let total t ~sweeps ~trips ~order =
-  let ext = t.code.ext in
-  let sum = ref 0 in
-  for j = 0 to Array.length ext - 1 do
-    let x = ext.(j) in
-    sum := !sum + (revisit t x ~trips ~order * sweeps.(x))
-  done;
-  !sum
 
 let no_traffic = { fetches = 0; traffic = 0; revisit = 0 }
 
@@ -329,7 +348,7 @@ let eval t (s : schedule) =
   { per; total = !sum }
 
 let valid t (s : schedule) =
-  revisit_free t ~trips:(trips_of t s.tiles) ~order:s.order
+  revisit_free t ~active:(active_mask (trips_of t s.tiles)) ~order:s.order
 
 let revisit_of t (s : schedule) x =
   revisit t x ~trips:(trips_of t s.tiles) ~order:s.order

@@ -53,7 +53,7 @@ val make :
 
 val max_rank : int
 (** 62: the kernels keep a set of axes (or of external tensors) in one
-    [int] bitmask, as [Search.orders]' memo key does. *)
+    [int] bitmask, as {!revisit_mask} does. *)
 
 val rank : t -> int
 (** Number of iteration indices. *)
@@ -103,8 +103,8 @@ val eval : t -> schedule -> cost
     the trip counts of tiled free loops ordered outside the innermost
     tiled used loop, and a sweep pays the edge-clipped tile grid
     (windows include halo overlap). Agrees with {!Nsim.eval}
-    everywhere and with [Cost.eval] on the MM instance. Its [total] is
-    {!total} at [s]'s trip counts and {!sweeps}. *)
+    everywhere and with [Cost.eval] on the MM instance. Per external
+    tensor, [traffic] is {!revisit} times its {!sweeps} entry. *)
 
 val revisit_of : t -> schedule -> int -> int
 (** {!revisit} of tensor [x] (its index in [tensors]) under [s]. *)
@@ -117,17 +117,18 @@ val max_total : t -> int
 
 val valid : t -> schedule -> bool
 (** Every internal tensor is revisit-free: {!revisit_free} at [s]'s
-    trip counts. *)
+    active axes. *)
 
 (** {1 Compiled kernels}
 
     The search-time forms of {!footprint}, {!eval} and {!valid}, over
     the tensors {!make} compiled: a tensor is named by its index [x] in
     [tensors], a tiling by its tiles or per-axis trip counts, a loop
-    order by its permutation of axis ids (outermost first). Cost splits
-    into a per-tiling part ({!sweeps}) and a per-order part
-    ({!revisit}). No kernel walks a list or allocates anything but the
-    array it returns. *)
+    order by its permutation of axis ids (outermost first), a set of
+    axes by an [int] bitmask. Cost splits into a per-tiling part
+    ({!sweeps}) and a per-order part ({!revisit}), and an order enters
+    the latter only through each tensor's {!revisit_mask}. No kernel
+    walks a list or allocates anything but the array it returns. *)
 
 val used_mask : t -> int -> int
 (** Bit [i] set iff tensor [x]'s projection reads axis [i]. *)
@@ -135,8 +136,19 @@ val used_mask : t -> int -> int
 val trips_of : t -> int array -> int array
 (** Per-axis trip counts [ceil (extent / tile)] of a tiling. *)
 
+val fill_trips : t -> int array -> int array -> unit
+(** [fill_trips t tiles trips] writes the trip counts of [tiles]
+    ({!trips_of}) into [trips]. *)
+
+val active_mask : int array -> int
+(** The active axes of a trip-count vector: bit [i] set iff
+    [trips.(i) > 1]. Only the relative order of active loops moves any
+    cost. *)
+
 val footprint_tiles : t -> int array -> int
-(** {!footprint} of a tiling. *)
+(** {!footprint} of a tiling. With the other tiles held it is affine in
+    any one axis's tile: a tensor reads an axis in at most one dim, and
+    a dim's extent is affine in each of its tiles. *)
 
 val window_sweep :
   eo:int -> ek:int -> stride:int -> dilation:int -> no:int -> nk:int -> int
@@ -147,20 +159,26 @@ val sweeps : t -> trips:int array -> int array
 (** Per tensor, the traffic of one full sweep over its edge-clipped
     tile grid. Depends on the trip counts only. *)
 
+val fill_sweeps : t -> trips:int array -> int array -> unit
+(** [fill_sweeps t ~trips out] writes {!sweeps} into [out] (one entry
+    per tensor). *)
+
+val revisit_mask : t -> int -> active:int -> order:int array -> int
+(** The axes whose trip counts multiply into tensor [x]'s {!revisit}:
+    walking [order] from the innermost loop outward, every [active]
+    free axis met after the first [active] used axis. Axes of [order]
+    outside [active] are skipped, so [order] may list the active axes
+    alone. *)
+
 val revisit : t -> int -> trips:int array -> order:int array -> int
-(** Sweeps made over tensor [x]: walking [order] from the innermost
-    loop outward, every tiled ([trips > 1]) free axis met after the
-    first tiled used axis multiplies in its trip count. The same
-    factors as "tiled free loops ordered outside the innermost tiled
-    used loop", so the same [int]. *)
+(** Sweeps made over tensor [x]: the product of the trip counts over its
+    {!revisit_mask} at the active axes of [trips]. The same factors as
+    "tiled free loops ordered outside the innermost tiled used loop",
+    so the same [int]. *)
 
-val revisit_free : t -> trips:int array -> order:int array -> bool
-(** Every internal tensor has [revisit = 1]. *)
-
-val total : t -> sweeps:int array -> trips:int array -> order:int array -> int
-(** The summed external traffic of {!eval} without building its record:
-    [revisit × sweep] per external tensor; [sweeps] is
-    [sweeps t ~trips]. *)
+val revisit_free : t -> active:int -> order:int array -> bool
+(** Every internal tensor has an empty {!revisit_mask}, i.e.
+    [revisit = 1]. *)
 
 val pp : Format.formatter -> t -> unit
 

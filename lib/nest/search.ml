@@ -5,11 +5,12 @@ open Fusecu_util
    in the same order (axis 0 slowest, last axis fastest; and for an
    all-active 3-index nest the lexicographic permutations are exactly
    Order.all's sequence). Only the relative order of loops with more
-   than one trip affects cost, so per tiling the search enumerates the
+   than one trip affects cost, so per tiling the loop orders are the
    permutations of the *active* (trips > 1) axes, completed with the
-   inactive axes innermost in axis order. The winner is the
-   lexicographic minimum of (total, tiling index, order rank) — the
-   streaming first-seen rule, which Nest_bnb reproduces exactly. *)
+   inactive axes innermost in axis order, and they are priced once per
+   class of equal revisit masks. The winner is the lexicographic
+   minimum of (total, tiling index, order rank) — the streaming
+   first-seen rule, which Nest_bnb reproduces exactly. *)
 
 type lattice = All | Divisors | Pow2
 
@@ -19,12 +20,35 @@ let tile_candidates lattice size =
   | Divisors -> Arith.divisors size
   | Pow2 -> Arith.dedup_sorted (size :: Arith.pow2s_upto size)
 
+(* The loop orders of one active-axis set, compiled for pricing. An
+   order's cost at any tiling with this active set depends on it only
+   through each external tensor's revisit mask (Nest.revisit_mask), so
+   the orders fall into classes of equal masks; a class is priced once,
+   as the first order of its rank. *)
+type order_class = {
+  rank : int;
+  order : int array;
+  terms : int array;
+      (** for each external tensor in turn: the number of axes in its
+          revisit mask, then those axes *)
+}
+
+type table = {
+  valid : int;  (** revisit-free orders: what pricing them all counts *)
+  classes : order_class array;  (** the classes that can win, by rank *)
+}
+
+module Int_tbl = Hashtbl.Make (Int)
+
 type space = {
   nest : Nest.t;
   capacity : int;
   cands : int array array;
   strides : int array;
-  orders_cache : (int, int array list) Hashtbl.t;
+  ext : int array;  (** the external tensors' indices in [tensors] *)
+  tables : table Int_tbl.t;  (** by active-axis mask, filled on first use *)
+  trips : int array;  (** leaf scratch *)
+  sweeps : int array;  (** leaf scratch *)
 }
 
 let compile ?(lattice = Divisors) nest ~capacity =
@@ -37,7 +61,18 @@ let compile ?(lattice = Divisors) nest ~capacity =
   for i = n - 2 downto 0 do
     strides.(i) <- strides.(i + 1) * Array.length cands.(i + 1)
   done;
-  { nest; capacity; cands; strides; orders_cache = Hashtbl.create 16 }
+  let ext =
+    List.filter_map Fun.id
+      (List.mapi (fun x t -> if t.Nest.internal then None else Some x) nest.Nest.tensors)
+  in
+  { nest;
+    capacity;
+    cands;
+    strides;
+    ext = Array.of_list ext;
+    tables = Int_tbl.create 16;
+    trips = Array.make n 1;
+    sweeps = Array.make (List.length nest.Nest.tensors) 0 }
 
 let nest_of sp = sp.nest
 
@@ -56,6 +91,27 @@ let tiling_index sp idxs =
     if idxs.(i) > 0 then acc := !acc + (idxs.(i) * sp.strides.(i))
   done;
   !acc
+
+(* With the other tiles held, the footprint is affine in one axis's
+   tile (Nest.footprint_tiles), so [base] (the footprint at tile 1) and
+   one evaluation at tile 2 give it at every tile: candidate [t] fits
+   iff t <= 1 + (capacity - base) / slope. *)
+let largest_fit sp ~tiles ~base axis =
+  if base > sp.capacity then -1
+  else begin
+    tiles.(axis) <- 2;
+    let slope = Nest.footprint_tiles sp.nest tiles - base in
+    tiles.(axis) <- 1;
+    let limit = if slope = 0 then max_int else 1 + ((sp.capacity - base) / slope) in
+    let a = sp.cands.(axis) in
+    (* the largest j with a.(j) <= limit; a.(0) = 1 <= limit *)
+    let lo = ref 0 and hi = ref (Array.length a) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if a.(mid) <= limit then lo := mid else hi := mid
+    done;
+    !lo
+  end
 
 let swap p a b =
   let x = p.(a) in
@@ -85,25 +141,85 @@ let next_permutation (p : int array) =
     true
   end
 
+(* The active axes in increasing order, and the inactive ones. *)
+let split_axes n active =
+  let axes = List.init n Fun.id in
+  let on i = active land (1 lsl i) <> 0 in
+  (Array.of_list (List.filter on axes), Array.of_list (List.filter (fun i -> not (on i)) axes))
+
 let orders sp ~trips =
-  let n = Nest.rank sp.nest in
-  let mask = ref 0 in
-  for i = 0 to n - 1 do
-    if trips.(i) > 1 then mask := !mask lor (1 lsl i)
+  let active, inactive = split_axes (Nest.rank sp.nest) (Nest.active_mask trips) in
+  let rec from_sorted acc =
+    let acc = Array.append active inactive :: acc in
+    if next_permutation active then from_sorted acc else List.rev acc
+  in
+  from_sorted []
+
+module Masks_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    Array.length a = Array.length b && go (Array.length a - 1)
+
+  let hash a = Array.fold_left (fun h m -> (h * 65599) + m) 0 a land max_int
+end)
+
+(* Walks the orders of [active] in rank order ([orders]' sequence),
+   counts the revisit-free ones and keeps the first of each mask tuple.
+   Then drops every class whose masks contain another's, one strictly:
+   every active trip is at least 2 and every sweep at least 1, so at
+   every tiling with this active set it costs strictly more. What is
+   left holds, at every such tiling, the first (total, rank) minimum of
+   all the revisit-free orders. *)
+let compile_table sp active =
+  let nest = sp.nest in
+  let perm, inactive = split_axes (Nest.rank nest) active in
+  let e = Array.length sp.ext in
+  let seen = Masks_tbl.create 64 in
+  let key = Array.make e 0 in
+  let found = ref [] and valid = ref 0 and rank = ref 0 and more = ref true in
+  while !more do
+    if Nest.revisit_free nest ~active ~order:perm then begin
+      incr valid;
+      for j = 0 to e - 1 do
+        key.(j) <- Nest.revisit_mask nest sp.ext.(j) ~active ~order:perm
+      done;
+      if not (Masks_tbl.mem seen key) then begin
+        let masks = Array.copy key in
+        Masks_tbl.add seen masks ();
+        found := (masks, !rank, Array.append perm inactive) :: !found
+      end
+    end;
+    incr rank;
+    more := next_permutation perm
   done;
-  match Hashtbl.find_opt sp.orders_cache !mask with
-  | Some os -> os
-  | None ->
-    let axes = List.init n Fun.id in
-    let active = Array.of_list (List.filter (fun i -> trips.(i) > 1) axes) in
-    let inactive = Array.of_list (List.filter (fun i -> trips.(i) <= 1) axes) in
-    let rec from_sorted acc =
-      let acc = Array.append active inactive :: acc in
-      if next_permutation active then from_sorted acc else List.rev acc
+  let found = List.rev !found in
+  let contains big small =
+    let rec go j = j < 0 || (small.(j) land lnot big.(j) = 0 && go (j - 1)) in
+    go (e - 1)
+  in
+  let dominated (m, r, _) =
+    List.exists (fun (m', r', _) -> r' <> r && contains m m') found
+  in
+  let axes m = List.filter (fun i -> m land (1 lsl i) <> 0) (List.init (Nest.rank nest) Fun.id) in
+  let order_class (masks, rank, order) =
+    let terms =
+      List.concat_map (fun m -> List.length (axes m) :: axes m) (Array.to_list masks)
     in
-    let os = from_sorted [] in
-    Hashtbl.replace sp.orders_cache !mask os;
-    os
+    { rank; order; terms = Array.of_list terms }
+  in
+  { valid = !valid;
+    classes =
+      Array.of_list (List.map order_class (List.filter (fun c -> not (dominated c)) found)) }
+
+let table sp active =
+  match Int_tbl.find_opt sp.tables active with
+  | Some t -> t
+  | None ->
+    let t = compile_table sp active in
+    Int_tbl.add sp.tables active t;
+    t
 
 type result = {
   schedule : Nest.schedule;
@@ -125,28 +241,42 @@ let beats best ~total ~(ti : int) ~(rank : int) =
     let bt = bc.Nest.total in
     total < bt || (total = bt && (ti < bti || (ti = bti && rank < brank)))
 
-(* Trips and sweeps once per tiling, only the revisit factors per
-   order; the cost record is built only for a new incumbent. *)
+(* Trips and sweeps once per tiling into the space's scratch, one total
+   per order class; the tiling's first (total, rank) minimum then meets
+   the incumbent once, as the last of its orders would have. The cost
+   record is built only for a new incumbent. *)
 let eval_tiling sp ~idxs ~tiles best =
   let nest = sp.nest in
-  let ti = tiling_index sp idxs in
-  let trips = Nest.trips_of nest tiles in
-  let sweeps = Nest.sweeps nest ~trips in
-  let rec go rank evaluated = function
-    | [] -> evaluated
-    | order :: rest ->
-      if not (Nest.revisit_free nest ~trips ~order) then
-        go (rank + 1) evaluated rest
-      else begin
-        let total = Nest.total nest ~sweeps ~trips ~order in
-        if beats !best ~total ~ti ~rank then begin
-          let s = { Nest.tiles = Array.copy tiles; order } in
-          best := Some (Nest.eval nest s, ti, rank, s)
-        end;
-        go (rank + 1) (evaluated + 1) rest
+  let trips = sp.trips and sweeps = sp.sweeps in
+  Nest.fill_trips nest tiles trips;
+  let tb = table sp (Nest.active_mask trips) in
+  if Array.length tb.classes > 0 then begin
+    Nest.fill_sweeps nest ~trips sweeps;
+    let bt = ref max_int and bc = ref 0 in
+    for c = 0 to Array.length tb.classes - 1 do
+      let terms = tb.classes.(c).terms in
+      let total = ref 0 and p = ref 0 in
+      for j = 0 to Array.length sp.ext - 1 do
+        let k = terms.(!p) in
+        let r = ref sweeps.(sp.ext.(j)) in
+        for q = !p + 1 to !p + k do
+          r := !r * trips.(terms.(q))
+        done;
+        total := !total + !r;
+        p := !p + k + 1
+      done;
+      if !total < !bt then begin
+        bt := !total;
+        bc := c
       end
-  in
-  go 0 0 (orders sp ~trips)
+    done;
+    let ti = tiling_index sp idxs and { rank; order; _ } = tb.classes.(!bc) in
+    if beats !best ~total:!bt ~ti ~rank then begin
+      let s = { Nest.tiles = Array.copy tiles; order } in
+      best := Some (Nest.eval nest s, ti, rank, s)
+    end
+  end;
+  tb.valid
 
 let exhaustive_in sp =
   let nest = sp.nest in

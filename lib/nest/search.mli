@@ -6,9 +6,22 @@
     the last axis fastest, and a first-seen
     (total, tiling index, order rank) minimum — so on the matmul
     instance the winner is the legacy exhaustive winner (same tiles,
-    same cost) bit-for-bit. Per tiling, only permutations of the
-    active (trips > 1) axes are enumerated; inactive axes sit
-    innermost, which never changes any cost. *)
+    same cost) bit-for-bit. Per tiling, the loop orders are the
+    permutations of the active (trips > 1) axes in lexicographic
+    order, inactive axes innermost (which never changes any cost);
+    an order's rank is its place in that sequence ({!orders}).
+
+    A tiling is priced per order {e class}, not per order: an order's
+    cost depends on it only through each external tensor's revisit
+    mask ([Nest.revisit_mask]), so for each active-axis set a space
+    compiles once the number of revisit-free orders and the classes
+    of equal masks, each at its lowest rank, less every class whose
+    masks contain another class's with one strictly larger (it costs
+    strictly more at every such tiling). {!eval_tiling} then returns
+    the same count and the same incumbent as pricing every order.
+
+    A [space] holds that per-search table and scratch arrays for the
+    leaves: use one space per search, on one domain. *)
 
 type lattice = All | Divisors | Pow2
 
@@ -33,9 +46,19 @@ val tiling_index : space -> int array -> int
     entry (an unassigned axis) counts as 0, which gives the subtree
     minimum for partial assignments. Allocates nothing. *)
 
+val largest_fit : space -> tiles:int array -> base:int -> int -> int
+(** [largest_fit sp ~tiles ~base axis]: the largest candidate index of
+    [axis] whose tile fits in the capacity with every other tile as in
+    [tiles], or -1 when none does. [tiles.(axis)] must be 1 and [base]
+    must be [Nest.footprint_tiles] of [tiles]. The footprint is affine
+    in one axis's tile, so this costs one more [Nest.footprint_tiles]
+    (at tile 2, for the slope) and a binary search over the
+    candidates; [tiles] is restored. *)
+
 val orders : space -> trips:int array -> int array list
-(** Loop orders to evaluate for a tiling with the given trip counts,
-    in rank order (memoized per active-axis set). *)
+(** Every loop order for a tiling with the given trip counts, in rank
+    order. The reference enumeration: it is built afresh on each call,
+    and {!eval_tiling} does not use it. *)
 
 type result = {
   schedule : Nest.schedule;
@@ -52,14 +75,16 @@ val eval_tiling :
   tiles:int array ->
   (Nest.cost * int * int * Nest.schedule) option ref ->
   int
-(** Evaluate every valid order of one complete tiling against the
-    running best (shared with [Dse.Nest_bnb]'s leaves so both searches
-    apply the identical tie-break); returns the number of schedules
-    evaluated. Computes the trip counts and [Nest.sweeps] once for the
-    tiling and only [Nest.revisit_free] and [Nest.total] per order;
-    [Nest.eval] builds the cost record only for a candidate that beats
-    the incumbent, i.e. whose (total, tiling index, order rank) is
-    strictly smaller. *)
+(** Price one complete tiling against the running best (shared with
+    [Dse.Nest_bnb]'s leaves so both searches apply the identical
+    tie-break); returns the number of revisit-free orders, the
+    schedules pricing every order would evaluate. Computes the trip
+    counts and [Nest.sweeps] once for the tiling, into the space's
+    scratch, then one total per order class; the tiling's first
+    (total, rank) minimum replaces the incumbent iff its
+    (total, tiling index, order rank) is strictly smaller, and only
+    then is [Nest.eval] called to build the cost record. The result is
+    the one a scan of every order of {!orders} gives. *)
 
 val exhaustive_in : space -> result option
 

@@ -12,6 +12,9 @@ open Fusecu_nest
      on the winner and on random ragged lattice schedules;
    - bounds: the winner never beats Bound.ideal, and Bound.penalized
      at the winner's actual trip counts stays admissible;
+   - leaf pricing: on the winning tiling, Search.eval_tiling's order
+     classes give the count and (total, rank) of a scan of every order
+     through Nest.valid and Nest.eval;
    - matmul problems additionally cross-check the winner against the
      legacy Dse.Exhaustive optimum (total and tiles);
    - conv problems pin the iteration count to Conv.macs and the
@@ -195,6 +198,51 @@ let sim_vs_analytic ctx ~name nest s =
           analytic.Nest.total simulated.Nest.total)
   end
 
+(* The winning tiling priced two ways: by [Search.eval_tiling], which
+   prices one order per class, and by a scan of every order of
+   [Search.orders] through [Nest.valid] and [Nest.eval], which shares
+   no class table with it. Both must count the same revisit-free
+   orders and find the same first (total, rank) minimum. *)
+let leaf_scan ctx nest ~capacity (e : Search.result) =
+  let sp = Search.compile ~lattice nest ~capacity in
+  let tiles = e.Search.schedule.Nest.tiles in
+  let idxs =
+    Array.mapi
+      (fun i t ->
+        let a = Search.candidates sp i in
+        let rec find j = if a.(j) = t then j else find (j + 1) in
+        find 0)
+      tiles
+  in
+  let best = ref None in
+  let count = Search.eval_tiling sp ~idxs ~tiles best in
+  let scanned = ref 0 and scan_total = ref max_int and scan_rank = ref (-1) in
+  List.iteri
+    (fun rank order ->
+      let s = { Nest.tiles; order } in
+      if Nest.valid nest s then begin
+        incr scanned;
+        let total = (Nest.eval nest s).Nest.total in
+        if total < !scan_total then begin
+          scan_total := total;
+          scan_rank := rank
+        end
+      end)
+    (Search.orders sp ~trips:(Nest.trips_of nest tiles));
+  let total, rank =
+    match !best with
+    | Some ((c : Nest.cost), _, rank, _) -> (c.Nest.total, rank)
+    | None -> (max_int, -1)
+  in
+  check ctx "nest/leaf-scan"
+    (count = !scanned && total = !scan_total && rank = !scan_rank)
+    (fun () ->
+      Printf.sprintf
+        "tiles %s: eval_tiling %d orders, total=%d rk=%d; scan %d orders, \
+         total=%d rk=%d"
+        (Nest.schedule_to_string nest e.Search.schedule)
+        count total rank !scanned !scan_total !scan_rank)
+
 let checks ctx p =
   Oracle.tally ctx "by kind" (kind_name p.kind);
   let nest = Lower.of_kind p.kind in
@@ -248,6 +296,7 @@ let checks ctx p =
         Printf.sprintf "penalized %d > total %d"
           (Bound.penalized nest ~trips)
           e.Search.cost.Nest.total);
+    leaf_scan ctx nest ~capacity e;
     sim_vs_analytic ctx ~name:"nest/analytic-sim" nest s);
   (* ragged random schedules need no feasibility: the cost contract
      holds on the whole lattice *)

@@ -15,6 +15,12 @@
     - [nest/bound-ideal], [nest/bound-admissible] — the winner never
       beats [Bound.ideal], and [Bound.penalized] at the winner's actual
       trips stays at or below its cost;
+    - [nest/leaf-scan] — on the winning tiling,
+      {!Fusecu_nest.Search.eval_tiling} (one order per class) counts
+      the same revisit-free orders, and finds the same first
+      (total, rank) minimum, as a scan of every
+      {!Fusecu_nest.Search.orders} order through [Nest.valid] and
+      [Nest.eval];
     - [nest/winner-valid], [nest/winner-fits];
     - [nest/legacy-exact] (matmul only) — the nest winner matches the
       legacy {!Fusecu_dse.Exhaustive} optimum in cost and tiles;

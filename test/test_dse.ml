@@ -736,6 +736,57 @@ let test_nest_bnb_tree_pinned () =
       check_int (name ^ " enumerated") enumerated e.NSearch.evaluated)
     nest_tree_pins
 
+(* The same tree on the other two lattices: nodes, evaluations, both
+   prune counts and the winner's (total, tiling index, order rank). As
+   above, a change to the kernels that keeps the answers but moves any
+   of these has changed the search. No exhaustive scan here: on [All]
+   the conv enumerations run to tens of millions of schedules. *)
+let nest_tree_pins_other_lattices =
+  [ (* lattice, name, capacity, nodes, evaluated, pruned by bound,
+       pruned infeasible, total, tiling index, order rank *)
+    (NSearch.Pow2, "conv3x3", 1024, 6153, 970142, 83, 611, 13248, 5138, 0);
+    (NSearch.Pow2, "conv3x3-strided", 512, 3012, 441544, 0, 391, 6528, 2369, 4);
+    (NSearch.Pow2, "conv1x1", 1024, 121, 1011, 52, 0, 4944, 553, 0);
+    (NSearch.Pow2, "bmm-heads", 1024, 49, 504, 122, 9, 344064, 33, 3);
+    (NSearch.Pow2, "gqa-scores", 1024, 1096, 68676, 755, 563, 1605632, 33, 16);
+    (NSearch.Pow2, "attn-pair", 2048, 1561, 4114, 408, 271, 69632, 1231, 2);
+    (NSearch.All, "conv3x3", 1024, 209435, 65349988, 3873, 91113, 13248, 317816, 0);
+    (NSearch.All, "conv3x3-strided", 512, 35053, 10383300, 0, 13811, 6360, 53129, 4);
+    (NSearch.All, "conv1x1", 1024, 800, 9271, 855, 0, 4944, 50112, 0);
+    (NSearch.All, "bmm-heads", 1024, 159, 1146, 5397, 1048, 294912, 1375, 3);
+    (NSearch.All, "gqa-scores", 1024, 89214, 9367596, 52271, 396635, 1343488, 1375, 16);
+    (NSearch.All, "attn-pair", 2048, 2150325, 8154882, 404556, 3577151, 49152, 53247, 1) ]
+
+let test_nest_bnb_tree_pinned_other_lattices () =
+  List.iter
+    (fun (lattice, tag) ->
+      check_int ("every zoo nest pinned on " ^ tag)
+        (List.length Fusecu_workloads.Zoo.nest_cases)
+        (List.length
+           (List.filter
+              (fun (l, _, _, _, _, _, _, _, _, _) -> l = lattice)
+              nest_tree_pins_other_lattices)))
+    [ (NSearch.Pow2, "pow2"); (NSearch.All, "all") ];
+  List.iter
+    (fun (lattice, name, capacity, nodes, evaluated, pruned_bound,
+          pruned_infeasible, total, ti, rank) ->
+      let nest = List.assoc name Fusecu_workloads.Zoo.nest_cases in
+      let r, stats =
+        Nest_bnb.search_with_stats ~lattice nest (Buffer.make capacity)
+      in
+      let r = Option.get r in
+      let name = name ^ if lattice = NSearch.All then "/all" else "/pow2" in
+      check_int (name ^ " nodes") nodes stats.Bnb.nodes;
+      check_int (name ^ " explored") evaluated stats.Bnb.explored;
+      check_int (name ^ " pruned by bound") pruned_bound stats.Bnb.pruned_bound;
+      check_int (name ^ " pruned infeasible") pruned_infeasible
+        stats.Bnb.pruned_infeasible;
+      check_int (name ^ " total") total r.NSearch.cost.NNest.total;
+      check_int (name ^ " tiling index") ti r.NSearch.tiling_index;
+      check_int (name ^ " order rank") rank r.NSearch.order_rank;
+      check_int (name ^ " evaluated") evaluated r.NSearch.evaluated)
+    nest_tree_pins_other_lattices
+
 let () =
   Alcotest.run "dse"
     [ ( "space",
@@ -787,7 +838,9 @@ let () =
             test_nest_bnb_matches_exhaustive;
           Alcotest.test_case "seed handling" `Quick test_nest_bnb_seeds;
           Alcotest.test_case "zoo search tree pinned" `Quick
-            test_nest_bnb_tree_pinned ] );
+            test_nest_bnb_tree_pinned;
+          Alcotest.test_case "zoo search tree pinned on pow2 and all" `Quick
+            test_nest_bnb_tree_pinned_other_lattices ] );
       ( "fused",
         [ Alcotest.test_case "exhaustive valid" `Quick test_fused_exhaustive_valid;
           Alcotest.test_case "fusion wins on attention" `Quick

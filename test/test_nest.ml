@@ -628,6 +628,59 @@ let eval_tiling_matches_scan =
           Search.eval_tiling sp ~idxs ~tiles best = !count && !best = !expected)
         runs)
 
+(* With the other tiles held, the footprint is affine in one axis's
+   tile, and [Search.largest_fit]'s closed form finds the candidate a
+   scan of [Nest.footprint_tiles] finds: over random partial tilings
+   (open axes at tile 1, the rest on the lattice), every axis in turn
+   reset to 1, capacities from below the smallest tile up, all three
+   lattices. *)
+let arb_partial_tilings =
+  let gen =
+    QCheck.Gen.(
+      let* nest = gen_nest in
+      let* lattice = oneofl [ Search.All; Search.Divisors; Search.Pow2 ] in
+      let* capacity = int_range 1 (Nest.footprint_tiles nest nest.Nest.extents + 1) in
+      let sp = Search.compile ~lattice nest ~capacity in
+      let+ tiles =
+        flatten_a
+          (Array.init (Nest.rank nest) (fun i ->
+               let* open_axis = bool in
+               if open_axis then return 1 else oneofa (Search.candidates sp i)))
+      in
+      (sp, tiles))
+  in
+  QCheck.make
+    ~print:(fun (sp, tiles) ->
+      Format.asprintf "%a@.capacity %d, tiles %s" Nest.pp (Search.nest_of sp)
+        (Search.capacity sp)
+        (String.concat "," (Array.to_list (Array.map string_of_int tiles))))
+    gen
+
+let footprint_affine =
+  QCheck.Test.make ~count:400 ~name:"footprint affine in a tile; largest_fit = scan"
+    arb_partial_tilings (fun (sp, tiles) ->
+      let nest = Search.nest_of sp in
+      List.for_all
+        (fun axis ->
+          let held = tiles.(axis) in
+          let at t =
+            tiles.(axis) <- t;
+            let fp = Nest.footprint_tiles nest tiles in
+            tiles.(axis) <- 1;
+            fp
+          in
+          let base = at 1 in
+          let slope = at 2 - base in
+          let cands = Search.candidates sp axis in
+          let affine = Array.for_all (fun t -> at t = base + ((t - 1) * slope)) cands in
+          let scan = ref (-1) in
+          Array.iteri (fun j t -> if at t <= Search.capacity sp then scan := j) cands;
+          let fit = Search.largest_fit sp ~tiles ~base axis in
+          let restored = tiles.(axis) = 1 in
+          tiles.(axis) <- held;
+          affine && fit = !scan && restored)
+        (List.init (Nest.rank nest) Fun.id))
+
 let test_rank_limit () =
   let axes n = Array.init n (Printf.sprintf "x%d") in
   let nest n =
@@ -679,5 +732,5 @@ let () =
       ( "kernels",
         List.map
           (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]))
-          [ kernels_match_reference; eval_tiling_matches_scan ] );
+          [ kernels_match_reference; eval_tiling_matches_scan; footprint_affine ] );
     ]

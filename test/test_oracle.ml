@@ -267,7 +267,7 @@ let test_soak_fingerprints () =
          [ ("large", 92); ("medium", 33); ("small", 13); ("tiny", 12) ]) ]
     ~sums:[]
     (Oracle.run matmul ~cases:150 ~seed:7 ~max_dim:20);
-  pin "nests" ~cases:300 ~checks:2829
+  pin "nests" ~cases:300 ~checks:3070
     ~tallies:
       [ ("by kind",
          [ ("attn", 70); ("bmm", 55); ("conv", 55); ("gmm", 65); ("mm", 55) ]) ]

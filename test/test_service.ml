@@ -863,10 +863,18 @@ let exchange path lines =
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
       recv_lines fd)
 
+(* A socket server on its own thread; [stopped] is set once
+   [serve_socket] has returned or raised. *)
+type server = { thread : Thread.t; path : string; stopped : bool Atomic.t }
+
 let start_server ?(config = quick_config) ?batch engine path =
-  let th =
+  let stopped = Atomic.make false in
+  let thread =
     Thread.create
-      (fun () -> Server.serve_socket engine ?batch ~config ~path ())
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set stopped true)
+          (fun () -> Server.serve_socket engine ?batch ~config ~path ()))
       ()
   in
   let rec wait n =
@@ -880,20 +888,48 @@ let start_server ?(config = quick_config) ?batch engine path =
         wait (n - 1)
   in
   wait 250;
-  th
+  { thread; path; stopped }
+
+(* Joins a server that was told to stop, waiting at most [stop_s]: a
+   server that lost its shutdown line (or signal) fails the case and
+   names its socket, where an unbounded join would hang the suite. *)
+let stop_s = 5.
+
+let join_server s =
+  let deadline = Unix.gettimeofday () +. stop_s in
+  while (not (Atomic.get s.stopped)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if Atomic.get s.stopped then Thread.join s.thread
+  else
+    Alcotest.failf "server on %s still running %.0f s after it was told to stop"
+      s.path stop_s
+
+(* [f ()], then [stop ()] whether or not [f] failed; a failure of [stop]
+   is reported only when [f] succeeded, so it never hides [f]'s. *)
+let then_stop ~stop f =
+  match f () with
+  | r ->
+    stop ();
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try stop () with _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 let with_server ?config ?batch f =
   let engine = Engine.create (Engine.default_config ()) in
   let path = sock_path () in
-  let th = start_server ?config ?batch engine path in
-  Fun.protect
-    ~finally:(fun () ->
+  let server = start_server ?config ?batch engine path in
+  then_stop
+    ~stop:(fun () ->
       (* Idempotent stop: the test body may already have shut the
          server down, in which case connect just fails. *)
       (try ignore (exchange path [ "{\"op\":\"shutdown\"}" ])
        with Unix.Unix_error _ -> ());
-      Thread.join th;
-      try Unix.unlink path with Unix.Unix_error _ -> ())
+      Fun.protect
+        ~finally:(fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
+        (fun () -> join_server server))
     (fun () -> f ~engine ~path)
 
 (* A deterministic request mix (no [stats] — its counters legitimately
@@ -1071,7 +1107,7 @@ let test_server_sigterm_drains () =
   in
   let engine = Engine.create (Engine.default_config ()) in
   let path = sock_path () in
-  let th = start_server engine path in
+  let server = start_server engine path in
   let fd = connect path in
   (* the requests are answered as they arrive; the signal then lands
      while the connection waits for its next line, and must end it with
@@ -1081,20 +1117,20 @@ let test_server_sigterm_drains () =
   Unix.kill (Unix.getpid ()) Sys.sigterm;
   let lines = recv_lines fd in
   Unix.close fd;
-  Thread.join th;
+  join_server server;
   Alcotest.(check (list string)) "in-flight requests drained" golden lines;
   check_bool "socket file removed" true (not (Sys.file_exists path))
 
 let test_server_inband_shutdown_unlinks () =
   let engine = Engine.create (Engine.default_config ()) in
   let path = sock_path () in
-  let th = start_server engine path in
+  let server = start_server engine path in
   let lines =
     exchange path
       [ "{\"op\":\"regime\",\"id\":1,\"m\":8,\"k\":8,\"l\":8}";
         "{\"op\":\"shutdown\",\"id\":\"bye\"}" ]
   in
-  Thread.join th;
+  join_server server;
   check_int "response + shutdown ack" 2 (List.length lines);
   check_bool "socket file removed" true (not (Sys.file_exists path));
   check_bool "no longer accepting" true
@@ -1421,12 +1457,12 @@ let test_store_written_before_next_read () =
   in
   check_point "socket" (fun engine client ->
       let path = sock_path () in
-      let th = start_server engine path in
+      let server = start_server engine path in
       let fd = connect path in
       client fd fd;
       Unix.close fd;
       ignore (exchange path [ {|{"op":"shutdown"}|} ]);
-      Thread.join th);
+      join_server server);
   check_point "pipes" (fun engine client ->
       let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
       let th = Thread.create (fun () -> Server.serve_fds engine in_r out_w) () in
@@ -2244,17 +2280,19 @@ let routed_placement shards =
             "{\"op\":\"intra\",\"id\":%d,\"m\":%d,\"k\":%d,\"l\":%d,\"buffer\":\"4KB\"}"
             (1000 + i) (4 + (i mod 12)) (8 + i) (20 + (i mod 7)))
   in
-  Fun.protect
-    ~finally:(fun () ->
+  then_stop
+    ~stop:(fun () ->
       List.iter
         (fun p ->
           try ignore (exchange p [ "{\"op\":\"shutdown\"}" ])
           with Unix.Unix_error _ -> ())
         paths;
-      List.iter Thread.join servers;
-      List.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ()) paths;
-      List.iter (fun e -> Option.iter Store.close (Engine.store e)) engines;
-      List.iter Sys.remove stores)
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ()) paths;
+          List.iter (fun e -> Option.iter Store.close (Engine.store e)) engines;
+          List.iter Sys.remove stores)
+        (fun () -> List.iter join_server servers))
     (fun () ->
       let req = Filename.temp_file "fusecu_place" ".ndjson" in
       Out_channel.with_open_bin req (fun oc ->
