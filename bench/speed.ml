@@ -1,9 +1,10 @@
 (* Optimizer wall-clock comparison, the paper's motivating claim:
    search-based DSE is time-consuming, the principles are one-shot.
    [run] prints a Bechamel table of the principle optimizers against
-   their searched baselines, and of every searched hot path of the DSE
+   their searched baselines, of every searched hot path of the DSE
    engine (exhaustive search, per-class search, buffer sweep, fused
-   search, workload eval) on one domain and on the full pool. *)
+   search, workload eval) on one domain and on the full pool, and of
+   single [Nest_bnb] searches on two convs. *)
 
 open Fusecu_tensor
 open Fusecu_loopnest
@@ -43,6 +44,19 @@ let engine_tasks () =
           (Fusecu_arch.Perf.eval_workload ~pool Fusecu_arch.Platform.fusecu buf
              workload) ) ]
 
+(* Single nest searches, as a [nest] miss runs them: the zoo conv3x3
+   at 1,024 elements and a ResNet-style 3x3 conv at 64 KB. The order
+   tables are shared by the process, so after Bechamel's first run
+   they are warm, as on a server. *)
+let nest_searches =
+  let resnet =
+    Fusecu_nest.Lower.of_conv (Conv.make ~n:4 ~c:64 ~h:56 ~w:56 ~k:64 ~r:3 ~s:3 ())
+  in
+  [ ( "nest-bnb/zoo-conv3x3 (1024 elements)",
+      List.assoc "conv3x3" Fusecu_workloads.Zoo.nest_cases,
+      Buffer.make 1024 );
+    ("nest-bnb/resnet-3x3 (64 KB)", resnet, Buffer.of_kib 64) ]
+
 let pp_time ns =
   if ns < 1e3 then Printf.sprintf "%.0fns" ns
   else if ns < 1e6 then Printf.sprintf "%.1fus" (ns /. 1e3)
@@ -69,6 +83,12 @@ let tests () =
             (Staged.stage (fun () -> run ~pool:(Pool.get_global ()))) ])
       (engine_tasks ())
   in
+  let nest =
+    List.map
+      (fun (name, nest, buf) ->
+        Test.make ~name (Staged.stage (fun () -> ignore (Nest_bnb.search nest buf))))
+      nest_searches
+  in
   Test.make_grouped ~name:"optimizers"
     ([ Test.make ~name:"intra/principles (one-shot)"
          (Staged.stage (fun () -> ignore (Intra.optimize bert buf : _ result)));
@@ -83,7 +103,7 @@ let tests () =
               ignore
                 (Fused_search.genetic attention_pair buf
                   : Fused_search.result option))) ]
-    @ engine)
+    @ engine @ nest)
 
 let run () =
   Printf.printf "\n=== Optimizer timing (Bechamel) ===\n\n";

@@ -11,17 +11,25 @@ open Fusecu_nest
      tile 1, first overflow rules out the rest of the level);
    - [Bound.penalized_in] at every partial assignment, the bound
      compiled once per search and fed one reused array of per-axis
-     trip-count lower bounds (exact trips once an axis is assigned; an
-     open axis's from its largest fitting tile, which
-     [Search.largest_fit] finds from the node's own footprint and the
-     footprint's slope in that axis).
+     trip-count lower bounds: an axis's exact trips, written when it is
+     assigned, and each open axis's from its largest fitting tile,
+     refreshed at every bound.
+
+   The footprint is affine in one axis's tile with the others held, so
+   a node's footprint (every open axis at tile 1) and its slope in an
+   open axis give that axis's largest fitting tile
+   ([Search.largest_fit]). The bound computes that slope for every open
+   axis, so a level reads its own axis's slope from the bound at its
+   parent: its candidates' footprints are [base + (t - 1) * slope] and
+   its feasible candidates are those up to [largest_fit].
 
    Leaves replay [Search.eval_tiling], so the incumbent ordering is
    exactly the exhaustive scan's (total, tiling index, order rank)
    first-seen minimum and the returned result is bit-identical to
    [Search.exhaustive_in] on the same space (locked by test_dse.ml).
    The space and the bound are compiled per search and hold its
-   scratch, so nothing is shared between searches or domains. *)
+   scratch; the order-class tables they read are immutable and shared
+   through [Search]'s memo. *)
 
 type counters = {
   mutable c_nodes : int;
@@ -48,22 +56,47 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
      minimal completion. *)
   let idx = Array.make n (-1) in
   let tiles = Array.make n 1 in
-  (* Fewest trips the axis can make anywhere in this subtree, given
-     the node's footprint [fp] (every open axis at tile 1). *)
-  let trips_lb ~fp axis =
-    let e = nest.Nest.extents.(axis) in
-    if idx.(axis) >= 0 then Arith.ceil_div e tiles.(axis)
-    else begin
-      let j = Search.largest_fit sp ~tiles ~base:fp axis in
-      if j < 0 then e
-      else Arith.ceil_div e (Search.candidates sp axis).(j)
-    end
+  (* impact = external elements an axis touches; assigning high-impact
+     axes first makes partial bounds tight early *)
+  let impact = Array.make n 0 in
+  List.iteri
+    (fun x (t : Nest.tensor) ->
+      if not t.Nest.internal then begin
+        let size = Nest.tensor_size nest t and used = Nest.used_mask nest x in
+        for axis = 0 to n - 1 do
+          if used land (1 lsl axis) <> 0 then impact.(axis) <- impact.(axis) + size
+        done
+      end)
+    nest.Nest.tensors;
+  let axes_by_impact =
+    Array.of_list
+      (List.stable_sort
+         (fun a b -> Int.compare impact.(b) impact.(a))
+         (List.init n Fun.id))
+  in
+  (* The footprint's step per tile of [axis] (at tile 1, footprint
+     [base]) with the other tiles held. *)
+  let slope_of ~base axis =
+    tiles.(axis) <- 2;
+    let slope = Nest.footprint_tiles nest tiles - base in
+    tiles.(axis) <- 1;
+    slope
   in
   let bound = Bound.compile nest in
   let lb_trips = Array.make n 1 in
-  let lower_bound ~fp =
-    for axis = 0 to n - 1 do
-      lb_trips.(axis) <- trips_lb ~fp axis
+  let slopes = Array.make n 0 in
+  (* The bound below the node at [depth] whose footprint [fp] fits:
+     the axes of deeper levels are open, and each gets the trips of its
+     largest fitting tile (at least tile 1, since the node fits) and
+     leaves its slope in [slopes]; every assigned axis already holds its
+     exact trips. *)
+  let lower_bound ~depth ~fp =
+    for d = depth + 1 to n - 1 do
+      let axis = axes_by_impact.(d) in
+      let slope = slope_of ~base:fp axis in
+      slopes.(axis) <- slope;
+      lb_trips.(axis) <-
+        (Search.candidate_trips sp axis).(Search.largest_fit sp ~base:fp ~slope axis)
     done;
     Bound.penalized_in bound ~trips:lb_trips
   in
@@ -121,22 +154,9 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
       lb > bc.Nest.total
       || (lb = bc.Nest.total && Search.tiling_index sp idx > bti)
   in
-  (* impact = external bytes an axis touches; assigning high-impact
-     axes first makes partial bounds tight early *)
-  let impact axis =
-    List.fold_left
-      (fun acc x ->
-        if List.mem axis (Nest.used_axes x) then acc + Nest.tensor_size nest x
-        else acc)
-      0 (Nest.externals nest)
-  in
-  let axes_by_impact =
-    Array.of_list
-      (List.stable_sort
-         (fun a b -> compare (impact b) (impact a))
-         (List.init n Fun.id))
-  in
-  let rec node depth =
+  (* The node at [depth] has footprint [base] and the given slope in
+     its own axis, so its feasible candidates are a prefix. *)
+  let rec node depth ~base ~slope =
     if depth = n then begin
       c.c_explored <- c.c_explored + 1;
       c.c_evaluated <-
@@ -144,30 +164,28 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
     end
     else begin
       let axis = axes_by_impact.(depth) in
-      let a = Search.candidates sp axis in
-      let len = Array.length a in
-      let j = ref 0 and live = ref true in
-      while !live && !j < len do
-        idx.(axis) <- !j;
-        tiles.(axis) <- a.(!j);
-        let fp = Nest.footprint_tiles nest tiles in
-        if fp > capacity then begin
-          c.c_pruned_infeasible <- c.c_pruned_infeasible + (len - !j);
-          live := false
-        end
-        else if prunable (lower_bound ~fp) then
+      let a = Search.candidates sp axis and trips = Search.candidate_trips sp axis in
+      let last = Search.largest_fit sp ~base ~slope axis in
+      c.c_pruned_infeasible <- c.c_pruned_infeasible + (Array.length a - 1 - last);
+      for j = 0 to last do
+        idx.(axis) <- j;
+        tiles.(axis) <- a.(j);
+        lb_trips.(axis) <- trips.(j);
+        let fp = base + ((a.(j) - 1) * slope) in
+        if prunable (lower_bound ~depth ~fp) then
           c.c_pruned_bound <- c.c_pruned_bound + 1
         else begin
           c.c_nodes <- c.c_nodes + 1;
-          node (depth + 1)
-        end;
-        incr j
+          let slope = if depth + 1 < n then slopes.(axes_by_impact.(depth + 1)) else 0 in
+          node (depth + 1) ~base:fp ~slope
+        end
       done;
       idx.(axis) <- -1;
       tiles.(axis) <- 1
     end
   in
-  node 0;
+  (let base = Nest.footprint_tiles nest tiles in
+   node 0 ~base ~slope:(slope_of ~base axes_by_impact.(0)));
   ( Option.map
       (fun (cost, ti, rank, schedule) ->
         { Search.schedule;

@@ -6,14 +6,17 @@
     of the pairwise-exclusion bound, compiled once per search) at every
     partial assignment, each open axis's trips bounded through
     [Fusecu_nest.Search.largest_fit] (the footprint is affine in one
-    axis's tile). Leaves replay [Fusecu_nest.Search.eval_tiling], which
+    axis's tile) and each assigned axis's written once, when it is
+    assigned. Leaves replay [Fusecu_nest.Search.eval_tiling], which
     prices a tiling once per loop-order class, so the result —
     schedule, cost, tiling index and order rank — is {e bit-for-bit}
     the one [Fusecu_nest.Search.exhaustive] returns on the same lattice
     and capacity; only the visit counters differ. An off-lattice or
     invalid [seed] is discarded rather than trusted. Each search
-    compiles its own space and bound, so concurrent searches share no
-    state. *)
+    compiles its own space and bound; the only state concurrent
+    searches share is [Search]'s memo of order-class tables, which a
+    mutex guards and nobody mutates, so any domain or thread may
+    search at any time. *)
 
 open Fusecu_loopnest
 open Fusecu_nest

@@ -198,15 +198,7 @@ let ntensors t = Array.length t.code.used
 
 let used_mask t x = t.code.used.(x)
 
-let fill_trips t tiles trips =
-  for i = 0 to rank t - 1 do
-    trips.(i) <- Arith.ceil_div t.extents.(i) tiles.(i)
-  done
-
-let trips_of t tiles =
-  let trips = Array.make (rank t) 1 in
-  fill_trips t tiles trips;
-  trips
+let trips_of t tiles = Array.mapi (fun i e -> Arith.ceil_div e tiles.(i)) t.extents
 
 (* The active (tiled, trips > 1) axes: only their relative order moves
    any cost. *)

@@ -136,10 +136,6 @@ val used_mask : t -> int -> int
 val trips_of : t -> int array -> int array
 (** Per-axis trip counts [ceil (extent / tile)] of a tiling. *)
 
-val fill_trips : t -> int array -> int array -> unit
-(** [fill_trips t tiles trips] writes the trip counts of [tiles]
-    ({!trips_of}) into [trips]. *)
-
 val active_mask : int array -> int
 (** The active axes of a trip-count vector: bit [i] set iff
     [trips.(i) > 1]. Only the relative order of active loops moves any

@@ -40,12 +40,28 @@ type table = {
 
 module Int_tbl = Hashtbl.Make (Int)
 
+(* Keyed on an [int array]: the equality is spelled out so that it
+   compiles to integer compares. *)
+module Ints_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    Array.length a = Array.length b && go (Array.length a - 1)
+
+  let hash a = Array.fold_left (fun h m -> (h * 65599) + m) 0 a land max_int
+end)
+
 type space = {
   nest : Nest.t;
   capacity : int;
   cands : int array array;
+  cand_trips : int array array;  (** [ceil (extent / tile)] per candidate *)
   strides : int array;
   ext : int array;  (** the external tensors' indices in [tensors] *)
+  key : int array;
+      (** the process-wide memo's key: slot 0 for the active mask, then
+          the rank and each tensor's used mask and internal flag *)
   tables : table Int_tbl.t;  (** by active-axis mask, filled on first use *)
   trips : int array;  (** leaf scratch *)
   sweeps : int array;  (** leaf scratch *)
@@ -65,11 +81,22 @@ let compile ?(lattice = Divisors) nest ~capacity =
     List.filter_map Fun.id
       (List.mapi (fun x t -> if t.Nest.internal then None else Some x) nest.Nest.tensors)
   in
+  let key =
+    Array.of_list
+      (0 :: n
+      :: List.concat
+           (List.mapi
+              (fun x t -> [ Nest.used_mask nest x; Bool.to_int t.Nest.internal ])
+              nest.Nest.tensors))
+  in
   { nest;
     capacity;
     cands;
+    cand_trips =
+      Array.mapi (fun i a -> Array.map (Arith.ceil_div nest.Nest.extents.(i)) a) cands;
     strides;
     ext = Array.of_list ext;
+    key;
     tables = Int_tbl.create 16;
     trips = Array.make n 1;
     sweeps = Array.make (List.length nest.Nest.tensors) 0 }
@@ -79,6 +106,8 @@ let nest_of sp = sp.nest
 let capacity sp = sp.capacity
 
 let candidates sp i = sp.cands.(i)
+
+let candidate_trips sp i = sp.cand_trips.(i)
 
 let raw_tilings sp = sp.strides.(0) * Array.length sp.cands.(0)
 
@@ -93,15 +122,11 @@ let tiling_index sp idxs =
   !acc
 
 (* With the other tiles held, the footprint is affine in one axis's
-   tile (Nest.footprint_tiles), so [base] (the footprint at tile 1) and
-   one evaluation at tile 2 give it at every tile: candidate [t] fits
-   iff t <= 1 + (capacity - base) / slope. *)
-let largest_fit sp ~tiles ~base axis =
+   tile (Nest.footprint_tiles): fp(t) = base + (t - 1) * slope, so
+   candidate [t] fits iff t <= 1 + (capacity - base) / slope. *)
+let largest_fit sp ~base ~slope axis =
   if base > sp.capacity then -1
   else begin
-    tiles.(axis) <- 2;
-    let slope = Nest.footprint_tiles sp.nest tiles - base in
-    tiles.(axis) <- 1;
     let limit = if slope = 0 then max_int else 1 + ((sp.capacity - base) / slope) in
     let a = sp.cands.(axis) in
     (* the largest j with a.(j) <= limit; a.(0) = 1 <= limit *)
@@ -155,16 +180,6 @@ let orders sp ~trips =
   in
   from_sorted []
 
-module Masks_tbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : int array) (b : int array) =
-    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-    Array.length a = Array.length b && go (Array.length a - 1)
-
-  let hash a = Array.fold_left (fun h m -> (h * 65599) + m) 0 a land max_int
-end)
-
 (* Walks the orders of [active] in rank order ([orders]' sequence),
    counts the revisit-free ones and keeps the first of each mask tuple.
    Then drops every class whose masks contain another's, one strictly:
@@ -176,7 +191,7 @@ let compile_table sp active =
   let nest = sp.nest in
   let perm, inactive = split_axes (Nest.rank nest) active in
   let e = Array.length sp.ext in
-  let seen = Masks_tbl.create 64 in
+  let seen = Ints_tbl.create 64 in
   let key = Array.make e 0 in
   let found = ref [] and valid = ref 0 and rank = ref 0 and more = ref true in
   while !more do
@@ -185,9 +200,9 @@ let compile_table sp active =
       for j = 0 to e - 1 do
         key.(j) <- Nest.revisit_mask nest sp.ext.(j) ~active ~order:perm
       done;
-      if not (Masks_tbl.mem seen key) then begin
+      if not (Ints_tbl.mem seen key) then begin
         let masks = Array.copy key in
-        Masks_tbl.add seen masks ();
+        Ints_tbl.add seen masks ();
         found := (masks, !rank, Array.append perm inactive) :: !found
       end
     end;
@@ -213,11 +228,32 @@ let compile_table sp active =
     classes =
       Array.of_list (List.map order_class (List.filter (fun c -> not (dominated c)) found)) }
 
+(* A table reads the nest only through its rank, each tensor's used
+   mask and which tensors are internal ([Nest.revisit_mask] and
+   [Nest.revisit_free]), so it is a pure function of [sp.key] and the
+   active set, and one process-wide memo serves every search. A search
+   looks there only when its own table misses, once per active set it
+   meets, so every other leaf takes no lock; tables are never mutated
+   once built. *)
+let memo : table Ints_tbl.t = Ints_tbl.create 64
+
+let memo_lock = Mutex.create ()
+
 let table sp active =
   match Int_tbl.find_opt sp.tables active with
   | Some t -> t
   | None ->
-    let t = compile_table sp active in
+    let key = Array.copy sp.key in
+    key.(0) <- active;
+    let t =
+      Mutex.protect memo_lock (fun () ->
+          match Ints_tbl.find_opt memo key with
+          | Some t -> t
+          | None ->
+            let t = compile_table sp active in
+            Ints_tbl.add memo key t;
+            t)
+    in
     Int_tbl.add sp.tables active t;
     t
 
@@ -248,7 +284,9 @@ let beats best ~total ~(ti : int) ~(rank : int) =
 let eval_tiling sp ~idxs ~tiles best =
   let nest = sp.nest in
   let trips = sp.trips and sweeps = sp.sweeps in
-  Nest.fill_trips nest tiles trips;
+  for i = 0 to Array.length trips - 1 do
+    trips.(i) <- sp.cand_trips.(i).(idxs.(i))
+  done;
   let tb = table sp (Nest.active_mask trips) in
   if Array.length tb.classes > 0 then begin
     Nest.fill_sweeps nest ~trips sweeps;
@@ -272,7 +310,7 @@ let eval_tiling sp ~idxs ~tiles best =
     done;
     let ti = tiling_index sp idxs and { rank; order; _ } = tb.classes.(!bc) in
     if beats !best ~total:!bt ~ti ~rank then begin
-      let s = { Nest.tiles = Array.copy tiles; order } in
+      let s = { Nest.tiles = Array.copy tiles; order = Array.copy order } in
       best := Some (Nest.eval nest s, ti, rank, s)
     end
   end;

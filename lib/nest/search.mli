@@ -13,15 +13,19 @@
 
     A tiling is priced per order {e class}, not per order: an order's
     cost depends on it only through each external tensor's revisit
-    mask ([Nest.revisit_mask]), so for each active-axis set a space
-    compiles once the number of revisit-free orders and the classes
-    of equal masks, each at its lowest rank, less every class whose
-    masks contain another class's with one strictly larger (it costs
-    strictly more at every such tiling). {!eval_tiling} then returns
-    the same count and the same incumbent as pricing every order.
+    mask ([Nest.revisit_mask]), so for each active-axis set there is one
+    table of the number of revisit-free orders and the classes of equal
+    masks, each at its lowest rank, less every class whose masks contain
+    another class's with one strictly larger (it costs strictly more at
+    every such tiling). {!eval_tiling} then returns the same count and
+    the same incumbent as pricing every order.
 
-    A [space] holds that per-search table and scratch arrays for the
-    leaves: use one space per search, on one domain. *)
+    A table depends only on the nest's structure (its rank, and each
+    tensor's used axes and whether it is internal, in tensor order) and
+    on the active set, so it is compiled once per process, on first use,
+    into a memo behind one mutex. A [space] holds that per-search table,
+    which reads the memo only when it misses, and scratch arrays for the
+    leaves: use one space per search, on one thread. *)
 
 type lattice = All | Divisors | Pow2
 
@@ -46,14 +50,18 @@ val tiling_index : space -> int array -> int
     entry (an unassigned axis) counts as 0, which gives the subtree
     minimum for partial assignments. Allocates nothing. *)
 
-val largest_fit : space -> tiles:int array -> base:int -> int -> int
-(** [largest_fit sp ~tiles ~base axis]: the largest candidate index of
-    [axis] whose tile fits in the capacity with every other tile as in
-    [tiles], or -1 when none does. [tiles.(axis)] must be 1 and [base]
-    must be [Nest.footprint_tiles] of [tiles]. The footprint is affine
-    in one axis's tile, so this costs one more [Nest.footprint_tiles]
-    (at tile 2, for the slope) and a binary search over the
-    candidates; [tiles] is restored. *)
+val candidate_trips : space -> int -> int array
+(** Trip counts of {!candidates}: [ceil (extent / tile)] for each. *)
+
+val largest_fit : space -> base:int -> slope:int -> int -> int
+(** [largest_fit sp ~base ~slope axis]: the largest candidate index of
+    [axis] whose tile [t] keeps [base + (t - 1) * slope] within the
+    capacity, or -1 when none does. With the other tiles held the
+    footprint is affine in one axis's tile, so given its value [base] at
+    tile 1 and its step [slope] per tile ([Nest.footprint_tiles] at
+    tile 2 less [base]) this is the candidate a scan of
+    [Nest.footprint_tiles] finds: a binary search over the candidates.
+    Allocates nothing. *)
 
 val orders : space -> trips:int array -> int array list
 (** Every loop order for a tiling with the given trip counts, in rank
@@ -78,13 +86,15 @@ val eval_tiling :
 (** Price one complete tiling against the running best (shared with
     [Dse.Nest_bnb]'s leaves so both searches apply the identical
     tie-break); returns the number of revisit-free orders, the
-    schedules pricing every order would evaluate. Computes the trip
-    counts and [Nest.sweeps] once for the tiling, into the space's
-    scratch, then one total per order class; the tiling's first
+    schedules pricing every order would evaluate. [idxs] must index
+    [tiles] in {!candidates}. Computes the trip counts (from
+    {!candidate_trips}) and [Nest.sweeps] once for the tiling, into the
+    space's scratch, then one total per order class; the tiling's first
     (total, rank) minimum replaces the incumbent iff its
     (total, tiling index, order rank) is strictly smaller, and only
-    then is [Nest.eval] called to build the cost record. The result is
-    the one a scan of every order of {!orders} gives. *)
+    then is [Nest.eval] called to build the cost record, on a copy of
+    the class's order. The result is the one a scan of every order of
+    {!orders} gives. *)
 
 val exhaustive_in : space -> result option
 

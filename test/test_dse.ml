@@ -787,6 +787,254 @@ let test_nest_bnb_tree_pinned_other_lattices () =
       check_int (name ^ " evaluated") evaluated r.NSearch.evaluated)
     nest_tree_pins_other_lattices
 
+(* Every search in a process shares the order-class tables ([Search]'s
+   memo), and none of that may show. Over the zoo nests (Divisors and
+   Pow2, at the pinned capacities; on All their exhaustive scans run to
+   millions of schedules) and random small problems on all three
+   lattices, with structures interleaved: a first and a second search
+   return the same answer, [evaluated] included, and both equal
+   [Search.exhaustive]'s; so do searches through a 2-domain pool and
+   from two systhreads of one domain; and a caller that scribbles over
+   a returned order changes no later answer. Every search shares the
+   memo, so each winner is also held to a scan of every order at its
+   tiling through [Nest.valid] and [Nest.eval], which read no table.
+   Besides the five served kinds, the problems include two matmul
+   twins of the same rank and tensor count, one with its output
+   internal and one with its projections swapped, so a memo key that
+   dropped the internal flags or the used axes would hand one of them
+   the matmul's table. *)
+let memo_problems () =
+  let module Rng = Fusecu_oracle.Rng in
+  let module L = Fusecu_nest.Lower in
+  let rng = Rng.make 11 in
+  let small _ =
+    let d () = Rng.range rng ~lo:1 ~hi:10 in
+    (* matmul's rank and tensor count, another structure; extents up to
+       24 against the buffers below make several loops active *)
+    let twin ?internal name a b c =
+      let d () = Rng.range rng ~lo:4 ~hi:24 in
+      let m = d () and k = d () and l = d () in
+      NNest.make ~name ~axes:[| "m"; "k"; "l" |] ~extents:[| m; k; l |]
+        ~tensors:
+          [ NNest.tensor "A" [ NNest.Point 0; NNest.Point a ];
+            NNest.tensor "B" [ NNest.Point b; NNest.Point 2 ];
+            NNest.tensor ?internal "C" [ NNest.Point 0; NNest.Point c ] ]
+    in
+    let nest =
+      match Rng.int rng 7 with
+      | 0 -> twin "matmul" 1 1 2
+      | 1 ->
+        L.of_kind (L.N_batched_mm { b = Rng.range rng ~lo:1 ~hi:4; m = d (); k = d (); l = d () })
+      | 2 ->
+        let g () = Rng.range rng ~lo:1 ~hi:3 in
+        L.of_kind (L.N_grouped_mm { groups = g (); heads = g (); m = d (); k = d (); l = d () })
+      | 3 -> L.of_kind (L.N_attention { seq_q = d (); seq_k = d (); d = d (); dv = d () })
+      | 4 ->
+        let hw = Rng.range rng ~lo:3 ~hi:7 and r = Rng.choose rng [ 1; 3 ] in
+        L.of_conv
+          (Conv.make ~n:1 ~c:(Rng.range rng ~lo:1 ~hi:4) ~h:hw ~w:hw
+             ~k:(Rng.range rng ~lo:1 ~hi:4) ~r ~s:r ~stride:(Rng.range rng ~lo:1 ~hi:2)
+             ~padding:(Rng.range rng ~lo:0 ~hi:1) ())
+      | 5 -> twin ~internal:true "mm-internal-out" 1 1 2
+      | _ -> twin "mm-swapped" 2 1 1
+    in
+    let lattice = Rng.choose rng [ NSearch.All; NSearch.Divisors; NSearch.Pow2 ] in
+    (nest.NNest.name, lattice, nest, Rng.range rng ~lo:8 ~hi:400)
+  in
+  let zoo =
+    List.concat_map
+      (fun (name, capacity, _, _, _, _, _, _, _, _) ->
+        let nest = List.assoc name Fusecu_workloads.Zoo.nest_cases in
+        [ (name, NSearch.Divisors, nest, capacity); (name, NSearch.Pow2, nest, capacity) ])
+      nest_tree_pins
+  in
+  (* a zoo problem after every fifth random one *)
+  List.concat
+    (List.mapi
+       (fun i p -> if i mod 5 = 4 then [ p; List.nth zoo (i / 5) ] else [ p ])
+       (List.init (5 * List.length zoo) small))
+
+(* Everything a search returns, printed. *)
+let show_answer nest (r : NSearch.result option) ~with_evaluated =
+  match r with
+  | None -> "none"
+  | Some r ->
+    Printf.sprintf "%s per [%s] total %d ti %d rank %d%s"
+      (NNest.schedule_to_string nest r.NSearch.schedule)
+      (String.concat ";"
+         (Array.to_list
+            (Array.map
+               (fun (p : NNest.per_tensor) ->
+                 Printf.sprintf "%d,%d,%d" p.NNest.fetches p.NNest.traffic p.NNest.revisit)
+               r.NSearch.cost.NNest.per)))
+      r.NSearch.cost.NNest.total r.NSearch.tiling_index r.NSearch.order_rank
+      (if with_evaluated then Printf.sprintf " evaluated %d" r.NSearch.evaluated else "")
+
+(* The winner's (total, order rank) is the first minimum of a scan of
+   every order at its tiling, and its order and cost are that order's. *)
+let scan_winner (name, lattice, nest, capacity) (r : NSearch.result) =
+  let tiles = r.NSearch.schedule.NNest.tiles in
+  let sp = NSearch.compile ~lattice nest ~capacity in
+  let first = ref None in
+  List.iteri
+    (fun rank order ->
+      let s = { NNest.tiles; order } in
+      if NNest.valid nest s then begin
+        let cost = NNest.eval nest s in
+        match !first with
+        | Some (f : NSearch.result) when f.NSearch.cost.NNest.total <= cost.NNest.total -> ()
+        | _ -> first := Some { r with NSearch.schedule = s; cost; order_rank = rank }
+      end)
+    (NSearch.orders sp ~trips:(NNest.trips_of nest tiles));
+  Alcotest.(check string)
+    (Printf.sprintf "%s/%d: winner = scan of its tiling" name capacity)
+    (show_answer nest !first ~with_evaluated:false)
+    (show_answer nest (Some r) ~with_evaluated:false)
+
+let test_nest_memo_invisible () =
+  let problems = Array.of_list (memo_problems ()) in
+  let search (_, lattice, nest, capacity) =
+    Nest_bnb.search ~lattice nest (Buffer.make capacity)
+  in
+  let shown rs =
+    Array.to_list
+      (Array.mapi
+         (fun i r ->
+           let name, _, nest, capacity = problems.(i) in
+           Printf.sprintf "%s/%d: %s" name capacity (show_answer nest r ~with_evaluated:true))
+         rs)
+  in
+  (* results in problem order, searched forwards or backwards *)
+  let search_all ~backwards =
+    let n = Array.length problems in
+    let rs = Array.make n None in
+    for j = 0 to n - 1 do
+      let i = if backwards then n - 1 - j else j in
+      rs.(i) <- search problems.(i)
+    done;
+    rs
+  in
+  let cold_results = search_all ~backwards:false in
+  let cold = shown cold_results in
+  let warm = shown (search_all ~backwards:true) in
+  Alcotest.(check (list string)) "warm = cold" cold warm;
+  Array.iteri
+    (fun i r ->
+      let name, lattice, nest, capacity = problems.(i) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%d = exhaustive" name capacity)
+        (show_answer nest (NSearch.exhaustive ~lattice nest ~capacity) ~with_evaluated:false)
+        (show_answer nest r ~with_evaluated:false);
+      Option.iter (scan_winner problems.(i)) r)
+    cold_results;
+  with_pool 2 (fun pool ->
+      Alcotest.(check (list string)) "2-domain pool = sequential" cold
+        (shown (Fusecu_util.Pool.parallel_map ~pool search problems)));
+  let threaded = Array.make 2 [||] in
+  let threads =
+    List.init 2 (fun t ->
+        Thread.create
+          (fun () -> threaded.(t) <- search_all ~backwards:(t = 1))
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun t rs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "systhread %d = sequential" t) cold (shown rs))
+    threaded;
+  Array.iter
+    (Option.iter (fun (r : NSearch.result) ->
+         Array.fill r.NSearch.schedule.NNest.order 0
+           (Array.length r.NSearch.schedule.NNest.order) 0))
+    cold_results;
+  Alcotest.(check (list string)) "after the caller mutates its orders" cold
+    (shown (search_all ~backwards:false))
+
+(* The search tree beyond the zoo: 300 problems shaped like perfbench's
+   nest_miss requests (its five kinds in about its mix, its size
+   ranges, buffers in elements), a third on each lattice; on All,
+   where every tile is a candidate, the attention templates are halved
+   to keep those searches short. Pinned: the sums of nodes,
+   evaluations and both prune counts, and a hash of every winner's
+   (total, tiling index, order rank). The six zoo nests alone would let
+   an inexact bound or class table through that still moves a served
+   [evaluated]. The values were printed by the build before the
+   shared order-class tables and the incremental bound trips. *)
+let nest_miss_sample () =
+  let module Rng = Fusecu_oracle.Rng in
+  let module L = Fusecu_nest.Lower in
+  let rng = Rng.make 0x6e657374 in
+  let mult ~step ~lo ~hi = step * Rng.range rng ~lo:(lo / step) ~hi:(hi / step) in
+  let conv ?(stride = 1) ?(padding = 0) ~c ~hw ~k ~r () =
+    L.N_conv2d (Conv.make ~n:1 ~c ~h:hw ~w:hw ~k ~r ~s:r ~stride ~padding ())
+  in
+  let problem lattice =
+    match Rng.int rng 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 ->
+      let d () = mult ~step:16 ~lo:16 ~hi:256 in
+      let m = d () and k = d () and l = d () in
+      (L.N_matmul { m; k; l }, mult ~step:64 ~lo:256 ~hi:4096)
+    | 7 | 8 | 9 | 10 | 11 ->
+      let d () = mult ~step:16 ~lo:16 ~hi:96 in
+      let b = Rng.range rng ~lo:2 ~hi:16 in
+      let m = d () and k = d () and l = d () in
+      (L.N_batched_mm { b; m; k; l }, mult ~step:64 ~lo:512 ~hi:2048)
+    | 12 | 13 | 14 | 15 ->
+      let hw = Rng.range rng ~lo:4 ~hi:14 and c = Rng.choose rng [ 4; 8; 16 ] in
+      (conv ~c ~hw ~k:(Rng.choose rng [ 4; 8; 16 ]) ~r:1 (), mult ~step:64 ~lo:512 ~hi:1024)
+    | 16 ->
+      let g () = Rng.choose rng [ 2; 4 ] and d () = Rng.choose rng [ 16; 32; 48 ] in
+      let groups = g () and heads = g () in
+      let m = d () and k = d () and l = d () in
+      (L.N_grouped_mm { groups; heads; m; k; l }, 1024)
+    | 17 ->
+      let h = if lattice = NSearch.All then 2 else 1 in
+      let s () = Rng.choose rng [ 32; 48; 64 ] / h and d = Rng.choose rng [ 32; 64 ] / h in
+      let seq_q = s () and seq_k = s () in
+      (L.N_attention { seq_q; seq_k; d; dv = d }, 2048 / h)
+    | _ ->
+      let c = Rng.choose rng [ 4; 8 ] and k = Rng.choose rng [ 4; 8 ] in
+      let hw = Rng.range rng ~lo:5 ~hi:7 in
+      ( (if Rng.bool rng then conv ~c ~hw ~k ~r:3 ()
+         else conv ~stride:2 ~padding:1 ~c ~hw ~k ~r:3 ()),
+        768 )
+  in
+  List.init 300 (fun i ->
+      let lattice =
+        match i mod 3 with 0 -> NSearch.Divisors | 1 -> NSearch.Pow2 | _ -> NSearch.All
+      in
+      let kind, capacity = problem lattice in
+      (kind, capacity, lattice))
+
+let test_nest_bnb_tree_pinned_sample () =
+  let nodes = ref 0 and evaluated = ref 0 and pruned_bound = ref 0 in
+  let pruned_infeasible = ref 0 and hash = ref 0 and infeasible = ref 0 in
+  List.iter
+    (fun (kind, capacity, lattice) ->
+      let r, stats =
+        Nest_bnb.search_with_stats ~lattice (Fusecu_nest.Lower.of_kind kind)
+          (Buffer.make capacity)
+      in
+      nodes := !nodes + stats.Bnb.nodes;
+      evaluated := !evaluated + stats.Bnb.explored;
+      pruned_bound := !pruned_bound + stats.Bnb.pruned_bound;
+      pruned_infeasible := !pruned_infeasible + stats.Bnb.pruned_infeasible;
+      match r with
+      | None -> incr infeasible
+      | Some r ->
+        List.iter
+          (fun v -> hash := (!hash * 65599) + v)
+          [ r.NSearch.cost.NNest.total; r.NSearch.tiling_index; r.NSearch.order_rank ];
+        hash := !hash land max_int)
+    (nest_miss_sample ());
+  check_int "nodes" 301107 !nodes;
+  check_int "evaluated" 2861806 !evaluated;
+  check_int "pruned by bound" 606077 !pruned_bound;
+  check_int "pruned infeasible" 302906 !pruned_infeasible;
+  check_int "infeasible problems" 0 !infeasible;
+  check_int "winners' hash" 83146701692568231 !hash
+
 let () =
   Alcotest.run "dse"
     [ ( "space",
@@ -840,7 +1088,11 @@ let () =
           Alcotest.test_case "zoo search tree pinned" `Quick
             test_nest_bnb_tree_pinned;
           Alcotest.test_case "zoo search tree pinned on pow2 and all" `Quick
-            test_nest_bnb_tree_pinned_other_lattices ] );
+            test_nest_bnb_tree_pinned_other_lattices;
+          Alcotest.test_case "order-class memo invisible" `Quick
+            test_nest_memo_invisible;
+          Alcotest.test_case "search tree pinned on a nest_miss sample" `Quick
+            test_nest_bnb_tree_pinned_sample ] );
       ( "fused",
         [ Alcotest.test_case "exhaustive valid" `Quick test_fused_exhaustive_valid;
           Alcotest.test_case "fusion wins on attention" `Quick

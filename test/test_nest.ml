@@ -675,7 +675,7 @@ let footprint_affine =
           let affine = Array.for_all (fun t -> at t = base + ((t - 1) * slope)) cands in
           let scan = ref (-1) in
           Array.iteri (fun j t -> if at t <= Search.capacity sp then scan := j) cands;
-          let fit = Search.largest_fit sp ~tiles ~base axis in
+          let fit = Search.largest_fit sp ~base ~slope axis in
           let restored = tiles.(axis) = 1 in
           tiles.(axis) <- held;
           affine && fit = !scan && restored)
