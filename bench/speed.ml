@@ -4,7 +4,7 @@
    their searched baselines, of every searched hot path of the DSE
    engine (exhaustive search, per-class search, buffer sweep, fused
    search, workload eval) on one domain and on the full pool, and of
-   single [Nest_bnb] searches on two convs. *)
+   single [Nest_bnb] searches on two convs and two matmul-class nests. *)
 
 open Fusecu_tensor
 open Fusecu_loopnest
@@ -45,17 +45,23 @@ let engine_tasks () =
              workload) ) ]
 
 (* Single nest searches, as a [nest] miss runs them: the zoo conv3x3
-   at 1,024 elements and a ResNet-style 3x3 conv at 64 KB. The order
-   tables are shared by the process, so after Bechamel's first run
-   they are warm, as on a server. *)
+   at 1,024 elements, a ResNet-style 3x3 conv at 64 KB, and a matmul
+   and a batched matmul of [nest_miss]'s sizes, the kinds most of its
+   requests are. The order tables are shared by the process, so after
+   Bechamel's first run they are warm, as on a server. *)
 let nest_searches =
-  let resnet =
-    Fusecu_nest.Lower.of_conv (Conv.make ~n:4 ~c:64 ~h:56 ~w:56 ~k:64 ~r:3 ~s:3 ())
-  in
+  let module L = Fusecu_nest.Lower in
+  let resnet = L.of_conv (Conv.make ~n:4 ~c:64 ~h:56 ~w:56 ~k:64 ~r:3 ~s:3 ()) in
   [ ( "nest-bnb/zoo-conv3x3 (1024 elements)",
       List.assoc "conv3x3" Fusecu_workloads.Zoo.nest_cases,
       Buffer.make 1024 );
-    ("nest-bnb/resnet-3x3 (64 KB)", resnet, Buffer.of_kib 64) ]
+    ("nest-bnb/resnet-3x3 (64 KB)", resnet, Buffer.of_kib 64);
+    ( "nest-bnb/matmul 240x176x208 (2 KB)",
+      L.of_kind (L.N_matmul { m = 240; k = 176; l = 208 }),
+      Buffer.of_kib 2 );
+    ( "nest-bnb/batched_mm 8x96x80x64 (1 KB)",
+      L.of_kind (L.N_batched_mm { b = 8; m = 96; k = 80; l = 64 }),
+      Buffer.of_kib 1 ) ]
 
 let pp_time ns =
   if ns < 1e3 then Printf.sprintf "%.0fns" ns

@@ -18,15 +18,20 @@ open Fusecu_nest
    The footprint is affine in one axis's tile with the others held, so
    a node's footprint (every open axis at tile 1) and its slope in an
    open axis give that axis's largest fitting tile
-   ([Search.largest_fit]). The bound computes that slope for every open
-   axis, so a level reads its own axis's slope from the bound at its
-   parent: its candidates' footprints are [base + (t - 1) * slope] and
-   its feasible candidates are those up to [largest_fit].
+   ([Search.largest_fit]). It is affine in each tile separately, so an
+   open axis's slope is affine in the current level's tile: a level
+   computes each open axis's slope at its own tiles 1 and 2, and every
+   child's bound reads its slopes from those two. The next level's
+   axis is one of them, so its candidates' footprints are
+   [base + (t - 1) * slope] and its feasible candidates are those up
+   to [largest_fit].
 
    Leaves replay [Search.eval_tiling], so the incumbent ordering is
    exactly the exhaustive scan's (total, tiling index, order rank)
    first-seen minimum and the returned result is bit-identical to
    [Search.exhaustive_in] on the same space (locked by test_dse.ml).
+   The incumbent holds no cost record; [Search.result_of] builds the
+   winner's once the tree is done.
    The space and the bound are compiled per search and hold its
    scratch; the order-class tables they read are immutable and shared
    through [Search]'s memo. *)
@@ -84,25 +89,43 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
   in
   let bound = Bound.compile nest in
   let lb_trips = Array.make n 1 in
-  let slopes = Array.make n 0 in
-  (* The bound below the node at [depth] whose footprint [fp] fits:
-     the axes of deeper levels are open, and each gets the trips of its
-     largest fitting tile (at least tile 1, since the node fits) and
-     leaves its slope in [slopes]; every assigned axis already holds its
-     exact trips. *)
-  let lower_bound ~depth ~fp =
+  (* Per level, row [depth]: each open axis's slope at the level's tile
+     1 and its step per tile, at column [d] for the axis of depth [d]. *)
+  let slope1 = Array.make (n * n) 0 and dslope = Array.make (n * n) 0 in
+  (* The footprint is affine in each tile with the others held, so an
+     open axis's slope is affine in the level's tile [t]:
+     [slope1 + (t - 1) * dslope], from two slopes per open axis, at the
+     level's tile 1 and 2 (the second only if a tile beyond 1 fits). *)
+  let level_slopes ~depth ~base ~slope ~last axis =
+    let row = depth * n in
+    for d = depth + 1 to n - 1 do
+      let b = axes_by_impact.(d) in
+      let s1 = slope_of ~base b in
+      slope1.(row + d) <- s1;
+      if last > 0 then begin
+        tiles.(axis) <- 2;
+        dslope.(row + d) <- slope_of ~base:(base + slope) b - s1;
+        tiles.(axis) <- 1
+      end
+    done
+  in
+  (* The bound below the level's child at tile [t], footprint [fp]
+     (which fits): the axes of deeper levels are open, and each gets
+     the trips of its largest fitting tile (at least tile 1); every
+     assigned axis already holds its exact trips. *)
+  let lower_bound ~depth ~t ~fp =
+    let row = depth * n in
     for d = depth + 1 to n - 1 do
       let axis = axes_by_impact.(d) in
-      let slope = slope_of ~base:fp axis in
-      slopes.(axis) <- slope;
+      let slope = slope1.(row + d) + ((t - 1) * dslope.(row + d)) in
       lb_trips.(axis) <-
         (Search.candidate_trips sp axis).(Search.largest_fit sp ~base:fp ~slope axis)
     done;
     Bound.penalized_in bound ~trips:lb_trips
   in
-  (* Incumbent in Search's (cost, tiling index, order rank, schedule)
-     shape so leaves share [Search.eval_tiling]'s exact tie-break. *)
-  let best = ref None in
+  (* The incumbent is Search's, so leaves share [Search.eval_tiling]'s
+     exact tie-break; its cost record is built once, for the result. *)
+  let best = Search.incumbent sp in
   (match seed with
   | None -> ()
   | Some (s : Nest.schedule) ->
@@ -139,20 +162,18 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
       match rank_of 0 (Search.orders sp ~trips) with
       | None -> ()
       | Some rank ->
-        let cost = Nest.eval nest s in
         c.c_evaluated <- c.c_evaluated + 1;
-        best := Some (cost, Search.tiling_index sp cand_idx, rank, s)
+        Search.offer best ~total:(Nest.eval nest s).Nest.total
+          ~tiling_index:(Search.tiling_index sp cand_idx) ~order_rank:rank
+          ~tiles:s.Nest.tiles ~order
     end);
   (* Minimum tiling index of the subtree: [Search.tiling_index] counts
      unassigned (-1) axes at candidate 0. Any completion indexes at or
      beyond it, so at equal bound the subtree cannot beat an incumbent
-     with a smaller index. *)
+     with a smaller index. An empty incumbent prunes nothing. *)
   let prunable lb =
-    match !best with
-    | None -> false
-    | Some ((bc : Nest.cost), bti, _, _) ->
-      lb > bc.Nest.total
-      || (lb = bc.Nest.total && Search.tiling_index sp idx > bti)
+    lb > best.Search.total
+    || (lb = best.Search.total && Search.tiling_index sp idx > best.Search.tiling_index)
   in
   (* The node at [depth] has footprint [base] and the given slope in
      its own axis, so its feasible candidates are a prefix. *)
@@ -167,16 +188,21 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
       let a = Search.candidates sp axis and trips = Search.candidate_trips sp axis in
       let last = Search.largest_fit sp ~base ~slope axis in
       c.c_pruned_infeasible <- c.c_pruned_infeasible + (Array.length a - 1 - last);
+      level_slopes ~depth ~base ~slope ~last axis;
       for j = 0 to last do
+        let t = a.(j) in
         idx.(axis) <- j;
-        tiles.(axis) <- a.(j);
+        tiles.(axis) <- t;
         lb_trips.(axis) <- trips.(j);
-        let fp = base + ((a.(j) - 1) * slope) in
-        if prunable (lower_bound ~depth ~fp) then
+        let fp = base + ((t - 1) * slope) in
+        if prunable (lower_bound ~depth ~t ~fp) then
           c.c_pruned_bound <- c.c_pruned_bound + 1
         else begin
           c.c_nodes <- c.c_nodes + 1;
-          let slope = if depth + 1 < n then slopes.(axes_by_impact.(depth + 1)) else 0 in
+          let next = (depth * n) + depth + 1 in
+          let slope =
+            if depth + 1 < n then slope1.(next) + ((t - 1) * dslope.(next)) else 0
+          in
           node (depth + 1) ~base:fp ~slope
         end
       done;
@@ -186,15 +212,7 @@ let search_with_stats ?(lattice = Search.Divisors) ?seed nest buf =
   in
   (let base = Nest.footprint_tiles nest tiles in
    node 0 ~base ~slope:(slope_of ~base axes_by_impact.(0)));
-  ( Option.map
-      (fun (cost, ti, rank, schedule) ->
-        { Search.schedule;
-          cost;
-          tiling_index = ti;
-          order_rank = rank;
-          explored = c.c_explored;
-          evaluated = c.c_evaluated })
-      !best,
+  ( Search.result_of sp best ~explored:c.c_explored ~evaluated:c.c_evaluated,
     { Bnb.nodes = c.c_nodes;
       explored = c.c_evaluated;
       pruned_bound = c.c_pruned_bound;

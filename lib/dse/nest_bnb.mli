@@ -7,12 +7,18 @@
     partial assignment, each open axis's trips bounded through
     [Fusecu_nest.Search.largest_fit] (the footprint is affine in one
     axis's tile) and each assigned axis's written once, when it is
-    assigned. Leaves replay [Fusecu_nest.Search.eval_tiling], which
-    prices a tiling once per loop-order class, so the result —
-    schedule, cost, tiling index and order rank — is {e bit-for-bit}
-    the one [Fusecu_nest.Search.exhaustive] returns on the same lattice
-    and capacity; only the visit counters differ. An off-lattice or
-    invalid [seed] is discarded rather than trusted. Each search
+    assigned. The footprint is multi-affine in the tiles, so an open
+    axis's slope is affine in the current level's tile: a level
+    computes it at the level's tiles 1 and 2 and every child's bound
+    reads it from there. Leaves replay
+    [Fusecu_nest.Search.eval_tiling], which prices a tiling once per
+    loop-order class and keeps a [Fusecu_nest.Search.incumbent] with no
+    cost record, so the result — schedule, cost, tiling index and
+    order rank — is {e bit-for-bit} the one
+    [Fusecu_nest.Search.exhaustive] returns on the same lattice and
+    capacity, its cost record built once, for the winner; only the
+    visit counters differ. An off-lattice or invalid [seed] is
+    discarded rather than trusted. Each search
     compiles its own space and bound; the only state concurrent
     searches share is [Search]'s memo of order-class tables, which a
     mutex guards and nobody mutates, so any domain or thread may

@@ -37,15 +37,22 @@ let min_sweep t x =
   List.fold_left (fun acc a -> acc * min_access_sweep t a) 1 x.Nest.dims
 
 (* A nest's bound, compiled once: per external tensor (in [tensors]
-   order, internals skipped), its used and free axis masks and its
-   minimal sweep; [pen] is scratch for one call's penalties. *)
+   order, internals skipped), its used and free axis masks, its free
+   axes in increasing order and its minimal sweep; [pen] is scratch for
+   one call's penalties. *)
 type t = {
   ideal : int;
   used : int array;
   free : int array;
+  free_axes : int array array;
   min_sweeps : int array;
   pen : int array;
 }
+
+let ideal nest =
+  List.fold_left
+    (fun acc x -> if x.Nest.internal then acc else acc + min_sweep nest x)
+    0 nest.Nest.tensors
 
 let compile nest =
   let ext =
@@ -54,27 +61,30 @@ let compile nest =
       (List.mapi (fun i x -> (i, x)) nest.Nest.tensors)
   in
   let used = Array.of_list (List.map (fun (i, _) -> Nest.used_mask nest i) ext) in
-  let min_sweeps = Array.of_list (List.map (fun (_, x) -> min_sweep nest x) ext) in
   let all = (1 lsl Nest.rank nest) - 1 in
-  { ideal = Array.fold_left ( + ) 0 min_sweeps;
+  let free = Array.map (fun u -> all land lnot u) used in
+  let axes m =
+    Array.of_list (List.filter (fun i -> m land (1 lsl i) <> 0) (List.init (Nest.rank nest) Fun.id))
+  in
+  { ideal = ideal nest;
     used;
-    free = Array.map (fun u -> all land lnot u) used;
-    min_sweeps;
+    free;
+    free_axes = Array.map axes free;
+    min_sweeps = Array.of_list (List.map (fun (_, x) -> min_sweep nest x) ext);
     pen = Array.make (Array.length used) 0 }
-
-let ideal t = (compile t).ideal
 
 (* Cheapest possible revisit of external [x] if it is not revisit-free:
    the violating loop may be any free axis that ends up tiled, so take
    the min over free axes of max(trips_lb, 2) - 1 sweeps, at one
-   minimal sweep each (actual sweep traffic >= min_sweep). *)
+   minimal sweep each (actual sweep traffic >= min_sweep). No axis
+   goes below 2, so the walk stops there. *)
 let penalty b ~trips x =
-  let cheapest = ref max_int in
-  for i = 0 to Array.length trips - 1 do
-    if b.free.(x) land (1 lsl i) <> 0 then begin
-      let k = if trips.(i) > 2 then trips.(i) else 2 in
-      if k < !cheapest then cheapest := k
-    end
+  let axes = b.free_axes.(x) in
+  let cheapest = ref max_int and i = ref 0 in
+  while !cheapest > 2 && !i < Array.length axes do
+    let k = trips.(axes.(!i)) in
+    if k < !cheapest then cheapest := if k > 2 then k else 2;
+    incr i
   done;
   (!cheapest - 1) * b.min_sweeps.(x)
 

@@ -16,9 +16,9 @@ val ideal : Nest.t -> int
 
 type t
 (** A nest's bound, compiled once: {!ideal}, each external tensor's
-    {!min_sweep}, and its used and free axis masks. It also holds
-    {!penalized_in}'s scratch, so one [t] serves one search on one
-    domain. *)
+    {!min_sweep}, its used and free axis masks and its free axes. It
+    also holds {!penalized_in}'s scratch, so one [t] serves one search
+    on one domain. *)
 
 val compile : Nest.t -> t
 
@@ -29,7 +29,8 @@ val penalized_in : t -> trips:int array -> int
     adversary keeps the max-weight independent set free). Reduces to
     [Dse.Bnb]'s pairwise-exclusion bound on matmul. Allocates
     nothing: each member's penalty is computed once per call into the
-    scratch, and two tensors conflict when each one's tiled free axes
+    scratch, walking its free axes only until one reaches the floor of
+    2 trips, and two tensors conflict when each one's tiled free axes
     meet the other's used axes, two mask intersections. *)
 
 val penalized : Nest.t -> trips:int array -> int

@@ -348,30 +348,32 @@ let revisit_of t (s : schedule) x =
 (* Every tensor (internal ones too, for the footprint) is swept at most
    once per trip of each axis it does not use, and one sweep of a
    [Window] dimension moves at most (stride + dilation + 1) * eo * ek
-   elements ([window_sweep] at its largest trip counts). *)
+   elements ([window_sweep] at its largest trip counts). Over the
+   compiled tensors: a request's parse runs it on every nest line. *)
 let max_total t =
   let open Arith in
-  List.fold_left
-    (fun acc x ->
-      let used = used_axes x in
-      let free = ref 1 in
-      Array.iteri
-        (fun i e -> if not (List.mem i used) then free := mul_sat !free e)
-        t.extents;
-      let sweep =
-        List.fold_left
-          (fun acc a ->
-            mul_sat acc
-              (match a with
-              | Point i -> t.extents.(i)
-              | Window { outer; kernel; stride; dilation } ->
-                mul_sat
-                  (add_sat (add_sat stride dilation) 1)
-                  (mul_sat t.extents.(outer) t.extents.(kernel))))
-          1 x.dims
-      in
-      add_sat acc (mul_sat !free sweep))
-    0 t.tensors
+  let acc = ref 0 in
+  for x = 0 to ntensors t - 1 do
+    let used = t.code.used.(x) and flat = t.code.flat.(x) in
+    let free = ref 1 in
+    for i = 0 to rank t - 1 do
+      if used land (1 lsl i) = 0 then free := mul_sat !free t.extents.(i)
+    done;
+    let sweep = ref 1 in
+    for j = 0 to (Array.length flat / 4) - 1 do
+      let d = 4 * j in
+      let a = flat.(d) and b = flat.(d + 1) in
+      sweep :=
+        mul_sat !sweep
+          (if b < 0 then t.extents.(a)
+           else
+             mul_sat
+               (add_sat (add_sat flat.(d + 2) flat.(d + 3)) 1)
+               (mul_sat t.extents.(a) t.extents.(b)))
+    done;
+    acc := add_sat !acc (mul_sat !free !sweep)
+  done;
+  !acc
 
 let pp_schedule t fmt (s : schedule) =
   let tile fmt i = Format.fprintf fmt "%s=%d" t.axes.(i) s.tiles.(i) in

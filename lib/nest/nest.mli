@@ -111,9 +111,10 @@ val revisit_of : t -> schedule -> int -> int
 
 val max_total : t -> int
 (** An upper bound on [(eval t s).total], [footprint t s] and [points t]
-    over every schedule [s], computed with saturating arithmetic:
-    [max_int] means some schedule's cost may not fit in an [int]. On the
-    MM instance it equals [Cost.max_total]. *)
+    over every schedule [s], computed with saturating arithmetic over
+    the compiled tensors, allocating nothing: [max_int] means some
+    schedule's cost may not fit in an [int]. On the MM instance it
+    equals [Cost.max_total]. *)
 
 val valid : t -> schedule -> bool
 (** Every internal tensor is revisit-free: {!revisit_free} at [s]'s

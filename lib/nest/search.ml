@@ -266,22 +266,47 @@ type result = {
   evaluated : int;  (** valid schedules cost-evaluated *)
 }
 
+(* The running best of a search: its (total, tiling index, order rank),
+   its tiles in a buffer of its own and its class's order, shared with
+   the table and never written. An empty one sits at [max_int] on all
+   three keys, so the first offer replaces it and no bound prunes
+   against it. No cost record is built until [result_of]. *)
+type incumbent = {
+  mutable total : int;
+  mutable tiling_index : int;
+  mutable order_rank : int;
+  tiles : int array;
+  mutable order : int array;
+}
+
+let incumbent sp =
+  { total = max_int;
+    tiling_index = max_int;
+    order_rank = max_int;
+    tiles = Array.make (Nest.rank sp.nest) 1;
+    order = [||] }
+
 (* The first-seen minimum of (total, tiling index, order rank): a
    candidate replaces the incumbent only when strictly smaller. Shared
    by the exhaustive scan and Nest_bnb's leaves so both return the same
    schedule bit-for-bit. *)
-let beats best ~total ~(ti : int) ~(rank : int) =
-  match best with
-  | None -> true
-  | Some ((bc : Nest.cost), bti, brank, _) ->
-    let bt = bc.Nest.total in
-    total < bt || (total = bt && (ti < bti || (ti = bti && rank < brank)))
+let offer inc ~total ~tiling_index ~order_rank ~tiles ~order =
+  if total < inc.total
+     || (total = inc.total
+        && (tiling_index < inc.tiling_index
+           || (tiling_index = inc.tiling_index && order_rank < inc.order_rank)))
+  then begin
+    inc.total <- total;
+    inc.tiling_index <- tiling_index;
+    inc.order_rank <- order_rank;
+    Array.blit tiles 0 inc.tiles 0 (Array.length inc.tiles);
+    inc.order <- order
+  end
 
 (* Trips and sweeps once per tiling into the space's scratch, one total
    per order class; the tiling's first (total, rank) minimum then meets
-   the incumbent once, as the last of its orders would have. The cost
-   record is built only for a new incumbent. *)
-let eval_tiling sp ~idxs ~tiles best =
+   the incumbent once, as the last of its orders would have. *)
+let eval_tiling sp ~idxs ~tiles inc =
   let nest = sp.nest in
   let trips = sp.trips and sweeps = sp.sweeps in
   for i = 0 to Array.length trips - 1 do
@@ -308,20 +333,33 @@ let eval_tiling sp ~idxs ~tiles best =
         bc := c
       end
     done;
-    let ti = tiling_index sp idxs and { rank; order; _ } = tb.classes.(!bc) in
-    if beats !best ~total:!bt ~ti ~rank then begin
-      let s = { Nest.tiles = Array.copy tiles; order = Array.copy order } in
-      best := Some (Nest.eval nest s, ti, rank, s)
-    end
+    let c = tb.classes.(!bc) in
+    offer inc ~total:!bt ~tiling_index:(tiling_index sp idxs) ~order_rank:c.rank ~tiles
+      ~order:c.order
   end;
   tb.valid
+
+(* The winner's cost record, built once per search, on a schedule of
+   fresh arrays: the class's order stays unreachable to callers. *)
+let result_of sp inc ~explored ~evaluated =
+  if Array.length inc.order = 0 then None
+  else begin
+    let schedule = { Nest.tiles = Array.copy inc.tiles; order = Array.copy inc.order } in
+    Some
+      { schedule;
+        cost = Nest.eval sp.nest schedule;
+        tiling_index = inc.tiling_index;
+        order_rank = inc.order_rank;
+        explored;
+        evaluated }
+  end
 
 let exhaustive_in sp =
   let nest = sp.nest in
   let n = Nest.rank nest in
   let tiles = Array.make n 1 in
   let idxs = Array.make n 0 in
-  let best = ref None in
+  let best = incumbent sp in
   let explored = ref 0 and evaluated = ref 0 in
   let rec go axis =
     if axis = n then begin
@@ -347,15 +385,7 @@ let exhaustive_in sp =
     end
   in
   go 0;
-  Option.map
-    (fun (cost, ti, rank, schedule) ->
-      { schedule;
-        cost;
-        tiling_index = ti;
-        order_rank = rank;
-        explored = !explored;
-        evaluated = !evaluated })
-    !best
+  result_of sp best ~explored:!explored ~evaluated:!evaluated
 
 let exhaustive ?lattice nest ~capacity =
   exhaustive_in (compile ?lattice nest ~capacity)

@@ -25,7 +25,10 @@
     on the active set, so it is compiled once per process, on first use,
     into a memo behind one mutex. A [space] holds that per-search table,
     which reads the memo only when it misses, and scratch arrays for the
-    leaves: use one space per search, on one thread. *)
+    leaves: use one space per search, on one thread. A search's
+    running best is an {!incumbent}: its (total, tiling index, order
+    rank), its tiles and its class's order, with no cost record;
+    {!result_of} builds the winner's, once. *)
 
 type lattice = All | Divisors | Pow2
 
@@ -77,24 +80,51 @@ type result = {
   evaluated : int;  (** valid schedules cost-evaluated *)
 }
 
-val eval_tiling :
-  space ->
-  idxs:int array ->
+type incumbent = private {
+  mutable total : int;
+  mutable tiling_index : int;
+  mutable order_rank : int;
+  tiles : int array;  (** the incumbent's own buffer *)
+  mutable order : int array;
+      (** the winning class's order, shared with the order tables:
+          read it, never write it *)
+}
+(** A search's running best. It carries no cost record: {!result_of}
+    builds one, once, for the winner. While empty, its total, tiling
+    index and order rank are [max_int] and its order is empty. *)
+
+val incumbent : space -> incumbent
+(** A fresh, empty incumbent for searches over [space]. *)
+
+val offer :
+  incumbent ->
+  total:int ->
+  tiling_index:int ->
+  order_rank:int ->
   tiles:int array ->
-  (Nest.cost * int * int * Nest.schedule) option ref ->
-  int
+  order:int array ->
+  unit
+(** Replaces the incumbent iff (total, tiling index, order rank) is
+    strictly smaller than its own: the first-seen minimum of a scan.
+    [tiles] is copied into the incumbent's buffer; [order] is kept by
+    reference, so the caller must not write it afterwards. *)
+
+val eval_tiling : space -> idxs:int array -> tiles:int array -> incumbent -> int
 (** Price one complete tiling against the running best (shared with
     [Dse.Nest_bnb]'s leaves so both searches apply the identical
     tie-break); returns the number of revisit-free orders, the
     schedules pricing every order would evaluate. [idxs] must index
     [tiles] in {!candidates}. Computes the trip counts (from
     {!candidate_trips}) and [Nest.sweeps] once for the tiling, into the
-    space's scratch, then one total per order class; the tiling's first
-    (total, rank) minimum replaces the incumbent iff its
-    (total, tiling index, order rank) is strictly smaller, and only
-    then is [Nest.eval] called to build the cost record, on a copy of
-    the class's order. The result is the one a scan of every order of
-    {!orders} gives. *)
+    space's scratch, then one total per order class, and {!offer}s the
+    tiling's first (total, rank) minimum with its class's order. No
+    cost record is built. The incumbent is the one a scan of every
+    order of {!orders} leaves. *)
+
+val result_of : space -> incumbent -> explored:int -> evaluated:int -> result option
+(** [None] while the incumbent is empty. Otherwise the winner, with
+    its cost record from [Nest.eval], on a schedule of fresh copies of
+    the incumbent's tiles and order. *)
 
 val exhaustive_in : space -> result option
 

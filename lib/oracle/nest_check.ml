@@ -202,7 +202,8 @@ let sim_vs_analytic ctx ~name nest s =
    prices one order per class, and by a scan of every order of
    [Search.orders] through [Nest.valid] and [Nest.eval], which shares
    no class table with it. Both must count the same revisit-free
-   orders and find the same first (total, rank) minimum. *)
+   orders and find the same first (total, rank) minimum ([max_int] for
+   both when no order is revisit-free, as in an empty incumbent). *)
 let leaf_scan ctx nest ~capacity (e : Search.result) =
   let sp = Search.compile ~lattice nest ~capacity in
   let tiles = e.Search.schedule.Nest.tiles in
@@ -214,9 +215,9 @@ let leaf_scan ctx nest ~capacity (e : Search.result) =
         find 0)
       tiles
   in
-  let best = ref None in
+  let best = Search.incumbent sp in
   let count = Search.eval_tiling sp ~idxs ~tiles best in
-  let scanned = ref 0 and scan_total = ref max_int and scan_rank = ref (-1) in
+  let scanned = ref 0 and scan_total = ref max_int and scan_rank = ref max_int in
   List.iteri
     (fun rank order ->
       let s = { Nest.tiles; order } in
@@ -229,11 +230,7 @@ let leaf_scan ctx nest ~capacity (e : Search.result) =
         end
       end)
     (Search.orders sp ~trips:(Nest.trips_of nest tiles));
-  let total, rank =
-    match !best with
-    | Some ((c : Nest.cost), _, rank, _) -> (c.Nest.total, rank)
-    | None -> (max_int, -1)
-  in
+  let total = best.Search.total and rank = best.Search.order_rank in
   check ctx "nest/leaf-scan"
     (count = !scanned && total = !scan_total && rank = !scan_rank)
     (fun () ->

@@ -951,6 +951,44 @@ let test_nest_memo_invisible () =
   Alcotest.(check (list string)) "after the caller mutates its orders" cold
     (shown (search_all ~backwards:false))
 
+(* A search builds one cost record, for its winner, after the search:
+   it must be [Nest.eval] of the returned schedule, field for field,
+   from [Nest_bnb.search] and from [Search.exhaustive]. Over the zoo
+   nests on all three lattices at their pinned capacities and the
+   random problems of "order-class memo invisible". *)
+let test_nest_result_cost () =
+  let zoo_all =
+    List.map
+      (fun (name, capacity, _, _, _, _, _, _, _, _) ->
+        (name, NSearch.All, List.assoc name Fusecu_workloads.Zoo.nest_cases, capacity))
+      nest_tree_pins
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, lattice, nest, capacity) ->
+      let check_cost searcher (r : NSearch.result option) =
+        Option.iter
+          (fun (r : NSearch.result) ->
+            incr checked;
+            let ctx = Printf.sprintf "%s/%d %s" name capacity searcher in
+            let want = NNest.eval nest r.NSearch.schedule in
+            let per (c : NNest.cost) =
+              Array.to_list
+                (Array.map
+                   (fun (p : NNest.per_tensor) -> (p.NNest.fetches, p.NNest.traffic, p.NNest.revisit))
+                   c.NNest.per)
+            in
+            check_int (ctx ^ " total") want.NNest.total r.NSearch.cost.NNest.total;
+            Alcotest.(check (list (triple int int int)))
+              (ctx ^ " per tensor (fetches, traffic, revisit)")
+              (per want) (per r.NSearch.cost))
+          r
+      in
+      check_cost "nest_bnb" (Nest_bnb.search ~lattice nest (Buffer.make capacity));
+      check_cost "exhaustive" (NSearch.exhaustive ~lattice nest ~capacity))
+    (memo_problems () @ zoo_all);
+  check_bool "most problems feasible" true (!checked > List.length (memo_problems ()))
+
 (* The search tree beyond the zoo: 300 problems shaped like perfbench's
    nest_miss requests (its five kinds in about its mix, its size
    ranges, buffers in elements), a third on each lattice; on All,
@@ -1092,7 +1130,9 @@ let () =
           Alcotest.test_case "order-class memo invisible" `Quick
             test_nest_memo_invisible;
           Alcotest.test_case "search tree pinned on a nest_miss sample" `Quick
-            test_nest_bnb_tree_pinned_sample ] );
+            test_nest_bnb_tree_pinned_sample;
+          Alcotest.test_case "result cost = Nest.eval of its schedule" `Quick
+            test_nest_result_cost ] );
       ( "fused",
         [ Alcotest.test_case "exhaustive valid" `Quick test_fused_exhaustive_valid;
           Alcotest.test_case "fusion wins on attention" `Quick

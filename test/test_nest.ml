@@ -459,6 +459,31 @@ module Ref = struct
       if !ok && !w > !best_saved then best_saved := !w
     done;
     ideal nest + (Array.fold_left ( + ) 0 pen - !best_saved)
+
+  (* over the tensor list, with [List.mem] on each tensor's used axes *)
+  let max_total nest =
+    let open Fusecu_util.Arith in
+    List.fold_left
+      (fun acc x ->
+        let used = Nest.used_axes x in
+        let free = ref 1 in
+        Array.iteri
+          (fun i e -> if not (List.mem i used) then free := mul_sat !free e)
+          nest.Nest.extents;
+        let sweep =
+          List.fold_left
+            (fun acc a ->
+              mul_sat acc
+                (match a with
+                | Nest.Point i -> nest.Nest.extents.(i)
+                | Nest.Window { outer; kernel; stride; dilation } ->
+                  mul_sat
+                    (add_sat (add_sat stride dilation) 1)
+                    (mul_sat nest.Nest.extents.(outer) nest.Nest.extents.(kernel))))
+            1 x.Nest.dims
+        in
+        add_sat acc (mul_sat !free sweep))
+      0 nest.Nest.tensors
 end
 
 (* ---- random nests, schedules and trip vectors ---- *)
@@ -480,17 +505,17 @@ let gen_conv =
     | Error _ -> Lower.of_conv (Conv.make ~n ~c ~h:(side oh r) ~w:(side ow s) ~k ~r:1 ~s:1 ()))
 
 (* Any projective nest: each tensor reads a random subset of the axes,
-   consecutive pairs of them possibly fused into a [Window] (stride up
-   to 4, dilation up to 3); the first tensor may be internal. *)
-let gen_projective =
+   consecutive pairs of them possibly fused into a [Window]; the first
+   tensor may be internal. *)
+let projective ~extent ~stride ~dilation =
   let open QCheck.Gen in
   let* n = int_range 2 5 in
-  let* extents = array_repeat n (int_range 1 6) in
+  let* extents = array_repeat n extent in
   let rec dims = function
     | a :: b :: rest ->
       let* window = bool in
       if window then
-        let* stride = int_range 1 4 and* dilation = int_range 1 3 in
+        let* stride = stride and* dilation = dilation in
         let+ tl = dims rest in
         Nest.Window { outer = a; kernel = b; stride; dilation } :: tl
       else
@@ -509,6 +534,18 @@ let gen_projective =
   let* nt = int_range 2 4 in
   let+ tensors = flatten_l (List.init nt tensor) in
   Nest.make ~name:"rand" ~axes:(Array.init n (Printf.sprintf "x%d")) ~extents ~tensors
+
+(* Extents up to 6, strides up to 4, dilations up to 3. *)
+let gen_projective =
+  QCheck.Gen.(projective ~extent:(int_range 1 6) ~stride:(int_range 1 4) ~dilation:(int_range 1 3))
+
+(* Nests whose worst-case totals overflow an [int]: extents near 2^31
+   beside small ones, strides and dilations up to 2^40. *)
+let gen_huge_nest =
+  let open QCheck.Gen in
+  let near_2_31 = int_range ((1 lsl 31) - 64) ((1 lsl 31) + 64) in
+  let param = oneof [ int_range 1 4; int_range 1 (1 lsl 40) ] in
+  projective ~extent:(oneof [ int_range 1 8; near_2_31 ]) ~stride:param ~dilation:param
 
 let gen_nest =
   let open QCheck.Gen in
@@ -577,7 +614,10 @@ let kernels_match_reference =
 
 (* [Search.eval_tiling] over a run of tilings sharing one incumbent,
    against a brute-force scan of [Search.orders] with the reference:
-   the same count per tiling and the same incumbent after each. *)
+   the same count per tiling and the same incumbent (total, tiling
+   index, order rank, tiles, order) after each; at the end, the
+   incumbent's cost record ([Search.result_of]) is the reference's,
+   field for field. *)
 let arb_tilings =
   let gen =
     QCheck.Gen.(
@@ -605,7 +645,17 @@ let eval_tiling_matches_scan =
   QCheck.Test.make ~count:300 ~name:"eval_tiling = brute-force scan" arb_tilings
     (fun (sp, runs) ->
       let nest = Search.nest_of sp in
-      let best = ref None and expected = ref None in
+      let best = Search.incumbent sp and expected = ref None in
+      let same_incumbent () =
+        match !expected with
+        | None -> Array.length best.Search.order = 0
+        | Some ((c : Nest.cost), ti, rank, (s : Nest.schedule)) ->
+          best.Search.total = c.Nest.total
+          && best.Search.tiling_index = ti
+          && best.Search.order_rank = rank
+          && best.Search.tiles = s.Nest.tiles
+          && best.Search.order = s.Nest.order
+      in
       List.for_all
         (fun idxs ->
           let tiles = Array.mapi (fun i j -> (Search.candidates sp i).(j)) idxs in
@@ -625,8 +675,18 @@ let eval_tiling_matches_scan =
                 | _ -> expected := Some (cost, ti, rank, s)
               end)
             (Search.orders sp ~trips);
-          Search.eval_tiling sp ~idxs ~tiles best = !count && !best = !expected)
-        runs)
+          Search.eval_tiling sp ~idxs ~tiles best = !count && same_incumbent ())
+        runs
+      &&
+      match (Search.result_of sp best ~explored:0 ~evaluated:0, !expected) with
+      | None, None -> true
+      | Some r, Some (c, ti, rank, s) ->
+        r.Search.cost.Nest.total = c.Nest.total
+        && r.Search.cost.Nest.per = c.Nest.per
+        && r.Search.schedule = s
+        && r.Search.tiling_index = ti
+        && r.Search.order_rank = rank
+      | _ -> false)
 
 (* With the other tiles held, the footprint is affine in one axis's
    tile, and [Search.largest_fit]'s closed form finds the candidate a
@@ -681,6 +741,22 @@ let footprint_affine =
           affine && fit = !scan && restored)
         (List.init (Nest.rank nest) Fun.id))
 
+(* [Nest.max_total] decides the "problem too large" reject: it must be
+   the list-based code's value on every nest, saturated ones included. *)
+let max_total_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"max_total = list-based reference"
+    (QCheck.make ~print:(Format.asprintf "%a" Nest.pp)
+       QCheck.Gen.(oneof [ gen_nest; gen_huge_nest ]))
+    (fun nest -> Nest.max_total nest = Ref.max_total nest)
+
+(* The huge nests reach both sides of the saturation edge. *)
+let test_max_total_saturates () =
+  let rand = Random.State.make [| 31 |] in
+  let nests = List.init 200 (fun _ -> gen_huge_nest rand) in
+  let saturated = List.filter (fun t -> Nest.max_total t = max_int) nests in
+  check_bool "some huge nests saturate" true (List.length saturated > 0);
+  check_bool "some huge nests do not" true (List.length saturated < 200)
+
 let test_rank_limit () =
   let axes n = Array.init n (Printf.sprintf "x%d") in
   let nest n =
@@ -728,9 +804,13 @@ let () =
           Alcotest.test_case "conv boundaries" `Quick test_conv_validation;
           Alcotest.test_case "schedule guards" `Quick test_schedule_validation;
           Alcotest.test_case "rank limit" `Quick test_rank_limit;
+          Alcotest.test_case "max_total saturates" `Quick test_max_total_saturates;
         ] );
       ( "kernels",
         List.map
           (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]))
-          [ kernels_match_reference; eval_tiling_matches_scan; footprint_affine ] );
+          [ kernels_match_reference;
+            eval_tiling_matches_scan;
+            footprint_affine;
+            max_total_matches_reference ] );
     ]
